@@ -396,7 +396,7 @@ func benchCampaignWorkers(b *testing.B, workers int) {
 				}
 				return core.New(replica, core.Config{Height: 16, Width: 16, Seed: int64(worker)})
 			},
-			Arm: func(inj *core.Injector, rng *rand.Rand) error {
+			ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 				_, err := inj.InjectRandomNeuron(rng, core.DefaultRandomValue())
 				return err
 			},
@@ -477,7 +477,7 @@ func benchCampaignPrefix(b *testing.B, reuse bool) {
 				}
 				return core.New(replica, core.Config{Height: 32, Width: 32, Seed: int64(worker)})
 			},
-			Arm: func(inj *core.Injector, rng *rand.Rand) error {
+			ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 				_, err := inj.InjectRandomNeuron(rng, core.DefaultRandomValue())
 				return err
 			},
@@ -551,7 +551,7 @@ func benchCampaignBatch(b *testing.B, trialBatch int, reuse bool, sch campaign.S
 				}
 				return core.New(replica, core.Config{Batch: 8, Height: 32, Width: 32, Seed: int64(worker)})
 			},
-			Arm: func(inj *core.Injector, rng *rand.Rand) error {
+			ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 				_, err := inj.InjectRandomNeuron(rng, core.DefaultRandomValue())
 				return err
 			},
@@ -627,7 +627,7 @@ func BenchmarkCampaignStopToTarget(b *testing.B) {
 				}
 				return core.New(replica, core.Config{Height: 32, Width: 32, Seed: int64(worker)})
 			},
-			Arm: func(inj *core.Injector, rng *rand.Rand) error {
+			ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 				_, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: core.RandomBit})
 				return err
 			},
@@ -739,7 +739,7 @@ func benchCampaignBackend(b *testing.B, int8Backend bool) {
 				}
 				return inj, nil
 			},
-			Arm: func(inj *core.Injector, rng *rand.Rand) error {
+			ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 				_, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: core.RandomBit})
 				return err
 			},
@@ -760,7 +760,7 @@ func benchCampaignBackend(b *testing.B, int8Backend bool) {
 func BenchmarkCampaignF32(b *testing.B)  { benchCampaignBackend(b, false) }
 func BenchmarkCampaignInt8(b *testing.B) { benchCampaignBackend(b, true) }
 
-// The Batch rows pin SchedulePack so they keep measuring the legacy
+// The Batch rows pin SchedulePack so they keep measuring the
 // fill-every-lane grouping that BENCH_batch.json documents, independent
 // of what the default schedule decides.
 func BenchmarkCampaignBatchSeq(b *testing.B) { benchCampaignBatch(b, 1, false, campaign.SchedulePack) }

@@ -70,9 +70,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	progress := fs.Bool("progress", false, "print live trials/sec and ETA to stderr")
 	jsonl := fs.String("jsonl", "", "stream one JSON record per trial to this file")
 	skipErrors := fs.Bool("skip-errors", false, "count failing trials and continue instead of aborting the campaign")
-	prefixReuse := fs.Bool("prefix-reuse", true, "resume trial forwards from checkpointed clean-prefix activations (throughput only; results are byte-identical)")
-	trialBatch := fs.Int("trial-batch", 0, "lane budget: up to K compatible trials may share one forward pass; 0 = default 8 lanes (1 for -scope weight, which is never lane-safe); whether lanes are actually used is -schedule's call (throughput only; results are byte-identical)")
-	schedule := fs.String("schedule", "auto", "trial execution planner: auto prices packing vs sequential per trial group with a calibrated cost model, pack always fills the -trial-batch lanes, seq ignores them (throughput only; results are byte-identical)")
 	stopCI := fs.Float64("stop-ci", 0, "halt once the SDC-rate confidence interval's half-width is at most this (rate units; 0.005 = ±0.5 percentage points); -trials then caps the budget instead of fixing it; 0 disables early stopping")
 	stopConf := fs.Float64("stop-conf", 0.95, "confidence level for -stop-ci, in (0,1)")
 	stopMin := fs.Int("stop-min", 0, "observed trials required before -stop-ci may halt the campaign; 0 = default 100")
@@ -126,18 +123,11 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	if err != nil {
 		return usageError(fs, "%v", err)
 	}
-	sched, err := campaign.ParseSchedule(*schedule)
-	if err != nil {
-		return usageError(fs, "%v", err)
-	}
 	if *trials <= 0 {
 		return usageError(fs, "-trials must be positive, got %d", *trials)
 	}
 	if *workers < 0 {
 		return usageError(fs, "-workers must be non-negative, got %d", *workers)
-	}
-	if *trialBatch < 0 {
-		return usageError(fs, "-trial-batch must be >= 0 (0 picks the default), got %d", *trialBatch)
 	}
 	if *stopCI < 0 || *stopCI >= 0.5 {
 		return usageError(fs, "-stop-ci must be in [0, 0.5) (0 disables), got %g", *stopCI)
@@ -177,15 +167,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 			if visited["seed"] {
 				sp.Seed = *seed
 			}
-			if visited["schedule"] {
-				sp.Schedule = *schedule
-			}
-			if visited["trial-batch"] {
-				sp.TrialBatch = *trialBatch
-			}
-			if visited["prefix-reuse"] {
-				sp.NoPrefixReuse = !*prefixReuse
-			}
 			if visited["skip-errors"] {
 				sp.SkipErrors = *skipErrors
 			}
@@ -195,28 +176,25 @@ func run(ctx context.Context, args []string, out *os.File) error {
 			return runSubmit(ctx, *submit, sp, *jsonl, *progress, out)
 		}
 		sp := serve.Spec{
-			V:             serve.WireVersion,
-			Model:         *model,
-			Classes:       *classes,
-			Size:          *size,
-			Epochs:        *epochs,
-			Noise:         *noise,
-			Seed:          *seed,
-			Trials:        *trials,
-			Error:         *errModel,
-			Scope:         *scope,
-			Backend:       *backend,
-			DType:         *dtype,
-			ActZeroPoint:  *actZP,
-			Schedule:      *schedule,
-			TrialBatch:    *trialBatch,
-			NoPrefixReuse: !*prefixReuse,
-			Shards:        *shards,
-			Workers:       *workers,
-			SkipErrors:    *skipErrors,
-			StopCI:        *stopCI,
-			StopConf:      *stopConf,
-			StopMin:       *stopMin,
+			V:            serve.WireVersion,
+			Model:        *model,
+			Classes:      *classes,
+			Size:         *size,
+			Epochs:       *epochs,
+			Noise:        *noise,
+			Seed:         *seed,
+			Trials:       *trials,
+			Error:        *errModel,
+			Scope:        *scope,
+			Backend:      *backend,
+			DType:        *dtype,
+			ActZeroPoint: *actZP,
+			Shards:       *shards,
+			Workers:      *workers,
+			SkipErrors:   *skipErrors,
+			StopCI:       *stopCI,
+			StopConf:     *stopConf,
+			StopMin:      *stopMin,
 		}
 		return runSubmit(ctx, *submit, sp, *jsonl, *progress, out)
 	}
@@ -259,15 +237,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		if visited["seed"] {
 			gcfg.Seed = *seed
 		}
-		if visited["schedule"] {
-			gcfg.Schedule = sched
-		}
-		if visited["trial-batch"] {
-			gcfg.TrialBatch = *trialBatch
-		}
-		if visited["prefix-reuse"] {
-			gcfg.PrefixReuse = *prefixReuse
-		}
 		if visited["skip-errors"] {
 			gcfg.OnError = policy
 		}
@@ -294,9 +263,7 @@ func run(ctx context.Context, args []string, out *os.File) error {
 			Progress:       progressFn,
 			OnError:        policy,
 			Metrics:        metrics,
-			PrefixReuse:    *prefixReuse,
-			TrialBatch:     *trialBatch,
-			Schedule:       sched,
+			PrefixReuse:    true,
 			StopCI:         *stopCI,
 			StopConf:       *stopConf,
 			StopMin:        *stopMin,

@@ -22,8 +22,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-trials", "-5"},
 		{"-workers", "-1"},
 		{"-definitely-not-a-flag"},
-		{"-schedule", "nope"},
-		{"-trial-batch", "-1"},
+		// The engine's execution settings are not flags: values the
+		// previous revision accepted are unknown flags now.
+		{"-schedule", "auto"},
+		{"-trial-batch", "8"},
+		{"-prefix-reuse=false"},
 		{"-stop-ci", "-0.1"},
 		{"-stop-ci", "0.5"},
 		{"-stop-ci", "0.005", "-stop-conf", "0"},

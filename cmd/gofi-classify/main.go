@@ -48,9 +48,6 @@ func run(ctx context.Context, args []string) error {
 	epochs := fs.Int("epochs", 6, "training epochs per network before the campaign")
 	seed := fs.Int64("seed", 1, "experiment seed")
 	size := fs.Int("size", 32, "input image size")
-	prefixReuse := fs.Bool("prefix-reuse", true, "resume trial forwards from checkpointed clean-prefix activations (throughput only; results are byte-identical)")
-	trialBatch := fs.Int("trial-batch", 0, "lane budget: up to K compatible trials may share one forward pass; 0 = default 8 lanes; whether lanes are actually used is -schedule's call (throughput only; results are byte-identical)")
-	schedule := fs.String("schedule", "auto", "trial execution planner: auto prices packing vs sequential per trial group with a calibrated cost model, pack always fills the -trial-batch lanes, seq ignores them (throughput only; results are byte-identical)")
 	stopCI := fs.Float64("stop-ci", 0, "halt each per-model campaign once the SDC-rate confidence interval's half-width is at most this (rate units; 0.005 = ±0.5 percentage points); -trials then caps the budget; 0 disables early stopping")
 	stopConf := fs.Float64("stop-conf", 0.95, "confidence level for -stop-ci, in (0,1)")
 	stopMin := fs.Int("stop-min", 0, "observed trials required before -stop-ci may halt a campaign; 0 = default 100")
@@ -67,19 +64,12 @@ func run(ctx context.Context, args []string) error {
 	}
 	defer mcli.Finish()
 
-	sched, err := experiments.ParseSchedule(*schedule)
-	if err != nil {
-		return usageError(fs, "%v", err)
-	}
 	be, err := experiments.ParseBackend(*backend)
 	if err != nil {
 		return usageError(fs, "%v", err)
 	}
 	if *trials <= 0 {
 		return usageError(fs, "-trials must be positive, got %d", *trials)
-	}
-	if *trialBatch < 0 {
-		return usageError(fs, "-trial-batch must be >= 0 (0 picks the default), got %d", *trialBatch)
 	}
 	if *stopCI < 0 || *stopCI >= 0.5 {
 		return usageError(fs, "-stop-ci must be in [0, 0.5) (0 disables), got %g", *stopCI)
@@ -110,9 +100,7 @@ func run(ctx context.Context, args []string) error {
 		InSize:         *size,
 		Seed:           *seed,
 		Metrics:        metrics,
-		PrefixReuse:    *prefixReuse,
-		TrialBatch:     *trialBatch,
-		Schedule:       sched,
+		PrefixReuse:    true,
 		StopCI:         *stopCI,
 		StopConf:       *stopConf,
 		StopMin:        *stopMin,

@@ -11,10 +11,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	ctx := context.Background()
 	for _, args := range [][]string{
 		{"-definitely-not-a-flag"},
-		{"-schedule", "nope"},
 		{"-trials", "0"},
 		{"-trials", "-5"},
-		{"-trial-batch", "-1"},
+		// The engine's execution settings are not flags: values the
+		// previous revision accepted are unknown flags now.
+		{"-schedule", "auto"},
+		{"-trial-batch", "8"},
+		{"-prefix-reuse=false"},
 		{"-stop-ci", "-0.1"},
 		{"-stop-ci", "0.5"},
 		{"-stop-ci", "0.005", "-stop-conf", "0"},

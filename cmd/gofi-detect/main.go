@@ -46,9 +46,6 @@ func run(ctx context.Context, args []string) error {
 	size := fs.Int("size", 32, "scene size in pixels")
 	epochs := fs.Int("epochs", 12, "detector training epochs")
 	seed := fs.Int64("seed", 1, "experiment seed")
-	prefixReuse := fs.Bool("prefix-reuse", true, "route injected forwards through the clean-prefix checkpoint runner (per-layer injections always fall back to the full forward, so this is a no-op for throughput here)")
-	trialBatch := fs.Int("trial-batch", 1, "pack a scene's injected runs into K-lane forwards; defaults to 1 — unlike the campaign tools' default of 8, because only K=1 reproduces the study's legacy shared site stream exactly (K>1 derives per-run streams: equally valid numbers, but a different sample)")
-	schedule := fs.String("schedule", "auto", "lane grouping planner (auto, pack, seq); runs carry no prefix cuts here, so auto and pack group identically and seq forces the K=1 legacy stream")
 	stopCI := fs.Float64("stop-ci", 0, "halt the study once the phantom-producing-run rate's confidence interval half-width is at most this (rate units); -scenes × -injections then caps the budget; 0 disables early stopping")
 	stopConf := fs.Float64("stop-conf", 0.95, "confidence level for -stop-ci, in (0,1)")
 	stopMin := fs.Int("stop-min", 0, "observed runs required before -stop-ci may halt the study; 0 = default 100")
@@ -64,13 +61,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	defer mcli.Finish()
 
-	sched, err := experiments.ParseSchedule(*schedule)
-	if err != nil {
-		return usageError(fs, "%v", err)
-	}
-	if *trialBatch < 1 {
-		return usageError(fs, "-trial-batch must be >= 1, got %d", *trialBatch)
-	}
 	if *stopCI < 0 || *stopCI >= 0.5 {
 		return usageError(fs, "-stop-ci must be in [0, 0.5) (0 disables), got %g", *stopCI)
 	}
@@ -95,9 +85,6 @@ func run(ctx context.Context, args []string) error {
 		TrainEpochs:        *epochs,
 		Seed:               *seed,
 		Metrics:            metrics,
-		PrefixReuse:        *prefixReuse,
-		TrialBatch:         *trialBatch,
-		Schedule:           sched,
 		StopCI:             *stopCI,
 		StopConf:           *stopConf,
 		StopMin:            *stopMin,

@@ -11,9 +11,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	ctx := context.Background()
 	for _, args := range [][]string{
 		{"-definitely-not-a-flag"},
-		{"-schedule", "nope"},
-		{"-trial-batch", "0"},
-		{"-trial-batch", "-3"},
+		// The engine's execution settings are not flags: values the
+		// previous revision accepted are unknown flags now.
+		{"-schedule", "auto"},
+		{"-trial-batch", "1"},
+		{"-prefix-reuse=false"},
 		{"-stop-ci", "-0.1"},
 		{"-stop-ci", "0.5"},
 		{"-stop-ci", "0.005", "-stop-conf", "0"},

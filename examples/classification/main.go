@@ -77,7 +77,7 @@ func run() error {
 		NewReplica: newReplica,
 		Source:     ds,
 		Eligible:   eligible,
-		Arm: func(inj *core.Injector, rng *rand.Rand) error {
+		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 			_, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: core.RandomBit})
 			return err
 		},

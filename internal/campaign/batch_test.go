@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"gofi/internal/core"
@@ -97,7 +96,7 @@ func TestCrossLaneIsolation(t *testing.T) {
 			// fresh derivation of the trial's stream: one arming, one
 			// forward, exactly like the engine.
 			soloRun := func(arm func(*core.Injector, *rand.Rand) error, trial int) []uint32 {
-				rng := trialRNG(99, trial)
+				rng := TrialStream(99, trial)
 				inj.Reset()
 				inj.SetRand(rng)
 				if err := arm(inj, rng); err != nil {
@@ -108,7 +107,7 @@ func TestCrossLaneIsolation(t *testing.T) {
 			armLanes := func(arm func(*core.Injector, *rand.Rand) error) {
 				inj.Reset()
 				for i := 0; i < K; i++ {
-					rng := trialRNG(99, i)
+					rng := TrialStream(99, i)
 					if err := inj.BeginLane(i, i, rng); err != nil {
 						t.Fatal(err)
 					}
@@ -140,7 +139,7 @@ func TestCrossLaneIsolation(t *testing.T) {
 			// Phase 2 — sites pinned to the last hooked layer, so the
 			// shared-prefix route (clean batch-1 prefix to a non-trivial
 			// cut, tiled boundary, batch-K suffix) is exercised — the
-			// execution shape runPack actually uses.
+			// execution shape the executor actually uses.
 			last := len(inj.Layers()) - 1
 			deepArm := func(inj *core.Injector, rng *rand.Rand) error {
 				site := core.NeuronSite{Layer: last, Batch: 0, C: rng.Intn(inj.Layers()[last].OutShape[1])}
@@ -174,51 +173,6 @@ func TestCrossLaneIsolation(t *testing.T) {
 			}
 			inj.Reset()
 		})
-	}
-}
-
-func specString(s TrialSpec) string {
-	return fmt.Sprintf("t%d s%d c%d p%v", s.Trial, s.Sample, s.Cut, s.Packable)
-}
-
-// TestTrialPacker pins the packer's scheduling rules: sample grouping,
-// deepest-cut-first ordering, min-cut packs, sequential singletons, and
-// determinism.
-func TestTrialPacker(t *testing.T) {
-	specs := []TrialSpec{
-		{Trial: 0, Sample: 7, Cut: 2, Packable: true},
-		{Trial: 1, Sample: 7, Cut: 5, Packable: true},
-		{Trial: 2, Sample: 3, Cut: 1, Packable: true},
-		{Trial: 3, Sample: 7, Cut: 5, Packable: false}, // weight fault
-		{Trial: 4, Sample: 7, Cut: 4, Packable: true},
-		{Trial: 5, Sample: 3, Cut: 9, Packable: true},
-	}
-	packs := PackTrials(specs, 2)
-	want := []Pack{
-		{Trials: []int{1, 4}, Sample: 7, Cut: 4},
-		{Trials: []int{0}, Sample: 7, Cut: 2},
-		{Trials: []int{5, 2}, Sample: 3, Cut: 1},
-		{Trials: []int{3}, Sample: 7, Cut: 0, Seq: true},
-	}
-	if fmt.Sprint(packs) != fmt.Sprint(want) {
-		t.Fatalf("PackTrials(k=2):\n got %v\nwant %v", packs, want)
-	}
-	// k < 2 and k < 1 degrade to singletons, never panic.
-	for _, k := range []int{1, 0, -3} {
-		got := PackTrials(specs, k)
-		if len(got) != len(specs) {
-			t.Fatalf("PackTrials(k=%d) produced %d packs, want %d singletons", k, len(got), len(specs))
-		}
-		for _, p := range got {
-			if len(p.Trials) != 1 {
-				t.Fatalf("PackTrials(k=%d) produced multi-trial pack %v", k, p)
-			}
-		}
-	}
-	// Determinism: same inputs, same pack list.
-	again := PackTrials(specs, 2)
-	if fmt.Sprint(again) != fmt.Sprint(packs) {
-		t.Fatalf("PackTrials is nondeterministic:\n%v\n%v", packs, again)
 	}
 }
 
@@ -259,7 +213,7 @@ func untrainedCampaign(t *testing.T, arm func(*core.Injector, *rand.Rand) error)
 		},
 		Source:   ds,
 		Eligible: []int{0, 1, 2, 3, 4, 5},
-		Arm:      arm,
+		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error { return arm(inj, rng) },
 	}
 }
 
@@ -359,87 +313,93 @@ func TestBatchedRunClampsToProfiledBatch(t *testing.T) {
 	}
 }
 
-// FuzzTrialPacker feeds arbitrary trial mixes through the packer and
-// checks its invariants: no panic, every trial scheduled exactly once,
-// no pack exceeds K or mixes samples, every pack's cut is the minimum of
-// its members' cuts, and unpackable trials become sequential singletons.
-func FuzzTrialPacker(f *testing.F) {
-	f.Add(int64(1), 6, 4)
-	f.Add(int64(2), 0, 1)
-	f.Add(int64(3), 33, 8)
-	f.Add(int64(4), 17, -2)
-	f.Fuzz(func(t *testing.T, seed int64, n, k int) {
-		if n < 0 {
-			n = -n
+// TestDemotionRunsThroughTheSameExecutor pins the demotion contract: a
+// trial that cannot share a forward — refused by the probe, or refused
+// only once other lanes are armed — runs as a width-1 entry of the same
+// executor, so forced packing and ScheduleSeq produce equal record
+// streams (errors included, under SkipAndCount), and every demoted trial
+// is counted in MetricBatchSeqFallbacks exactly once.
+func TestDemotionRunsThroughTheSameExecutor(t *testing.T) {
+	boom := fmt.Errorf("boom")
+	neuron := func(inj *core.Injector, rng *rand.Rand) error {
+		_, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: core.RandomBit})
+		return err
+	}
+	run := func(t *testing.T, arm func(*core.Injector, *rand.Rand, int) error, sch Schedule) ([]TrialRecord, obs.Snapshot) {
+		cfg := untrainedCampaign(t, nil)
+		cfg.ArmTrial = arm
+		// One worker: the fixture's replicas share weight storage, which
+		// the weight-fault trials below mutate.
+		cfg.TrialBatch, cfg.Schedule = 4, sch
+		cfg.OnError = SkipAndCount
+		cfg.Metrics = obs.NewRegistry()
+		recs := make([]TrialRecord, cfg.Trials)
+		cfg.Sinks = []TrialSink{SinkFunc(func(r TrialRecord) error {
+			r.Worker = 0 // which worker ran a trial is timing, not result
+			recs[r.Trial] = r
+			return nil
+		})}
+		if _, err := Run(context.Background(), cfg); err != nil {
+			t.Fatal(err)
 		}
-		n %= 257
-		rng := rand.New(rand.NewSource(seed))
-		specs := make([]TrialSpec, n)
-		cutOf := make(map[int]int, n)
-		packable := make(map[int]bool, n)
-		for i := range specs {
-			specs[i] = TrialSpec{
-				Trial:    i,
-				Sample:   rng.Intn(5),
-				Cut:      rng.Intn(12),
-				Packable: rng.Intn(4) != 0,
-			}
-			cutOf[i] = specs[i].Cut
-			packable[i] = specs[i].Packable
-		}
-		packs := PackTrials(specs, k)
-		maxLen := k
-		if maxLen < 1 {
-			maxLen = 1
-		}
-		seen := make(map[int]int, n)
-		for _, p := range packs {
-			if len(p.Trials) == 0 {
-				t.Fatal("empty pack")
-			}
-			if len(p.Trials) > maxLen {
-				t.Fatalf("pack %v exceeds k=%d", p, k)
-			}
-			minCut := -1
-			for _, trial := range p.Trials {
-				seen[trial]++
-				if !packable[trial] && !p.Seq {
-					t.Fatalf("unpackable trial %d scheduled in non-Seq pack %v", trial, p)
-				}
-				if c := cutOf[trial]; minCut == -1 || c < minCut {
-					minCut = c
-				}
-			}
-			if p.Seq {
-				if len(p.Trials) != 1 {
-					t.Fatalf("Seq pack with %d trials: %v", len(p.Trials), p)
-				}
-				continue
-			}
-			if p.Cut != minCut {
-				t.Fatalf("pack %v cut %d != member min cut %d", p, p.Cut, minCut)
-			}
-			for _, trial := range p.Trials[1:] {
-				if specs[trial].Sample != p.Sample {
-					t.Fatalf("pack %v mixes samples", p)
-				}
+		return recs, cfg.Metrics.Snapshot()
+	}
+	same := func(t *testing.T, arm func(*core.Injector, *rand.Rand, int) error) obs.Snapshot {
+		seq, _ := run(t, arm, ScheduleSeq)
+		packed, snap := run(t, arm, SchedulePack)
+		for i := range seq {
+			if packed[i] != seq[i] {
+				t.Fatalf("trial %d differs under forced packing:\n pack %+v\n seq  %+v", i, packed[i], seq[i])
 			}
 		}
-		if len(seen) != n {
-			t.Fatalf("packer scheduled %d distinct trials, want %d", len(seen), n)
+		if snap.Counters[MetricBatchTrialsPacked] == 0 {
+			t.Fatal("nothing ran packed — the demotion path is untested")
 		}
-		var trials []int
-		for trial, count := range seen {
-			if count != 1 {
-				t.Fatalf("trial %d scheduled %d times", trial, count)
+		return snap
+	}
+
+	t.Run("refused by the probe", func(t *testing.T) {
+		demoted := 0
+		snap := same(t, func(inj *core.Injector, rng *rand.Rand, trial int) error {
+			switch trial % 3 {
+			case 0: // lane-unsafe: weights are shared by every lane
+				_, err := inj.InjectRandomWeight(rng, core.DefaultRandomValue())
+				return err
+			case 1:
+				return boom
 			}
-			trials = append(trials, trial)
+			return neuron(inj, rng)
+		})
+		for trial := 0; trial < 64; trial++ {
+			if trial%3 != 2 {
+				demoted++
+			}
 		}
-		sort.Ints(trials)
-		for i, trial := range trials {
-			if i != trial {
-				t.Fatalf("trial %d missing from schedule", i)
+		if got := snap.Counters[MetricBatchSeqFallbacks]; got != int64(demoted) {
+			t.Fatalf("seq_fallbacks = %d, want the %d lane-unsafe and erroring trials", got, demoted)
+		}
+		if got := snap.Counters[MetricSkipped]; got != 21 {
+			t.Fatalf("skipped = %d, want the 21 erroring trials", got)
+		}
+	})
+
+	t.Run("refused inside the entry", func(t *testing.T) {
+		// A declaration the probe accepts (alone on a Reset injector) but
+		// that refuses to share: only lane 0 of every entry arms, the rest
+		// are demoted at execution time.
+		snap := same(t, func(inj *core.Injector, rng *rand.Rand, _ int) error {
+			if lowest, _ := inj.MinArmedLayer(); lowest < len(inj.Layers()) {
+				return boom
 			}
+			return neuron(inj, rng)
+		})
+		planned := int64(snap.Gauges[MetricSchedPacked])
+		forwards := snap.Histograms[MetricBatchFill].Count
+		if got := snap.Counters[MetricBatchSeqFallbacks]; got != planned-forwards || got == 0 {
+			t.Fatalf("seq_fallbacks = %d, want %d planned lanes minus %d surviving lane-0 trials", got, planned, forwards)
+		}
+		if got := snap.Counters[MetricSkipped]; got != 0 {
+			t.Fatalf("%d demoted trials were skipped; alone they must arm and run", got)
 		}
 	})
 }

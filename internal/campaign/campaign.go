@@ -31,7 +31,10 @@ import (
 
 // Schedule selects how the engine plans trial execution — re-exported
 // from internal/campaign/sched so callers configure campaigns without
-// importing the scheduler.
+// importing the scheduler. It is an in-process setting, not a user
+// surface: ScheduleSeq (with PrefixReuse off) is the reference
+// configuration the goldens and the benchmark compare against, and
+// SchedulePack is how tests reach multi-lane entries while reuse is on.
 type Schedule = sched.Mode
 
 const (
@@ -40,22 +43,22 @@ const (
 	// calibrated cost model and runs whichever is cheaper.
 	ScheduleAuto = sched.ModeAuto
 	// SchedulePack packs unconditionally: every compatible trial group
-	// chunks into TrialBatch-sized packs, cost model or no.
+	// chunks into TrialBatch-sized entries, cost model or no.
 	SchedulePack = sched.ModePack
-	// ScheduleSeq runs every trial on the sequential path, as if
+	// ScheduleSeq runs every trial as its own width-1 entry, as if
 	// TrialBatch were 1.
 	ScheduleSeq = sched.ModeSeq
 )
-
-// ParseSchedule parses the -schedule flag spelling (auto, pack, seq).
-func ParseSchedule(s string) (Schedule, error) { return sched.ParseMode(s) }
 
 // Metric names recorded by the engine when Config.Metrics is set. The
 // counters and histogram counts are exact and — like the Aggregate —
 // deterministic in (Seed, Trials) regardless of Workers; the gauges and
 // histogram timings describe this particular run.
 const (
-	// MetricTrialTime is the per-trial latency histogram (nanoseconds).
+	// MetricTrialTime is the per-trial latency histogram (nanoseconds):
+	// exactly one sample per executed trial. A trial that shared a
+	// multi-lane forward contributes the entry's wall time divided by
+	// its width.
 	MetricTrialTime = "campaign.trial_ns"
 	// MetricTrials counts finished trials, including skipped ones.
 	MetricTrials = "campaign.trials"
@@ -99,13 +102,14 @@ const (
 	// batched forward) — low fill means the packer found few compatible
 	// trials per (sample, cut) group.
 	MetricBatchFill = "campaign.batch.fill"
-	// MetricBatchSeqFallbacks counts trials routed to the sequential
-	// path while batching was on: weight faults, explicit multi-batch
-	// sites, arm errors, and lanes re-run after a batched-forward error.
+	// MetricBatchSeqFallbacks counts trials that had to run as width-1
+	// entries while lanes were in use: weight faults, explicit
+	// multi-batch sites, arm errors, and lanes re-run after a
+	// batched-forward error.
 	MetricBatchSeqFallbacks = "campaign.batch.seq_fallbacks"
-	// MetricBatchPackTime is the per-pack latency histogram
-	// (nanoseconds) for multi-trial batched forwards; sequential-path
-	// trials record into MetricTrialTime as before.
+	// MetricBatchPackTime records the probe + plan phase (nanoseconds),
+	// once per run that uses lanes. Forward latency, at any entry
+	// width, is MetricTrialTime.
 	MetricBatchPackTime = "campaign.batch.pack_ns"
 	// MetricSchedMode is the schedule mode the plan was built under
 	// (0 auto, 1 pack, 2 seq — sched.Mode values), recorded only when
@@ -120,7 +124,7 @@ const (
 	MetricSchedCostSource = "campaign.sched.cost_source"
 	// MetricSchedPacked / MetricSchedSolo / MetricSchedSeq partition
 	// the planned trials: placed in multi-trial packs, packable but
-	// priced cheaper alone, and forced onto the sequential path
+	// priced cheaper alone, and forced into width-1 entries
 	// (weight faults, multi-batch sites, arm errors). These describe
 	// the plan; MetricBatchTrialsPacked still counts what executed.
 	MetricSchedPacked = "campaign.sched.packed_trials"
@@ -316,13 +320,10 @@ type Config struct {
 	// Eligible lists the sample indices trials may draw from (typically
 	// the correctly-classified subset, as in §IV-A).
 	Eligible []int
-	// Arm arms this trial's fault(s) on a freshly Reset injector. The rng
-	// is the trial's private stream.
-	Arm func(inj *core.Injector, rng *rand.Rand) error
-	// ArmTrial, when set, supersedes Arm and additionally receives the
-	// trial index — the hook stratified generators need, since a trial's
-	// stratum is a function of its index (stats.Strata.Assign), not of
-	// its RNG stream. Exactly one of Arm and ArmTrial must be set.
+	// ArmTrial arms this trial's fault(s) on a freshly Reset injector. The
+	// rng is the trial's private stream; trial is its global index — the
+	// hook stratified generators need, since a trial's stratum is a
+	// function of its index (stats.Strata.Assign), not of its RNG stream.
 	ArmTrial func(inj *core.Injector, rng *rand.Rand, trial int) error
 	// Stop, when non-nil, attaches a sequential early-stopping watcher
 	// (stats.NewSequential or stats.NewStratified): the engine folds
@@ -372,25 +373,25 @@ type Config struct {
 	// lane-safe neuron faults only) into one forward pass over an input
 	// tiled across that many batch lanes — the batched counterpart of
 	// PyTorchFI's per-batch-element fault sites. 0 or 1 runs every trial
-	// alone (the sequential path). The effective width is clamped to the
-	// replicas' profiled batch (core.Config.Batch), since a lane must be
-	// a legal batch element of the profiled geometry. Like PrefixReuse
+	// alone (width-1 entries, no probe pass, no plan). The effective
+	// width is clamped to the replicas' profiled batch
+	// (core.Config.Batch), since a lane must be a legal batch element of
+	// the profiled geometry. Like PrefixReuse
 	// this is a throughput knob only: per-trial RNG streams and per-lane
 	// arming keep every trial's logits bit-identical to running it alone,
 	// so the Aggregate is byte-identical for any (Workers, TrialBatch).
 	// Trials that cannot be lane-packed (weight faults, explicit
-	// multi-batch sites, arm errors) fall back to the sequential path
-	// automatically and are counted in MetricBatchSeqFallbacks.
+	// multi-batch sites, arm errors) run as width-1 entries automatically
+	// and are counted in MetricBatchSeqFallbacks.
 	TrialBatch int
 	// Schedule selects how the TrialBatch lanes are actually used. The
 	// zero value, ScheduleAuto, calibrates a per-chain-node cost table
 	// from the clean pass (or static FLOP estimates) and packs a trial
 	// group only when the model prices the pack below running its
-	// trials sequentially — under PrefixReuse that usually means NOT
-	// packing, since each sequential trial resumes from a warmed
-	// checkpoint at its own cut while a pack must resume at its
-	// shallowest member's. SchedulePack forces the unconditional
-	// chunking (the pre-scheduler behavior); ScheduleSeq ignores
+	// trials alone — under PrefixReuse that usually means NOT packing,
+	// since each trial alone resumes from a warmed checkpoint at its own
+	// cut while a pack must resume at its shallowest member's.
+	// SchedulePack forces the unconditional chunking; ScheduleSeq ignores
 	// TrialBatch entirely. Like TrialBatch this is a throughput knob
 	// only: the Aggregate is byte-identical under every Schedule.
 	Schedule Schedule
@@ -411,11 +412,8 @@ func (c Config) validate() error {
 	if c.Offset < 0 {
 		return fmt.Errorf("campaign: negative trial offset %d", c.Offset)
 	}
-	if c.NewReplica == nil || c.Source == nil || (c.Arm == nil && c.ArmTrial == nil) {
-		return fmt.Errorf("campaign: NewReplica, Source and Arm (or ArmTrial) are required")
-	}
-	if c.Arm != nil && c.ArmTrial != nil {
-		return fmt.Errorf("campaign: Arm and ArmTrial are mutually exclusive")
+	if c.NewReplica == nil || c.Source == nil || c.ArmTrial == nil {
+		return fmt.Errorf("campaign: NewReplica, Source and ArmTrial are required")
 	}
 	if len(c.Eligible) == 0 {
 		return fmt.Errorf("campaign: no eligible samples (did the model classify nothing correctly?)")
@@ -426,14 +424,22 @@ func (c Config) validate() error {
 	return nil
 }
 
-// arm dispatches a trial's fault declaration to ArmTrial when set, Arm
-// otherwise. Every arm site in the engine (sequential trials, probes,
-// pack lanes) goes through here so the two hooks are interchangeable.
-func (c Config) arm(inj *core.Injector, rng *rand.Rand, trial int) error {
-	if c.ArmTrial != nil {
-		return c.ArmTrial(inj, rng, trial)
-	}
-	return c.Arm(inj, rng)
+// draw re-derives local trial t's private stream, positioned after its
+// first draw — the sample choice — and returns it with the chosen
+// sample. Streams derive from the trial's GLOBAL index so shards see the
+// choices a whole-campaign run sees. Everything that looks at a trial
+// (clean pre-pass, dedup replay, probe, executor) starts here, so the
+// draw order cannot drift between them.
+func (c Config) draw(t int) (rng *rand.Rand, sample int) {
+	rng = TrialStream(c.Seed, c.Offset+t)
+	return rng, c.Eligible[rng.Intn(len(c.Eligible))]
+}
+
+// input returns sample idx as a batch-1 model input.
+func (c Config) input(idx int) *tensor.Tensor {
+	img, _ := c.Source.Sample(idx)
+	shape := img.Shape()
+	return img.Reshape(1, shape[0], shape[1], shape[2])
 }
 
 // strataInfo is the optional interface a stratified stopping watcher

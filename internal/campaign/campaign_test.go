@@ -43,20 +43,6 @@ func TestWilsonShrinksWithN(t *testing.T) {
 	}
 }
 
-func TestParseSchedule(t *testing.T) {
-	for spelling, want := range map[string]Schedule{
-		"auto": ScheduleAuto, "pack": SchedulePack, "seq": ScheduleSeq,
-	} {
-		got, err := ParseSchedule(spelling)
-		if err != nil || got != want {
-			t.Fatalf("ParseSchedule(%q) = %v, %v", spelling, got, err)
-		}
-	}
-	if _, err := ParseSchedule("nope"); err == nil {
-		t.Fatal("unknown schedule must error")
-	}
-}
-
 func TestAggregate(t *testing.T) {
 	var a Aggregate
 	a.Add(Outcome{Top1Changed: true, ConfidenceDrop: 0.5})
@@ -174,7 +160,7 @@ func TestRunBenignFaultsAreMasked(t *testing.T) {
 		Source:     ds,
 		Eligible:   eligible,
 		// Identity "fault": everything must be masked.
-		Arm: func(inj *core.Injector, rng *rand.Rand) error {
+		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 			_, err := inj.InjectRandomNeuron(rng, core.Func{Label: "id", Fn: func(v float32, _ core.PerturbContext) float32 { return v }})
 			return err
 		},
@@ -202,7 +188,7 @@ func TestRunCatastrophicFaultsCorrupt(t *testing.T) {
 		Eligible:   eligible,
 		// Inject an enormous value into every layer: corruption should be
 		// frequent.
-		Arm: func(inj *core.Injector, rng *rand.Rand) error {
+		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 			_, err := inj.InjectRandomNeuronPerLayer(rng, core.SetValue{V: 1e6})
 			return err
 		},
@@ -230,7 +216,7 @@ func TestRunDeterministicAcrossRuns(t *testing.T) {
 			NewReplica: replicaFactory(t, model),
 			Source:     ds,
 			Eligible:   eligible,
-			Arm: func(inj *core.Injector, rng *rand.Rand) error {
+			ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 				_, err := inj.InjectRandomNeuron(rng, core.DefaultRandomValue())
 				return err
 			},
@@ -253,19 +239,16 @@ func TestRunValidation(t *testing.T) {
 		NewReplica: replicaFactory(t, model),
 		Source:     ds,
 		Eligible:   eligible,
-		Arm:        func(*core.Injector, *rand.Rand) error { return nil },
+		ArmTrial:   func(*core.Injector, *rand.Rand, int) error { return nil },
 	}
 	for name, mut := range map[string]func(*Config){
 		"no-trials":   func(c *Config) { c.Trials = 0 },
 		"no-replica":  func(c *Config) { c.NewReplica = nil },
 		"no-source":   func(c *Config) { c.Source = nil },
-		"no-arm":      func(c *Config) { c.Arm = nil },
+		"no-arm":      func(c *Config) { c.ArmTrial = nil },
 		"no-eligible": func(c *Config) { c.Eligible = nil },
 		"neg-workers": func(c *Config) { c.Workers = -1 },
 		"neg-batch":   func(c *Config) { c.TrialBatch = -1 },
-		"both-arms": func(c *Config) {
-			c.ArmTrial = func(*core.Injector, *rand.Rand, int) error { return nil }
-		},
 	} {
 		cfg := ok
 		mut(&cfg)
@@ -283,7 +266,7 @@ func TestRunPropagatesArmErrors(t *testing.T) {
 		NewReplica: replicaFactory(t, model),
 		Source:     ds,
 		Eligible:   eligible,
-		Arm:        func(*core.Injector, *rand.Rand) error { return boom },
+		ArmTrial:   func(*core.Injector, *rand.Rand, int) error { return boom },
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
@@ -298,7 +281,7 @@ func TestRunPropagatesReplicaErrors(t *testing.T) {
 		NewReplica: func(int) (*core.Injector, error) { return nil, boom },
 		Source:     ds,
 		Eligible:   []int{0},
-		Arm:        func(*core.Injector, *rand.Rand) error { return nil },
+		ArmTrial:   func(*core.Injector, *rand.Rand, int) error { return nil },
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
@@ -314,7 +297,7 @@ func TestRunMoreWorkersThanTrials(t *testing.T) {
 		NewReplica: replicaFactory(t, model),
 		Source:     ds,
 		Eligible:   eligible,
-		Arm: func(inj *core.Injector, rng *rand.Rand) error {
+		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 			_, err := inj.InjectRandomNeuron(rng, core.Zero{})
 			return err
 		},

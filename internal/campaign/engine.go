@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,34 +111,19 @@ const (
 	trialSkipped
 )
 
-// trialRNG derives trial t's private random stream from the campaign
-// seed alone, via the splitmix64 finalizer over Seed and t. This is the
-// determinism contract: everything random about a trial — its sample,
-// its fault site(s), and any stochastic error-model draws — is a pure
-// function of (Seed, t), never of the worker that executes it.
-func trialRNG(seed int64, t int) *rand.Rand {
-	return TrialStream(seed, t)
-}
-
-// TrialStream returns global trial t's private random stream — the same
-// stream the engine hands to Eligible sampling, arming and the error
-// model. Exported so observers and scenario replays can re-derive a
-// trial's draws without re-running it; consume the draws in engine order
-// (sample first, then arming) to stay aligned.
+// TrialStream derives global trial t's private random stream from the
+// campaign seed alone, via the splitmix64 finalizer over Seed and t.
+// This is the determinism contract: everything random about a trial —
+// its sample, its fault site(s), and any stochastic error-model draws —
+// is a pure function of (Seed, t), never of the worker that executes it.
+// Exported so observers and scenario replays can re-derive a trial's
+// draws without re-running it; consume the draws in engine order (sample
+// first, then arming) to stay aligned.
 func TrialStream(seed int64, t int) *rand.Rand {
 	z := uint64(seed) + 0x9E3779B97F4A7C15*uint64(t+1)
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return rand.New(rand.NewSource(int64(z ^ (z >> 31))))
-}
-
-// trialSample returns local trial t's sample index: the first draw of
-// its private stream, derived from the trial's GLOBAL index so shards
-// see the same choices a whole-campaign run sees. The engine
-// pre-computes this for every trial to build the clean-prediction cache
-// before any fault runs.
-func trialSample(cfg Config, t int) int {
-	return cfg.Eligible[trialRNG(cfg.Seed, cfg.Offset+t).Intn(len(cfg.Eligible))]
 }
 
 // Run executes the campaign and returns the aggregated outcomes.
@@ -181,8 +165,7 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 	// Build every worker's replica up front (model construction dominates
 	// setup cost, so do it concurrently) and fail before any trial runs
 	// if one cannot be built.
-	replicas := make([]*core.Injector, workers)
-	runners := make([]*core.PrefixRunner, workers)
+	crew := make([]*worker, workers)
 	pmet := prefixMetrics(cfg.Metrics)
 	var buildWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -206,16 +189,16 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 			// Replicas share one registry: perturbation counters are
 			// atomic, so campaign-wide totals stay exact.
 			inj.SetMetrics(cfg.Metrics)
+			crew[w] = &worker{id: w, inj: inj}
 			if cfg.PrefixReuse {
 				// A model whose chain cannot be planned simply runs every
 				// trial full-length; reuse is a throughput optimization,
 				// never a correctness requirement.
 				if runner, err := core.NewPrefixRunner(inj, prefixStoreBudget); err == nil {
 					runner.SetMetrics(pmet)
-					runners[w] = runner
+					crew[w].runner, crew[w].plan = runner, runner.Plan()
 				}
 			}
-			replicas[w] = inj
 		}(w)
 	}
 	buildWG.Wait()
@@ -223,8 +206,8 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 		return Aggregate{}, failErr
 	}
 	defer func() {
-		for _, inj := range replicas {
-			inj.Reset()
+		for _, w := range crew {
+			w.inj.Reset()
 		}
 	}()
 
@@ -237,31 +220,49 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 	if K < 1 || cfg.Schedule == ScheduleSeq {
 		K = 1
 	}
-	if pb := replicas[0].Config().Batch; K > pb {
+	if pb := crew[0].inj.Config().Batch; K > pb {
 		K = pb
 	}
-	plans := make([]*core.PrefixPlan, workers)
 	if K > 1 {
-		for w := range replicas {
-			if runners[w] != nil {
-				plans[w] = runners[w].Plan()
-			} else if p, err := replicas[w].BuildPrefixPlan(); err == nil {
+		for _, w := range crew {
+			if w.plan == nil {
 				// No checkpoint store, but the chain decomposition still
-				// lets a pack share its clean prefix across lanes.
-				plans[w] = p
+				// lets an entry share its clean prefix across lanes.
+				w.plan, _ = w.inj.BuildPrefixPlan()
 			}
 		}
 	}
 
+	// steal fans the indices [0, n) out across the workers by work
+	// stealing and waits for them; a worker stops claiming once the run
+	// is cancelled.
+	steal := func(n int, do func(w *worker, i int)) {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for _, w := range crew {
+			wg.Add(1)
+			go func(w *worker) {
+				defer wg.Done()
+				for runCtx.Err() == nil {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						return
+					}
+					do(w, i)
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+
 	// Pre-pass: derive every trial's sample choice, then compute each
 	// distinct sample's clean prediction exactly once, in parallel,
-	// before fan-out. Workers previously re-ran clean inference into
-	// private caches, duplicating the work Workers times.
+	// before fan-out.
 	sampleOf := make([]int, cfg.Trials)
 	var order []int // distinct samples, first-use order
 	slot := make(map[int]int, len(cfg.Eligible))
 	for t := range sampleOf {
-		idx := trialSample(cfg, t)
+		_, idx := cfg.draw(t)
 		sampleOf[t] = idx
 		if _, ok := slot[idx]; !ok {
 			slot[idx] = len(order)
@@ -269,38 +270,24 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 		}
 	}
 	cleanVals := make([]cleanPrediction, len(order))
-	workerCosts := make([][]int64, workers)
-	var cleanNext atomic.Int64
-	var cleanWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		cleanWG.Add(1)
-		go func(w int) {
-			defer cleanWG.Done()
-			for runCtx.Err() == nil {
-				i := int(cleanNext.Add(1)) - 1
-				if i >= len(order) {
-					return
-				}
-				cp, nodeNS, err := cleanPredict(replicas[w], runners[w], plans[w], cfg.Source, order[i])
-				if err != nil {
-					fail(err)
-					return
-				}
-				cleanVals[i] = cp
-				workerCosts[w] = mergeNodeCosts(workerCosts[w], nodeNS)
-			}
-		}(w)
-	}
-	cleanWG.Wait()
+	steal(len(order), func(w *worker, i int) {
+		cp, nodeNS, err := cleanPredict(cfg, w, order[i])
+		if err != nil {
+			fail(err)
+			return
+		}
+		cleanVals[i] = cp
+		w.costs = mergeNodeCosts(w.costs, nodeNS)
+	})
 	if failErr != nil {
 		return Aggregate{}, failErr
 	}
 	if err := ctx.Err(); err != nil {
 		return Aggregate{}, err
 	}
-	clean := make(map[int]cleanPrediction, len(order))
+	x := &executor{cfg: cfg, clean: make(map[int]cleanPrediction, len(order)), prefixFallbacks: pmet.Fallbacks}
 	for i, idx := range order {
-		clean[idx] = cleanVals[i]
+		x.clean[idx] = cleanVals[i]
 	}
 
 	// Fault-space dedup pre-pass: replay every trial's fault-deciding
@@ -311,23 +298,20 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 	// never perturbs the determinism contract: duplicates are filled from
 	// a canonical outcome that is bit-identical to what they would have
 	// computed (the Key soundness contract).
-	var dupOf []int          // trial -> canonical index, -1 when it runs itself
+	isDup := make([]bool, cfg.Trials)
 	var dupsOf map[int][]int // canonical -> its duplicates, ascending
 	dupCount, keyCount := 0, 0
 	if cfg.Key != nil {
-		dupOf = make([]int, cfg.Trials)
 		dupsOf = make(map[int][]int)
 		canon := make(map[string]int, cfg.Trials)
 		for t := 0; t < cfg.Trials; t++ {
-			dupOf[t] = -1
-			rng := trialRNG(cfg.Seed, cfg.Offset+t)
-			rng.Intn(len(cfg.Eligible)) // consume the sample draw
-			key, ok := cfg.Key(rng, cfg.Offset+t, sampleOf[t])
+			rng, sample := cfg.draw(t)
+			key, ok := cfg.Key(rng, cfg.Offset+t, sample)
 			if !ok {
 				continue
 			}
 			if c, seen := canon[key]; seen {
-				dupOf[t] = c
+				isDup[t] = true
 				dupsOf[c] = append(dupsOf[c], t)
 				dupCount++
 			} else {
@@ -337,75 +321,65 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 		keyCount = len(canon)
 	}
 
-	// Trial scheduling: probe every trial once to learn its lane safety
-	// and prefix cut, calibrate the cost table, and let the scheduler
-	// decide which trials run in K-lane forwards and which run alone.
-	// K == 1 leaves the sequential path untouched.
-	var packs []Pack
-	var bm *batchMetrics
+	// Plan: the entry list the trial phase executes. Duplicates are never
+	// scheduled; their records come from the canonical trial's finish.
+	// With lanes to use, probe every live trial once to learn its lane
+	// safety and prefix cut, calibrate the cost table, and let the
+	// scheduler decide which trials share K-lane forwards and which run
+	// alone. Without, there is nothing to decide: one width-1 entry per
+	// live trial, in index order.
+	var entries []sched.Entry
 	if K > 1 {
-		bm = newBatchMetrics(cfg.Metrics, K)
-		packStart := time.Now()
-		specs := make([]TrialSpec, cfg.Trials)
-		var probeNext atomic.Int64
-		var probeWG sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			probeWG.Add(1)
-			go func(w int) {
-				defer probeWG.Done()
-				for runCtx.Err() == nil {
-					t := int(probeNext.Add(1)) - 1
-					if t >= cfg.Trials {
-						return
-					}
-					if dupOf != nil && dupOf[t] >= 0 {
-						// Duplicates are never scheduled; their records come
-						// from the canonical trial's finish.
-						specs[t] = TrialSpec{Trial: t}
-						continue
-					}
-					specs[t] = probeTrial(cfg, replicas[w], plans[w], t, sampleOf[t])
-				}
-			}(w)
-		}
-		probeWG.Wait()
-		if dupOf != nil {
-			live := make([]TrialSpec, 0, len(specs)-dupCount)
-			for t := range specs {
-				if dupOf[t] < 0 {
-					live = append(live, specs[t])
-				}
+		x.bm = newBatchMetrics(cfg.Metrics, K)
+		planStart := time.Now()
+		specs := make([]sched.Trial, cfg.Trials)
+		steal(cfg.Trials, func(w *worker, t int) {
+			if !isDup[t] {
+				specs[t] = x.probe(w, t)
 			}
-			specs = live
+		})
+		live := specs[:0]
+		for t := range specs {
+			if !isDup[t] {
+				live = append(live, specs[t])
+			}
 		}
-		costs, costSource := buildCostTable(cfg, runners, plans, workerCosts, order[0])
-		splan := sched.Build(specs, sched.Config{
+		costs, costSource := buildCostTable(cfg, crew, order[0])
+		plan := sched.Build(live, sched.Config{
 			K:     K,
 			Mode:  cfg.Schedule,
-			Reuse: runners[0] != nil,
+			Reuse: crew[0].runner != nil,
 			Costs: costs,
 		})
-		packs = splan.Entries
-		if bm != nil {
-			bm.packTimer.Since(packStart)
+		entries = plan.Entries
+		if x.bm != nil {
+			x.bm.planTimer.Since(planStart)
 		}
 		if reg := cfg.Metrics; reg != nil {
 			reg.Gauge(MetricSchedMode).Set(float64(cfg.Schedule))
 			modeled := 0.0
-			if splan.Modeled {
+			if plan.Modeled {
 				modeled = 1
 			}
 			reg.Gauge(MetricSchedModeled).Set(modeled)
 			reg.Gauge(MetricSchedCostSource).Set(float64(costSource))
-			reg.Gauge(MetricSchedPacked).Set(float64(splan.Packed))
-			reg.Gauge(MetricSchedSolo).Set(float64(splan.Solo))
-			reg.Gauge(MetricSchedSeq).Set(float64(splan.Unpackable))
+			reg.Gauge(MetricSchedPacked).Set(float64(plan.Packed))
+			reg.Gauge(MetricSchedSolo).Set(float64(plan.Solo))
+			reg.Gauge(MetricSchedSeq).Set(float64(plan.Unpackable))
+		}
+	} else {
+		entries = make([]sched.Entry, 0, cfg.Trials-dupCount)
+		for t, sample := range sampleOf {
+			if !isDup[t] {
+				entries = append(entries, sched.Entry{Trials: []int{t}, Sample: sample})
+			}
 		}
 	}
 
-	// Trial phase: work-stealing over trial indices. Each worker owns the
-	// slots of the trials it claims, so outcomes/state need no locks; the
-	// fold after the barrier reads them in trial order.
+	// Trial phase: work-stealing over entry indices. A worker owns every
+	// trial of an entry it claims, so the trial-indexed outcomes/state
+	// slots need no locks; the fold after the barrier reads them in trial
+	// order and is oblivious to how trials were grouped.
 	outcomes := make([]Outcome, cfg.Trials)
 	state := make([]uint8, cfg.Trials)
 	records := make(chan TrialRecord, workers*4)
@@ -458,7 +432,8 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 			}
 		}
 		if cfg.Stop == nil {
-			// Legacy mode: records reach sinks in completion order.
+			// No watcher to order for: records reach sinks in completion
+			// order.
 			for rec := range records {
 				deliver(rec, len(records))
 			}
@@ -528,68 +503,25 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 		}
 	}
 
-	var next atomic.Int64
-	var trialWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		trialWG.Add(1)
-		go func(w int) {
-			defer trialWG.Done()
-			inj := replicas[w]
-			if K > 1 {
-				// Batched path: steal pack indices. A worker owns every
-				// trial of a pack it claims, so the slot writes stay
-				// race-free; trial outcomes land in trial-indexed slots
-				// either way, so the fold below is oblivious to packing.
-				for runCtx.Err() == nil {
-					pi := int(next.Add(1)) - 1
-					if pi >= len(packs) {
-						return
-					}
-					pk := packs[pi]
-					if pk.Seq && bm != nil {
-						bm.fallbacks.Inc()
-					}
-					if pk.Seq || len(pk.Trials) == 1 {
-						t := pk.Trials[0]
-						var trialStart time.Time
-						if met != nil {
-							trialStart = time.Now()
-						}
-						rec, err := runTrial(cfg, inj, runners[w], w, t, pk.Sample, clean[pk.Sample])
-						if met != nil {
-							met.trialTimer.Since(trialStart)
-						}
-						finish(w, t, rec, err)
-						continue
-					}
-					recs, errs := runPack(cfg, inj, runners[w], plans[w], w, pk, clean[pk.Sample], bm)
-					for i, t := range pk.Trials {
-						finish(w, t, recs[i], errs[i])
-					}
-				}
-				return
+	steal(len(entries), func(w *worker, i int) {
+		en := entries[i]
+		var start time.Time
+		if met != nil {
+			start = time.Now()
+		}
+		recs, errs := x.execute(w, en)
+		if met != nil {
+			// One latency sample per executed trial: members of a shared
+			// forward split its wall time evenly.
+			per := time.Since(start) / time.Duration(len(en.Trials))
+			for range en.Trials {
+				met.trialTimer.Observe(per)
 			}
-			for runCtx.Err() == nil {
-				t := int(next.Add(1)) - 1
-				if t >= cfg.Trials {
-					return
-				}
-				if dupOf != nil && dupOf[t] >= 0 {
-					continue // filled by the canonical trial's finish
-				}
-				var trialStart time.Time
-				if met != nil {
-					trialStart = time.Now()
-				}
-				rec, err := runTrial(cfg, inj, runners[w], w, t, sampleOf[t], clean[sampleOf[t]])
-				if met != nil {
-					met.trialTimer.Since(trialStart)
-				}
-				finish(w, t, rec, err)
-			}
-		}(w)
-	}
-	trialWG.Wait()
+		}
+		for j, t := range en.Trials {
+			finish(w.id, t, recs[j], errs[j])
+		}
+	})
 	close(records)
 	collectorWG.Wait()
 
@@ -650,24 +582,22 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 // chain node by node instead of calling nn.Run — bit-identical output,
 // since Step composition IS the forward pass — and returns the per-node
 // nanoseconds so the scheduler can still calibrate.
-func cleanPredict(inj *core.Injector, runner *core.PrefixRunner, plan *core.PrefixPlan, src SampleSource, idx int) (cp cleanPrediction, nodeNS []int64, err error) {
+func cleanPredict(cfg Config, w *worker, idx int) (cp cleanPrediction, nodeNS []int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("campaign: clean inference for sample %d: panic: %v", idx, r)
 		}
 	}()
-	img, _ := src.Sample(idx)
-	shape := img.Shape()
-	x := img.Reshape(1, shape[0], shape[1], shape[2])
-	inj.Reset()
+	x := cfg.input(idx)
+	w.inj.Reset()
 	var logits *tensor.Tensor
 	switch {
-	case runner != nil:
-		if logits, err = runner.Warm(idx, x); err != nil {
+	case w.runner != nil:
+		if logits, err = w.runner.Warm(idx, x); err != nil {
 			return cp, nil, err
 		}
-	case plan != nil:
-		chain := plan.Chain()
+	case w.plan != nil:
+		chain := w.plan.Chain()
 		nodeNS = make([]int64, chain.Len())
 		cur := x
 		for n := 0; n < chain.Len(); n++ {
@@ -681,7 +611,7 @@ func cleanPredict(inj *core.Injector, runner *core.PrefixRunner, plan *core.Pref
 		}
 		logits = cur
 	default:
-		logits = nn.Run(inj.Model(), x)
+		logits = nn.Run(w.inj.Model(), x)
 	}
 	probs := tensor.SoftmaxRows(logits)
 	cp = cleanPrediction{
@@ -715,93 +645,25 @@ func mergeNodeCosts(acc, nodeNS []int64) []int64 {
 // checkpoint and clean-pass walks), static FLOP estimates from the chain
 // geometry when no walk was timed, nil when neither is available (the
 // scheduler then falls back to unconditional chunking).
-func buildCostTable(cfg Config, runners []*core.PrefixRunner, plans []*core.PrefixPlan, workerCosts [][]int64, sampleIdx int) (*sched.CostTable, int) {
+func buildCostTable(cfg Config, crew []*worker, sampleIdx int) (*sched.CostTable, int) {
 	var merged []int64
-	for w := range runners {
-		if runners[w] != nil {
-			merged = mergeNodeCosts(merged, runners[w].NodeCostsNS())
+	for _, w := range crew {
+		if w.runner != nil {
+			merged = mergeNodeCosts(merged, w.runner.NodeCostsNS())
 		}
-		merged = mergeNodeCosts(merged, workerCosts[w])
+		merged = mergeNodeCosts(merged, w.costs)
 	}
 	if t := sched.NewCostTableNS(merged); t.Usable() {
 		return t, costSourceTimed
 	}
-	for w := range plans {
-		if plans[w] == nil {
+	for _, w := range crew {
+		if w.plan == nil {
 			continue
 		}
-		img, _ := cfg.Source.Sample(sampleIdx)
-		shape := img.Shape()
-		if costs, ok := nn.StaticChainCosts(plans[w].Chain(), []int{1, shape[0], shape[1], shape[2]}); ok {
+		if costs, ok := nn.StaticChainCosts(w.plan.Chain(), cfg.input(sampleIdx).Shape()); ok {
 			return sched.NewCostTable(costs), costSourceStatic
 		}
 		break
 	}
 	return nil, costSourceNone
-}
-
-// runTrial executes one trial on a worker's replica: re-derive the trial
-// stream, arm, infer, classify. Panics anywhere in the trial (a buggy
-// Arm, a geometry bug in an error model) are recovered into errors so
-// one bad trial cannot void a long campaign under SkipAndCount.
-//
-// When runner is non-nil the forward pass resumes from a checkpointed
-// clean-prefix activation whenever that is sound for the armed sites;
-// the logits are bit-identical to the full pass either way (the
-// differential suite in prefix_test.go asserts this per layer, per error
-// model), so the trial's Outcome never depends on PrefixReuse.
-func runTrial(cfg Config, inj *core.Injector, runner *core.PrefixRunner, worker, t, sample int, cp cleanPrediction) (rec TrialRecord, err error) {
-	g := cfg.Offset + t // global trial index: RNG stream and record identity
-	rec = TrialRecord{Trial: g, Worker: worker, Sample: sample}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-		if err != nil {
-			rec.Err = err.Error()
-			rec.Outcome = Outcome{}
-		}
-	}()
-
-	rng := trialRNG(cfg.Seed, g)
-	rng.Intn(len(cfg.Eligible)) // consume the sample draw made in the pre-pass
-
-	img, _ := cfg.Source.Sample(sample)
-	shape := img.Shape()
-	x := img.Reshape(1, shape[0], shape[1], shape[2])
-
-	inj.Reset()
-	// Stochastic error models draw from the injector's private RNG at
-	// perturb time; point it at the trial stream so those draws are also
-	// worker-independent.
-	inj.SetRand(rng)
-	if armErr := cfg.arm(inj, rng, g); armErr != nil {
-		return rec, fmt.Errorf("arm: %w", armErr)
-	}
-	var logits *tensor.Tensor
-	if runner != nil {
-		logits, err = runner.Forward(sample, x)
-		if err != nil {
-			return rec, err
-		}
-	} else {
-		logits = nn.Run(inj.Model(), x)
-	}
-	rec.Outcome = classify(logits, cp)
-	rec.Site = siteString(inj)
-	return rec, nil
-}
-
-// siteString summarizes a trial's applied perturbations from the
-// injection trace (enabled only when sinks are attached).
-func siteString(inj *core.Injector) string {
-	recs := inj.Trace()
-	if len(recs) == 0 {
-		return ""
-	}
-	parts := make([]string, len(recs))
-	for i, r := range recs {
-		parts[i] = fmt.Sprintf("%s L%d %s %s", r.Kind, r.Layer, r.Site, r.Model)
-	}
-	return strings.Join(parts, "; ")
 }

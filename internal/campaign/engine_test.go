@@ -14,7 +14,7 @@ import (
 
 // stochasticArm draws its fault value from the trial stream at perturb
 // time, exercising the worker-independence of the injector's private RNG.
-func stochasticArm(inj *core.Injector, rng *rand.Rand) error {
+func stochasticArm(inj *core.Injector, rng *rand.Rand, _ int) error {
 	_, err := inj.InjectRandomNeuron(rng, core.DefaultRandomValue())
 	return err
 }
@@ -29,7 +29,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 			NewReplica: replicaFactory(t, model),
 			Source:     ds,
 			Eligible:   eligible,
-			Arm:        stochasticArm,
+			ArmTrial:   stochasticArm,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -58,11 +58,11 @@ func TestRunCancellationReturnsPartialAggregate(t *testing.T) {
 		NewReplica: replicaFactory(t, model),
 		Source:     ds,
 		Eligible:   eligible,
-		Arm: func(inj *core.Injector, rng *rand.Rand) error {
+		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 			if armed.Add(1) == 8 {
 				cancel()
 			}
-			return stochasticArm(inj, rng)
+			return stochasticArm(inj, rng, 0)
 		},
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -91,7 +91,7 @@ func TestRunStreamsOneRecordPerTrial(t *testing.T) {
 		NewReplica: replicaFactory(t, model),
 		Source:     ds,
 		Eligible:   eligible,
-		Arm:        stochasticArm,
+		ArmTrial:   stochasticArm,
 		Sinks:      []TrialSink{SinkFunc(func(r TrialRecord) error { got = append(got, r); return nil })},
 	})
 	if err != nil {
@@ -125,7 +125,7 @@ func TestRunProgressCallback(t *testing.T) {
 		NewReplica:    replicaFactory(t, model),
 		Source:        ds,
 		Eligible:      eligible,
-		Arm:           stochasticArm,
+		ArmTrial:      stochasticArm,
 		ProgressEvery: 5,
 		Progress:      func(p Progress) { snaps = append(snaps, p) },
 	})
@@ -157,11 +157,11 @@ func TestRunSkipAndCount(t *testing.T) {
 		OnError:    SkipAndCount,
 		// Fail roughly half the trials, decided by the trial stream so the
 		// skip pattern is itself deterministic.
-		Arm: func(inj *core.Injector, rng *rand.Rand) error {
+		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 			if rng.Intn(2) == 0 {
 				return errors.New("synthetic arm failure")
 			}
-			return stochasticArm(inj, rng)
+			return stochasticArm(inj, rng, 0)
 		},
 	})
 	if err != nil {
@@ -184,11 +184,11 @@ func TestRunRecoversPanics(t *testing.T) {
 		NewReplica: replicaFactory(t, model),
 		Source:     ds,
 		Eligible:   eligible,
-		Arm: func(inj *core.Injector, rng *rand.Rand) error {
+		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 			if rng.Intn(3) == 0 {
 				panic("synthetic trial panic")
 			}
-			return stochasticArm(inj, rng)
+			return stochasticArm(inj, rng, 0)
 		},
 	}
 
@@ -221,7 +221,7 @@ func TestRunSharedWeightsConcurrency(t *testing.T) {
 		NewReplica: replicaFactory(t, model),
 		Source:     ds,
 		Eligible:   eligible,
-		Arm:        stochasticArm,
+		ArmTrial:   stochasticArm,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,14 +233,14 @@ func TestRunSharedWeightsConcurrency(t *testing.T) {
 
 func TestTrialRNGIndependentStreams(t *testing.T) {
 	// Adjacent trials and adjacent seeds must produce different streams.
-	a := trialRNG(1, 0).Int63()
-	b := trialRNG(1, 1).Int63()
-	c := trialRNG(2, 0).Int63()
+	a := TrialStream(1, 0).Int63()
+	b := TrialStream(1, 1).Int63()
+	c := TrialStream(2, 0).Int63()
 	if a == b || a == c {
 		t.Fatalf("trial streams collide: %d %d %d", a, b, c)
 	}
 	// Re-deriving the same (seed, trial) reproduces the stream.
-	if x, y := trialRNG(7, 3).Int63(), trialRNG(7, 3).Int63(); x != y {
+	if x, y := TrialStream(7, 3).Int63(), TrialStream(7, 3).Int63(); x != y {
 		t.Fatalf("stream not reproducible: %d vs %d", x, y)
 	}
 }

@@ -116,7 +116,7 @@ func TestGoldenCampaignAggregates(t *testing.T) {
 					NewReplica: replicaFactory(t, model),
 					Source:     ds,
 					Eligible:   eligible,
-					Arm: func(inj *core.Injector, rng *rand.Rand) error {
+					ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 						_, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: core.RandomBit})
 						return err
 					},
@@ -133,7 +133,7 @@ func TestGoldenCampaignAggregates(t *testing.T) {
 					NewReplica: factory,
 					Source:     ds,
 					Eligible:   eligible,
-					Arm: func(inj *core.Injector, rng *rand.Rand) error {
+					ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 						_, err := inj.InjectRandomNeuron(rng, core.DefaultRandomValue())
 						return err
 					},
@@ -155,7 +155,7 @@ func TestGoldenCampaignAggregates(t *testing.T) {
 					NewReplica: int8ReplicaFactory(t, ds, model),
 					Source:     ds,
 					Eligible:   eligible,
-					Arm: func(inj *core.Injector, rng *rand.Rand) error {
+					ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 						// Half single-neuron MSB flips in stored int8 codes
 						// (almost always masked by pooling on this model —
 						// the int8 resilience story), half whole-fmap
@@ -201,13 +201,11 @@ func TestGoldenCampaignAggregates(t *testing.T) {
 					if reuse {
 						suffix = "/reuse"
 					}
-					// ScheduleAuto across lane widths (the default path).
-					for _, k := range []int{1, 4, 8} {
-						aggs[fmt.Sprintf("w%d/k%d/auto%s", w, k, suffix)] = run(w, k, ScheduleAuto, reuse)
+					for _, sch := range []Schedule{ScheduleAuto, SchedulePack, ScheduleSeq} {
+						for _, k := range []int{1, 4, 8} {
+							aggs[fmt.Sprintf("w%d/k%d/%v%s", w, k, sch, suffix)] = run(w, k, sch, reuse)
+						}
 					}
-					// Forced packing and forced sequential at full width.
-					aggs[fmt.Sprintf("w%d/k8/pack%s", w, suffix)] = run(w, 8, SchedulePack, reuse)
-					aggs[fmt.Sprintf("w%d/k8/seq%s", w, suffix)] = run(w, 8, ScheduleSeq, reuse)
 				}
 			}
 			ref := aggs["w1/k1/auto/full"]

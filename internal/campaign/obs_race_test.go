@@ -72,7 +72,8 @@ func obsReplicaFactory(t *testing.T, trained nn.Layer) func(int) (*core.Injector
 		if err := nn.ShareParams(replica, trained); err != nil {
 			return nil, err
 		}
-		return core.New(replica, core.Config{Height: 16, Width: 16, Seed: int64(worker)})
+		// Batch 4 gives the forced-packing row real lanes.
+		return core.New(replica, core.Config{Batch: 4, Height: 16, Width: 16, Seed: int64(worker)})
 	}
 }
 
@@ -81,6 +82,13 @@ func obsReplicaFactory(t *testing.T, trained nn.Layer) func(int) (*core.Injector
 // Counter totals must be exact, and every trial must appear in the JSONL
 // stream exactly once.
 func TestMetricsExactUnderEightWorkersWithJSONLSink(t *testing.T) {
+	t.Run("width1", func(t *testing.T) { metricsExact(t, campaign.ScheduleAuto, 0) })
+	// Forced 4-lane entries: a trial that shared a forward still owes the
+	// latency histogram exactly one sample.
+	t.Run("pack4", func(t *testing.T) { metricsExact(t, campaign.SchedulePack, 4) })
+}
+
+func metricsExact(t *testing.T, schedule campaign.Schedule, trialBatch int) {
 	ds, model, eligible := obsSetup(t)
 	const trials = 96
 	path := filepath.Join(t.TempDir(), "trials.jsonl")
@@ -97,12 +105,14 @@ func TestMetricsExactUnderEightWorkersWithJSONLSink(t *testing.T) {
 		NewReplica: obsReplicaFactory(t, model),
 		Source:     ds,
 		Eligible:   eligible,
-		Arm: func(inj *core.Injector, rng *rand.Rand) error {
+		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 			_, err := inj.InjectRandomNeuron(rng, core.DefaultRandomValue())
 			return err
 		},
-		Sinks:   []campaign.TrialSink{sink},
-		Metrics: reg,
+		Sinks:      []campaign.TrialSink{sink},
+		Metrics:    reg,
+		Schedule:   schedule,
+		TrialBatch: trialBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,6 +139,9 @@ func TestMetricsExactUnderEightWorkersWithJSONLSink(t *testing.T) {
 	}
 	if got := snap.Histograms[campaign.MetricTrialTime].Count; got != trials {
 		t.Errorf("trial latency histogram count = %d, want %d", got, trials)
+	}
+	if packed := snap.Counters[campaign.MetricBatchTrialsPacked]; (packed > 0) != (trialBatch > 1) {
+		t.Errorf("%d trials ran in multi-lane forwards at TrialBatch %d", packed, trialBatch)
 	}
 	if sink.Lines() != trials {
 		t.Errorf("JSONL sink wrote %d lines, want %d", sink.Lines(), trials)
@@ -176,7 +189,7 @@ func TestSnapshotCountsDeterministicAcrossWorkerCounts(t *testing.T) {
 			NewReplica: obsReplicaFactory(t, model),
 			Source:     ds,
 			Eligible:   eligible,
-			Arm: func(inj *core.Injector, rng *rand.Rand) error {
+			ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 				// Mixed neuron + stochastic-value faults so the
 				// per-model tallies exercise perturb-time RNG draws too.
 				if _, err := inj.InjectRandomNeuron(rng, core.DefaultRandomValue()); err != nil {

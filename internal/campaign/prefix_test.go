@@ -55,7 +55,7 @@ func TestPrefixReuseByteIdenticalOutcomes(t *testing.T) {
 		NewReplica: replicaFactory(t, model),
 		Source:     ds,
 		Eligible:   eligible,
-		Arm: func(inj *core.Injector, rng *rand.Rand) error {
+		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 			_, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: core.RandomBit})
 			return err
 		},
@@ -93,7 +93,7 @@ func TestPrefixReuseWeightCampaignIdentical(t *testing.T) {
 		NewReplica: replicaFactory(t, model),
 		Source:     ds,
 		Eligible:   eligible,
-		Arm: func(inj *core.Injector, rng *rand.Rand) error {
+		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 			_, err := inj.InjectRandomWeight(rng, core.BitFlip{Bit: 30})
 			return err
 		},
@@ -131,7 +131,7 @@ func TestPrefixReuseMetrics(t *testing.T) {
 		Eligible:    eligible,
 		PrefixReuse: true,
 		Metrics:     reg,
-		Arm: func(inj *core.Injector, rng *rand.Rand) error {
+		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 			_, err := inj.InjectRandomNeuron(rng, core.DefaultRandomValue())
 			return err
 		},
@@ -168,7 +168,7 @@ func TestPrefixReuseDeterministicAcrossRuns(t *testing.T) {
 			Source:      ds,
 			Eligible:    eligible,
 			PrefixReuse: true,
-			Arm: func(inj *core.Injector, rng *rand.Rand) error {
+			ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 				_, err := inj.InjectRandomNeuron(rng, core.GaussianNoise{Std: 2})
 				return err
 			},

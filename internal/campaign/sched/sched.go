@@ -1,6 +1,6 @@
 // Package sched plans how a fault-injection campaign executes its trial
 // list: which trials run batched together in one tiled forward pass,
-// which run alone on the sequential path, and at which clean-prefix cut
+// which run alone as width-1 entries, and at which clean-prefix cut
 // each pack resumes. The two execution tricks the engine owns — batched
 // lane packing and clean-prefix checkpoint reuse — interact badly when
 // combined naively: a pack must resume at its *shallowest* member's cut,
@@ -34,13 +34,13 @@ const (
 	// usable cost table it degrades to ModePack's grouping.
 	ModeAuto Mode = iota
 	// ModePack chunks each sample's packable trials into K-sized packs
-	// unconditionally (the pre-scheduler batching behavior).
+	// unconditionally.
 	ModePack
-	// ModeSeq runs every trial on the sequential path.
+	// ModeSeq runs every trial alone, as a width-1 entry.
 	ModeSeq
 )
 
-// String returns the flag spelling of the mode.
+// String names the mode in test labels and diagnostics.
 func (m Mode) String() string {
 	switch m {
 	case ModeAuto:
@@ -51,19 +51,6 @@ func (m Mode) String() string {
 		return "seq"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
-}
-
-// ParseMode parses the flag spelling of a mode.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "auto":
-		return ModeAuto, nil
-	case "pack":
-		return ModePack, nil
-	case "seq":
-		return ModeSeq, nil
-	}
-	return ModeAuto, fmt.Errorf("sched: unknown schedule %q (want auto, pack, or seq)", s)
 }
 
 // DefaultLaneOverhead is the per-sample cost multiplier of running a
@@ -84,16 +71,17 @@ type Trial struct {
 	// Cut is the trial's clean-prefix chain cut (0 = no reusable
 	// prefix).
 	Cut int
-	// Packable is false for trials that must run on the sequential
-	// path: weight faults, explicit multi-batch sites, arm errors.
+	// Packable is false for trials that must run alone: weight faults,
+	// explicit multi-batch sites, arm errors.
 	Packable bool
 }
 
 // Entry is one unit of scheduled work: up to K trials sharing a sample,
 // resumed together from the entry's chain cut. Seq marks a singleton
-// that must run on the sequential path; the engine also runs non-Seq
-// singletons sequentially, but those were free to pack and simply priced
-// cheaper alone.
+// that cannot share a forward (the engine counts those as fallbacks);
+// non-Seq singletons were free to pack and simply priced cheaper alone.
+// Either way the engine's one executor runs the entry — width 1 is just
+// the narrowest case.
 type Entry struct {
 	Trials []int
 	Sample int
@@ -109,10 +97,10 @@ type Plan struct {
 	Entries []Entry
 	// Packed counts trials placed in multi-trial entries, Solo counts
 	// packable trials the plan chose to run alone, and Unpackable
-	// counts trials forced onto the sequential path (Seq entries).
+	// counts trials that cannot share a forward (Seq entries).
 	Packed, Solo, Unpackable int
 	// Modeled reports whether the cost model ranked the plan (ModeAuto
-	// with a usable CostTable) or the legacy chunking built it.
+	// with a usable CostTable) or unconditional chunking built it.
 	Modeled bool
 }
 

@@ -5,15 +5,11 @@ import (
 	"testing"
 )
 
-func TestModeParseAndString(t *testing.T) {
-	for _, m := range []Mode{ModeAuto, ModePack, ModeSeq} {
-		got, err := ParseMode(m.String())
-		if err != nil || got != m {
-			t.Fatalf("ParseMode(%q) = (%v,%v), want (%v,nil)", m.String(), got, err, m)
+func TestModeString(t *testing.T) {
+	for m, want := range map[Mode]string{ModeAuto: "auto", ModePack: "pack", ModeSeq: "seq", Mode(7): "Mode(7)"} {
+		if got := m.String(); got != want {
+			t.Fatalf("Mode(%d).String() = %q, want %q", int(m), got, want)
 		}
-	}
-	if _, err := ParseMode("fastest"); err == nil {
-		t.Fatal("ParseMode accepted an unknown mode")
 	}
 	if Mode(0) != ModeAuto {
 		t.Fatal("the zero Mode must be ModeAuto")

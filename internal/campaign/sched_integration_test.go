@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gofi/internal/campaign/sched"
@@ -12,15 +13,14 @@ import (
 )
 
 // probeAll reproduces the engine's probe pass over an explicit
-// worker-assignment function: trial t is probed on replica assign(t), in
+// worker-assignment function: trial t is probed on worker assign(t), in
 // the iteration order given by perm. The engine's contract is that the
 // resulting specs — and therefore the plan — depend on neither.
-func probeAll(t *testing.T, cfg Config, replicas []*core.Injector, plans []*core.PrefixPlan, assign func(int) int, perm []int) []TrialSpec {
-	t.Helper()
-	specs := make([]TrialSpec, cfg.Trials)
+func probeAll(cfg Config, crew []*worker, assign func(int) int, perm []int) []sched.Trial {
+	x := &executor{cfg: cfg}
+	specs := make([]sched.Trial, cfg.Trials)
 	for _, trial := range perm {
-		w := assign(trial)
-		specs[trial] = probeTrial(cfg, replicas[w], plans[w], trial, trialSample(cfg, trial))
+		specs[trial] = x.probe(crew[assign(trial)], trial)
 	}
 	return specs
 }
@@ -36,34 +36,29 @@ func TestSchedulePlanDeterministicAcrossWorkers(t *testing.T) {
 		_, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: core.RandomBit})
 		return err
 	})
-	mkReplicas := func(n int) ([]*core.Injector, []*core.PrefixPlan) {
-		replicas := make([]*core.Injector, n)
-		plans := make([]*core.PrefixPlan, n)
-		for w := range replicas {
+	mkCrew := func(n int) []*worker {
+		crew := make([]*worker, n)
+		for w := range crew {
 			inj, err := cfg.NewReplica(w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			replicas[w] = inj
-			if p, err := inj.BuildPrefixPlan(); err == nil {
-				plans[w] = p
-			}
+			crew[w] = &worker{id: w, inj: inj}
+			crew[w].plan, _ = inj.BuildPrefixPlan()
 		}
-		return replicas, plans
+		return crew
 	}
-	r1, p1 := mkReplicas(1)
 	forward := make([]int, cfg.Trials)
 	for i := range forward {
 		forward[i] = i
 	}
-	specs1 := probeAll(t, cfg, r1, p1, func(int) int { return 0 }, forward)
+	specs1 := probeAll(cfg, mkCrew(1), func(int) int { return 0 }, forward)
 
-	r8, p8 := mkReplicas(8)
 	reverse := make([]int, cfg.Trials)
 	for i := range reverse {
 		reverse[i] = cfg.Trials - 1 - i
 	}
-	specs8 := probeAll(t, cfg, r8, p8, func(trial int) int { return trial % 8 }, reverse)
+	specs8 := probeAll(cfg, mkCrew(8), func(trial int) int { return trial % 8 }, reverse)
 
 	if !reflect.DeepEqual(specs1, specs8) {
 		t.Fatalf("probed specs depend on worker assignment:\n w1 %+v\n w8 %+v", specs1, specs8)
@@ -123,8 +118,13 @@ func TestScheduleAutoRespectsCostModel(t *testing.T) {
 	if packed := reg.Gauge(MetricSchedPacked).Value(); packed != 0 {
 		t.Fatalf("auto scheduler packed %v trials under reuse; the model prices packing above sequential there", packed)
 	}
-	if solo := reg.Gauge(MetricSchedSolo).Value(); solo == 0 {
-		t.Fatal("no solo trials under reuse — scheduler did not run?")
+	// The counters `bench compare` treats as exact on the default neuron
+	// path: every live trial planned solo, none forced or demoted.
+	if solo := reg.Gauge(MetricSchedSolo).Value(); solo != 64 {
+		t.Fatalf("solo trials = %v, want all 64 live trials", solo)
+	}
+	if seq, fb := reg.Gauge(MetricSchedSeq).Value(), reg.Counter(MetricBatchSeqFallbacks).Value(); seq != 0 || fb != 0 {
+		t.Fatalf("lane-safe neuron trials planned seq=%v, fell back %d times; want 0, 0", seq, fb)
 	}
 
 	agg, reg = run(false)
@@ -139,33 +139,63 @@ func TestScheduleAutoRespectsCostModel(t *testing.T) {
 	}
 }
 
-// TestScheduleSeqIgnoresTrialBatch: ScheduleSeq at TrialBatch 8 must run
-// the pure sequential path — no scheduler, no batch metrics — and still
-// reproduce the aggregate.
-func TestScheduleSeqIgnoresTrialBatch(t *testing.T) {
-	arm := func(inj *core.Injector, rng *rand.Rand) error {
+// TestNoLanesNoPlanner: when lanes cannot be used — TrialBatch 0 or 1
+// (what weight-scope campaigns resolve to) or ScheduleSeq at any width —
+// the engine builds its width-1 entry list without the probe pass or the
+// scheduler, so no campaign.sched.* / campaign.batch.* metric is even
+// registered, and the aggregate is still the reference one.
+func TestNoLanesNoPlanner(t *testing.T) {
+	neuron := func(inj *core.Injector, rng *rand.Rand) error {
 		_, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: core.RandomBit})
 		return err
 	}
-	ref, err := Run(context.Background(), untrainedCampaign(t, arm))
-	if err != nil {
-		t.Fatal(err)
+	weight := func(inj *core.Injector, rng *rand.Rand) error {
+		_, err := inj.InjectRandomWeight(rng, core.DefaultRandomValue())
+		return err
 	}
-	cfg := untrainedCampaign(t, arm)
-	cfg.TrialBatch = 8
-	cfg.Schedule = ScheduleSeq
-	cfg.Metrics = obs.NewRegistry()
-	agg, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg != ref {
-		t.Fatalf("seq-schedule aggregate %+v != sequential %+v", agg, ref)
-	}
-	if v := cfg.Metrics.Gauge(MetricBatchK).Value(); v != 0 {
-		t.Fatalf("ScheduleSeq still initialized the batched path (k=%v)", v)
-	}
-	if v := cfg.Metrics.Gauge(MetricSchedPacked).Value(); v != 0 {
-		t.Fatalf("ScheduleSeq packed %v trials", v)
+	for _, c := range []struct {
+		name       string
+		arm        func(*core.Injector, *rand.Rand) error
+		trialBatch int
+		schedule   Schedule
+	}{
+		{"k0", neuron, 0, ScheduleAuto},
+		{"k1", neuron, 1, ScheduleAuto},
+		{"k1 weight", weight, 1, ScheduleAuto},
+		{"k8 seq", neuron, 8, ScheduleSeq},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ref, err := Run(context.Background(), untrainedCampaign(t, c.arm))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := untrainedCampaign(t, c.arm)
+			cfg.TrialBatch, cfg.Schedule = c.trialBatch, c.schedule
+			cfg.PrefixReuse = true
+			cfg.Metrics = obs.NewRegistry()
+			agg, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if agg != ref {
+				t.Fatalf("aggregate %+v != reference %+v", agg, ref)
+			}
+			snap := cfg.Metrics.Snapshot()
+			var names []string
+			for name := range snap.Counters {
+				names = append(names, name)
+			}
+			for name := range snap.Gauges {
+				names = append(names, name)
+			}
+			for name := range snap.Histograms {
+				names = append(names, name)
+			}
+			for _, name := range names {
+				if strings.HasPrefix(name, "campaign.sched.") || strings.HasPrefix(name, "campaign.batch.") {
+					t.Errorf("%s is set, but no lanes were in use", name)
+				}
+			}
+		})
 	}
 }

@@ -79,7 +79,7 @@ func TestShardMergeMatchesGolden(t *testing.T) {
 					NewReplica: replicaFactory(t, model),
 					Source:     ds,
 					Eligible:   eligible,
-					Arm: func(inj *core.Injector, rng *rand.Rand) error {
+					ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 						_, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: core.RandomBit})
 						return err
 					},
@@ -96,7 +96,7 @@ func TestShardMergeMatchesGolden(t *testing.T) {
 					NewReplica: factory,
 					Source:     ds,
 					Eligible:   eligible,
-					Arm: func(inj *core.Injector, rng *rand.Rand) error {
+					ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 						_, err := inj.InjectRandomNeuron(rng, core.DefaultRandomValue())
 						return err
 					},
@@ -113,7 +113,7 @@ func TestShardMergeMatchesGolden(t *testing.T) {
 					NewReplica: int8ReplicaFactory(t, ds, model),
 					Source:     ds,
 					Eligible:   eligible,
-					Arm: func(inj *core.Injector, rng *rand.Rand) error {
+					ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 						if rng.Intn(2) == 0 {
 							_, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: 7})
 							return err

@@ -47,7 +47,7 @@ func TestStopIndexDeterministicAcrossExecutionMatrix(t *testing.T) {
 			Schedule:    sch,
 			PrefixReuse: reuse,
 			Stop:        watcher,
-			Arm: func(inj *core.Injector, rng *rand.Rand) error {
+			ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 				_, err := inj.InjectRandomNeuron(rng, core.SetValue{V: 1e6})
 				return err
 			},
@@ -102,7 +102,7 @@ func TestStopEmitsIndexOrderedRecords(t *testing.T) {
 			seen = append(seen, r.Trial)
 			return nil
 		})},
-		Arm: func(inj *core.Injector, rng *rand.Rand) error {
+		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 			_, err := inj.InjectRandomNeuron(rng, core.SetValue{V: 1e6})
 			return err
 		},
@@ -331,7 +331,7 @@ func TestCancellationMidStopLeg(t *testing.T) {
 			}),
 			jsonl,
 		},
-		Arm: func(inj *core.Injector, rng *rand.Rand) error {
+		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 			_, err := inj.InjectRandomNeuron(rng, core.SetValue{V: 1e6})
 			return err
 		},
@@ -403,7 +403,7 @@ func TestGoldenCampaignStop(t *testing.T) {
 			// The catastrophic model keeps the SDC rate well off zero, so
 			// the pinned stop lands mid-stream — past MinTrials, inside the
 			// budget — where the frontier ordering actually matters.
-			Arm: func(inj *core.Injector, rng *rand.Rand) error {
+			ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 				_, err := inj.InjectRandomNeuron(rng, core.SetValue{V: 1e6})
 				return err
 			},

@@ -170,7 +170,7 @@ func RunBitStudy(ctx context.Context, cfg BitStudyConfig) ([]BitStudyRow, error)
 			NewReplica: newReplica,
 			Source:     ds,
 			Eligible:   eligible,
-			Arm: func(inj *core.Injector, rng *rand.Rand) error {
+			ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 				_, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: bit})
 				return err
 			},

@@ -128,38 +128,6 @@ func TestRunFig5Small(t *testing.T) {
 	}
 }
 
-// TestRunFig5Batched drives the study's lane-packed path: the counts and
-// the qualitative Figure 5 shape must hold when a scene's injected runs
-// share one multi-lane forward.
-func TestRunFig5Batched(t *testing.T) {
-	skipIfShort(t)
-	res, err := RunFig5(context.Background(), Fig5Config{
-		Scenes:             4,
-		InjectionsPerScene: 3,
-		SceneSize:          32,
-		TrainEpochs:        8,
-		Seed:               4,
-		TrialBatch:         2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Scenes != 4 || res.InjectedRuns != 12 {
-		t.Fatalf("counts %+v", res)
-	}
-	if res.CleanTP == 0 {
-		t.Fatal("clean detector found nothing")
-	}
-	cleanRate := float64(res.CleanPhantoms) / float64(res.Scenes)
-	fiRate := float64(res.FIPhantoms) / float64(res.InjectedRuns)
-	if fiRate < cleanRate {
-		t.Fatalf("batched injections produced fewer phantoms (%.2f/run) than clean inference (%.2f/run)", fiRate, cleanRate)
-	}
-	if res.ExampleFI == nil {
-		t.Fatal("missing lane-0 example detections")
-	}
-}
-
 func TestRunFig6SinglePoint(t *testing.T) {
 	skipIfShort(t)
 	res, err := RunFig6(context.Background(), Fig6Config{

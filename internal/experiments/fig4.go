@@ -216,7 +216,7 @@ func runFig4Model(ctx context.Context, name string, cfg Fig4Config) (Fig4Row, er
 		NewReplica: newReplica,
 		Source:     ds,
 		Eligible:   eligible,
-		Arm: func(inj *core.Injector, rng *rand.Rand) error {
+		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 			_, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: core.RandomBit})
 			return err
 		},
@@ -238,7 +238,7 @@ func runFig4Model(ctx context.Context, name string, cfg Fig4Config) (Fig4Row, er
 		if err != nil {
 			return Fig4Row{}, err
 		}
-		ccfg.Arm, ccfg.ArmTrial = nil, compiled.ArmTrial
+		ccfg.ArmTrial = compiled.ArmTrial
 	}
 	if watcher != nil {
 		ccfg.Stop = watcher

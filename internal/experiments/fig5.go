@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"gofi/internal/campaign"
-	"gofi/internal/campaign/sched"
 	"gofi/internal/campaign/stats"
 	"gofi/internal/core"
 	"gofi/internal/data"
@@ -34,33 +32,12 @@ type Fig5Config struct {
 	// Metrics, when non-nil, is attached to the study's injector so
 	// perturbation tallies accumulate (see core.Metric*).
 	Metrics *obs.Registry
-	// PrefixReuse routes injected forwards through a clean-prefix
-	// checkpoint runner (core.PrefixRunner). The study's per-layer
-	// injections arm the detector's first layer, so the runner always
-	// falls back to the full forward — the flag is honest but a no-op for
-	// throughput here; it exists so the CLI surface matches the campaign
-	// tools.
-	PrefixReuse bool
-	// TrialBatch packs a scene's injected runs into K-lane forwards, each
-	// lane carrying one run's per-layer faults. K == 1 (the default)
-	// reproduces the study's legacy sequential numbers exactly; K > 1 is
-	// deterministic too but draws each run's sites from a private derived
-	// stream instead of one shared stream, so its numbers form their own
-	// (equally valid) sample of the same distributions.
-	TrialBatch int
-	// Schedule selects how the TrialBatch lanes are grouped, through the
-	// same scheduler as the campaign engine (campaign.Schedule). The
-	// study has no per-run prefix cuts or calibrated costs, so auto and
-	// pack group identically (chunks of K in run order, exactly the
-	// legacy grouping); ScheduleSeq forces the K == 1 legacy stream.
-	Schedule campaign.Schedule
 	// StopCI, when positive, halts the study early once the
 	// phantom-producing-run rate's CI half-width is at most this value
 	// at the StopConf level (a run counts as corrupted when its
 	// injections produce at least one phantom object). Runs fold into
-	// the rule in run order — the same order both the sequential and the
-	// batched paths record them — so the stop index is deterministic in
-	// the study seed. Scenes * InjectionsPerScene then caps the budget.
+	// the rule in run order, so the stop index is deterministic in the
+	// study seed. Scenes * InjectionsPerScene then caps the budget.
 	StopCI   float64
 	StopConf float64
 	StopMin  int
@@ -70,10 +47,9 @@ type Fig5Config struct {
 	// shape: neuron scope, fp32 value domain, f32 backend, no observers
 	// (the study is not a campaign.Run; observer folds belong to
 	// gofi-campaign). Its model/run blocks are ignored — the detector
-	// fixture and the study's own budgets apply. Each injected run r
-	// consumes the scenario's draws from the same stream the hand-wired
-	// study would have used (the shared sequential stream for
-	// TrialBatch 1, run r's private derived stream otherwise).
+	// fixture and the study's own budgets apply. Each injected run
+	// consumes the scenario's draws from the same shared stream the
+	// hand-wired study would have used.
 	Scenario *scenario.Scenario
 }
 
@@ -96,20 +72,7 @@ func (c Fig5Config) canon() Fig5Config {
 	if c.ValueRange <= 0 {
 		c.ValueRange = 1e4
 	}
-	if c.TrialBatch < 1 || c.Schedule == campaign.ScheduleSeq {
-		c.TrialBatch = 1
-	}
 	return c
-}
-
-// fig5RunRNG derives injected run r's private site/value stream from the
-// study seed (splitmix64 finalizer), so batched runs are deterministic
-// and independent of how runs are grouped into lanes.
-func fig5RunRNG(seed int64, run int) *rand.Rand {
-	z := uint64(seed) + 0x9E3779B97F4A7C15*uint64(run+1)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return rand.New(rand.NewSource(int64(z ^ (z >> 31))))
 }
 
 // Fig5Result aggregates the detection study.
@@ -170,7 +133,7 @@ func RunFig5(ctx context.Context, cfg Fig5Config) (Fig5Result, error) {
 		return Fig5Result{}, fmt.Errorf("fig5 detector training: %w", err)
 	}
 	inj, err := core.New(det.Model(), core.Config{
-		Batch: cfg.TrialBatch, Height: cfg.SceneSize, Width: cfg.SceneSize, Seed: cfg.Seed + 2,
+		Batch: 1, Height: cfg.SceneSize, Width: cfg.SceneSize, Seed: cfg.Seed + 2,
 	})
 	if err != nil {
 		return Fig5Result{}, err
@@ -186,13 +149,6 @@ func RunFig5(ctx context.Context, cfg Fig5Config) (Fig5Result, error) {
 		}
 	}
 
-	var runner *core.PrefixRunner
-	if cfg.PrefixReuse {
-		// Plan failure just means the detector's structure defeats chain
-		// planning; the study then runs full forwards as before.
-		runner, _ = core.NewPrefixRunner(inj, 64<<20)
-	}
-
 	var watcher *stats.Sequential
 	if cfg.StopCI > 0 {
 		rule := stats.StopRule{HalfWidth: cfg.StopCI, Confidence: cfg.StopConf, MinTrials: cfg.StopMin}
@@ -206,9 +162,8 @@ func RunFig5(ctx context.Context, cfg Fig5Config) (Fig5Result, error) {
 	var res Fig5Result
 	res.StopTrial = -1
 	// stopped latches when the stopping rule fires; runs after the stop
-	// index — including later lanes of a half-recorded pack — are never
-	// folded, so the recorded stream is an exact prefix of run order and
-	// the stop index is the same under every TrialBatch/Schedule.
+	// index are never folded, so the recorded stream is an exact prefix
+	// of run order.
 	stopped := false
 	for s := 0; s < cfg.Scenes && !stopped; s++ {
 		if err := ctx.Err(); err != nil {
@@ -225,73 +180,6 @@ func RunFig5(ctx context.Context, cfg Fig5Config) (Fig5Result, error) {
 		res.CleanMissed += cm.Missed
 		res.CleanMisclass += cm.Misclassified
 
-		record := func(run int, faulty []detect.Detection) {
-			fm := detect.Match(faulty, gts)
-			res.FITP += fm.TruePositives
-			res.FIPhantoms += fm.Phantoms
-			res.FIMissed += fm.Missed
-			res.FIMisclass += fm.Misclassified
-			res.InjectedRuns++
-			if s == 0 && run == 0 {
-				res.ExampleClean = clean
-				res.ExampleFI = faulty
-				res.ExampleGT = gts
-			}
-			if watcher != nil {
-				global := s*cfg.InjectionsPerScene + run
-				watcher.Observe(global, fm.Phantoms > 0, false)
-				if watcher.ShouldStop() {
-					stopped = true
-					res.StopTrial = watcher.StopTrial()
-				}
-			}
-		}
-		if cfg.TrialBatch > 1 {
-			// Batched: group the scene's runs into K-lane forwards through
-			// the campaign scheduler. The runs carry no prefix cuts or cost
-			// table, so the scheduler emits the legacy chunking — runs
-			// [0,K), [K,2K), ... in order — and the numbers stay
-			// byte-identical to the pre-scheduler grouping. Lane l of an
-			// entry carries its run's per-layer faults from the run's
-			// private derived stream.
-			model := core.RandomValue{Lo: -cfg.ValueRange, Hi: cfg.ValueRange}
-			specs := make([]campaign.TrialSpec, cfg.InjectionsPerScene)
-			for i := range specs {
-				specs[i] = campaign.TrialSpec{Trial: i, Sample: s, Packable: true}
-			}
-			plan := sched.Build(specs, sched.Config{K: cfg.TrialBatch, Mode: cfg.Schedule})
-			for _, entry := range plan.Entries {
-				lanes := len(entry.Trials)
-				inj.Reset()
-				for l, i := range entry.Trials {
-					run := s*cfg.InjectionsPerScene + i
-					runRng := fig5RunRNG(cfg.Seed+3, run)
-					if err := inj.BeginLane(l, run, runRng); err != nil {
-						return Fig5Result{}, err
-					}
-					if compiled != nil {
-						if err := compiled.ArmTrial(inj, runRng, run); err != nil {
-							return Fig5Result{}, err
-						}
-					} else if _, err := inj.InjectRandomNeuronPerLayer(runRng, model); err != nil {
-						return Fig5Result{}, err
-					}
-					inj.EndLane()
-				}
-				perLane := det.Detect(x.TileBatch(lanes))
-				for l, i := range entry.Trials {
-					if stopped {
-						break
-					}
-					record(i, perLane[l])
-				}
-				if stopped {
-					break
-				}
-			}
-			res.Scenes++
-			continue
-		}
 		for i := 0; i < cfg.InjectionsPerScene && !stopped; i++ {
 			inj.Reset()
 			if compiled != nil {
@@ -301,17 +189,25 @@ func RunFig5(ctx context.Context, cfg Fig5Config) (Fig5Result, error) {
 			} else if _, err := inj.InjectRandomNeuronPerLayer(siteRng, core.RandomValue{Lo: -cfg.ValueRange, Hi: cfg.ValueRange}); err != nil {
 				return Fig5Result{}, err
 			}
-			var faulty []detect.Detection
-			if runner != nil {
-				head, err := runner.Forward(s, x)
-				if err != nil {
-					return Fig5Result{}, err
-				}
-				faulty = det.Decode(head, 0)
-			} else {
-				faulty = det.Detect(x)[0]
+			faulty := det.Detect(x)[0]
+			fm := detect.Match(faulty, gts)
+			res.FITP += fm.TruePositives
+			res.FIPhantoms += fm.Phantoms
+			res.FIMissed += fm.Missed
+			res.FIMisclass += fm.Misclassified
+			res.InjectedRuns++
+			if s == 0 && i == 0 {
+				res.ExampleClean = clean
+				res.ExampleFI = faulty
+				res.ExampleGT = gts
 			}
-			record(i, faulty)
+			if watcher != nil {
+				watcher.Observe(s*cfg.InjectionsPerScene+i, fm.Phantoms > 0, false)
+				if watcher.ShouldStop() {
+					stopped = true
+					res.StopTrial = watcher.StopTrial()
+				}
+			}
 		}
 		res.Scenes++
 	}

@@ -17,11 +17,6 @@ import (
 // ArmFunc arms one trial's fault(s) on a freshly Reset injector.
 type ArmFunc func(inj *core.Injector, rng *rand.Rand) error
 
-// ParseSchedule parses the -schedule flag spelling (auto, pack, seq) —
-// re-exported so the CLIs need not import the campaign package for one
-// flag.
-func ParseSchedule(s string) (campaign.Schedule, error) { return campaign.ParseSchedule(s) }
-
 // GenericCampaignConfig drives RunGenericCampaign, the configurable
 // campaign behind cmd/gofi-campaign.
 type GenericCampaignConfig struct {
@@ -59,21 +54,17 @@ type GenericCampaignConfig struct {
 	// Metrics, when non-nil, receives the engine's counters, trial
 	// latency histogram and sink gauges (see campaign.Metric*).
 	Metrics *obs.Registry
-	// PrefixReuse resumes trial forwards from checkpointed clean-prefix
-	// activations (see campaign.Config.PrefixReuse). Throughput only;
-	// results are byte-identical either way.
+	// PrefixReuse, TrialBatch and Schedule are the engine's in-process
+	// execution settings (see the campaign.Config fields of the same
+	// names): results are byte-identical under every combination, no
+	// CLI, wire or scenario surface sets them, and tests and the
+	// benchmark use them to reach the reference configuration and the
+	// multi-lane path. Every user-facing caller runs reuse on, the
+	// zero-value ScheduleAuto and TrialBatch 0, which picks 8 lanes, or
+	// 1 (off) for weight campaigns, whose trials are never lane-safe.
 	PrefixReuse bool
-	// TrialBatch packs up to K compatible neuron-fault trials into one
-	// forward pass (see campaign.Config.TrialBatch). 0 picks a default:
-	// 8 lanes, or 1 (off) for weight campaigns, whose trials are never
-	// lane-safe. Throughput only; results are byte-identical either way.
-	TrialBatch int
-	// Schedule selects how the engine uses the TrialBatch lanes (see
-	// campaign.Config.Schedule). The zero value, campaign.ScheduleAuto,
-	// prices packing against sequential execution with the calibrated
-	// cost model per trial group. Throughput only; results are
-	// byte-identical under every schedule.
-	Schedule campaign.Schedule
+	TrialBatch  int
+	Schedule    campaign.Schedule
 	// StopCI, when positive, attaches a sequential early-stopping rule:
 	// the campaign halts once the SDC-rate confidence interval's
 	// half-width is at most StopCI (rate units; 0.005 = ±0.5 percentage
@@ -110,9 +101,8 @@ type GenericCampaignConfig struct {
 	// (overwriting those fields), compiles it against the profiled
 	// layer geometry and arms trials through the compiled selector.
 	// Mutually exclusive with Arm, Stratify, Dedup and ErrorModel. The
-	// run knobs (Trials, Workers, Seed, Schedule, TrialBatch,
-	// PrefixReuse, Stop*, OnError) stay caller-controlled — start from
-	// ScenarioConfig and override freely.
+	// run knobs (Trials, Workers, Seed, Stop*, OnError) stay
+	// caller-controlled — start from ScenarioConfig and override freely.
 	Scenario *scenario.Scenario
 }
 
@@ -209,6 +199,10 @@ func (env *CampaignEnv) Run(ctx context.Context, sr ShardRun) (campaign.Aggregat
 	if workers <= 0 {
 		workers = env.Cfg.Workers
 	}
+	armTrial := env.armTrial
+	if armTrial == nil {
+		armTrial = func(inj *core.Injector, rng *rand.Rand, _ int) error { return env.Cfg.Arm(inj, rng) }
+	}
 	return campaign.Run(ctx, campaign.Config{
 		Workers:     workers,
 		Trials:      sr.Trials,
@@ -217,8 +211,7 @@ func (env *CampaignEnv) Run(ctx context.Context, sr ShardRun) (campaign.Aggregat
 		NewReplica:  env.NewReplica,
 		Source:      env.Source,
 		Eligible:    env.Eligible,
-		Arm:         env.Cfg.Arm,
-		ArmTrial:    env.armTrial,
+		ArmTrial:    armTrial,
 		Stop:        sr.Watcher,
 		Key:         env.key,
 		Sinks:       sr.Sinks,
@@ -398,8 +391,8 @@ func PrepareGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (*Ca
 	if cfg.TrialBatch == 0 {
 		cfg.TrialBatch = defaultTrialBatch
 		if cfg.IsolateWeights {
-			// Weight trials always fall back to the sequential path, so
-			// batching would only add a useless probe pass.
+			// Weight trials are never lane-safe, so lanes would only add
+			// a useless probe pass.
 			cfg.TrialBatch = 1
 		}
 	}

@@ -56,7 +56,7 @@ func TestCheckpointedCampaignIsReproducible(t *testing.T) {
 				}
 				return core.New(replica, core.Config{Height: 16, Width: 16, Seed: int64(worker)})
 			},
-			Arm: func(inj *core.Injector, rng *rand.Rand) error {
+			ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
 				_, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: core.RandomBit})
 				return err
 			},

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"gofi/internal/campaign"
 	"gofi/internal/core"
 	"gofi/internal/scenario"
@@ -14,24 +12,17 @@ import (
 // PrepareGenericCampaign derives the fault shape (model fixture,
 // backend, dtype, scope) from it and compiles the arming hook. CLI
 // flags may override the returned run knobs afterwards — they are
-// throughput/budget controls and never change which fault a trial
-// index arms.
+// budget controls and never change which fault a trial index arms.
 func ScenarioConfig(sc scenario.Scenario) (GenericCampaignConfig, error) {
 	sc = sc.Canon()
 	if err := sc.Validate(); err != nil {
 		return GenericCampaignConfig{}, err
 	}
-	sched, err := campaign.ParseSchedule(sc.Run.Schedule)
-	if err != nil {
-		return GenericCampaignConfig{}, fmt.Errorf("scenario: %w", err)
-	}
 	cfg := GenericCampaignConfig{
 		Trials:      sc.Run.Trials,
 		Workers:     sc.Run.Workers,
 		Seed:        sc.Run.Seed,
-		Schedule:    sched,
-		TrialBatch:  sc.Run.TrialBatch,
-		PrefixReuse: *sc.Run.PrefixReuse,
+		PrefixReuse: true,
 		StopCI:      sc.Run.Stop.CI,
 		StopConf:    sc.Run.Stop.Conf,
 		StopMin:     sc.Run.Stop.Min,

@@ -19,39 +19,31 @@ import (
 var updateScenarioGolden = flag.Bool("update", false, "rewrite the scenario golden fixtures")
 
 func TestScenarioConfigMapsRunBlock(t *testing.T) {
-	reuse := false
 	sc := scenario.Scenario{
 		Fault: scenario.FaultSpec{DType: "int8"},
 		Run: scenario.RunSpec{
-			Trials:      40,
-			Seed:        7,
-			Workers:     3,
-			Schedule:    "pack",
-			TrialBatch:  4,
-			PrefixReuse: &reuse,
-			SkipErrors:  true,
-			Stop:        scenario.StopSpec{CI: 0.01, Conf: 0.9, Min: 5},
+			Trials:     40,
+			Seed:       7,
+			Workers:    3,
+			SkipErrors: true,
+			Stop:       scenario.StopSpec{CI: 0.01, Conf: 0.9, Min: 5},
 		},
 	}
 	cfg, err := ScenarioConfig(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Trials != 40 || cfg.Seed != 7 || cfg.Workers != 3 || cfg.TrialBatch != 4 {
+	if cfg.Trials != 40 || cfg.Seed != 7 || cfg.Workers != 3 {
 		t.Errorf("run knobs wrong: %+v", cfg)
 	}
-	if cfg.PrefixReuse {
-		t.Error("prefix reuse must be off")
+	if !cfg.PrefixReuse || cfg.TrialBatch != 0 || cfg.Schedule != campaign.ScheduleAuto {
+		t.Errorf("execution settings must be the defaults (reuse on, lanes worked out, auto): %+v", cfg)
 	}
 	if cfg.OnError != campaign.SkipAndCount {
 		t.Error("skip_errors must select SkipAndCount")
 	}
 	if cfg.StopCI != 0.01 || cfg.StopConf != 0.9 || cfg.StopMin != 5 {
 		t.Errorf("stop rule wrong: %+v", cfg)
-	}
-	want, _ := campaign.ParseSchedule("pack")
-	if cfg.Schedule != want {
-		t.Errorf("schedule = %v", cfg.Schedule)
 	}
 	if cfg.Scenario == nil || cfg.Scenario.Fault.DType != "int8" {
 		t.Errorf("scenario must ride along canonicalized: %+v", cfg.Scenario)
@@ -194,19 +186,15 @@ func runMatrix(t *testing.T, env *CampaignEnv) map[string]campaign.Aggregate {
 	t.Helper()
 	out := map[string]campaign.Aggregate{}
 	for _, w := range []int{1, 8} {
-		for _, sched := range []string{"auto", "pack", "seq"} {
+		for _, sched := range []campaign.Schedule{campaign.ScheduleAuto, campaign.SchedulePack, campaign.ScheduleSeq} {
 			for _, reuse := range []bool{true, false} {
-				s, err := campaign.ParseSchedule(sched)
-				if err != nil {
-					t.Fatal(err)
-				}
-				env.Cfg.Schedule = s
+				env.Cfg.Schedule = sched
 				env.Cfg.PrefixReuse = reuse
 				agg, err := env.Run(context.Background(), ShardRun{Trials: env.Cfg.Trials, Workers: w})
 				if err != nil {
-					t.Fatalf("w=%d %s reuse=%v: %v", w, sched, reuse, err)
+					t.Fatalf("w=%d %v reuse=%v: %v", w, sched, reuse, err)
 				}
-				out[fmt.Sprintf("w%d/%s/reuse=%v", w, sched, reuse)] = agg
+				out[fmt.Sprintf("w%d/%v/reuse=%v", w, sched, reuse)] = agg
 			}
 		}
 	}

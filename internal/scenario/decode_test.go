@@ -58,15 +58,22 @@ func TestDecodeRejects(t *testing.T) {
 		name string
 		doc  string
 		is   error
+		frag string // the error must name this, when set
 	}{
-		{"unknown top-level field", `{"scenario_version": 1, "wat": 1, "run": {"trials": 5}}`, ErrScenario},
-		{"unknown nested field", `{"fault": {"bitwidth": 8}, "run": {"trials": 5}}`, ErrScenario},
-		{"unsupported version", `{"scenario_version": 99, "run": {"trials": 5}}`, ErrVersion},
-		{"trailing content", `{"run": {"trials": 5}} {"again": true}`, ErrScenario},
-		{"yaml syntax", "a: {b: 1}\n", ErrScenario},
-		{"invalid after canon", `{"run": {"trials": 5, "workers": -3}}`, ErrScenario},
-		{"type mismatch", `{"run": {"trials": "many"}}`, ErrScenario},
-		{"empty", "", ErrScenario},
+		{"unknown top-level field", `{"scenario_version": 1, "wat": 1, "run": {"trials": 5}}`, ErrScenario, `"wat"`},
+		{"unknown nested field", `{"fault": {"bitwidth": 8}, "run": {"trials": 5}}`, ErrScenario, `"bitwidth"`},
+		// The engine's execution settings are not scenario keys: how
+		// trials are grouped and resumed never changes a result, so a
+		// file that sets one is rejected by name like any typo.
+		{"run.schedule", "run:\n  trials: 5\n  schedule: pack\n", ErrScenario, `"schedule"`},
+		{"run.trial_batch", "run:\n  trials: 5\n  trial_batch: 8\n", ErrScenario, `"trial_batch"`},
+		{"run.prefix_reuse", "run:\n  trials: 5\n  prefix_reuse: false\n", ErrScenario, `"prefix_reuse"`},
+		{"unsupported version", `{"scenario_version": 99, "run": {"trials": 5}}`, ErrVersion, ""},
+		{"trailing content", `{"run": {"trials": 5}} {"again": true}`, ErrScenario, ""},
+		{"yaml syntax", "a: {b: 1}\n", ErrScenario, ""},
+		{"invalid after canon", `{"run": {"trials": 5, "workers": -3}}`, ErrScenario, ""},
+		{"type mismatch", `{"run": {"trials": "many"}}`, ErrScenario, ""},
+		{"empty", "", ErrScenario, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -76,6 +83,9 @@ func TestDecodeRejects(t *testing.T) {
 			}
 			if !errors.Is(err, c.is) {
 				t.Errorf("error %v does not wrap %v", err, c.is)
+			}
+			if !strings.Contains(err.Error(), c.frag) {
+				t.Errorf("error %q does not name %s", err, c.frag)
 			}
 		})
 	}

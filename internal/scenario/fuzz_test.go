@@ -30,6 +30,7 @@ func FuzzScenarioDecode(f *testing.F) {
 	f.Add([]byte("run:\n  trials: 5\nlayers:\n  - match: '*'\n    bits: [0, 3]\n"))
 	f.Add([]byte(`{"fault": {"scope": "weight"}, "selector": {"kind": "fixed", "sites": [{"layer": "a", "idx": [1]}]}, "run": {"trials": 1}}`))
 	f.Add([]byte("selector:\n  kind: sweep\n  sweep:\n    c: [0, 1]\n"))
+	f.Add([]byte("run:\n  trials: 5\n  schedule: pack\n  trial_batch: 8\n  prefix_reuse: false\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := Decode(data)

@@ -191,8 +191,8 @@ type ObserverSpec struct {
 }
 
 // RunSpec is the campaign's execution shape. Everything here is a
-// throughput/budget knob a CLI flag may override; none of it changes
-// which fault a given trial index arms.
+// budget knob a CLI flag may override; none of it changes which fault a
+// given trial index arms.
 type RunSpec struct {
 	// Trials is the campaign budget (default 1000). With the sweep
 	// selector 0 means "one trial per enumerated site", filled at
@@ -202,12 +202,6 @@ type RunSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Workers is the engine worker count (default 4).
 	Workers int `json:"workers,omitempty"`
-	// Schedule is auto | pack | seq (default auto).
-	Schedule string `json:"schedule,omitempty"`
-	// TrialBatch is the lane budget (0 = engine default).
-	TrialBatch int `json:"trial_batch,omitempty"`
-	// PrefixReuse toggles clean-prefix checkpoint reuse (default on).
-	PrefixReuse *bool `json:"prefix_reuse,omitempty"`
 	// SkipErrors selects the SkipAndCount per-trial failure policy.
 	SkipErrors bool `json:"skip_errors,omitempty"`
 	// Stop configures the sequential early-stopping rule.
@@ -300,13 +294,6 @@ func (sc Scenario) Canon() Scenario {
 	}
 	if sc.Run.Workers == 0 {
 		sc.Run.Workers = 4
-	}
-	if sc.Run.Schedule == "" {
-		sc.Run.Schedule = "auto"
-	}
-	if sc.Run.PrefixReuse == nil {
-		on := true
-		sc.Run.PrefixReuse = &on
 	}
 	if sc.Run.Stop.CI > 0 && sc.Run.Stop.Conf == 0 {
 		sc.Run.Stop.Conf = 0.95
@@ -530,14 +517,6 @@ func (sc Scenario) validateRun() error {
 	}
 	if r.Workers < 1 {
 		return scErrf("run.workers must be positive, got %d", r.Workers)
-	}
-	switch r.Schedule {
-	case "auto", "pack", "seq":
-	default:
-		return scErrf("run.schedule must be auto, pack or seq, got %q", r.Schedule)
-	}
-	if r.TrialBatch < 0 {
-		return scErrf("run.trial_batch must be ≥ 0, got %d", r.TrialBatch)
 	}
 	if r.Stop.CI < 0 || r.Stop.CI >= 1 {
 		return scErrf("run.stop.ci must be in [0, 1), got %g", r.Stop.CI)

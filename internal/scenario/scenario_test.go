@@ -34,11 +34,8 @@ func TestCanonDefaults(t *testing.T) {
 	if sc.Selector.Kind != SelRandom || sc.Selector.Rate != 1 {
 		t.Errorf("selector defaults wrong: %+v", sc.Selector)
 	}
-	if sc.Run.Seed != 1 || sc.Run.Workers != 4 || sc.Run.Schedule != "auto" {
+	if sc.Run.Seed != 1 || sc.Run.Workers != 4 {
 		t.Errorf("run defaults wrong: %+v", sc.Run)
-	}
-	if sc.Run.PrefixReuse == nil || !*sc.Run.PrefixReuse {
-		t.Errorf("prefix reuse must default on")
 	}
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("canonical minimal scenario must validate: %v", err)
@@ -227,8 +224,6 @@ func TestValidateRejects(t *testing.T) {
 		{"negative trials", mutate(func(s *Scenario) { s.Run.Trials = -1 }), "run.trials"},
 		{"zero trials non-sweep", mutate(func(s *Scenario) { s.Run.Trials = 0 }), "run.trials"},
 		{"workers", mutate(func(s *Scenario) { s.Run.Workers = 0 }), "run.workers"},
-		{"schedule", mutate(func(s *Scenario) { s.Run.Schedule = "fast" }), "run.schedule"},
-		{"trial batch", mutate(func(s *Scenario) { s.Run.TrialBatch = -1 }), "run.trial_batch"},
 		{"stop ci", mutate(func(s *Scenario) { s.Run.Stop.CI = 1 }), "run.stop.ci"},
 		{"stop conf", mutate(func(s *Scenario) { s.Run.Stop = StopSpec{CI: 0.01, Conf: 1} }), "run.stop.conf"},
 		{"stop min", mutate(func(s *Scenario) { s.Run.Stop = StopSpec{CI: 0.01, Conf: 0.95, Min: -1} }), "run.stop.min"},

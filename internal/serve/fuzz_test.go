@@ -14,7 +14,8 @@ import (
 func FuzzSpecDecode(f *testing.F) {
 	f.Add(`{"v":1}`)
 	f.Add(`{"v":1,"model":"alexnet","classes":4,"size":16,"trials":60}`)
-	f.Add(`{"v":1,"error":"bitflip","scope":"weight","dtype":"fp16","schedule":"pack"}`)
+	f.Add(`{"v":1,"error":"bitflip","scope":"weight","dtype":"fp16"}`)
+	f.Add(`{"v":1,"schedule":"pack","trial_batch":8,"no_prefix_reuse":true}`)
 	f.Add(`{"v":1,"backend":"int8","dtype":"int8","act_zp":true,"shards":4,"workers":8}`)
 	f.Add(`{"v":1,"stop_ci":0.01,"stop_conf":0.99,"stop_min":50,"skip_errors":true}`)
 	f.Add(`{"v":2}`)

@@ -299,6 +299,20 @@ func TestServeKillResumeDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Upgrade simulation: rewrite the checkpoint's spec the way the
+	// previous wire revision stored it, execution settings included.
+	// Checkpoints restore leniently, so the campaign must still resume —
+	// to the same bytes, since those settings never changed a result.
+	ckPath := filepath.Join(dir, c.ID+".ckpt")
+	ck, err := serialize.LoadCampaignCheckpoint(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Spec = json.RawMessage(parentCommitSpec(string(ck.Spec)))
+	if err := serialize.SaveCampaignCheckpoint(ckPath, ck); err != nil {
+		t.Fatal(err)
+	}
+
 	// A fresh server over the same directory restores the campaign
 	// paused at exactly the checkpointed frontier.
 	srvB, err := New(Config{Dir: dir, CheckpointEvery: 4})

@@ -75,14 +75,6 @@ type Spec struct {
 	// ActZeroPoint enables asymmetric input quantizers on the int8
 	// backend.
 	ActZeroPoint bool `json:"act_zp,omitempty"`
-	// Schedule and TrialBatch tune the engine's execution planner
-	// (throughput only; results are byte-identical regardless).
-	Schedule   string `json:"schedule,omitempty"`
-	TrialBatch int    `json:"trial_batch,omitempty"`
-	// NoPrefixReuse disables clean-prefix checkpoint reuse (the wire
-	// format inverts the CLI's -prefix-reuse=true so the zero value keeps
-	// the default behavior).
-	NoPrefixReuse bool `json:"no_prefix_reuse,omitempty"`
 	// Shards is how many engine legs the campaign is split into
 	// (default 1); Workers is each leg's worker count (default 4).
 	Shards  int `json:"shards,omitempty"`
@@ -130,15 +122,6 @@ func (sp Spec) Canon() Spec {
 		if sp.Workers <= 0 {
 			sp.Workers = s.Run.Workers
 		}
-		if sp.Schedule == "" {
-			sp.Schedule = s.Run.Schedule
-		}
-		if sp.TrialBatch == 0 {
-			sp.TrialBatch = s.Run.TrialBatch
-		}
-		if s.Run.PrefixReuse != nil && !*s.Run.PrefixReuse {
-			sp.NoPrefixReuse = true
-		}
 		if s.Run.SkipErrors {
 			sp.SkipErrors = true
 		}
@@ -185,9 +168,6 @@ func (sp Spec) Canon() Spec {
 	}
 	if sp.DType == "" {
 		sp.DType = "int8"
-	}
-	if sp.Schedule == "" {
-		sp.Schedule = "auto"
 	}
 	if sp.Shards <= 0 {
 		sp.Shards = 1
@@ -238,9 +218,6 @@ func (sp Spec) Validate() error {
 	if be == "int8" && dt != core.INT8 {
 		return bad("backend int8 implies dtype int8, got %q", sp.DType)
 	}
-	if _, err := campaign.ParseSchedule(sp.Schedule); err != nil {
-		return bad("%v", err)
-	}
 	if sp.Trials <= 0 {
 		return bad("trials must be positive, got %d", sp.Trials)
 	}
@@ -263,9 +240,6 @@ func (sp Spec) validateScenario() error {
 	if len(sp.Scenario.Observers) != 0 {
 		return bad("scenario observers are not in the wire format: the shard coordinator folds aggregates only")
 	}
-	if _, err := campaign.ParseSchedule(sp.Schedule); err != nil {
-		return bad("%v", err)
-	}
 	if sp.Trials <= 0 {
 		// Only sweep scenarios canonicalize to a zero budget (it is filled
 		// at compile time); the coordinator shards by trial range up front,
@@ -280,9 +254,6 @@ func (sp Spec) validateScenario() error {
 func (sp Spec) validateRunShape() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrSpec, fmt.Sprintf(format, args...))
-	}
-	if sp.TrialBatch < 0 {
-		return bad("trial_batch must be >= 0, got %d", sp.TrialBatch)
 	}
 	if sp.Shards < 1 {
 		return bad("shards must be >= 1, got %d", sp.Shards)
@@ -337,13 +308,9 @@ func (sp Spec) Config() (experiments.GenericCampaignConfig, error) {
 		}
 		// The spec's (Canon-resolved) run knobs win over the scenario's
 		// run block; neither changes which fault a trial index arms.
-		sched, _ := campaign.ParseSchedule(sp.Schedule)
 		cfg.Trials = sp.Trials
 		cfg.Workers = sp.Workers
 		cfg.Seed = sp.Seed
-		cfg.Schedule = sched
-		cfg.TrialBatch = sp.TrialBatch
-		cfg.PrefixReuse = !sp.NoPrefixReuse
 		cfg.OnError = campaign.FailFast
 		if sp.SkipErrors {
 			cfg.OnError = campaign.SkipAndCount
@@ -354,7 +321,6 @@ func (sp Spec) Config() (experiments.GenericCampaignConfig, error) {
 	em, _ := experiments.ParseErrorModel(sp.Error)
 	arm, _ := experiments.ParseScope(sp.Scope, em)
 	dt, _ := experiments.ParseDType(sp.DType)
-	sched, _ := campaign.ParseSchedule(sp.Schedule)
 	policy := campaign.FailFast
 	if sp.SkipErrors {
 		policy = campaign.SkipAndCount
@@ -374,9 +340,7 @@ func (sp Spec) Config() (experiments.GenericCampaignConfig, error) {
 		IsolateWeights: sp.Scope == "weight",
 		Seed:           sp.Seed,
 		OnError:        policy,
-		PrefixReuse:    !sp.NoPrefixReuse,
-		TrialBatch:     sp.TrialBatch,
-		Schedule:       sched,
+		PrefixReuse:    true,
 		StopCI:         sp.StopCI,
 		StopConf:       sp.StopConf,
 		StopMin:        sp.StopMin,

@@ -63,8 +63,8 @@ func TestScenarioSpecCanonBackfill(t *testing.T) {
 	if sp.Trials != 40 || sp.Seed != 11 || sp.Workers != 2 {
 		t.Fatalf("run knobs not backfilled: %+v", sp)
 	}
-	if sp.Schedule != "auto" || sp.Shards != 1 {
-		t.Fatalf("schedule/shards defaults drifted: %+v", sp)
+	if sp.Shards != 1 {
+		t.Fatalf("shards default drifted: %+v", sp)
 	}
 	// ...but the fixture/fault fields stay zero: the scenario owns them.
 	if sp.Model != "" || sp.Classes != 0 || sp.Error != "" || sp.DType != "" || sp.Backend != "" {
@@ -82,15 +82,13 @@ func TestScenarioSpecCanonBackfill(t *testing.T) {
 		t.Fatalf("spec knobs lost to the scenario: %+v", over)
 	}
 
-	// prefix_reuse: false, skip_errors and the stop rule carry over.
+	// skip_errors and the stop rule carry over.
 	rich := scenarioSpec()
-	off := false
-	rich.Scenario.Run.PrefixReuse = &off
 	rich.Scenario.Run.SkipErrors = true
 	rich.Scenario.Run.Stop = scenario.StopSpec{CI: 0.02, Min: 10}
 	rich = rich.Canon()
-	if !rich.NoPrefixReuse || !rich.SkipErrors {
-		t.Fatalf("prefix_reuse/skip_errors not carried: %+v", rich)
+	if !rich.SkipErrors {
+		t.Fatalf("skip_errors not carried: %+v", rich)
 	}
 	if rich.StopCI != 0.02 || rich.StopConf != 0.95 || rich.StopMin != 10 {
 		t.Fatalf("stop rule not carried: ci=%g conf=%g min=%d", rich.StopCI, rich.StopConf, rich.StopMin)
@@ -123,7 +121,6 @@ func TestScenarioSpecValidate(t *testing.T) {
 			sp.Scenario.Observers = []scenario.ObserverSpec{{Kind: scenario.ObsSDC}}
 		}), ErrSpec},
 		{"invalid scenario", mut(func(sp *Spec) { sp.Scenario.Selector.Kind = "martian" }), ErrSpec},
-		{"bad schedule", mut(func(sp *Spec) { sp.Schedule = "chaotic" }), ErrSpec},
 		{"sweep without trials", mut(func(sp *Spec) {
 			sp.Scenario.Selector = scenario.SelectorSpec{Kind: scenario.SelSweep, Sweep: &scenario.SweepSpec{}}
 			sp.Scenario.Run.Trials = 0
@@ -147,9 +144,7 @@ func TestScenarioSpecValidate(t *testing.T) {
 func TestScenarioSpecConfig(t *testing.T) {
 	sp := scenarioSpec()
 	sp.Trials = 24
-	sp.NoPrefixReuse = true
 	sp.SkipErrors = true
-	sp.Schedule = "pack"
 	cfg, err := sp.Config()
 	if err != nil {
 		t.Fatal(err)
@@ -164,14 +159,11 @@ func TestScenarioSpecConfig(t *testing.T) {
 	if cfg.Trials != 24 || cfg.Seed != 11 || cfg.Workers != 2 {
 		t.Fatalf("run knobs drifted: %+v", cfg)
 	}
-	if cfg.PrefixReuse {
-		t.Fatal("no_prefix_reuse not honored")
+	if !cfg.PrefixReuse || cfg.TrialBatch != 0 || cfg.Schedule != campaign.ScheduleAuto {
+		t.Fatalf("execution settings must be the defaults (reuse on, lanes worked out, auto): %+v", cfg)
 	}
 	if cfg.OnError != campaign.SkipAndCount {
 		t.Fatal("skip_errors not honored")
-	}
-	if cfg.Schedule != campaign.SchedulePack {
-		t.Fatalf("schedule = %v, want pack", cfg.Schedule)
 	}
 	// The scenario owns the fixture: the generic fields stay zero and
 	// Prepare resolves them from the scenario's model block.

@@ -14,7 +14,7 @@ func TestSpecCanonDefaults(t *testing.T) {
 	want := Spec{
 		V: WireVersion, Model: "resnet18", Classes: 10, Size: 32, Epochs: 8,
 		Noise: 0.6, Seed: 1, Trials: 1000, Error: "bitflip", Scope: "neuron",
-		Backend: "f32", DType: "int8", Schedule: "auto", Shards: 1, Workers: 4,
+		Backend: "f32", DType: "int8", Shards: 1, Workers: 4,
 	}
 	if sp != want {
 		t.Fatalf("canon defaults drifted:\n got %+v\nwant %+v", sp, want)
@@ -50,8 +50,6 @@ func TestSpecValidate(t *testing.T) {
 		{"dtype", mut(func(sp *Spec) { sp.DType = "fp64" }), ErrSpec},
 		{"backend", mut(func(sp *Spec) { sp.Backend = "tpu" }), ErrSpec},
 		{"int8 mismatch", mut(func(sp *Spec) { sp.Backend = "int8"; sp.DType = "fp16" }), ErrSpec},
-		{"schedule", mut(func(sp *Spec) { sp.Schedule = "chaotic" }), ErrSpec},
-		{"trial batch", mut(func(sp *Spec) { sp.TrialBatch = -1 }), ErrSpec},
 		{"stop ci", mut(func(sp *Spec) { sp.StopCI = 0.5 }), ErrSpec},
 		{"stop conf", mut(func(sp *Spec) { sp.StopCI = 0.01; sp.StopConf = 1.5 }), ErrSpec},
 		{"stop min", mut(func(sp *Spec) { sp.StopCI = 0.01; sp.StopMin = -3 }), ErrSpec},
@@ -72,9 +70,22 @@ func TestDecodeSpec(t *testing.T) {
 	if sp != (Spec{V: WireVersion}).Canon() {
 		t.Fatalf("minimal spec = %+v", sp)
 	}
-	// Typos fail loudly instead of silently running defaults.
-	if _, err := DecodeSpec(strings.NewReader(`{"v":1,"modle":"vgg19"}`)); !errors.Is(err, ErrSpec) {
-		t.Fatalf("unknown field: %v", err)
+	// Typos fail loudly instead of silently running defaults — and so do
+	// the engine's execution settings, which are not wire fields: a spec
+	// the previous wire revision wrote (it carried schedule, trial_batch
+	// and no_prefix_reuse, all documented as never changing a result)
+	// is rejected by field name when submitted. The same bytes inside a
+	// checkpoint still restore; TestServeKillResumeDeterminism pins that.
+	for _, c := range []struct{ doc, field string }{
+		{`{"v":1,"modle":"vgg19"}`, `"modle"`},
+		{parentCommitSpec(`{"v":1,"model":"alexnet"}`), `"schedule"`},
+		{`{"v":1,"trial_batch":8}`, `"trial_batch"`},
+		{`{"v":1,"no_prefix_reuse":true}`, `"no_prefix_reuse"`},
+	} {
+		_, err := DecodeSpec(strings.NewReader(c.doc))
+		if !errors.Is(err, ErrSpec) || !strings.Contains(err.Error(), c.field) {
+			t.Fatalf("DecodeSpec(%s) = %v, want ErrSpec naming %s", c.doc, err, c.field)
+		}
 	}
 	if _, err := DecodeSpec(strings.NewReader(`{"v":7}`)); !errors.Is(err, ErrWireVersion) {
 		t.Fatalf("future version: %v", err)
@@ -88,10 +99,16 @@ func TestDecodeSpec(t *testing.T) {
 	}
 }
 
+// parentCommitSpec rewrites a spec document the way the previous wire
+// revision would have written it: with the execution settings it still
+// carried, at the values its Canon filled in.
+func parentCommitSpec(doc string) string {
+	return `{"schedule":"auto","trial_batch":8,` + strings.TrimPrefix(doc, "{")
+}
+
 func TestSpecConfig(t *testing.T) {
 	sp := baseSpec()
 	sp.Scope = "weight"
-	sp.NoPrefixReuse = true
 	sp.StopCI = 0.02
 	cfg, err := sp.Config()
 	if err != nil {
@@ -100,8 +117,8 @@ func TestSpecConfig(t *testing.T) {
 	if !cfg.IsolateWeights {
 		t.Fatal("weight scope must isolate weights")
 	}
-	if cfg.PrefixReuse {
-		t.Fatal("no_prefix_reuse not honored")
+	if !cfg.PrefixReuse || cfg.TrialBatch != 0 || cfg.Schedule != campaign.ScheduleAuto {
+		t.Fatalf("execution settings must be the defaults (reuse on, lanes worked out, auto): %+v", cfg)
 	}
 	if cfg.OnError != campaign.SkipAndCount {
 		t.Fatal("skip_errors not honored")
@@ -122,7 +139,8 @@ func TestSpecConfig(t *testing.T) {
 
 func TestEnvKey(t *testing.T) {
 	base := baseSpec()
-	// Run-shape fields must not split the fixture cache.
+	// Run-shape fields must not split the fixture cache: specs equal up
+	// to trials/shards/workers/stop share one trained fixture.
 	same := []func(*Spec){
 		func(sp *Spec) { sp.Trials = 77777 },
 		func(sp *Spec) { sp.Shards = 9 },

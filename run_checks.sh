@@ -33,12 +33,32 @@ GOARCH=arm64 go build ./...
 go test -cpu 1,4 ./internal/tensor ./internal/nn ./internal/campaign
 go test -run='^$' -bench . -benchtime 1x ./internal/tensor
 
-# The trial-batching path promises cross-lane isolation (each lane's
-# logits bit-identical to a solo run) and a packer that never drops or
-# duplicates a trial. Run that wall under the race detector at both
+# A gate that selects tests, or a fuzz target, by pattern must select
+# something: go test exits 0 with "[no tests to run]" (or "no fuzz tests
+# to fuzz") when a pattern matches nothing, so a renamed test would turn
+# its gate into a silent no-op. check_selected runs go test with the
+# given arguments and fails in that case too.
+check_selected() {
+	if ! out=$(go test "$@" 2>&1); then
+		echo "FAIL: go test $* failed" >&2
+		echo "$out" >&2
+		exit 1
+	fi
+	echo "$out"
+	if echo "$out" | grep -Eq 'no tests to run|no fuzz tests to fuzz'; then
+		echo "FAIL: go test $* selected nothing (renamed or deleted test?)" >&2
+		exit 1
+	fi
+}
+
+# Multi-lane entries promise cross-lane isolation (each lane's logits
+# bit-identical to a solo run) and demotion that never drops, duplicates
+# or alters a trial. Run that wall under the race detector at both
 # GOMAXPROCS settings: lane arming is serialized per replica, and this
-# is the line that proves it.
-go test -race -cpu 1,4 -run 'TestCrossLaneIsolation|TestTrialPacker|TestBatchedRun' ./internal/campaign
+# is the line that proves it. (That the planner schedules every trial
+# exactly once is sched's own wall: FuzzBuildPlan below and the floor
+# on ./internal/campaign/sched.)
+check_selected -race -cpu 1,4 -run 'TestCrossLaneIsolation|TestBatchedRun|TestDemotionRunsThroughTheSameExecutor|TestNoLanesNoPlanner' ./internal/campaign
 
 # Per-package statement-coverage floors for the thin support packages.
 # Their public APIs are small and fully table-testable, so coverage that
@@ -68,8 +88,8 @@ check_cover() {
 check_cover ./internal/train 95
 check_cover ./internal/quant 95
 check_cover ./internal/ibp 90
-# The campaign engine now carries the probe/pack/fallback machinery;
-# the floor keeps the batched path from growing untested branches.
+# The campaign engine carries the probe, the one executor and its
+# demotion path; the floor keeps them from growing untested branches.
 check_cover ./internal/campaign 88
 # The scheduler decides how every batched campaign executes; its cost
 # model and DP partition are pure functions with table-driven tests, so
@@ -86,8 +106,8 @@ check_cover ./internal/campaign/sched 90
 # and a coverage-guided FuzzStopRule smoke.
 check_stats() {
 	check_cover ./internal/campaign/stats 90
-	go test -race -cpu 1,4 -run 'TestStopIndexDeterministic|TestStopUnchangedByDedup|TestDedupMatchesBruteForce|TestCancellationMidStopLeg|TestGoldenCampaignStop' ./internal/campaign
-	go test -run='^$' -fuzz='^FuzzStopRule$' -fuzztime=10s ./internal/campaign/stats
+	check_selected -race -cpu 1,4 -run 'TestStopIndexDeterministic|TestStopUnchangedByDedup|TestDedupMatchesBruteForce|TestCancellationMidStopLeg|TestGoldenCampaignStop' ./internal/campaign
+	check_selected -run='^$' -fuzz='^FuzzStopRule$' -fuzztime=10s ./internal/campaign/stats
 }
 check_stats
 
@@ -100,7 +120,7 @@ check_stats
 # pipeline in bench_test.go can't rot between full runs (BENCH_int8.json
 # records the measured ratio).
 check_int8() {
-	go test -race -cpu 1,4 -run 'TestGoldenCampaignAggregates/int8' ./internal/campaign
+	check_selected -race -cpu 1,4 -run 'TestGoldenCampaignAggregates/int8' ./internal/campaign
 	check_cover ./internal/tensor 90
 	go test -run='^$' -bench 'BenchmarkCampaign(F32|Int8)$' -benchtime 1x .
 }
@@ -117,7 +137,7 @@ check_int8
 # smokes (gofi-serve boot/shutdown, gofi-campaign -submit round trip).
 check_serve() {
 	go test -race -timeout 20m ./internal/serve
-	go test -race -cpu 1,4 -run 'TestSplitTrials|TestShardMergeMatchesGolden' ./internal/campaign
+	check_selected -race -cpu 1,4 -run 'TestSplitTrials|TestShardMergeMatchesGolden' ./internal/campaign
 	check_cover ./internal/serve 85
 	go test ./cmd/gofi-serve ./cmd/gofi-campaign
 }
@@ -134,9 +154,9 @@ check_serve
 # errors, Canon-fixed-point).
 check_scenario() {
 	check_cover ./internal/scenario 90
-	go test -run 'TestScenarioDifferentialByteIdentity|TestScenarioGolden' ./internal/experiments
-	go test -run 'TestScenario' ./cmd/gofi-campaign
-	go test -run='^$' -fuzz='^FuzzScenarioDecode$' -fuzztime=10s ./internal/scenario
+	check_selected -run 'TestScenarioDifferentialByteIdentity|TestScenarioGolden' ./internal/experiments
+	check_selected -run 'TestScenario' ./cmd/gofi-campaign
+	check_selected -run='^$' -fuzz='^FuzzScenarioDecode$' -fuzztime=10s ./internal/scenario
 }
 check_scenario
 
@@ -147,15 +167,14 @@ check_scenario
 # runs (BENCH_sched.json records the measured numbers).
 go test -run='^$' -bench 'BenchmarkCampaignSched' -benchtime 1x .
 
-go test -run='^$' -fuzz='^FuzzFP16RoundTrip$' -fuzztime=10s ./internal/fpbits
-go test -run='^$' -fuzz='^FuzzFlipBitFP32$' -fuzztime=10s ./internal/fpbits
-go test -run='^$' -fuzz='^FuzzLoadCorrupt$' -fuzztime=10s ./internal/serialize
-go test -run='^$' -fuzz='^FuzzSaveLoadRoundTrip$' -fuzztime=10s ./internal/serialize
-go test -run='^$' -fuzz='^FuzzCampaignCheckpointLoad$' -fuzztime=10s ./internal/serialize
-go test -run='^$' -fuzz='^FuzzCampaignCheckpointRoundTrip$' -fuzztime=10s ./internal/serialize
-go test -run='^$' -fuzz='^FuzzSpecDecode$' -fuzztime=10s ./internal/serve
-go test -run='^$' -fuzz='^FuzzEventDecode$' -fuzztime=10s ./internal/serve
-go test -run='^$' -fuzz='^FuzzTrialRecordJSONLRoundTrip$' -fuzztime=10s ./internal/report
-go test -run='^$' -fuzz='^FuzzForwardFrom$' -fuzztime=10s ./internal/nn
-go test -run='^$' -fuzz='^FuzzTrialPacker$' -fuzztime=10s ./internal/campaign
-go test -run='^$' -fuzz='^FuzzBuildPlan$' -fuzztime=10s ./internal/campaign/sched
+check_selected -run='^$' -fuzz='^FuzzFP16RoundTrip$' -fuzztime=10s ./internal/fpbits
+check_selected -run='^$' -fuzz='^FuzzFlipBitFP32$' -fuzztime=10s ./internal/fpbits
+check_selected -run='^$' -fuzz='^FuzzLoadCorrupt$' -fuzztime=10s ./internal/serialize
+check_selected -run='^$' -fuzz='^FuzzSaveLoadRoundTrip$' -fuzztime=10s ./internal/serialize
+check_selected -run='^$' -fuzz='^FuzzCampaignCheckpointLoad$' -fuzztime=10s ./internal/serialize
+check_selected -run='^$' -fuzz='^FuzzCampaignCheckpointRoundTrip$' -fuzztime=10s ./internal/serialize
+check_selected -run='^$' -fuzz='^FuzzSpecDecode$' -fuzztime=10s ./internal/serve
+check_selected -run='^$' -fuzz='^FuzzEventDecode$' -fuzztime=10s ./internal/serve
+check_selected -run='^$' -fuzz='^FuzzTrialRecordJSONLRoundTrip$' -fuzztime=10s ./internal/report
+check_selected -run='^$' -fuzz='^FuzzForwardFrom$' -fuzztime=10s ./internal/nn
+check_selected -run='^$' -fuzz='^FuzzBuildPlan$' -fuzztime=10s ./internal/campaign/sched
