@@ -3,12 +3,16 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"gofi/internal/campaign"
+	"gofi/internal/obs"
 	"gofi/internal/serve"
 )
 
@@ -230,5 +234,54 @@ func TestScenarioRunKnobOverride(t *testing.T) {
 	}
 	if lines != 8 {
 		t.Fatalf("jsonl has %d records, want the -trials override of 8", lines)
+	}
+}
+
+// TestWeightScopeResumesFromCheckpoints: -scope weight must build
+// per-worker weight copies (IsolateWeights), seen here from the outside:
+// the engine resumes weight-armed trials from the shared clean checkpoints
+// only when no other worker reads the mutated storage, so checkpoint hits
+// under -workers 2 mean the replicas are isolated. On shared weights every
+// one of these trials would be a fallback.
+func TestWeightScopeResumesFromCheckpoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model fixture; skipped with -short")
+	}
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "metrics.json")
+	out, err := os.Create(filepath.Join(dir, "out.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	const trials = 40
+	args := []string{
+		"-model", "alexnet", "-classes", "4", "-size", "16", "-epochs", "4", "-seed", "9",
+		"-scope", "weight", "-error", "bitflip", "-dtype", "fp32",
+		"-trials", strconv.Itoa(trials), "-workers", "2", "-metrics", snapPath,
+	}
+	if err := run(context.Background(), args, out); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(buf, &snap); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses, fallbacks := snap.Counters[campaign.MetricPrefixHits], snap.Counters[campaign.MetricPrefixMisses], snap.Counters[campaign.MetricPrefixFallbacks]
+	if hits+misses+fallbacks != trials {
+		t.Fatalf("hits %d + misses %d + fallbacks %d != %d trials", hits, misses, fallbacks, trials)
+	}
+	if hits == 0 {
+		t.Fatalf("no weight trial resumed from a checkpoint (fallbacks %d of %d): replicas share weight storage", fallbacks, trials)
+	}
+	if _, ok := snap.Gauges[campaign.MetricPrefixEvictions]; !ok {
+		t.Fatalf("exit snapshot has no %s gauge", campaign.MetricPrefixEvictions)
+	}
+	if snap.Gauges[campaign.MetricPrefixStoreBytes] <= 0 {
+		t.Fatalf("%s = %v, want the warmed working set", campaign.MetricPrefixStoreBytes, snap.Gauges[campaign.MetricPrefixStoreBytes])
 	}
 }

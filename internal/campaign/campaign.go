@@ -82,13 +82,21 @@ const (
 	// MetricPrefixHits / MetricPrefixMisses count clean-prefix checkpoint
 	// lookups during armed trial forwards (PrefixReuse on);
 	// MetricPrefixFallbacks counts trials that ran the full forward
-	// because reuse was unsound (weight faults, earliest site in the
-	// first chain node). Hit/miss splits depend on worker scheduling and
-	// store pressure, so — unlike the outcome counters — they describe
-	// this particular run.
+	// because no clean prefix exists (the earliest layer a fault reaches
+	// sits in the first chain node) or because a weight fault was armed
+	// on replicas that share weight storage. Hit/miss splits depend on
+	// worker scheduling and store pressure, so — unlike the outcome
+	// counters — they describe this particular run.
 	MetricPrefixHits      = "campaign.prefix.hits"
 	MetricPrefixMisses    = "campaign.prefix.misses"
 	MetricPrefixFallbacks = "campaign.prefix.fallbacks"
+	// MetricPrefixEvictions / MetricPrefixStoreBytes are gauges set when
+	// Run ends: snapshots the campaign's checkpoint store pushed out
+	// under its byte budget, and the bytes it held at the end. Evictions
+	// above zero mean the clean working set did not fit and misses
+	// recomputed prefixes the store had held before.
+	MetricPrefixEvictions  = "campaign.prefix.evictions"
+	MetricPrefixStoreBytes = "campaign.prefix.store_bytes"
 	// MetricPrefixSaved is a histogram of nanoseconds saved per cache
 	// hit: the recorded cost of the prefix computation the hit avoided.
 	MetricPrefixSaved = "campaign.prefix_reuse_ns_saved"
@@ -364,11 +372,18 @@ type Config struct {
 	// earliest fault site (Gräfe et al.'s checkpoint-and-resume
 	// optimization). Results are byte-identical with reuse on or off —
 	// the checkpoint is a bitwise copy of what the full pass would feed
-	// the suffix — so this is a throughput knob only. Trials for which
-	// reuse is unsound (weight faults, earliest site in the model's first
-	// chain node) fall back to the full forward automatically, as do
-	// models whose structure defeats chain planning.
+	// the suffix — so this is a throughput knob only. Neuron and weight
+	// faults resume alike (a weight fault cuts at the earliest layer that
+	// reads the mutated weight). Trials with no clean prefix (that layer
+	// in the model's first chain node) run the full forward, as do
+	// weight-armed trials on replicas that share weight storage with
+	// another worker, and models whose structure defeats chain planning.
+	// The checkpoints live in one store per Run, shared by the workers.
 	PrefixReuse bool
+	// store, when set, is the checkpoint store Run uses under PrefixReuse
+	// instead of building one — how this package's tests look inside it
+	// after a run, or shrink it to force evictions.
+	store *tensor.CheckpointStore
 	// TrialBatch packs up to this many compatible trials (same sample,
 	// lane-safe neuron faults only) into one forward pass over an input
 	// tiled across that many batch lanes — the batched counterpart of

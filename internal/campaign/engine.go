@@ -73,10 +73,11 @@ func prefixMetrics(reg *obs.Registry) core.PrefixMetrics {
 	}
 }
 
-// prefixStoreBudget bounds each worker's checkpoint store. Boundary
-// activations for 32×32-class models run tens to hundreds of KiB, so the
-// budget holds a few hundred (sample, cut) snapshots per worker; LRU
-// eviction keeps memory flat on larger sweeps.
+// prefixStoreBudget is what each worker adds to the budget of the
+// campaign's one checkpoint store. Boundary activations for 32×32-class
+// models run tens to hundreds of KiB, so a worker's share holds a few
+// hundred (sample, cut) snapshots; LRU eviction keeps memory flat on
+// larger sweeps.
 const prefixStoreBudget int64 = 64 << 20
 
 // observe folds one finished trial's record into the exact counters.
@@ -167,6 +168,16 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 	// if one cannot be built.
 	crew := make([]*worker, workers)
 	pmet := prefixMetrics(cfg.Metrics)
+	// One clean-checkpoint store for the whole crew. A clean activation is
+	// the same bit pattern on every replica, so whichever worker walks a
+	// sample's prefix first serves every other worker's trials on it, and
+	// the working set is held once instead of once per worker.
+	var store *tensor.CheckpointStore
+	if cfg.PrefixReuse {
+		if store = cfg.store; store == nil {
+			store = tensor.NewCheckpointStore(prefixStoreBudget * int64(workers))
+		}
+	}
 	var buildWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		buildWG.Add(1)
@@ -190,11 +201,11 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 			// atomic, so campaign-wide totals stay exact.
 			inj.SetMetrics(cfg.Metrics)
 			crew[w] = &worker{id: w, inj: inj}
-			if cfg.PrefixReuse {
+			if store != nil {
 				// A model whose chain cannot be planned simply runs every
 				// trial full-length; reuse is a throughput optimization,
 				// never a correctness requirement.
-				if runner, err := core.NewPrefixRunner(inj, prefixStoreBudget); err == nil {
+				if runner, err := core.NewPrefixRunnerWithStore(inj, store); err == nil {
 					runner.SetMetrics(pmet)
 					crew[w].runner, crew[w].plan = runner, runner.Plan()
 				}
@@ -286,6 +297,11 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 		return Aggregate{}, err
 	}
 	x := &executor{cfg: cfg, clean: make(map[int]cleanPrediction, len(order)), prefixFallbacks: pmet.Fallbacks}
+	injs := make([]*core.Injector, len(crew))
+	for i, w := range crew {
+		injs[i] = w.inj
+	}
+	x.weightsShared = core.WeightStorageShared(injs...)
 	for i, idx := range order {
 		x.clean[idx] = cleanVals[i]
 	}
@@ -545,6 +561,10 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 		}
 	}
 	if reg := cfg.Metrics; reg != nil {
+		if store != nil {
+			reg.Gauge(MetricPrefixEvictions).Set(float64(store.Evictions()))
+			reg.Gauge(MetricPrefixStoreBytes).Set(float64(store.UsedBytes()))
+		}
 		if cfg.Stop != nil {
 			reg.Gauge(MetricStopTrial).Set(float64(stopAt))
 			_, lo, hi := cfg.Stop.Interval()

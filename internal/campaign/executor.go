@@ -20,7 +20,9 @@ import (
 // batch 1, tiled across the entry's lanes, and the suffix runs once for
 // all of them. An entry of width 1 is the sequential trial: nothing to
 // tile, no lane to confine the declaration to, so lane-unsafe faults
-// (weight faults, explicit multi-batch sites) arm and run there.
+// (weight faults, explicit multi-batch sites) arm and run there — and
+// resume from the same checkpoints: a weight fault's cut is the chain
+// node of the earliest layer that reads the mutated weight.
 //
 // Two trials may share an entry when they share the input sample and
 // carry only lane-safe faults (neuron faults on AllBatches/element-0
@@ -47,8 +49,9 @@ import (
 type worker struct {
 	id  int
 	inj *core.Injector
-	// runner holds the worker's checkpoint store; nil when PrefixReuse is
-	// off or the model's structure defeats chain planning.
+	// runner resumes this replica's forwards from the campaign's
+	// checkpoint store; nil when PrefixReuse is off or the model's
+	// structure defeats chain planning.
 	runner *core.PrefixRunner
 	// plan is the chain decomposition forwards cut at (the runner's, or a
 	// store-less one so multi-lane entries still share their clean
@@ -88,6 +91,11 @@ type executor struct {
 	// prefixFallbacks counts forwards that found no reusable prefix while
 	// a checkpoint store was attached (nil: no registry).
 	prefixFallbacks *obs.Counter
+	// weightsShared: a weight fault declared on one worker's replica
+	// mutates memory another worker's forward reads (replicas built
+	// without per-worker weight copies). Observed from the crew, see
+	// core.WeightStorageShared.
+	weightsShared bool
 }
 
 // noLane arms a declaration on the whole injector instead of one batch
@@ -208,10 +216,16 @@ func (x *executor) execute(w *worker, en sched.Entry) ([]TrialRecord, []error) {
 
 // forward runs the entry's single inference over whatever is armed and
 // fills in the armed members' outcomes and sites (the members without an
-// error, in order, hold lanes 0..lanes-1). With no reusable prefix (no
-// chain plan, a weight fault, the earliest site in the first chain node)
-// the whole model runs on the tiled input. Panics anywhere (geometry
-// bugs in error models) are recovered into the returned error.
+// error, in order, hold lanes 0..lanes-1). The forward resumes at the
+// chain node of the earliest layer a fault reaches — an armed neuron
+// site's layer, or the first reader of a mutated weight — from the clean
+// boundary below it. With no reusable prefix (no chain plan, that layer
+// in the first chain node) the whole model runs on the tiled input. So
+// it does for a weight fault on replicas that share weight storage: the
+// mutation is then visible to the other workers while it is armed, their
+// prefix walks included, so such a trial must neither trust nor write a
+// checkpoint. Panics anywhere (geometry bugs in error models) are
+// recovered into the returned error.
 func (x *executor) forward(w *worker, en sched.Entry, lanes int, recs []TrialRecord, errs []error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -226,7 +240,7 @@ func (x *executor) forward(w *worker, en sched.Entry, lanes int, recs []TrialRec
 	}
 	in := x.cfg.input(en.Sample)
 	cut := 0
-	if w.plan != nil {
+	if w.plan != nil && !(x.weightsShared && w.inj.WeightFaultsArmed()) {
 		if minLayer, ok := w.inj.MinArmedLayer(); ok {
 			cut = w.plan.CutFor(minLayer)
 		}

@@ -4,10 +4,14 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gofi/internal/core"
+	"gofi/internal/data"
+	"gofi/internal/nn"
 	"gofi/internal/obs"
+	"gofi/internal/tensor"
 )
 
 // trialOutcomes runs a campaign and returns its aggregate plus the
@@ -80,40 +84,212 @@ func TestPrefixReuseByteIdenticalOutcomes(t *testing.T) {
 	}
 }
 
-// TestPrefixReuseWeightCampaignIdentical checks the automatic fallback:
-// weight-fault campaigns must yield identical results with the flag on,
-// because every trial detects the weight mutation and runs the full
-// forward.
+// isolatedReplicaFactory builds per-worker replicas with private deep
+// copies of the trained weights — what a weight-fault campaign needs, so
+// one worker's offline mutation is invisible to the others. With int8 set
+// every replica also gets its own quantized plan (deterministic given
+// weights and calibration batch), and weight faults land in its stored
+// int8 codes.
+func isolatedReplicaFactory(t *testing.T, ds *data.Classification, trained nn.Layer, int8 bool) func(int) (*core.Injector, error) {
+	t.Helper()
+	calib, _ := ds.Batch(0, 16)
+	return func(worker int) (*core.Injector, error) {
+		replica := buildConvNet()
+		if err := nn.CopyParams(replica, trained); err != nil {
+			return nil, err
+		}
+		nn.SetTraining(replica, false)
+		cfg := core.Config{Batch: 8, Height: 16, Width: 16, Seed: int64(worker) + 177}
+		if !int8 {
+			return core.New(replica, cfg)
+		}
+		if err := nn.QuantizeModel(replica, calib, nn.QuantizeOptions{}); err != nil {
+			return nil, err
+		}
+		cfg.DType = core.INT8
+		inj, err := core.New(replica, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return inj, inj.UseQuantizedModel()
+	}
+}
+
+// TestPrefixReuseWeightCampaignIdentical is the campaign-level wall for
+// weight faults resuming from checkpoints: on isolated replicas, float32
+// and stored int8 codes, the per-trial records are equal across Workers
+// {1, 8} × reuse on/off, and with reuse on exactly the trials whose
+// faulted layer sits in chain node 0 run the full forward — every other
+// one is served by the store the clean pass warmed.
 func TestPrefixReuseWeightCampaignIdentical(t *testing.T) {
 	ds, model, eligible := trainedSetup(t)
-	base := Config{
-		Workers:    1, // weight trials mutate shared weights; serialize
-		Trials:     20,
-		Seed:       22,
-		NewReplica: replicaFactory(t, model),
-		Source:     ds,
-		Eligible:   eligible,
-		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
-			_, err := inj.InjectRandomWeight(rng, core.BitFlip{Bit: 30})
-			return err
-		},
+	for _, int8 := range []bool{false, true} {
+		name := "f32"
+		if int8 {
+			name = "int8"
+		}
+		t.Run(name, func(t *testing.T) {
+			base := Config{
+				Trials:     60,
+				Seed:       22,
+				NewReplica: isolatedReplicaFactory(t, ds, model, int8),
+				Source:     ds,
+				Eligible:   eligible,
+				ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
+					_, err := inj.InjectRandomWeight(rng, core.BitFlip{Bit: core.RandomBit})
+					return err
+				},
+			}
+			run := func(workers int, reuse bool, reg *obs.Registry) []TrialRecord {
+				t.Helper()
+				cfg := base
+				cfg.Workers, cfg.PrefixReuse, cfg.Metrics = workers, reuse, reg
+				recs := make([]TrialRecord, cfg.Trials)
+				cfg.Sinks = []TrialSink{SinkFunc(func(r TrialRecord) error {
+					r.Worker = 0 // which worker ran a trial is timing, not result
+					recs[r.Trial] = r
+					return nil
+				})}
+				if _, err := Run(context.Background(), cfg); err != nil {
+					t.Fatal(err)
+				}
+				return recs
+			}
+			ref := run(1, false, nil)
+
+			// The first conv is chain node 0: a fault there has no clean
+			// prefix. The record's site text names the layer.
+			firstNode, changed := 0, 0
+			for _, r := range ref {
+				if strings.HasPrefix(r.Site, "weight L0 ") {
+					firstNode++
+				}
+				if r.Outcome.Top1Changed || r.Outcome.ConfidenceDrop != 0 {
+					changed++
+				}
+			}
+			if firstNode == 0 || firstNode == len(ref) {
+				t.Fatalf("%d of %d trials fault the first layer; the fixture must mix both kinds", firstNode, len(ref))
+			}
+			if changed == 0 {
+				t.Fatal("no weight fault changed any output; equal records would prove nothing")
+			}
+
+			for _, workers := range []int{1, 8} {
+				for _, reuse := range []bool{false, true} {
+					reg := obs.NewRegistry()
+					got := run(workers, reuse, reg)
+					for i := range ref {
+						if got[i] != ref[i] {
+							t.Fatalf("workers=%d reuse=%v trial %d:\n got  %+v\n want %+v", workers, reuse, i, got[i], ref[i])
+						}
+					}
+					if !reuse {
+						continue
+					}
+					hits := reg.Counter(MetricPrefixHits).Value()
+					misses := reg.Counter(MetricPrefixMisses).Value()
+					fallbacks := reg.Counter(MetricPrefixFallbacks).Value()
+					if fallbacks != int64(firstNode) {
+						t.Fatalf("workers=%d: fallbacks = %d, want the %d first-node trials", workers, fallbacks, firstNode)
+					}
+					if misses != 0 || hits != int64(len(ref)-firstNode) {
+						t.Fatalf("workers=%d: hits %d misses %d, want every other trial (%d) a hit on the warmed store", workers, hits, misses, len(ref)-firstNode)
+					}
+					if ev := reg.Gauge(MetricPrefixEvictions).Value(); ev != 0 {
+						t.Fatalf("workers=%d: %v evictions from a store that fits the working set", workers, ev)
+					}
+					if b := reg.Gauge(MetricPrefixStoreBytes).Value(); b <= 0 {
+						t.Fatalf("workers=%d: store_bytes gauge = %v, want the warmed working set", workers, b)
+					}
+				}
+			}
+		})
 	}
-	refAgg, refOuts := trialOutcomes(t, base)
-	cfg := base
-	cfg.PrefixReuse = true
+}
+
+// TestSharedWeightReplicasKeepFullForward: replicas that share weight
+// storage with another worker (a weight campaign built without per-worker
+// copies) must not resume weight-armed trials from checkpoints, nor write
+// any — another worker's mutation is visible to this one's prefix walk.
+// The engine sees the sharing by itself. Two trials on two workers,
+// sequenced through ArmTrial and the sink so the scenario is a real
+// cross-worker one yet free of data races: trial 0 faults the first
+// layer on one worker and stays armed while trial 1, on the other, faults
+// the last — a trial whose own cut would otherwise be deep.
+func TestSharedWeightReplicasKeepFullForward(t *testing.T) {
+	ds, model, eligible := trainedSetup(t)
+	entered, done0 := make(chan struct{}), make(chan struct{})
 	reg := obs.NewRegistry()
-	cfg.Metrics = reg
-	agg, outs := trialOutcomes(t, cfg)
-	if agg != refAgg {
-		t.Fatalf("weight campaign: reuse aggregate %+v != %+v", agg, refAgg)
+	store := tensor.NewCheckpointStore(16 << 20)
+	cfg := Config{
+		Workers:     2,
+		Trials:      2,
+		Seed:        25,
+		NewReplica:  replicaFactory(t, model),
+		Source:      ds,
+		Eligible:    eligible,
+		PrefixReuse: true,
+		Metrics:     reg,
+		store:       store,
+		ArmTrial: func(inj *core.Injector, _ *rand.Rand, g int) error {
+			layer := 0
+			if g == 1 {
+				close(entered) // a second worker holds trial 1
+				<-done0
+				layer = len(inj.Layers()) - 1
+			} else {
+				<-entered
+			}
+			return inj.DeclareWeightFI(core.SetValue{V: 1e6}, core.WeightSite{Layer: layer, Idx: []int{0, 0, 0, 0}})
+		},
+		Sinks: []TrialSink{SinkFunc(func(r TrialRecord) error {
+			if r.Trial == 0 {
+				close(done0)
+			}
+			return nil
+		})},
 	}
-	for i := range outs {
-		if !outcomesBitIdentical(outs[i], refOuts[i]) {
-			t.Fatalf("weight campaign trial %d differs under reuse", i)
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	hits := reg.Counter(MetricPrefixHits).Value()
+	misses := reg.Counter(MetricPrefixMisses).Value()
+	fallbacks := reg.Counter(MetricPrefixFallbacks).Value()
+	if hits != 0 || misses != 0 || fallbacks != int64(cfg.Trials) {
+		t.Fatalf("hits %d misses %d fallbacks %d, want 0/0/%d: weight-armed trials on shared weights run full-length and touch no checkpoint", hits, misses, fallbacks, cfg.Trials)
+	}
+
+	// What the store holds is what the clean pass put there, bit for bit
+	// the activations of a pristine copy of the model.
+	pristine := buildConvNet()
+	if err := nn.CopyParams(pristine, model); err != nil {
+		t.Fatal(err)
+	}
+	nn.SetTraining(pristine, false)
+	chain := nn.PlanChain(pristine)
+	checked := 0
+	for _, idx := range eligible {
+		x := cfg.input(idx)
+		for cut := 1; cut <= chain.Len(); cut++ {
+			snap, _, ok := store.Get(idx, cut)
+			if !ok {
+				continue
+			}
+			want, err := chain.ForwardTo(cut, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range want.Data() {
+				if math.Float32bits(snap.Data()[i]) != math.Float32bits(v) {
+					t.Fatalf("checkpoint (sample %d, cut %d)[%d] = %v, clean activation is %v", idx, cut, i, snap.Data()[i], v)
+				}
+			}
+			checked++
 		}
 	}
-	if got := reg.Counter(MetricPrefixFallbacks).Value(); got != int64(cfg.Trials) {
-		t.Fatalf("fallbacks = %d, want every one of %d weight trials", got, cfg.Trials)
+	if checked == 0 || checked != store.Len() {
+		t.Fatalf("verified %d snapshots, store holds %d", checked, store.Len())
 	}
 }
 

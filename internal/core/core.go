@@ -172,6 +172,11 @@ type armedNeuron struct {
 }
 
 type weightUndo struct {
+	// reader is the earliest hooked layer whose forward reads the mutated
+	// storage: the faulted layer itself, or an earlier one tied to the
+	// same weights. Nothing computed before it can observe the fault.
+	reader int
+
 	tensor *tensor.Tensor
 	offset int
 	value  float32
@@ -188,6 +193,17 @@ type hookable struct {
 	params *nn.Param
 	kind   string
 	path   string
+}
+
+// quant returns the layer's int8 execution plan, or nil.
+func (h hookable) quant() *nn.QuantState {
+	switch v := h.layer.(type) {
+	case *nn.Conv2d:
+		return v.Quant()
+	case *nn.Linear:
+		return v.Quant()
+	}
+	return nil
 }
 
 // hookRegistrar is satisfied by every layer embedding nn.Base.

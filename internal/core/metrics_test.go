@@ -187,7 +187,7 @@ func TestPropertyDeclaredWeightSitesChangeExactly(t *testing.T) {
 		// Exactly the declared scalars changed, each to the sentinel.
 		changedWant := map[*tensor.Tensor]map[int]bool{}
 		for _, s := range sites {
-			wt := inj.weightTensor(s.Layer)
+			wt := inj.hookables()[s.Layer].params.Data
 			if changedWant[wt] == nil {
 				changedWant[wt] = map[int]bool{}
 			}

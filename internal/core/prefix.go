@@ -18,25 +18,39 @@ import (
 // results, because the checkpoint is a bitwise copy of exactly what the
 // full forward would have fed the suffix.
 
-// MinArmedLayer reports the lowest hooked-layer index carrying an armed
-// neuron fault, and whether resuming a forward pass below that layer is
-// sound. When nothing is armed it returns (len(Layers()), true): every
-// hooked layer is clean and any boundary is reusable. It returns
-// (0, false) when weight perturbations are armed — those mutate weight
-// tensors that prefix layers may read, so only a full forward pass
-// observes them.
+// MinArmedLayer reports the lowest hooked-layer index an armed fault can
+// change the output of: resuming a forward pass from a clean activation
+// computed below that layer is sound. A neuron fault counts at its own
+// layer; a weight fault at the earliest layer that reads the mutated
+// storage (its own, or an earlier one tied to the same weights — see
+// weightUndo.reader), because the offline mutation cannot change an
+// activation computed before that layer runs. When nothing is armed it
+// returns len(Layers()): every hooked layer is clean and any boundary is
+// reusable.
+//
+// ok reports whether such a resume is sound at all. It is true for every
+// fault this injector can arm (weight faults used to answer (0, false));
+// the result stays in the signature for its callers. What the injector
+// cannot see is storage shared with ANOTHER injector; a caller that runs
+// replicas concurrently decides that with WeightStorageShared.
 func (inj *Injector) MinArmedLayer() (minLayer int, ok bool) {
-	if len(inj.weightUndo) > 0 {
-		return 0, false
-	}
 	minLayer = len(inj.layers)
 	for l, sites := range inj.neuronSites {
 		if len(sites) > 0 && l < minLayer {
 			minLayer = l
 		}
 	}
+	for _, u := range inj.weightUndo {
+		if u.reader < minLayer {
+			minLayer = u.reader
+		}
+	}
 	return minLayer, true
 }
+
+// WeightFaultsArmed reports whether any offline weight perturbation is in
+// place (declared and not yet restored).
+func (inj *Injector) WeightFaultsArmed() bool { return len(inj.weightUndo) > 0 }
 
 // PrefixPlan maps the injector's hooked-layer indices onto the model's
 // pure-chain decomposition (nn.PlanChain). cutOf[i] is the chain node
@@ -92,8 +106,9 @@ func (p *PrefixPlan) CutFor(minLayer int) int {
 type PrefixMetrics struct {
 	// Hits / Misses count checkpoint-store lookups during armed forwards.
 	Hits, Misses *obs.Counter
-	// Fallbacks counts armed forwards that ran the full model because
-	// reuse was unsound (weight faults, earliest site in node 0).
+	// Fallbacks counts armed forwards that ran the full model because no
+	// clean prefix exists: the earliest layer a fault reaches sits in
+	// chain node 0.
 	Fallbacks *obs.Counter
 	// SavedNS observes, on every hit, the nanoseconds the checkpointed
 	// prefix originally cost — the recomputation the hit avoided.
@@ -101,11 +116,12 @@ type PrefixMetrics struct {
 }
 
 // PrefixRunner executes armed inferences for one injector, resuming from
-// checkpointed clean-prefix activations whenever that is sound and
-// falling back to the full forward pass automatically otherwise (weight
-// faults, multi-site trials whose earliest site is in the first chain
-// node, prefix/suffix geometry errors). Like the injector and model it
-// wraps, a PrefixRunner is confined to one goroutine.
+// checkpointed clean-prefix activations whenever a clean prefix exists
+// and running the full forward pass otherwise (earliest reached layer in
+// the first chain node). Neuron and weight faults resume alike. Like the
+// injector and model it wraps, a PrefixRunner is confined to one
+// goroutine; the checkpoint store under it is not, and runners over
+// replicas of one model share one.
 type PrefixRunner struct {
 	inj   *Injector
 	plan  *PrefixPlan
@@ -118,14 +134,23 @@ type PrefixRunner struct {
 	nodeNS []int64
 }
 
-// NewPrefixRunner builds a runner over inj with a checkpoint store of
-// budgetBytes (see tensor.NewCheckpointStore).
+// NewPrefixRunner builds a runner over inj with a checkpoint store of its
+// own, of budgetBytes (see tensor.NewCheckpointStore).
 func NewPrefixRunner(inj *Injector, budgetBytes int64) (*PrefixRunner, error) {
+	return NewPrefixRunnerWithStore(inj, tensor.NewCheckpointStore(budgetBytes))
+}
+
+// NewPrefixRunnerWithStore builds a runner over inj that checkpoints into
+// store. Runners may share a store when their injectors instrument
+// replicas of one model fed the same items: a clean activation is then
+// the same bit pattern whichever replica computed it, which is all a
+// snapshot is.
+func NewPrefixRunnerWithStore(inj *Injector, store *tensor.CheckpointStore) (*PrefixRunner, error) {
 	plan, err := inj.BuildPrefixPlan()
 	if err != nil {
 		return nil, err
 	}
-	return &PrefixRunner{inj: inj, plan: plan, store: tensor.NewCheckpointStore(budgetBytes)}, nil
+	return &PrefixRunner{inj: inj, plan: plan, store: store}, nil
 }
 
 // SetMetrics attaches observability handles; a zero PrefixMetrics (or
@@ -160,34 +185,17 @@ func (r *PrefixRunner) NodeCostsNS() []int64 {
 	return append([]int64(nil), r.nodeNS...)
 }
 
-// HitDepth reports the deepest checkpoint at or below cut currently
-// stored for item, and that checkpoint's recorded prefix cost in
-// nanoseconds — what a Boundary(item, cut, ...) call would resume from
-// right now. depth == 0 (cost 0) means no stored prefix: Boundary would
-// recompute from the model input.
-func (r *PrefixRunner) HitDepth(item, cut int) (depth int, costNS int64) {
-	if cut > r.plan.chain.Len() {
-		cut = r.plan.chain.Len()
-	}
-	for j := cut; j > 0; j-- {
-		if _, ns, ok := r.store.Get(item, j); ok {
-			return j, ns
-		}
-	}
-	return 0, 0
-}
-
 // Store returns the runner's checkpoint store (diagnostics and tests).
 func (r *PrefixRunner) Store() *tensor.CheckpointStore { return r.store }
 
 // Warm runs one clean (disarmed) inference for item, checkpointing every
 // chain-node boundary along the way, and returns the model output. A
 // campaign that must run a clean pass per input anyway (for reference
-// predictions) warms the store for free: afterwards every armed trial on
-// the item resumes from a direct hit, whatever its cut. Warm records no
-// hit/miss metrics — those describe armed trial forwards. If anything is
-// armed on the injector, Warm refuses the checkpoint walk and behaves as
-// nn.Run.
+// predictions) warms the store for free: while the store's budget holds
+// the item's snapshots, every armed trial on it resumes from a direct
+// hit, whatever its cut. Warm records no hit/miss metrics — those
+// describe armed trial forwards. If anything is armed on the injector,
+// Warm refuses the checkpoint walk and behaves as nn.Run.
 func (r *PrefixRunner) Warm(item int, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if minLayer, ok := r.inj.MinArmedLayer(); !ok || minLayer < len(r.inj.layers) {
 		return nn.Run(r.inj.Model(), x), nil
@@ -211,9 +219,10 @@ func (r *PrefixRunner) Warm(item int, x *tensor.Tensor) (*tensor.Tensor, error) 
 // the injector. item keys the checkpoint store and must identify the
 // model input x (campaigns use the sample index). The result is
 // bit-identical to nn.Run(inj.Model(), x): the reused prefix is a bitwise
-// snapshot of the clean activations the full pass would recompute, and
-// every armed hook fires in the suffix exactly as it would in the full
-// pass. Geometry panics in the full-forward path propagate (as they do
+// snapshot of the clean activations the full pass would recompute, every
+// armed hook fires in the suffix exactly as it would in the full pass,
+// and every layer that reads a mutated weight runs in the suffix.
+// Geometry panics in the full-forward path propagate (as they do
 // for nn.Run); the caller's trial recovery owns them.
 func (r *PrefixRunner) Forward(item int, x *tensor.Tensor) (*tensor.Tensor, error) {
 	minLayer, ok := r.inj.MinArmedLayer()
@@ -241,7 +250,8 @@ func (r *PrefixRunner) Forward(item int, x *tensor.Tensor) (*tensor.Tensor, erro
 // itself — no reusable prefix. Boundary never executes layers at or
 // after cut, so it is sound on an armed injector whenever every armed
 // site lies at or after the cut (the MinArmedLayer/CutFor contract): the
-// prefix layers' hooks fire, but carry no armed sites to apply. The
+// prefix layers' hooks fire, but carry no armed sites to apply, and no
+// prefix layer reads a mutated weight. The
 // batched campaign path calls this directly and tiles the result across
 // K trial lanes before running the suffix once for a whole pack.
 func (r *PrefixRunner) Boundary(item, cut int, x *tensor.Tensor) (*tensor.Tensor, error) {

@@ -95,10 +95,10 @@ func TestQuantizedNeuronBitFlipIsStoredCodeSemantics(t *testing.T) {
 
 func TestQuantizedWeightFaultMutatesCodesAndRestores(t *testing.T) {
 	inj, model, calib := quantizedInjector(t, false)
-	qs := inj.quantState(0)
+	qs := inj.hookables()[0].quant()
 	wantCodes := append([]int8{}, qs.WCodes...)
 	wantSums := append([]int32{}, qs.RowSums...)
-	master := append([]float32{}, inj.weightTensor(0).Data()...)
+	master := append([]float32{}, inj.hookables()[0].params.Data.Data()...)
 	clean := nn.Run(model, calib).Clone()
 
 	site := WeightSite{Layer: 0, Idx: []int{1, 0, 0, 0}}
@@ -106,7 +106,7 @@ func TestQuantizedWeightFaultMutatesCodesAndRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	per := len(qs.WCodes) / len(qs.WScales)
-	off := inj.weightTensor(0).Offset(1, 0, 0, 0)
+	off := inj.hookables()[0].params.Data.Offset(1, 0, 0, 0)
 	if qs.WCodes[off] == wantCodes[off] {
 		t.Fatal("weight code unchanged by bit-6 flip")
 	}
@@ -118,7 +118,7 @@ func TestQuantizedWeightFaultMutatesCodesAndRestores(t *testing.T) {
 		t.Fatalf("RowSums[1] = %d, out of sync with codes (want %d)", qs.RowSums[1], sum)
 	}
 	// The float32 master weights must be untouched.
-	for i, v := range inj.weightTensor(0).Data() {
+	for i, v := range inj.hookables()[0].params.Data.Data() {
 		if v != master[i] {
 			t.Fatalf("float32 master weight %d changed", i)
 		}

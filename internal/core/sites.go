@@ -143,7 +143,9 @@ func (inj *Injector) DeclareWeightFI(model ErrorModel, sites ...WeightSite) erro
 		qs     *nn.QuantState
 		offset int
 		layer  int
+		reader int
 	}
+	hooks := inj.hookables()
 	rs := make([]resolved, 0, len(sites))
 	for _, s := range sites {
 		if s.Layer < 0 || s.Layer >= len(inj.layers) {
@@ -158,12 +160,21 @@ func (inj *Injector) DeclareWeightFI(model ErrorModel, sites ...WeightSite) erro
 				return &SiteError{Site: s, Reason: fmt.Sprintf("index %v outside weight shape %v of layer %s", s.Idx, li.Weight, li.Path)}
 			}
 		}
-		wt := inj.weightTensor(s.Layer)
-		r := resolved{t: wt, offset: wt.Offset(s.Idx...), layer: s.Layer}
+		wt := hooks[s.Layer].params.Data
+		r := resolved{t: wt, offset: wt.Offset(s.Idx...), layer: s.Layer, reader: s.Layer}
 		if inj.quantized {
-			r.qs = inj.quantState(s.Layer)
+			r.qs = hooks[s.Layer].quant()
 			if r.qs == nil {
 				return &SiteError{Site: s, Reason: fmt.Sprintf("layer %s lost its QuantState after UseQuantizedModel", li.Path)}
+			}
+		}
+		// Tied weights: an earlier hooked layer reading the same storage
+		// sees the fault first.
+		store := inj.weightStorage(hooks[s.Layer])
+		for l := range hooks[:s.Layer] {
+			if inj.weightStorage(hooks[l]) == store {
+				r.reader = l
+				break
 			}
 		}
 		rs = append(rs, r)
@@ -190,12 +201,12 @@ func (inj *Injector) DeclareWeightFI(model ErrorModel, sites ...WeightSite) erro
 				Rand:  inj.rng,
 			})
 			newCode := ws.Quantize(nv)
-			inj.weightUndo = append(inj.weightUndo, weightUndo{qs: r.qs, offset: r.offset, oldCode: oldCode, oc: oc})
+			inj.weightUndo = append(inj.weightUndo, weightUndo{reader: r.reader, qs: r.qs, offset: r.offset, oldCode: oldCode, oc: oc})
 			r.qs.WCodes[r.offset] = newCode
 			r.qs.RowSums[oc] += int32(newCode) - int32(oldCode)
 		} else {
 			old = r.t.AtFlat(r.offset)
-			inj.weightUndo = append(inj.weightUndo, weightUndo{tensor: r.t, offset: r.offset, value: old})
+			inj.weightUndo = append(inj.weightUndo, weightUndo{reader: r.reader, tensor: r.t, offset: r.offset, value: old})
 			nv = model.Perturb(old, PerturbContext{
 				Layer: r.layer,
 				Scale: inj.scales[r.layer],
@@ -218,35 +229,46 @@ func (inj *Injector) DeclareWeightFI(model ErrorModel, sites ...WeightSite) erro
 	return nil
 }
 
-func (inj *Injector) weightTensor(layer int) *tensor.Tensor {
-	// Layer indices follow the same deterministic walk used at New.
-	idx := 0
-	var wt *tensor.Tensor
+// hookables lists the instrumented layers, index = hooked-layer index.
+// Walked on demand, not cached at New: nn.ShareParams / nn.QuantizeModel
+// may repoint a layer's weight storage afterwards.
+func (inj *Injector) hookables() []hookable {
+	hooks := make([]hookable, 0, len(inj.layers))
 	walkHookables(inj.model, inj.cfg.IncludeLinear, func(h hookable) {
-		if idx == layer {
-			wt = h.params.Data
-		}
-		idx++
+		hooks = append(hooks, h)
 	})
-	return wt
+	return hooks
 }
 
-// quantState returns hooked layer i's int8 execution plan, or nil.
-func (inj *Injector) quantState(layer int) *nn.QuantState {
-	idx := 0
-	var qs *nn.QuantState
-	walkHookables(inj.model, inj.cfg.IncludeLinear, func(h hookable) {
-		if idx == layer {
-			switch v := h.layer.(type) {
-			case *nn.Conv2d:
-				qs = v.Quant()
-			case *nn.Linear:
-				qs = v.Quant()
+// weightStorage identifies the memory a weight fault in h mutates, as a
+// comparable value: the int8 plan (codes and row sums) on a quantized
+// injector, else the float32 weight buffer. Equal values mean a fault
+// declared on one layer is read by the other — tied layers within a
+// model, replicas of a layer across workers.
+func (inj *Injector) weightStorage(h hookable) any {
+	if inj.quantized {
+		return h.quant()
+	}
+	return &h.params.Data.Data()[0]
+}
+
+// WeightStorageShared reports whether any two of the injectors mutate the
+// same memory when a weight fault is declared on them: replicas built
+// with nn.ShareParams / nn.ShareQuant do, deep-copied ones do not. A
+// weight fault on one such replica is visible to the others' forwards,
+// clean prefix included.
+func WeightStorageShared(injs ...*Injector) bool {
+	owner := make(map[any]*Injector)
+	for _, inj := range injs {
+		for _, h := range inj.hookables() {
+			store := inj.weightStorage(h)
+			if o, seen := owner[store]; seen && o != inj {
+				return true
 			}
+			owner[store] = inj
 		}
-		idx++
-	})
-	return qs
+	}
+	return false
 }
 
 // checkDType rejects error models that require calibration state the
@@ -344,13 +366,7 @@ func (inj *Injector) UseQuantizedModel() error {
 	walkHookables(inj.model, inj.cfg.IncludeLinear, func(h hookable) {
 		i := idx
 		idx++
-		var qs *nn.QuantState
-		switch v := h.layer.(type) {
-		case *nn.Conv2d:
-			qs = v.Quant()
-		case *nn.Linear:
-			qs = v.Quant()
-		}
+		qs := h.quant()
 		if qs == nil {
 			if missing == "" {
 				missing = h.path

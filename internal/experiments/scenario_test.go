@@ -333,3 +333,55 @@ func TestScenarioGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestWeightScopeIsolatesReplicas: a scenario with weight scope must come
+// out of PrepareGenericCampaign with IsolateWeights set and replicas that
+// really share no weight storage — on both backends — because the engine
+// resumes weight-armed trials from the shared clean checkpoints only on
+// such replicas (campaign.Run observes it with core.WeightStorageShared).
+// A neuron scenario keeps the shared weights, so the check sees both.
+func TestWeightScopeIsolatesReplicas(t *testing.T) {
+	skipIfShort(t)
+	for _, tc := range []struct {
+		scope, backend string
+		isolated       bool
+	}{
+		{"weight", "f32", true},
+		{"weight", "int8", true},
+		{"neuron", "f32", false},
+	} {
+		t.Run(tc.scope+"/"+tc.backend, func(t *testing.T) {
+			dtype := "fp32"
+			if tc.backend == "int8" {
+				dtype = "int8"
+			}
+			noise := 0.2
+			cfg, err := ScenarioConfig(scenario.Scenario{
+				Model: scenario.ModelSpec{Arch: "alexnet", Classes: 4, InSize: 16, Epochs: 2, Noise: &noise},
+				Fault: scenario.FaultSpec{Scope: tc.scope, Backend: tc.backend, DType: dtype},
+				Run:   scenario.RunSpec{Trials: 4, Workers: 2, Seed: 11},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, err := PrepareGenericCampaign(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if env.Cfg.IsolateWeights != tc.isolated {
+				t.Fatalf("IsolateWeights = %v for scope %s", env.Cfg.IsolateWeights, tc.scope)
+			}
+			a, err := env.NewReplica(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := env.NewReplica(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shared := core.WeightStorageShared(a, b); shared == tc.isolated {
+				t.Fatalf("replicas share weight storage = %v for scope %s", shared, tc.scope)
+			}
+		})
+	}
+}

@@ -117,6 +117,10 @@ func TestSpecConfig(t *testing.T) {
 	if !cfg.IsolateWeights {
 		t.Fatal("weight scope must isolate weights")
 	}
+	// Only weight scope: neuron campaigns keep one shared weight set.
+	if neuron, err := baseSpec().Config(); err != nil || neuron.IsolateWeights {
+		t.Fatalf("neuron scope: IsolateWeights = %v, err %v; want shared weights", neuron.IsolateWeights, err)
+	}
 	if !cfg.PrefixReuse || cfg.TrialBatch != 0 || cfg.Schedule != campaign.ScheduleAuto {
 		t.Fatalf("execution settings must be the defaults (reuse on, lanes worked out, auto): %+v", cfg)
 	}

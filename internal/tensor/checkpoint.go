@@ -1,30 +1,38 @@
 package tensor
 
-import "container/list"
+import (
+	"container/list"
+	"sync"
+)
 
 // CheckpointStore holds deep-copied activation snapshots keyed by
 // (item, point) — for campaigns, (sample index, chain cut index) — under
 // a byte budget. It is the backing store for clean-prefix activation
-// reuse: each trial checkpoints the boundary activation its injected
-// suffix resumes from, and later trials on the same (item, point) skip
+// reuse: the clean pass checkpoints every boundary activation an injected
+// suffix can resume from, and armed trials on the same (item, point) skip
 // the prefix entirely.
 //
-// The store is arena-style: snapshot buffers are recycled through a
-// per-size free list when entries are evicted, so a steady-state campaign
-// (a handful of distinct boundary shapes, cycling samples) stops
-// allocating after warm-up. Eviction is least-recently-used, driven by
-// the byte budget.
+// A CheckpointStore is safe for concurrent use: a campaign builds one and
+// every worker's prefix runner reads and writes it. What makes sharing
+// sound is the contract on what goes in — the snapshot under a key is a
+// pure function of the key (clean activations are the same bit pattern on
+// every replica) — and two rules the store keeps itself:
 //
-// A CheckpointStore is confined to one goroutine — campaign workers each
-// own one, mirroring how they own their model replica and injector.
+//   - a snapshot is immutable once stored. Put of a key that is present
+//     returns the stored snapshot and copies nothing, so a reader holding
+//     it never sees a write;
+//   - eviction (least-recently-used, driven by the byte budget) drops the
+//     store's reference and nothing else. A reader still holding an
+//     evicted snapshot keeps a valid tensor, and the garbage collector
+//     reclaims the buffer with the last reader, so the store never
+//     retains more than its budget.
 type CheckpointStore struct {
 	budget int64
-	used   int64
 
-	entries map[ckKey]*list.Element
-	lru     *list.List // front = most recently used
-	free    map[int][][]float32
-
+	mu        sync.Mutex
+	used      int64
+	entries   map[ckKey]*list.Element
+	lru       *list.List // front = most recently used
 	evictions int64
 }
 
@@ -46,16 +54,17 @@ func NewCheckpointStore(budgetBytes int64) *CheckpointStore {
 		budget:  budgetBytes,
 		entries: make(map[ckKey]*list.Element),
 		lru:     list.New(),
-		free:    make(map[int][][]float32),
 	}
 }
 
 // Get returns the snapshot for (item, point), the nanoseconds its
 // original computation cost, and whether it was present. A hit marks the
-// entry most-recently-used. The returned tensor is owned by the store:
-// callers may read it and feed it to forward passes, but must not mutate
-// it or retain it across a Put.
+// entry most-recently-used. The returned tensor is shared with every
+// other reader of the key: callers may read it and feed it to forward
+// passes for as long as they like, but must never mutate it.
 func (s *CheckpointStore) Get(item, point int) (*Tensor, int64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	el, ok := s.entries[ckKey{item, point}]
 	if !ok {
 		return nil, 0, false
@@ -66,65 +75,60 @@ func (s *CheckpointStore) Get(item, point int) (*Tensor, int64, bool) {
 }
 
 // Put snapshots src (a deep copy) under (item, point) and returns the
-// stored tensor. When src does not fit the budget — even after evicting
-// everything else — it is returned as-is without being stored, which is
-// always safe for the caller's current trial: src stays valid until the
-// model's next forward pass. Re-putting an existing key refreshes its
-// snapshot in place.
+// stored tensor. When the key is already present the stored snapshot is
+// returned untouched — by the store's contract it is bitwise equal to
+// src. When src does not fit the budget — even after evicting everything
+// else — it is returned as-is without being stored, which is always safe
+// for the caller's current trial: src stays valid until the model's next
+// forward pass.
 func (s *CheckpointStore) Put(item, point int, src *Tensor, costNs int64) *Tensor {
 	size := int64(src.Len()) * 4
 	if size > s.budget {
 		return src
 	}
+	if t, _, ok := s.Get(item, point); ok {
+		return t
+	}
+	// Copy outside the lock: the memmove is the expensive part of a Put
+	// and needs no store state.
+	snap := src.Clone()
+
 	key := ckKey{item, point}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if el, ok := s.entries[key]; ok {
-		e := el.Value.(*ckEntry)
-		if e.t.Len() == src.Len() {
-			copy(e.t.Data(), src.Data())
-			e.t.shape = append(e.t.shape[:0], src.shape...)
-			e.costNs = costNs
-			s.lru.MoveToFront(el)
-			return e.t
-		}
-		s.remove(el)
+		// Another writer stored the key while this one copied.
+		s.lru.MoveToFront(el)
+		return el.Value.(*ckEntry).t
 	}
 	for s.used+size > s.budget {
-		s.remove(s.lru.Back())
+		victim := s.lru.Remove(s.lru.Back()).(*ckEntry)
+		delete(s.entries, victim.key)
+		s.used -= int64(victim.t.Len()) * 4
 		s.evictions++
 	}
-	buf := s.takeBuf(src.Len())
-	copy(buf, src.Data())
-	e := &ckEntry{key: key, t: FromSlice(buf, src.Shape()...), costNs: costNs}
-	s.entries[key] = s.lru.PushFront(e)
+	s.entries[key] = s.lru.PushFront(&ckEntry{key: key, t: snap, costNs: costNs})
 	s.used += size
-	return e.t
-}
-
-// remove evicts one entry, recycling its buffer into the free list.
-func (s *CheckpointStore) remove(el *list.Element) {
-	e := el.Value.(*ckEntry)
-	s.lru.Remove(el)
-	delete(s.entries, e.key)
-	s.used -= int64(e.t.Len()) * 4
-	n := e.t.Len()
-	s.free[n] = append(s.free[n], e.t.Data())
-}
-
-// takeBuf reuses a recycled buffer of exactly n floats, or allocates one.
-func (s *CheckpointStore) takeBuf(n int) []float32 {
-	if bufs := s.free[n]; len(bufs) > 0 {
-		buf := bufs[len(bufs)-1]
-		s.free[n] = bufs[:len(bufs)-1]
-		return buf
-	}
-	return make([]float32, n)
+	return snap
 }
 
 // Len returns the number of stored snapshots.
-func (s *CheckpointStore) Len() int { return len(s.entries) }
+func (s *CheckpointStore) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.entries)
+}
 
-// UsedBytes returns the bytes currently held by live snapshots.
-func (s *CheckpointStore) UsedBytes() int64 { return s.used }
+// UsedBytes returns the bytes currently held by stored snapshots.
+func (s *CheckpointStore) UsedBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.used
+}
 
 // Evictions returns how many snapshots the budget has pushed out.
-func (s *CheckpointStore) Evictions() int64 { return s.evictions }
+func (s *CheckpointStore) Evictions() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.evictions
+}

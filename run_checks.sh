@@ -60,6 +60,14 @@ check_selected() {
 # on ./internal/campaign/sched.)
 check_selected -race -cpu 1,4 -run 'TestCrossLaneIsolation|TestBatchedRun|TestDemotionRunsThroughTheSameExecutor|TestNoLanesNoPlanner' ./internal/campaign
 
+# One tensor.CheckpointStore serves every worker of a campaign. Its
+# concurrent test writes and reads overlapping keys from eight goroutines
+# under a budget that evicts snapshots readers still hold, and measures
+# what the heap retains; repeated under the race detector at both
+# GOMAXPROCS settings because a data race only shows in interleavings a
+# run happens to take.
+check_selected -race -count=10 -cpu 1,4 -run 'TestCheckpointStoreConcurrent' ./internal/tensor
+
 # Per-package statement-coverage floors for the thin support packages.
 # Their public APIs are small and fully table-testable, so coverage that
 # drops below the floor means new code landed without tests.
