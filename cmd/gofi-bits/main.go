@@ -16,7 +16,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"gofi/internal/core"
 	"gofi/internal/experiments"
 	"gofi/internal/obs"
 	"gofi/internal/report"
@@ -40,9 +39,8 @@ func run(ctx context.Context, args []string) error {
 	size := fs.Int("size", 32, "input image size")
 	seed := fs.Int64("seed", 1, "experiment seed")
 	backend := fs.String("backend", "f32", "tensor execution backend: f32 emulates -dtype on float32 kernels; int8 quantizes the trained model and runs the study on the int8 GEMM/conv backend (requires -dtype int8)")
-	stopCI := fs.Float64("stop-ci", 0, "halt each bit's campaign once its SDC-rate confidence interval's half-width is at most this (rate units; 0.005 = ±0.5 percentage points); -trials then caps the budget; 0 disables early stopping")
-	stopConf := fs.Float64("stop-conf", 0.95, "confidence level for -stop-ci, in (0,1)")
-	stopMin := fs.Int("stop-min", 0, "observed trials required before -stop-ci may halt a bit's campaign; 0 = default 100")
+	var stopFlags experiments.StopFlags
+	stopFlags.AddFlags(fs, "each bit's campaign")
 	var mcli obs.CLI
 	mcli.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -53,29 +51,17 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	defer mcli.Finish()
-	var dt core.DType
-	switch *dtype {
-	case "fp32":
-		dt = core.FP32
-	case "fp16":
-		dt = core.FP16
-	case "int8":
-		dt = core.INT8
-	default:
-		return fmt.Errorf("unknown dtype %q", *dtype)
+	dt, err := experiments.ParseDType(*dtype)
+	if err != nil {
+		return experiments.UsageError(fs, "%v", err)
 	}
 	be, err := experiments.ParseBackend(*backend)
 	if err != nil {
-		return err
+		return experiments.UsageError(fs, "%v", err)
 	}
-	if *stopCI < 0 || *stopCI >= 0.5 {
-		return fmt.Errorf("-stop-ci must be in [0, 0.5) (0 disables), got %g", *stopCI)
-	}
-	if *stopConf <= 0 || *stopConf >= 1 {
-		return fmt.Errorf("-stop-conf must be in (0,1), got %g", *stopConf)
-	}
-	if *stopMin < 0 {
-		return fmt.Errorf("-stop-min must be non-negative, got %d", *stopMin)
+	stop, err := stopFlags.Rule()
+	if err != nil {
+		return experiments.UsageError(fs, "%v", err)
 	}
 
 	rows, err := experiments.RunBitStudy(ctx, experiments.BitStudyConfig{
@@ -87,9 +73,7 @@ func run(ctx context.Context, args []string) error {
 		Seed:         *seed,
 		Metrics:      metrics,
 		Backend:      be,
-		StopCI:       *stopCI,
-		StopConf:     *stopConf,
-		StopMin:      *stopMin,
+		Stop:         stop,
 	})
 	if err != nil {
 		return err
@@ -97,14 +81,14 @@ func run(ctx context.Context, args []string) error {
 
 	fmt.Printf("Bit-position sensitivity — %s, %s neuron bit flips (%s backend)\n", *model, dt, be)
 	cols := []string{"Bit", "Trials", "Top1-Mis", "NonFinite", "Rate (%)", "99% CI (%)"}
-	if *stopCI > 0 {
+	if stop.On() {
 		cols = append(cols, "Stop@")
 	}
 	tb := report.NewTable(cols...)
 	for _, r := range rows {
 		vals := []any{r.Bit, r.Trials, r.Top1Mis, r.NonFinite,
 			100 * r.Rate, fmt.Sprintf("[%.2f, %.2f]", 100*r.CILo, 100*r.CIHi)}
-		if *stopCI > 0 {
+		if stop.On() {
 			stop := "budget"
 			if r.StopTrial >= 0 {
 				stop = fmt.Sprintf("%d", r.StopTrial)

@@ -42,15 +42,6 @@ func main() {
 	}
 }
 
-// usageError wraps an invalid flag combination so run can print the flag
-// set's usage before failing with a non-zero exit code.
-func usageError(fs *flag.FlagSet, format string, args ...any) error {
-	err := fmt.Errorf(format, args...)
-	fmt.Fprintln(os.Stderr, "gofi-campaign:", err)
-	fs.Usage()
-	return err
-}
-
 func run(ctx context.Context, args []string, out *os.File) error {
 	fs := flag.NewFlagSet("gofi-campaign", flag.ContinueOnError)
 	scenarioPath := fs.String("scenario", "", "run a declarative scenario file (YAML or JSON; see DESIGN.md §17 and examples/scenarios/): the file owns the model fixture and fault shape, so -model/-error/-scope/-dtype/-backend/-act-zp/-classes/-size/-epochs/-noise/-stratify/-dedup conflict with it; run knobs (-trials, -workers, -seed, ...) override the file's run block")
@@ -70,9 +61,8 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	progress := fs.Bool("progress", false, "print live trials/sec and ETA to stderr")
 	jsonl := fs.String("jsonl", "", "stream one JSON record per trial to this file")
 	skipErrors := fs.Bool("skip-errors", false, "count failing trials and continue instead of aborting the campaign")
-	stopCI := fs.Float64("stop-ci", 0, "halt once the SDC-rate confidence interval's half-width is at most this (rate units; 0.005 = ±0.5 percentage points); -trials then caps the budget instead of fixing it; 0 disables early stopping")
-	stopConf := fs.Float64("stop-conf", 0.95, "confidence level for -stop-ci, in (0,1)")
-	stopMin := fs.Int("stop-min", 0, "observed trials required before -stop-ci may halt the campaign; 0 = default 100")
+	var stopFlags experiments.StopFlags
+	stopFlags.AddFlags(fs, "the campaign")
 	submit := fs.String("submit", "", "submit the campaign to a running gofi-serve at this base URL (e.g. http://127.0.0.1:8091) instead of executing locally; records stream back and the same summary is printed")
 	shards := fs.Int("shards", 1, "with -submit: split the campaign into this many contiguous trial-range shards on the server (throughput only; results are byte-identical at any shard count)")
 	stratify := fs.Bool("stratify", false, "stratified sampling over (layer, bit-position) strata with fixed-bit flips, merged by fault-space weight; requires -scope neuron (ignores -error: the strata fix the bits)")
@@ -94,7 +84,7 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	if *scenarioPath != "" {
 		for _, name := range []string{"model", "error", "scope", "dtype", "backend", "act-zp", "classes", "size", "epochs", "noise", "stratify", "dedup"} {
 			if visited[name] {
-				return usageError(fs, "-%s conflicts with -scenario: the scenario file owns the model fixture and fault shape", name)
+				return experiments.UsageError(fs, "-%s conflicts with -scenario: the scenario file owns the model fixture and fault shape", name)
 			}
 		}
 		loaded, err := scenario.Load(*scenarioPath)
@@ -106,53 +96,48 @@ func run(ctx context.Context, args []string, out *os.File) error {
 
 	em, err := experiments.ParseErrorModel(*errModel)
 	if err != nil {
-		return usageError(fs, "%v", err)
+		return experiments.UsageError(fs, "%v", err)
 	}
 	dt, err := experiments.ParseDType(*dtype)
 	if err != nil {
-		return usageError(fs, "%v", err)
+		return experiments.UsageError(fs, "%v", err)
 	}
 	be, err := experiments.ParseBackend(*backend)
 	if err != nil {
-		return usageError(fs, "%v", err)
+		return experiments.UsageError(fs, "%v", err)
 	}
 	if be == "int8" && dt != core.INT8 {
-		return usageError(fs, "-backend int8 implies -dtype int8, got %q", *dtype)
+		return experiments.UsageError(fs, "-backend int8 implies -dtype int8, got %q", *dtype)
 	}
 	arm, err := experiments.ParseScope(*scope, em)
 	if err != nil {
-		return usageError(fs, "%v", err)
+		return experiments.UsageError(fs, "%v", err)
 	}
 	if *trials <= 0 {
-		return usageError(fs, "-trials must be positive, got %d", *trials)
+		return experiments.UsageError(fs, "-trials must be positive, got %d", *trials)
 	}
 	if *workers < 0 {
-		return usageError(fs, "-workers must be non-negative, got %d", *workers)
+		return experiments.UsageError(fs, "-workers must be non-negative, got %d", *workers)
 	}
-	if *stopCI < 0 || *stopCI >= 0.5 {
-		return usageError(fs, "-stop-ci must be in [0, 0.5) (0 disables), got %g", *stopCI)
-	}
-	if *stopConf <= 0 || *stopConf >= 1 {
-		return usageError(fs, "-stop-conf must be in (0,1), got %g", *stopConf)
-	}
-	if *stopMin < 0 {
-		return usageError(fs, "-stop-min must be non-negative, got %d", *stopMin)
+	stop, err := stopFlags.Rule()
+	if err != nil {
+		return experiments.UsageError(fs, "%v", err)
 	}
 	if (*stratify || *dedup) && *scope != "neuron" {
-		return usageError(fs, "-stratify/-dedup cover single-neuron faults only; use -scope neuron, not %q", *scope)
+		return experiments.UsageError(fs, "-stratify/-dedup cover single-neuron faults only; use -scope neuron, not %q", *scope)
 	}
 	if *stratify && *errModel != "bitflip" {
-		return usageError(fs, "-stratify arms fixed-bit flips by stratum and so requires -error bitflip, not %q", *errModel)
+		return experiments.UsageError(fs, "-stratify arms fixed-bit flips by stratum and so requires -error bitflip, not %q", *errModel)
 	}
 	if *shards < 1 {
-		return usageError(fs, "-shards must be >= 1, got %d", *shards)
+		return experiments.UsageError(fs, "-shards must be >= 1, got %d", *shards)
 	}
 	if *shards > 1 && *submit == "" {
-		return usageError(fs, "-shards only applies to -submit mode; local runs already parallelize with -workers")
+		return experiments.UsageError(fs, "-shards only applies to -submit mode; local runs already parallelize with -workers")
 	}
 	if *submit != "" {
 		if *stratify || *dedup {
-			return usageError(fs, "-stratify/-dedup are not in the service wire format; run them locally")
+			return experiments.UsageError(fs, "-stratify/-dedup are not in the service wire format; run them locally")
 		}
 		if sc != nil {
 			sp := serve.Spec{V: serve.WireVersion, Scenario: sc, Shards: *shards}
@@ -171,7 +156,7 @@ func run(ctx context.Context, args []string, out *os.File) error {
 				sp.SkipErrors = *skipErrors
 			}
 			if visited["stop-ci"] {
-				sp.StopCI, sp.StopConf, sp.StopMin = *stopCI, *stopConf, *stopMin
+				sp.SetStop(stop)
 			}
 			return runSubmit(ctx, *submit, sp, *jsonl, *progress, out)
 		}
@@ -192,10 +177,8 @@ func run(ctx context.Context, args []string, out *os.File) error {
 			Shards:       *shards,
 			Workers:      *workers,
 			SkipErrors:   *skipErrors,
-			StopCI:       *stopCI,
-			StopConf:     *stopConf,
-			StopMin:      *stopMin,
 		}
+		sp.SetStop(stop)
 		return runSubmit(ctx, *submit, sp, *jsonl, *progress, out)
 	}
 
@@ -241,7 +224,7 @@ func run(ctx context.Context, args []string, out *os.File) error {
 			gcfg.OnError = policy
 		}
 		if visited["stop-ci"] || visited["stop-conf"] || visited["stop-min"] {
-			gcfg.StopCI, gcfg.StopConf, gcfg.StopMin = *stopCI, *stopConf, *stopMin
+			gcfg.Stop = stop
 		}
 		gcfg.Sinks, gcfg.Progress, gcfg.Metrics = sinks, progressFn, metrics
 	} else {
@@ -264,9 +247,7 @@ func run(ctx context.Context, args []string, out *os.File) error {
 			OnError:        policy,
 			Metrics:        metrics,
 			PrefixReuse:    true,
-			StopCI:         *stopCI,
-			StopConf:       *stopConf,
-			StopMin:        *stopMin,
+			Stop:           stop,
 			Stratify:       *stratify,
 			Dedup:          *dedup,
 		}
@@ -317,11 +298,11 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	if s := res.Stop; s != nil {
 		if s.Trial >= 0 {
 			tb.AddRow("Early stop at trial", s.Trial)
-			tb.AddRow("Trials saved", *trials-s.Trial-1)
+			tb.AddRow("Trials saved", s.Budget-s.Trial-1)
 		} else {
 			tb.AddRow("Early stop", "not reached (budget exhausted)")
 		}
-		tb.AddRow(fmt.Sprintf("Estimator %.0f%% CI (%%)", 100**stopConf),
+		tb.AddRow(fmt.Sprintf("Estimator %.0f%% CI (%%)", 100*s.Confidence),
 			fmt.Sprintf("[%.3f, %.3f]", 100*s.Lo, 100*s.Hi))
 		if s.Strata > 0 {
 			tb.AddRow("Strata (layer x bit)", s.Strata)
@@ -435,7 +416,7 @@ func runSubmit(ctx context.Context, base string, sp serve.Spec, jsonl string, pr
 	if agg.Skipped > 0 {
 		tb.AddRow("Skipped (trial errors)", agg.Skipped)
 	}
-	if canon.StopCI > 0 {
+	if canon.Stop().On() {
 		if agg.StopTrial >= 0 {
 			tb.AddRow("Early stop at trial", agg.StopTrial)
 			tb.AddRow("Trials saved", canon.Trials-agg.StopTrial-1)

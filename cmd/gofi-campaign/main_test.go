@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -202,38 +203,89 @@ func TestScenarioExamples(t *testing.T) {
 }
 
 // TestScenarioRunKnobOverride: explicit run-knob flags override the
-// scenario file's run block (here, a smaller -trials budget shrinks the
-// record stream accordingly).
+// scenario file's run block (a smaller -trials budget shrinks the record
+// stream accordingly), and what the flags leave alone is the file's: the
+// summary reports the budget and the stop confidence the run resolved
+// to, not the flag defaults (1000 trials, 95%).
 func TestScenarioRunKnobOverride(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model fixture; skipped with -short")
 	}
-	tmp := t.TempDir()
-	out, err := os.Create(filepath.Join(tmp, "out.txt"))
+	example, err := os.ReadFile("../../examples/scenarios/per_layer_zero.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer out.Close()
-	jsonl := filepath.Join(tmp, "trials.jsonl")
-	args := []string{
-		"-scenario", "../../examples/scenarios/per_layer_zero.json",
-		"-trials", "8", "-workers", "1", "-jsonl", jsonl,
+	withStop := filepath.Join(t.TempDir(), "with_stop.json")
+	fileRun := `"run": {"trials": 20, "seed": 11, "workers": 2}`
+	if !strings.Contains(string(example), fileRun) {
+		t.Fatalf("example scenario no longer declares %s", fileRun)
 	}
-	if err := run(context.Background(), args, out); err != nil {
+	stopRun := `"run": {"trials": 40, "seed": 11, "workers": 2, "stop": {"ci": 0.2, "conf": 0.9, "min": 10}}`
+	if err := os.WriteFile(withStop, []byte(strings.Replace(string(example), fileRun, stopRun, 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(jsonl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	lines := 0
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		lines++
-	}
-	if lines != 8 {
-		t.Fatalf("jsonl has %d records, want the -trials override of 8", lines)
+	for _, c := range []struct {
+		name        string
+		args        []string
+		wantRecords int
+		// wantBudget, when positive, expects a fired stop rule whose
+		// "Trials saved" row counts from this budget at a 90% estimator CI.
+		wantBudget int
+	}{
+		{"trials flag overrides the file", []string{"-scenario", "../../examples/scenarios/per_layer_zero.json", "-trials", "8", "-workers", "1"}, 8, 0},
+		{"file budget and stop confidence reach the summary", []string{"-scenario", withStop}, 0, 40},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			outPath := filepath.Join(tmp, "out.txt")
+			out, err := os.Create(outPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer out.Close()
+			jsonl := filepath.Join(tmp, "trials.jsonl")
+			if err := run(context.Background(), append(c.args, "-jsonl", jsonl), out); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(jsonl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			lines := 0
+			sc := bufio.NewScanner(f)
+			for sc.Scan() {
+				lines++
+			}
+			if c.wantRecords > 0 && lines != c.wantRecords {
+				t.Fatalf("jsonl has %d records, want the -trials override of %d", lines, c.wantRecords)
+			}
+			if c.wantBudget == 0 {
+				return
+			}
+			summary, err := os.ReadFile(outPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := func(label string) int {
+				m := regexp.MustCompile(regexp.QuoteMeta(label) + `\s+(-?\d+)`).FindSubmatch(summary)
+				if m == nil {
+					t.Fatalf("summary has no %q row:\n%s", label, summary)
+				}
+				n, _ := strconv.Atoi(string(m[1]))
+				return n
+			}
+			stopAt := row("Early stop at trial")
+			if lines != stopAt+1 {
+				t.Errorf("jsonl has %d records, want the %d trials up to the stop", lines, stopAt+1)
+			}
+			if got, want := row("Trials saved"), c.wantBudget-stopAt-1; got != want {
+				t.Errorf("Trials saved = %d, want %d (the file's budget of %d less the %d trials run)", got, want, c.wantBudget, stopAt+1)
+			}
+			if !strings.Contains(string(summary), "Estimator 90% CI") {
+				t.Errorf("estimator CI is not labelled with the file's 90%% confidence:\n%s", summary)
+			}
+		})
 	}
 }
 

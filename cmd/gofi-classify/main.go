@@ -31,15 +31,6 @@ func main() {
 	}
 }
 
-// usageError wraps an invalid flag combination so run can print the flag
-// set's usage before failing with a non-zero exit code.
-func usageError(fs *flag.FlagSet, format string, args ...any) error {
-	err := fmt.Errorf(format, args...)
-	fmt.Fprintln(os.Stderr, "gofi-classify:", err)
-	fs.Usage()
-	return err
-}
-
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("gofi-classify", flag.ContinueOnError)
 	trials := fs.Int("trials", 2000, "injection trials per network")
@@ -48,9 +39,8 @@ func run(ctx context.Context, args []string) error {
 	epochs := fs.Int("epochs", 6, "training epochs per network before the campaign")
 	seed := fs.Int64("seed", 1, "experiment seed")
 	size := fs.Int("size", 32, "input image size")
-	stopCI := fs.Float64("stop-ci", 0, "halt each per-model campaign once the SDC-rate confidence interval's half-width is at most this (rate units; 0.005 = ±0.5 percentage points); -trials then caps the budget; 0 disables early stopping")
-	stopConf := fs.Float64("stop-conf", 0.95, "confidence level for -stop-ci, in (0,1)")
-	stopMin := fs.Int("stop-min", 0, "observed trials required before -stop-ci may halt a campaign; 0 = default 100")
+	var stopFlags experiments.StopFlags
+	stopFlags.AddFlags(fs, "each per-model campaign")
 	backend := fs.String("backend", "f32", "tensor execution backend: f32 emulates INT8 on float32 kernels; int8 quantizes each trained network and runs its campaign on the int8 GEMM/conv backend")
 	scenarioPath := fs.String("scenario", "", "replace the hand-wired single-random-neuron bit-flip arming with a declarative scenario file (YAML or JSON, neuron scope, int8 dtype, no observers); the scenario's backend supersedes -backend and its model/run blocks are ignored — this study's own fixture flags and budgets apply")
 	var mcli obs.CLI
@@ -66,19 +56,14 @@ func run(ctx context.Context, args []string) error {
 
 	be, err := experiments.ParseBackend(*backend)
 	if err != nil {
-		return usageError(fs, "%v", err)
+		return experiments.UsageError(fs, "%v", err)
 	}
 	if *trials <= 0 {
-		return usageError(fs, "-trials must be positive, got %d", *trials)
+		return experiments.UsageError(fs, "-trials must be positive, got %d", *trials)
 	}
-	if *stopCI < 0 || *stopCI >= 0.5 {
-		return usageError(fs, "-stop-ci must be in [0, 0.5) (0 disables), got %g", *stopCI)
-	}
-	if *stopConf <= 0 || *stopConf >= 1 {
-		return usageError(fs, "-stop-conf must be in (0,1), got %g", *stopConf)
-	}
-	if *stopMin < 0 {
-		return usageError(fs, "-stop-min must be non-negative, got %d", *stopMin)
+	stop, err := stopFlags.Rule()
+	if err != nil {
+		return experiments.UsageError(fs, "%v", err)
 	}
 	var sc *scenario.Scenario
 	if *scenarioPath != "" {
@@ -100,10 +85,7 @@ func run(ctx context.Context, args []string) error {
 		InSize:         *size,
 		Seed:           *seed,
 		Metrics:        metrics,
-		PrefixReuse:    true,
-		StopCI:         *stopCI,
-		StopConf:       *stopConf,
-		StopMin:        *stopMin,
+		Stop:           stop,
 		Backend:        be,
 		Scenario:       sc,
 	}
@@ -125,7 +107,7 @@ func run(ctx context.Context, args []string) error {
 	fmt.Println("(synthetic 10-class dataset stands in for ImageNet; each network trained to")
 	fmt.Println(" high accuracy first; injections only on correctly-classified inputs)")
 	cols := []string{"Network", "CleanAcc", "Trials", "Top1-Mis", "Rate (%)", "99% CI (%)", "OutOfTop5", "NonFinite"}
-	if *stopCI > 0 {
+	if stop.On() {
 		cols = append(cols, "Stop@")
 	}
 	tb := report.NewTable(cols...)
@@ -133,7 +115,7 @@ func run(ctx context.Context, args []string) error {
 		vals := []any{r.Model, r.CleanAcc, r.Trials, r.Top1Mis,
 			100 * r.Rate, fmt.Sprintf("[%.3f, %.3f]", 100*r.CILo, 100*r.CIHi),
 			r.OutOfTop5, r.NonFinite}
-		if *stopCI > 0 {
+		if stop.On() {
 			stop := "budget"
 			if r.StopTrial >= 0 {
 				stop = fmt.Sprintf("%d", r.StopTrial)

@@ -30,6 +30,26 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunSmoke drives the whole study for one network on a tiny budget:
+// both backends, a stop rule, and a scenario in place of the hand-wired
+// arming.
+func TestRunSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model fixture; skipped with -short")
+	}
+	base := []string{"-models", "alexnet", "-size", "16", "-epochs", "3", "-trials", "4", "-workers", "1"}
+	for _, extra := range [][]string{
+		nil,
+		{"-backend", "int8", "-stop-ci", "0.4", "-stop-min", "2"},
+		{"-scenario", "../../examples/scenarios/neuron_bitflip.yaml"},
+	} {
+		args := append(append([]string(nil), base...), extra...)
+		if err := run(context.Background(), args); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
+	}
+}
+
 // TestScenarioFileErrors: a missing or malformed -scenario file is a
 // plain error before any training starts; so is a scenario that does
 // not fit the INT8 study (wrong dtype, observers, backend conflict).

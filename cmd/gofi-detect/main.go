@@ -30,15 +30,6 @@ func main() {
 	}
 }
 
-// usageError wraps an invalid flag combination so run can print the flag
-// set's usage before failing with a non-zero exit code.
-func usageError(fs *flag.FlagSet, format string, args ...any) error {
-	err := fmt.Errorf(format, args...)
-	fmt.Fprintln(os.Stderr, "gofi-detect:", err)
-	fs.Usage()
-	return err
-}
-
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("gofi-detect", flag.ContinueOnError)
 	scenes := fs.Int("scenes", 20, "held-out scenes to evaluate")
@@ -46,9 +37,8 @@ func run(ctx context.Context, args []string) error {
 	size := fs.Int("size", 32, "scene size in pixels")
 	epochs := fs.Int("epochs", 12, "detector training epochs")
 	seed := fs.Int64("seed", 1, "experiment seed")
-	stopCI := fs.Float64("stop-ci", 0, "halt the study once the phantom-producing-run rate's confidence interval half-width is at most this (rate units); -scenes × -injections then caps the budget; 0 disables early stopping")
-	stopConf := fs.Float64("stop-conf", 0.95, "confidence level for -stop-ci, in (0,1)")
-	stopMin := fs.Int("stop-min", 0, "observed runs required before -stop-ci may halt the study; 0 = default 100")
+	var stopFlags experiments.StopFlags
+	stopFlags.AddFlags(fs, "the study")
 	scenarioPath := fs.String("scenario", "", "replace the hand-wired per-layer random-FP32 arming with a declarative scenario file (YAML or JSON; neuron scope, fp32 dtype, f32 backend, no observers); the scenario's model/run blocks are ignored — the detector fixture and this study's budgets apply")
 	var mcli obs.CLI
 	mcli.AddFlags(fs)
@@ -61,14 +51,9 @@ func run(ctx context.Context, args []string) error {
 	}
 	defer mcli.Finish()
 
-	if *stopCI < 0 || *stopCI >= 0.5 {
-		return usageError(fs, "-stop-ci must be in [0, 0.5) (0 disables), got %g", *stopCI)
-	}
-	if *stopConf <= 0 || *stopConf >= 1 {
-		return usageError(fs, "-stop-conf must be in (0,1), got %g", *stopConf)
-	}
-	if *stopMin < 0 {
-		return usageError(fs, "-stop-min must be non-negative, got %d", *stopMin)
+	stop, err := stopFlags.Rule()
+	if err != nil {
+		return experiments.UsageError(fs, "%v", err)
 	}
 	var sc *scenario.Scenario
 	if *scenarioPath != "" {
@@ -85,9 +70,7 @@ func run(ctx context.Context, args []string) error {
 		TrainEpochs:        *epochs,
 		Seed:               *seed,
 		Metrics:            metrics,
-		StopCI:             *stopCI,
-		StopConf:           *stopConf,
-		StopMin:            *stopMin,
+		Stop:               stop,
 		Scenario:           sc,
 	})
 	if err != nil {
@@ -107,13 +90,13 @@ func run(ctx context.Context, args []string) error {
 	tb.AddRow("injected", res.InjectedRuns, res.FITP, res.FIPhantoms, res.FIMisclass, res.FIMissed,
 		float64(res.FIPhantoms)/float64(res.InjectedRuns))
 	tb.Render(os.Stdout)
-	if *stopCI > 0 {
+	if stop.On() {
 		if res.StopTrial >= 0 {
 			fmt.Printf("\nearly stop: CI target ±%g reached at run %d (%d of %d budgeted runs saved)\n",
-				*stopCI, res.StopTrial, *scenes**injections-res.StopTrial-1, *scenes**injections)
+				stop.HalfWidth, res.StopTrial, *scenes**injections-res.StopTrial-1, *scenes**injections)
 		} else {
 			fmt.Printf("\nearly stop: CI target ±%g not reached within the %d-run budget\n",
-				*stopCI, *scenes**injections)
+				stop.HalfWidth, *scenes**injections)
 		}
 	}
 

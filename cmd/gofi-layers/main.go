@@ -38,9 +38,8 @@ func run(ctx context.Context, args []string) error {
 	size := fs.Int("size", 32, "input image size")
 	gran := fs.String("granularity", "neuron", "injection granularity: neuron (single bit flip) or fmap (whole map to U[-1,1))")
 	seed := fs.Int64("seed", 1, "experiment seed")
-	stopCI := fs.Float64("stop-ci", 0, "halt each layer's trial loop once its misclassification-rate confidence interval's half-width is at most this (rate units; 0.005 = ±0.5 percentage points); -trials then caps the budget; 0 disables early stopping")
-	stopConf := fs.Float64("stop-conf", 0.95, "confidence level for -stop-ci, in (0,1)")
-	stopMin := fs.Int("stop-min", 0, "observed trials required before -stop-ci may halt a layer; 0 = default 100")
+	var stopFlags experiments.StopFlags
+	stopFlags.AddFlags(fs, "each layer's campaign")
 	var mcli obs.CLI
 	mcli.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -57,16 +56,11 @@ func run(ctx context.Context, args []string) error {
 	case "fmap":
 		g = experiments.GranFMap
 	default:
-		return fmt.Errorf("unknown granularity %q (want neuron or fmap)", *gran)
+		return experiments.UsageError(fs, "unknown granularity %q (want neuron or fmap)", *gran)
 	}
-	if *stopCI < 0 || *stopCI >= 0.5 {
-		return fmt.Errorf("-stop-ci must be in [0, 0.5) (0 disables), got %g", *stopCI)
-	}
-	if *stopConf <= 0 || *stopConf >= 1 {
-		return fmt.Errorf("-stop-conf must be in (0,1), got %g", *stopConf)
-	}
-	if *stopMin < 0 {
-		return fmt.Errorf("-stop-min must be non-negative, got %d", *stopMin)
+	stop, err := stopFlags.Rule()
+	if err != nil {
+		return experiments.UsageError(fs, "%v", err)
 	}
 
 	rows, err := experiments.RunLayerVuln(ctx, experiments.LayerVulnConfig{
@@ -77,9 +71,7 @@ func run(ctx context.Context, args []string) error {
 		Granularity:    g,
 		Seed:           *seed,
 		Metrics:        metrics,
-		StopCI:         *stopCI,
-		StopConf:       *stopConf,
-		StopMin:        *stopMin,
+		Stop:           stop,
 	})
 	if err != nil {
 		return err
@@ -87,14 +79,14 @@ func run(ctx context.Context, args []string) error {
 
 	fmt.Printf("Per-layer vulnerability profile — %s, %s-granularity injections\n", *model, g)
 	cols := []string{"Layer", "Path", "Output", "Trials", "Mis", "Rate (%)", "99% CI (%)"}
-	if *stopCI > 0 {
+	if stop.On() {
 		cols = append(cols, "Stop@")
 	}
 	tb := report.NewTable(cols...)
 	for _, r := range rows {
 		vals := []any{r.Layer, r.Path, fmt.Sprintf("%v", r.OutShape), r.Trials, r.Mis,
 			100 * r.Rate, fmt.Sprintf("[%.2f, %.2f]", 100*r.CILo, 100*r.CIHi)}
-		if *stopCI > 0 {
+		if stop.On() {
 			stop := "budget"
 			if r.StopTrial >= 0 {
 				stop = fmt.Sprintf("%d", r.StopTrial)

@@ -14,10 +14,12 @@ const DefaultConfidence = 0.95
 
 // StopRule is a sequential early-stopping criterion: halt once the
 // SDC-rate confidence interval's half-width is at most HalfWidth at the
-// Confidence level, but never before MinTrials observed trials.
+// Confidence level, but never before MinTrials observed trials. The zero
+// value means no early stopping, so configurations carry a StopRule by
+// value and the budget alone ends the run when it is left unset.
 type StopRule struct {
 	// HalfWidth is the target CI half-width in rate units (0.005 = ±0.5
-	// percentage points). Must be positive for the rule to ever fire.
+	// percentage points); 0 turns the rule off.
 	HalfWidth float64
 	// Confidence is the interval's two-sided level in (0, 1); 0 means
 	// DefaultConfidence.
@@ -40,10 +42,15 @@ func (r StopRule) canon() StopRule {
 	return r
 }
 
-// Validate rejects rules that can never fire sensibly.
+// On reports whether the rule asks for early stopping at all.
+func (r StopRule) On() bool { return r.HalfWidth > 0 }
+
+// Validate rejects rules that can never fire sensibly. A rule that is
+// off (HalfWidth 0) is valid; its other fields are still checked, so a
+// bad confidence is reported even before a half-width is chosen.
 func (r StopRule) Validate() error {
-	if r.HalfWidth <= 0 {
-		return fmt.Errorf("stats: stop half-width must be positive, got %g", r.HalfWidth)
+	if r.HalfWidth < 0 {
+		return fmt.Errorf("stats: stop half-width must not be negative, got %g", r.HalfWidth)
 	}
 	if r.HalfWidth >= 0.5 {
 		return fmt.Errorf("stats: stop half-width %g means an interval wider than [0,1] would satisfy it", r.HalfWidth)

@@ -10,8 +10,17 @@ func TestStopRuleValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid rule rejected: %v", err)
 	}
+	// The zero value means "no early stopping" and is valid; its other
+	// fields are still checked.
+	if off := (StopRule{}); off.On() || off.Validate() != nil {
+		t.Fatalf("zero rule: On=%v Validate=%v, want off and valid", off.On(), off.Validate())
+	}
+	if !good.On() {
+		t.Fatal("a positive half-width must turn the rule on")
+	}
 	for _, bad := range []StopRule{
-		{HalfWidth: 0, Confidence: 0.95},
+		{HalfWidth: 0, Confidence: 1.5},
+		{HalfWidth: 0, MinTrials: -1},
 		{HalfWidth: -0.1, Confidence: 0.95},
 		{HalfWidth: 0.5, Confidence: 0.95},
 		{HalfWidth: 0.01, Confidence: 1},
@@ -116,7 +125,7 @@ func FuzzStopRule(f *testing.F) {
 	f.Add(0.02, 0.5, 500, int64(99), uint8(255))
 	f.Fuzz(func(t *testing.T, hw, conf float64, minTrials int, seed int64, pByte uint8) {
 		rule := StopRule{HalfWidth: hw, Confidence: conf, MinTrials: minTrials}
-		if rule.Validate() != nil {
+		if rule.Validate() != nil || !rule.On() {
 			t.Skip()
 		}
 		p := float64(pByte) / 255

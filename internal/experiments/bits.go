@@ -3,12 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"gofi/internal/campaign"
 	"gofi/internal/campaign/stats"
 	"gofi/internal/core"
-	"gofi/internal/nn"
 	"gofi/internal/obs"
 )
 
@@ -16,6 +14,8 @@ import (
 // per bit position, the classic analysis for deciding which bits need
 // protection (parity/ECC placement).
 type BitStudyConfig struct {
+	// Model defaults to alexnet; the other fixture fields default as in
+	// GenericCampaignConfig.
 	Model           string
 	Classes, InSize int
 	TrainEpochs     int
@@ -31,31 +31,15 @@ type BitStudyConfig struct {
 	// for the quantized GEMM/conv backend; implies DType INT8 — see
 	// GenericCampaignConfig.Backend).
 	Backend string
-	// StopCI, when positive, attaches a per-bit sequential stopping rule:
-	// each bit's campaign halts once its SDC-rate CI half-width is at
-	// most StopCI at the StopConf level (0 = 0.95), never before StopMin
-	// observed trials (0 = stats.DefaultMinTrials). TrialsPerBit then
-	// caps the budget instead of fixing it.
-	StopCI   float64
-	StopConf float64
-	StopMin  int
+	// Stop, when on, gives every bit position its own sequential stopping
+	// rule (TrialsPerBit then caps the budget); see
+	// GenericCampaignConfig.Stop.
+	Stop stats.StopRule
 }
 
 func (c BitStudyConfig) canon() BitStudyConfig {
 	if c.Model == "" {
 		c.Model = "alexnet"
-	}
-	if c.Classes <= 0 {
-		c.Classes = 10
-	}
-	if c.InSize <= 0 {
-		c.InSize = 32
-	}
-	if c.TrainEpochs <= 0 {
-		c.TrainEpochs = 8
-	}
-	if c.Noise == 0 {
-		c.Noise = 0.6
 	}
 	if c.TrialsPerBit <= 0 {
 		c.TrialsPerBit = 200
@@ -78,7 +62,7 @@ type BitStudyRow struct {
 	Rate       float64
 	CILo, CIHi float64
 	// StopTrial is the index this bit's early-stopping rule fired on
-	// (-1 when the rule never fired or StopCI was unset).
+	// (-1 when the rule never fired or Stop was off).
 	StopTrial int
 }
 
@@ -89,64 +73,14 @@ type BitStudyRow struct {
 // mantissa bits are almost always masked.
 func RunBitStudy(ctx context.Context, cfg BitStudyConfig) ([]BitStudyRow, error) {
 	cfg = cfg.canon()
-	trained, ds, eligible, err := trainedModel(cfg.Model, cfg.Classes, cfg.InSize, cfg.Noise, cfg.Seed, cfg.TrainEpochs)
+	flipBit := func(bit int) ArmFunc { return armNeuron(core.BitFlip{Bit: bit}) }
+	env, err := PrepareGenericCampaign(ctx, GenericCampaignConfig{
+		Model: cfg.Model, Classes: cfg.Classes, InSize: cfg.InSize, TrainEpochs: cfg.TrainEpochs, Noise: cfg.Noise,
+		Trials: cfg.TrialsPerBit, Workers: cfg.Workers, DType: cfg.DType, Backend: cfg.Backend,
+		Arm: flipBit(0), Seed: cfg.Seed, Metrics: cfg.Metrics, PrefixReuse: true, Stop: cfg.Stop,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("bit study: %w", err)
-	}
-	if len(eligible) == 0 {
-		return nil, fmt.Errorf("bit study: model classifies nothing correctly")
-	}
-
-	backend, err := ParseBackend(cfg.Backend)
-	if err != nil {
-		return nil, fmt.Errorf("bit study: %w", err)
-	}
-	if backend == "int8" {
-		if cfg.DType != core.INT8 {
-			return nil, fmt.Errorf("bit study: int8 backend implies -dtype int8, got %s", cfg.DType)
-		}
-	}
-	injCfg := core.Config{
-		Height: cfg.InSize, Width: cfg.InSize, DType: cfg.DType, Seed: cfg.Seed,
-	}
-	calib, _ := ds.Batch(0, 8)
-	var newReplica func(int) (*core.Injector, error)
-	if backend == "int8" {
-		newReplica, err = quantReplicaFactory(cfg.Model, cfg.Classes, cfg.InSize, cfg.Seed, trained, calib,
-			nn.QuantizeOptions{}, injCfg, false)
-		if err != nil {
-			return nil, fmt.Errorf("bit study: %w", err)
-		}
-	} else {
-		base := replicaFactory(cfg.Model, cfg.Classes, cfg.InSize, cfg.Seed, trained, injCfg)
-		newReplica = func(worker int) (*core.Injector, error) {
-			inj, err := base(worker)
-			if err != nil {
-				return nil, err
-			}
-			switch cfg.DType {
-			case core.INT8:
-				if err := inj.CalibrateINT8(calib); err != nil {
-					return nil, err
-				}
-				if err := inj.EnableActQuant(true); err != nil {
-					return nil, err
-				}
-			case core.FP16:
-				if err := inj.EnableFP16Acts(true); err != nil {
-					return nil, err
-				}
-			}
-			return inj, nil
-		}
-	}
-
-	var rule stats.StopRule
-	if cfg.StopCI > 0 {
-		rule = stats.StopRule{HalfWidth: cfg.StopCI, Confidence: cfg.StopConf, MinTrials: cfg.StopMin}
-		if err := rule.Validate(); err != nil {
-			return nil, fmt.Errorf("bit study: %w", err)
-		}
 	}
 
 	bits := cfg.DType.Bits()
@@ -155,44 +89,19 @@ func RunBitStudy(ctx context.Context, cfg BitStudyConfig) ([]BitStudyRow, error)
 		if err := ctx.Err(); err != nil {
 			return rows, err
 		}
-		bit := b
-		// Each bit position gets a fresh watcher: stopping decisions are
-		// per-stratum, so a quickly-converging low mantissa bit does not
-		// starve a noisy exponent bit of trials.
-		var watcher *stats.Sequential
-		if cfg.StopCI > 0 {
-			watcher = stats.NewSequential(rule)
-		}
-		ccfg := campaign.Config{
-			Workers:    cfg.Workers,
-			Trials:     cfg.TrialsPerBit,
-			Seed:       cfg.Seed + int64(b)*37,
-			NewReplica: newReplica,
-			Source:     ds,
-			Eligible:   eligible,
-			ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
-				_, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: bit})
-				return err
-			},
-			Metrics: cfg.Metrics,
-		}
-		if watcher != nil {
-			ccfg.Stop = watcher
-		}
-		agg, err := campaign.Run(ctx, ccfg)
+		// Each bit position is its own leg with a fresh watcher: a
+		// quickly-converging low mantissa bit does not starve a noisy
+		// exponent bit of trials.
+		agg, stopTrial, err := env.runLeg(ctx, cfg.Seed+int64(b)*37, flipBit(b))
 		if err != nil {
 			return rows, fmt.Errorf("bit study bit %d: %w", b, err)
 		}
 		lo, hi := agg.WilsonCI(campaign.Z99)
-		row := BitStudyRow{
+		rows = append(rows, BitStudyRow{
 			Bit: b, Trials: agg.Trials, Top1Mis: agg.Top1Mis,
 			NonFinite: agg.NonFinite, Rate: agg.Rate(), CILo: lo, CIHi: hi,
-			StopTrial: -1,
-		}
-		if watcher != nil {
-			row.StopTrial = watcher.StopTrial()
-		}
-		rows = append(rows, row)
+			StopTrial: stopTrial,
+		})
 	}
 	return rows, nil
 }

@@ -41,6 +41,11 @@ func dataset(name string, classes, size int, noise float32, seed int64) (*data.C
 	})
 }
 
+// heldOutSamples is how many held-out samples a trained fixture is scored
+// on: the eligible indices are the correctly classified ones among them,
+// so clean accuracy is len(eligible) / heldOutSamples.
+const heldOutSamples = 128
+
 // trainedModel builds and quickly trains a registry model on a synthetic
 // dataset, returning the model and its eligible (correctly classified)
 // sample indices from a held-out range.
@@ -69,22 +74,8 @@ func trainedModel(name string, classes, inSize int, noise float32, seed int64, e
 	}); err != nil {
 		return nil, nil, nil, fmt.Errorf("train %s: %w", name, err)
 	}
-	eligible := train.CorrectIndices(model, ds, 100_000, 128, 16)
+	eligible := train.CorrectIndices(model, ds, 100_000, heldOutSamples, 16)
 	return model, ds, eligible, nil
-}
-
-// replicaFactory returns a campaign NewReplica function: each worker gets
-// a private architecture instance sharing the trained weights, wrapped in
-// its own injector. Weight storage is shared (read-only during neuron
-// campaigns); use copyReplicaFactory when trials mutate weights.
-func replicaFactory(name string, classes, inSize int, seed int64, trained nn.Layer, injCfg core.Config) func(int) (*core.Injector, error) {
-	return newReplicaFactory(name, classes, inSize, seed, trained, injCfg, false)
-}
-
-// copyReplicaFactory is replicaFactory with deep-copied weights, required
-// for weight-injection campaigns where each worker mutates its own copy.
-func copyReplicaFactory(name string, classes, inSize int, seed int64, trained nn.Layer, injCfg core.Config) func(int) (*core.Injector, error) {
-	return newReplicaFactory(name, classes, inSize, seed, trained, injCfg, true)
 }
 
 // quantReplicaFactory wires the int8 tensor backend into a campaign: the
@@ -134,7 +125,12 @@ func quantReplicaFactory(name string, classes, inSize int, seed int64, trained n
 	}, nil
 }
 
-func newReplicaFactory(name string, classes, inSize int, seed int64, trained nn.Layer, injCfg core.Config, copyWeights bool) func(int) (*core.Injector, error) {
+// replicaFactory returns a campaign NewReplica function: each worker gets
+// a private architecture instance wrapped in its own injector. The
+// replicas share the trained weight storage (read-only during neuron
+// campaigns) unless copyWeights is set, which weight-injection campaigns
+// need because each worker mutates its own copy.
+func replicaFactory(name string, classes, inSize int, seed int64, trained nn.Layer, injCfg core.Config, copyWeights bool) func(int) (*core.Injector, error) {
 	return func(worker int) (*core.Injector, error) {
 		rng := rand.New(rand.NewSource(seed))
 		replica, err := models.Build(name, rng, classes, inSize)

@@ -3,13 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"gofi/internal/campaign"
 	"gofi/internal/campaign/stats"
 	"gofi/internal/core"
 	"gofi/internal/models"
-	"gofi/internal/nn"
 	"gofi/internal/obs"
 	"gofi/internal/scenario"
 )
@@ -22,10 +20,11 @@ type Fig4Config struct {
 	// TrialsPerModel is the number of injection trials per network (the
 	// paper runs ~18M per network; scale to CPU budget).
 	TrialsPerModel int
-	// Workers parallelizes each campaign.
+	// Workers parallelizes each campaign. It and the fixture fields below
+	// default as in GenericCampaignConfig (4 workers, 10 classes, 32 px,
+	// 8 epochs, noise 0.6).
 	Workers int
-	// Classes / InSize describe the synthetic stand-in dataset (defaults
-	// 10 / 32).
+	// Classes / InSize describe the synthetic stand-in dataset.
 	Classes, InSize int
 	// TrainEpochs controls how long each network trains before the
 	// campaign (must reach good accuracy so "correctly classified" is a
@@ -39,27 +38,9 @@ type Fig4Config struct {
 	// Metrics, when non-nil, receives the engines' counters and
 	// histograms; all per-model campaigns share the one registry.
 	Metrics *obs.Registry
-	// PrefixReuse resumes trial forwards from checkpointed clean-prefix
-	// activations (see campaign.Config.PrefixReuse). Throughput only;
-	// results are byte-identical either way.
-	PrefixReuse bool
-	// TrialBatch packs up to K trials into one forward pass (see
-	// campaign.Config.TrialBatch); 0 defaults to 8 lanes. Throughput
-	// only; results are byte-identical either way.
-	TrialBatch int
-	// Schedule selects how the engine uses the TrialBatch lanes (see
-	// campaign.Config.Schedule); the zero value is the cost-modeled
-	// campaign.ScheduleAuto. Throughput only; results are
-	// byte-identical under every schedule.
-	Schedule campaign.Schedule
-	// StopCI, when positive, halts each per-model campaign once the
-	// SDC-rate CI half-width is at most this value at the StopConf level
-	// (TrialsPerModel then caps the budget); see
-	// campaign.Config.Stop. StopConf 0 means 0.95, StopMin 0 means
-	// stats.DefaultMinTrials.
-	StopCI   float64
-	StopConf float64
-	StopMin  int
+	// Stop, when on, halts each per-model campaign early (TrialsPerModel
+	// then caps the budget); see GenericCampaignConfig.Stop.
+	Stop stats.StopRule
 	// Backend selects the tensor execution path ("f32" default, "int8"
 	// for the quantized GEMM/conv backend — see
 	// GenericCampaignConfig.Backend).
@@ -82,24 +63,6 @@ func (c Fig4Config) canon() Fig4Config {
 	if c.TrialsPerModel <= 0 {
 		c.TrialsPerModel = 500
 	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.Classes <= 0 {
-		c.Classes = 10
-	}
-	if c.InSize <= 0 {
-		c.InSize = 32
-	}
-	if c.TrainEpochs <= 0 {
-		c.TrainEpochs = 8
-	}
-	if c.Noise == 0 {
-		c.Noise = 0.6
-	}
-	if c.TrialBatch == 0 {
-		c.TrialBatch = defaultTrialBatch
-	}
 	return c
 }
 
@@ -114,7 +77,7 @@ type Fig4Row struct {
 	OutOfTop5  int
 	NonFinite  int
 	// StopTrial is the index the early-stopping rule fired on (-1 when
-	// the rule never fired or StopCI was unset).
+	// the rule never fired or Stop was off).
 	StopTrial int
 }
 
@@ -138,10 +101,20 @@ func RunFig4(ctx context.Context, cfg Fig4Config) ([]Fig4Row, error) {
 	return rows, nil
 }
 
+// runFig4Model runs one network's campaign on the generic path: the
+// fixture is prepared once and one engine leg runs on the study's own
+// engine seed.
 func runFig4Model(ctx context.Context, name string, cfg Fig4Config) (Fig4Row, error) {
-	// Validate the scenario before training: a rejected config should
-	// fail in milliseconds, not after the fixture trains.
-	if cfg.Scenario != nil {
+	gcfg := GenericCampaignConfig{
+		Model: name, Classes: cfg.Classes, InSize: cfg.InSize, TrainEpochs: cfg.TrainEpochs, Noise: cfg.Noise,
+		Trials: cfg.TrialsPerModel, Workers: cfg.Workers, DType: core.INT8, Backend: cfg.Backend,
+		Seed: cfg.Seed, Metrics: cfg.Metrics, PrefixReuse: true, Stop: cfg.Stop,
+	}
+	if cfg.Scenario == nil {
+		gcfg.Arm = armNeuron(core.BitFlip{Bit: core.RandomBit})
+	} else {
+		// Validate the scenario before training: a rejected config should
+		// fail in milliseconds, not after the fixture trains.
 		s := cfg.Scenario.Canon()
 		if err := s.Validate(); err != nil {
 			return Fig4Row{}, err
@@ -158,99 +131,27 @@ func runFig4Model(ctx context.Context, name string, cfg Fig4Config) (Fig4Row, er
 		if cfg.Backend != "" && cfg.Backend != s.Fault.Backend {
 			return Fig4Row{}, fmt.Errorf("-backend %s conflicts with the scenario's backend %s", cfg.Backend, s.Fault.Backend)
 		}
-		cfg.Backend = s.Fault.Backend
-		cfg.Scenario = &s
+		// The study's fixture applies to every model, so it replaces the
+		// scenario's model block; the fault shape stays the scenario's.
+		s.Model = scenario.ModelSpec{Arch: name, Classes: cfg.Classes, InSize: cfg.InSize, Epochs: cfg.TrainEpochs}
+		if cfg.Noise != 0 {
+			noise := float64(cfg.Noise)
+			s.Model.Noise = &noise
+		}
+		gcfg.Scenario = &s
 	}
-
-	trained, ds, eligible, err := trainedModel(name, cfg.Classes, cfg.InSize, cfg.Noise, cfg.Seed, cfg.TrainEpochs)
+	env, err := PrepareGenericCampaign(ctx, gcfg)
 	if err != nil {
 		return Fig4Row{}, err
 	}
-	if len(eligible) == 0 {
-		return Fig4Row{}, fmt.Errorf("model classifies nothing correctly after training")
-	}
-	backend, err := ParseBackend(cfg.Backend)
-	if err != nil {
-		return Fig4Row{}, err
-	}
-	injCfg := core.Config{
-		Batch: cfg.TrialBatch, Height: cfg.InSize, Width: cfg.InSize, DType: core.INT8, Seed: cfg.Seed,
-	}
-	calib, _ := ds.Batch(0, 8)
-	var newReplica func(int) (*core.Injector, error)
-	if backend == "int8" {
-		newReplica, err = quantReplicaFactory(name, cfg.Classes, cfg.InSize, cfg.Seed, trained, calib,
-			nn.QuantizeOptions{}, injCfg, false)
-		if err != nil {
-			return Fig4Row{}, err
-		}
-	} else {
-		base := replicaFactory(name, cfg.Classes, cfg.InSize, cfg.Seed, trained, injCfg)
-		newReplica = func(worker int) (*core.Injector, error) {
-			inj, err := base(worker)
-			if err != nil {
-				return nil, err
-			}
-			if err := inj.CalibrateINT8(calib); err != nil {
-				return nil, err
-			}
-			if err := inj.EnableActQuant(true); err != nil {
-				return nil, err
-			}
-			return inj, nil
-		}
-	}
-
-	var watcher *stats.Sequential
-	if cfg.StopCI > 0 {
-		rule := stats.StopRule{HalfWidth: cfg.StopCI, Confidence: cfg.StopConf, MinTrials: cfg.StopMin}
-		if err := rule.Validate(); err != nil {
-			return Fig4Row{}, err
-		}
-		watcher = stats.NewSequential(rule)
-	}
-	ccfg := campaign.Config{
-		Workers:    cfg.Workers,
-		Trials:     cfg.TrialsPerModel,
-		Seed:       cfg.Seed + 17,
-		NewReplica: newReplica,
-		Source:     ds,
-		Eligible:   eligible,
-		ArmTrial: func(inj *core.Injector, rng *rand.Rand, _ int) error {
-			_, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: core.RandomBit})
-			return err
-		},
-		Metrics:     cfg.Metrics,
-		PrefixReuse: cfg.PrefixReuse,
-		TrialBatch:  cfg.TrialBatch,
-		Schedule:    cfg.Schedule,
-	}
-	if cfg.Scenario != nil {
-		// A compiled scenario supersedes the hand-wired arm: probe one
-		// replica for the layer geometry, then let the selector drive.
-		probe, err := newReplica(0)
-		if err != nil {
-			return Fig4Row{}, err
-		}
-		layers := probe.Layers()
-		probe.Detach()
-		compiled, err := scenario.Compile(*cfg.Scenario, layers)
-		if err != nil {
-			return Fig4Row{}, err
-		}
-		ccfg.ArmTrial = compiled.ArmTrial
-	}
-	if watcher != nil {
-		ccfg.Stop = watcher
-	}
-	agg, err := campaign.Run(ctx, ccfg)
+	agg, stopTrial, err := env.runLeg(ctx, cfg.Seed+17, nil)
 	if err != nil {
 		return Fig4Row{}, err
 	}
 	lo, hi := agg.WilsonCI(campaign.Z99)
-	row := Fig4Row{
+	return Fig4Row{
 		Model:     name,
-		CleanAcc:  float64(len(eligible)) / 128,
+		CleanAcc:  env.CleanAcc,
 		Trials:    agg.Trials,
 		Top1Mis:   agg.Top1Mis,
 		Rate:      agg.Rate(),
@@ -258,10 +159,6 @@ func runFig4Model(ctx context.Context, name string, cfg Fig4Config) (Fig4Row, er
 		CIHi:      hi,
 		OutOfTop5: agg.OutOfTop5,
 		NonFinite: agg.NonFinite,
-		StopTrial: -1,
-	}
-	if watcher != nil {
-		row.StopTrial = watcher.StopTrial()
-	}
-	return row, nil
+		StopTrial: stopTrial,
+	}, nil
 }

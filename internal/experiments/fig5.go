@@ -32,15 +32,13 @@ type Fig5Config struct {
 	// Metrics, when non-nil, is attached to the study's injector so
 	// perturbation tallies accumulate (see core.Metric*).
 	Metrics *obs.Registry
-	// StopCI, when positive, halts the study early once the
-	// phantom-producing-run rate's CI half-width is at most this value
-	// at the StopConf level (a run counts as corrupted when its
-	// injections produce at least one phantom object). Runs fold into
-	// the rule in run order, so the stop index is deterministic in the
-	// study seed. Scenes * InjectionsPerScene then caps the budget.
-	StopCI   float64
-	StopConf float64
-	StopMin  int
+	// Stop, when on, halts the study early once the phantom-producing-run
+	// rate's confidence interval is as tight as the rule asks (a run
+	// counts as corrupted when its injections produce at least one phantom
+	// object). Runs fold into the rule in run order, so the stop index is
+	// deterministic in the study seed. Scenes * InjectionsPerScene then
+	// caps the budget.
+	Stop stats.StopRule
 	// Scenario, when non-nil, replaces the hand-wired per-layer
 	// random-FP32 arming with the scenario's compiled selector and
 	// per-layer error models. The scenario must stay inside the Figure 5
@@ -83,7 +81,7 @@ type Fig5Result struct {
 	FITP, FIPhantoms, FIMissed, FIMisclass int
 	// Scenes and injected runs evaluated.
 	Scenes, InjectedRuns int
-	// StopTrial is the run index StopCI fired on (-1 when unset or the
+	// StopTrial is the run index Stop fired on (-1 when it is off or the
 	// budget ran out first).
 	StopTrial int
 	// ExampleClean / ExampleFI are the detection lists of the first scene
@@ -97,6 +95,9 @@ type Fig5Result struct {
 // produces phantom objects with arbitrary classes.
 func RunFig5(ctx context.Context, cfg Fig5Config) (Fig5Result, error) {
 	cfg = cfg.canon()
+	if err := cfg.Stop.Validate(); err != nil {
+		return Fig5Result{}, err
+	}
 	if cfg.Scenario != nil {
 		s := cfg.Scenario.Canon()
 		if err := s.Validate(); err != nil {
@@ -150,12 +151,8 @@ func RunFig5(ctx context.Context, cfg Fig5Config) (Fig5Result, error) {
 	}
 
 	var watcher *stats.Sequential
-	if cfg.StopCI > 0 {
-		rule := stats.StopRule{HalfWidth: cfg.StopCI, Confidence: cfg.StopConf, MinTrials: cfg.StopMin}
-		if err := rule.Validate(); err != nil {
-			return Fig5Result{}, err
-		}
-		watcher = stats.NewSequential(rule)
+	if cfg.Stop.On() {
+		watcher = stats.NewSequential(cfg.Stop)
 	}
 
 	siteRng := rand.New(rand.NewSource(cfg.Seed + 3))

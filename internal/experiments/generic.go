@@ -65,19 +65,12 @@ type GenericCampaignConfig struct {
 	PrefixReuse bool
 	TrialBatch  int
 	Schedule    campaign.Schedule
-	// StopCI, when positive, attaches a sequential early-stopping rule:
-	// the campaign halts once the SDC-rate confidence interval's
-	// half-width is at most StopCI (rate units; 0.005 = ±0.5 percentage
-	// points) at the StopConf level, but never before StopMin observed
-	// trials. Trials then caps the budget instead of fixing it. The stop
-	// index is deterministic in (Seed, Trials) — see
-	// campaign.Config.Stop.
-	StopCI float64
-	// StopConf is the confidence level for StopCI (0 = 0.95).
-	StopConf float64
-	// StopMin is the observed-trial floor before StopCI may fire
-	// (0 = stats.DefaultMinTrials).
-	StopMin int
+	// Stop, when on, attaches a sequential early-stopping rule: the
+	// campaign halts once the SDC-rate confidence interval is as tight as
+	// the rule asks, and Trials then caps the budget instead of fixing
+	// it. The stop index is deterministic in (Seed, Trials) — see
+	// campaign.Config.Stop. The zero value runs the whole budget.
+	Stop stats.StopRule
 	// Stratify replaces Arm with a stratified fixed-bit-flip generator
 	// over (layer, bit-position) strata: trials are allocated to strata
 	// round-robin by index and per-stratum estimates merge by
@@ -101,7 +94,7 @@ type GenericCampaignConfig struct {
 	// (overwriting those fields), compiles it against the profiled
 	// layer geometry and arms trials through the compiled selector.
 	// Mutually exclusive with Arm, Stratify, Dedup and ErrorModel. The
-	// run knobs (Trials, Workers, Seed, Stop*, OnError) stay
+	// run knobs (Trials, Workers, Seed, Stop, OnError) stay
 	// caller-controlled — start from ScenarioConfig and override freely.
 	Scenario *scenario.Scenario
 }
@@ -112,6 +105,11 @@ type StopSummary struct {
 	// Trial is the index the rule fired on, -1 when the campaign
 	// exhausted its budget first.
 	Trial int
+	// Budget is the trial budget the rule was capping and Confidence the
+	// level of the Lo/Hi interval, both as resolved for this run (scenario
+	// run block, flags and defaults already applied).
+	Budget     int
+	Confidence float64
 	// Rate, Lo, Hi are the watcher's final estimate and CI bounds.
 	Rate, Lo, Hi float64
 	// Strata and MinStratum describe a stratified watcher (0/0 when the
@@ -129,7 +127,7 @@ type GenericCampaignResult struct {
 	CleanAcc      float64
 	EligibleCount int
 	Aggregate     campaign.Aggregate
-	// Stop is non-nil when StopCI was configured.
+	// Stop is non-nil when a stop rule was configured.
 	Stop *StopSummary
 	// Observers is the scenario's per-layer observer report, non-nil
 	// when a scenario with observers drove the campaign.
@@ -224,30 +222,36 @@ func (env *CampaignEnv) Run(ctx context.Context, sr ShardRun) (campaign.Aggregat
 	})
 }
 
-// StopRule returns the environment's validated early-stopping rule and
-// whether one is configured.
-func (env *CampaignEnv) StopRule() (stats.StopRule, bool) {
-	if env.Cfg.StopCI <= 0 {
-		return stats.StopRule{}, false
-	}
-	return stats.StopRule{
-		HalfWidth:  env.Cfg.StopCI,
-		Confidence: env.Cfg.StopConf,
-		MinTrials:  env.Cfg.StopMin,
-	}, true
-}
-
 // NewWatcher builds the environment's stopping watcher, or nil when no
 // rule is configured. Each call returns a fresh fold.
 func (env *CampaignEnv) NewWatcher() stats.Watcher {
-	rule, ok := env.StopRule()
-	if !ok {
+	if !env.Cfg.Stop.On() {
 		return nil
 	}
 	if env.strata != nil {
-		return stats.NewStratified(rule, env.strata)
+		return stats.NewStratified(env.Cfg.Stop, env.strata)
 	}
-	return stats.NewSequential(rule)
+	return stats.NewSequential(env.Cfg.Stop)
+}
+
+// runLeg runs one whole-budget engine leg of the prepared fixture under
+// its own engine seed — the unit the per-model, per-bit and per-layer
+// studies loop over. A non-nil arm replaces the environment's arming for
+// this leg. It returns the aggregate and the index a configured stop
+// rule fired on (-1 when none did).
+func (env *CampaignEnv) runLeg(ctx context.Context, seed int64, arm ArmFunc) (campaign.Aggregate, int, error) {
+	leg := *env
+	leg.CampaignSeed = seed
+	if arm != nil {
+		leg.Cfg.Arm = arm
+	}
+	watcher := leg.NewWatcher()
+	agg, err := leg.Run(ctx, ShardRun{Trials: leg.Cfg.Trials, Watcher: watcher, Metrics: leg.Cfg.Metrics})
+	stopTrial := -1
+	if watcher != nil {
+		stopTrial = summarizeStop(watcher).Trial
+	}
+	return agg, stopTrial, err
 }
 
 // RunGenericCampaign trains the model on the synthetic dataset, prepares
@@ -286,6 +290,7 @@ func RunGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (Generic
 	}
 	if watcher != nil {
 		res.Stop = summarizeStop(watcher)
+		res.Stop.Budget = env.Cfg.Trials
 	}
 	if observers != nil {
 		rep := observers.Report()
@@ -377,6 +382,10 @@ func PrepareGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (*Ca
 		cfg.DType = core.FP32
 	}
 
+	if err := cfg.Stop.Validate(); err != nil {
+		return nil, err
+	}
+
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -408,11 +417,7 @@ func PrepareGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (*Ca
 			return nil, err
 		}
 	} else {
-		factory := replicaFactory
-		if cfg.IsolateWeights {
-			factory = copyReplicaFactory
-		}
-		base := factory(cfg.Model, cfg.Classes, cfg.InSize, cfg.Seed, trained, injCfg)
+		base := replicaFactory(cfg.Model, cfg.Classes, cfg.InSize, cfg.Seed, trained, injCfg, cfg.IsolateWeights)
 		newReplica = func(worker int) (*core.Injector, error) {
 			inj, err := base(worker)
 			if err != nil {
@@ -435,63 +440,49 @@ func PrepareGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (*Ca
 		}
 	}
 
-	// Generator + watcher wiring. The generator needs the profiled layer
+	// Scenario and generator wiring. Both need the profiled layer
 	// geometry, which only exists on a built replica, so probe one (the
 	// engine builds its own per worker; this one is discarded).
 	var armTrial func(*core.Injector, *rand.Rand, int) error
 	var key func(*rand.Rand, int, int) (string, bool)
 	var strata *stats.Strata
 	var compiled *scenario.Compiled
-	if cfg.Scenario != nil {
+	if cfg.Scenario != nil || useGen {
 		probe, err := newReplica(0)
 		if err != nil {
 			return nil, err
 		}
 		layers := probe.Layers()
 		probe.Detach()
-		compiled, err = scenario.Compile(*cfg.Scenario, layers)
-		if err != nil {
-			return nil, err
-		}
-		armTrial = compiled.ArmTrial
-		if cfg.Trials <= 0 {
-			cfg.Trials = compiled.Trials()
-			if cfg.Trials <= 0 {
-				return nil, fmt.Errorf("campaign: scenario declares no trial budget")
+		switch {
+		case cfg.Scenario != nil:
+			compiled, err = scenario.Compile(*cfg.Scenario, layers)
+			if err != nil {
+				return nil, err
 			}
-		}
-	}
-	if useGen {
-		probe, err := newReplica(0)
-		if err != nil {
-			return nil, err
-		}
-		layers := probe.Layers()
-		probe.Detach()
-		var gen stats.Gen
-		if cfg.Stratify {
+			armTrial = compiled.ArmTrial
+			if cfg.Trials <= 0 {
+				cfg.Trials = compiled.Trials()
+				if cfg.Trials <= 0 {
+					return nil, fmt.Errorf("campaign: scenario declares no trial budget")
+				}
+			}
+		case cfg.Stratify:
 			g, err := stats.NewBitFlipStratified(layers, cfg.DType)
 			if err != nil {
 				return nil, err
 			}
 			strata = g.Strata()
-			gen = g
-		} else {
+			armTrial = g.Arm
+			if cfg.Dedup {
+				key = g.Key
+			}
+		default:
 			g, err := stats.NewUniform(layers, cfg.ErrorModel, cfg.DType)
 			if err != nil {
 				return nil, err
 			}
-			gen = g
-		}
-		armTrial = gen.Arm
-		if cfg.Dedup {
-			key = gen.Key
-		}
-	}
-	if cfg.StopCI > 0 {
-		rule := stats.StopRule{HalfWidth: cfg.StopCI, Confidence: cfg.StopConf, MinTrials: cfg.StopMin}
-		if err := rule.Validate(); err != nil {
-			return nil, err
+			armTrial, key = g.Arm, g.Key
 		}
 	}
 
@@ -501,7 +492,7 @@ func PrepareGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (*Ca
 		Source:       ds,
 		Eligible:     eligible,
 		NewReplica:   newReplica,
-		CleanAcc:     float64(len(eligible)) / 128,
+		CleanAcc:     float64(len(eligible)) / heldOutSamples,
 		CampaignSeed: cfg.Seed + 101,
 		Compiled:     compiled,
 		armTrial:     armTrial,
@@ -514,8 +505,12 @@ func PrepareGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (*Ca
 func summarizeStop(w stats.Watcher) *StopSummary {
 	s := &StopSummary{Trial: -1}
 	s.Rate, s.Lo, s.Hi = w.Interval()
-	if st, ok := w.(interface{ StopTrial() int }); ok {
+	if st, ok := w.(interface {
+		StopTrial() int
+		Rule() stats.StopRule
+	}); ok {
 		s.Trial = st.StopTrial()
+		s.Confidence = st.Rule().Confidence
 	}
 	if si, ok := w.(interface {
 		NumStrata() int

@@ -8,9 +8,7 @@ import (
 	"gofi/internal/campaign"
 	"gofi/internal/campaign/stats"
 	"gofi/internal/core"
-	"gofi/internal/nn"
 	"gofi/internal/obs"
-	"gofi/internal/tensor"
 )
 
 // Granularity selects the injection scope of the per-layer study.
@@ -46,37 +44,22 @@ type LayerVulnConfig struct {
 	Noise           float32
 	Granularity     Granularity
 	Seed            int64
-	// Metrics, when non-nil, is attached to the study's injector so
-	// per-model perturbation tallies accumulate (see core.Metric*).
+	// Metrics, when non-nil, receives the engines' counters and
+	// histograms; all per-layer campaigns share the one registry.
 	Metrics *obs.Registry
-	// StopCI, when positive, attaches a per-layer sequential stopping
-	// rule: a layer's trial loop halts once its misclassification-rate CI
-	// half-width is at most StopCI at the StopConf level (0 = 0.95),
-	// never before StopMin observed trials (0 = stats.DefaultMinTrials).
-	// TrialsPerLayer then caps the budget instead of fixing it.
-	StopCI   float64
-	StopConf float64
-	StopMin  int
+	// Stop, when on, gives every layer its own sequential stopping rule
+	// (TrialsPerLayer then caps the budget), so a robust layer stopping
+	// early never shortens a vulnerable layer's measurement; see
+	// GenericCampaignConfig.Stop.
+	Stop stats.StopRule
 }
 
 func (c LayerVulnConfig) canon() LayerVulnConfig {
 	if c.Model == "" {
 		c.Model = "alexnet"
 	}
-	if c.Classes <= 0 {
-		c.Classes = 10
-	}
-	if c.InSize <= 0 {
-		c.InSize = 32
-	}
 	if c.TrialsPerLayer <= 0 {
 		c.TrialsPerLayer = 300
-	}
-	if c.TrainEpochs <= 0 {
-		c.TrainEpochs = 8
-	}
-	if c.Noise == 0 {
-		c.Noise = 0.6
 	}
 	if c.Granularity == 0 {
 		c.Granularity = GranNeuron
@@ -94,95 +77,71 @@ type LayerVulnRow struct {
 	Rate       float64
 	CILo, CIHi float64
 	// StopTrial is the index this layer's early-stopping rule fired on
-	// (-1 when the rule never fired or StopCI was unset).
+	// (-1 when the rule never fired or Stop was off).
 	StopTrial int
 }
 
 // RunLayerVuln trains a model and measures its Top-1 misclassification
 // rate under injections confined to each hooked layer in turn, producing
 // the per-layer vulnerability profile that selective-protection studies
-// need.
+// need. Every layer is one engine campaign over the shared FP32 fixture,
+// at the engine's default execution settings.
 func RunLayerVuln(ctx context.Context, cfg LayerVulnConfig) ([]LayerVulnRow, error) {
 	cfg = cfg.canon()
-	model, ds, eligible, err := trainedModel(cfg.Model, cfg.Classes, cfg.InSize, cfg.Noise, cfg.Seed, cfg.TrainEpochs)
+	env, err := PrepareGenericCampaign(ctx, GenericCampaignConfig{
+		Model: cfg.Model, Classes: cfg.Classes, InSize: cfg.InSize, TrainEpochs: cfg.TrainEpochs, Noise: cfg.Noise,
+		Trials: cfg.TrialsPerLayer, DType: core.FP32, Arm: armLayer(0, cfg.Granularity),
+		Seed: cfg.Seed, Metrics: cfg.Metrics, PrefixReuse: true, Stop: cfg.Stop,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("layer-vuln: %w", err)
 	}
-	if len(eligible) == 0 {
-		return nil, fmt.Errorf("layer-vuln: model classifies nothing correctly")
-	}
-	inj, err := core.New(model, core.Config{Height: cfg.InSize, Width: cfg.InSize, Seed: cfg.Seed + 61})
+	return layerVulnRows(ctx, env, cfg.Granularity)
+}
+
+// layerVulnRows runs one engine leg per hooked layer of the prepared
+// fixture, each on its own engine seed, and folds each into a row.
+func layerVulnRows(ctx context.Context, env *CampaignEnv, gran Granularity) ([]LayerVulnRow, error) {
+	// The hooked layers are known only on a built replica; the engine
+	// builds its own per worker, so this one is discarded.
+	probe, err := env.NewReplica(0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("layer-vuln: %w", err)
 	}
-	defer inj.Detach()
-	inj.SetMetrics(cfg.Metrics)
+	layers := probe.Layers()
+	probe.Detach()
 
-	var rule stats.StopRule
-	if cfg.StopCI > 0 {
-		rule = stats.StopRule{HalfWidth: cfg.StopCI, Confidence: cfg.StopConf, MinTrials: cfg.StopMin}
-		if err := rule.Validate(); err != nil {
-			return nil, fmt.Errorf("layer-vuln: %w", err)
+	rows := make([]LayerVulnRow, 0, len(layers))
+	for _, li := range layers {
+		if err := ctx.Err(); err != nil {
+			return rows, err
 		}
-	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed + 62))
-	rows := make([]LayerVulnRow, 0, len(inj.Layers()))
-	for _, li := range inj.Layers() {
-		// Each layer gets its own watcher so a robust layer stopping
-		// early never shortens a vulnerable layer's measurement.
-		var watcher *stats.Sequential
-		if cfg.StopCI > 0 {
-			watcher = stats.NewSequential(rule)
+		agg, stopTrial, err := env.runLeg(ctx, env.Cfg.Seed+61+int64(li.Index)*37, armLayer(li.Index, gran))
+		if err != nil {
+			return rows, fmt.Errorf("layer-vuln %s: %w", li.Path, err)
 		}
-		mis, trials := 0, 0
-		for t := 0; t < cfg.TrialsPerLayer; t++ {
-			if err := ctx.Err(); err != nil {
-				return rows, err
-			}
-			idx := eligible[rng.Intn(len(eligible))]
-			img, _ := ds.Sample(idx)
-			x := img.Reshape(1, 3, cfg.InSize, cfg.InSize)
-			inj.Reset()
-			clean := tensor.ArgMaxRows(nn.Run(model, x))[0]
-			if err := armLayer(inj, rng, li.Index, cfg.Granularity); err != nil {
-				return nil, err
-			}
-			hit := tensor.ArgMaxRows(nn.Run(model, x))[0] != clean
-			if hit {
-				mis++
-			}
-			trials++
-			if watcher != nil {
-				watcher.Observe(t, hit, false)
-				if watcher.ShouldStop() {
-					break
-				}
-			}
-		}
-		rate := float64(mis) / float64(trials)
-		agg := campaign.Aggregate{Trials: trials, Top1Mis: mis}
 		lo, hi := agg.WilsonCI(campaign.Z99)
-		row := LayerVulnRow{
-			Layer: li.Index, Path: li.Path, OutShape: li.OutShape,
-			Trials: trials, Mis: mis, Rate: rate, CILo: lo, CIHi: hi,
-			StopTrial: -1,
-		}
-		if watcher != nil {
-			row.StopTrial = watcher.StopTrial()
-		}
-		rows = append(rows, row)
+		// Replicas are profiled at the engine's lane count; the row
+		// reports the layer's output for one input.
+		shape := append([]int(nil), li.OutShape...)
+		shape[0] = 1
+		rows = append(rows, LayerVulnRow{
+			Layer: li.Index, Path: li.Path, OutShape: shape,
+			Trials: agg.Trials, Mis: agg.Top1Mis, Rate: agg.Rate(), CILo: lo, CIHi: hi,
+			StopTrial: stopTrial,
+		})
 	}
-	inj.Reset()
 	return rows, nil
 }
 
-func armLayer(inj *core.Injector, rng *rand.Rand, layer int, gran Granularity) error {
-	switch gran {
-	case GranFMap:
-		shape := inj.Layers()[layer].OutShape
-		return inj.InjectFMap(layer, rng.Intn(shape[1]), core.DefaultRandomValue())
-	default:
+// armLayer returns the arming that confines one trial's fault to the
+// given hooked layer at the given granularity.
+func armLayer(layer int, gran Granularity) ArmFunc {
+	return func(inj *core.Injector, rng *rand.Rand) error {
+		if gran == GranFMap {
+			shape := inj.Layers()[layer].OutShape
+			return inj.InjectFMap(layer, rng.Intn(shape[1]), core.DefaultRandomValue())
+		}
 		site, err := inj.SiteInLayer(rng, layer, true)
 		if err != nil {
 			return err

@@ -6,11 +6,54 @@ package experiments
 // CLI would build.
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
 
+	"gofi/internal/campaign/stats"
 	"gofi/internal/core"
 )
+
+// UsageError reports an invalid flag value or combination: it prints the
+// error and fs's usage to fs's output and returns the error, so the
+// command fails with a non-zero exit code.
+func UsageError(fs *flag.FlagSet, format string, args ...any) error {
+	err := fmt.Errorf(format, args...)
+	fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
+	fs.Usage()
+	return err
+}
+
+// StopFlags is the -stop-ci / -stop-conf / -stop-min flag family every
+// study CLI offers: AddFlags registers the three flags, Rule turns the
+// parsed values into the one stats.StopRule the configs carry.
+type StopFlags struct {
+	ci, conf float64
+	min      int
+}
+
+// AddFlags registers the flags on fs. unit names what one rule watches
+// in the help text ("the campaign", "each bit's campaign", ...).
+func (f *StopFlags) AddFlags(fs *flag.FlagSet, unit string) {
+	fs.Float64Var(&f.ci, "stop-ci", 0, "halt "+unit+" once its corruption-rate confidence interval's half-width is at most this (rate units; 0.005 = ±0.5 percentage points); the trial budget then caps the run instead of fixing it; 0 disables early stopping")
+	fs.Float64Var(&f.conf, "stop-conf", stats.DefaultConfidence, "confidence level for -stop-ci, in (0,1)")
+	fs.IntVar(&f.min, "stop-min", 0, fmt.Sprintf("observed trials required before -stop-ci may halt %s; 0 = default %d", unit, stats.DefaultMinTrials))
+}
+
+// Rule validates the parsed flags and returns their rule, which is off
+// unless -stop-ci was given.
+func (f *StopFlags) Rule() (stats.StopRule, error) {
+	rule := stats.StopRule{HalfWidth: f.ci, Confidence: f.conf, MinTrials: f.min}
+	if f.conf == 0 {
+		// The rule reads 0 as "the default level"; on a command line it is
+		// a mistyped level.
+		return rule, fmt.Errorf("-stop-conf must be in (0,1), got 0")
+	}
+	if err := rule.Validate(); err != nil {
+		return rule, fmt.Errorf("-stop-ci/-stop-conf/-stop-min: %w", err)
+	}
+	return rule, nil
+}
 
 // ParseErrorModel resolves an -error flag spelling to its error model.
 func ParseErrorModel(name string) (core.ErrorModel, error) {
@@ -50,15 +93,21 @@ func ParseDType(name string) (core.DType, error) {
 	}
 }
 
+// armNeuron is the -scope neuron arming: one uniformly random neuron per
+// trial, perturbed with em. Fig. 4 and the bit study arm with it too.
+func armNeuron(em core.ErrorModel) ArmFunc {
+	return func(inj *core.Injector, rng *rand.Rand) error {
+		_, err := inj.InjectRandomNeuron(rng, em)
+		return err
+	}
+}
+
 // ParseScope resolves a -scope flag spelling to the ArmFunc that declares
 // one trial's fault(s) under the given error model.
 func ParseScope(name string, em core.ErrorModel) (ArmFunc, error) {
 	switch name {
 	case "neuron":
-		return func(inj *core.Injector, rng *rand.Rand) error {
-			_, err := inj.InjectRandomNeuron(rng, em)
-			return err
-		}, nil
+		return armNeuron(em), nil
 	case "per-layer":
 		return func(inj *core.Injector, rng *rand.Rand) error {
 			_, err := inj.InjectRandomNeuronPerLayer(rng, em)

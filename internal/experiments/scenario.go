@@ -23,9 +23,7 @@ func ScenarioConfig(sc scenario.Scenario) (GenericCampaignConfig, error) {
 		Workers:     sc.Run.Workers,
 		Seed:        sc.Run.Seed,
 		PrefixReuse: true,
-		StopCI:      sc.Run.Stop.CI,
-		StopConf:    sc.Run.Stop.Conf,
-		StopMin:     sc.Run.Stop.Min,
+		Stop:        sc.Run.Stop.Rule(),
 		Scenario:    &sc,
 	}
 	if sc.Run.SkipErrors {

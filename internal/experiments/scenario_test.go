@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"gofi/internal/campaign"
+	"gofi/internal/campaign/stats"
 	"gofi/internal/core"
 	"gofi/internal/scenario"
 )
@@ -42,7 +43,7 @@ func TestScenarioConfigMapsRunBlock(t *testing.T) {
 	if cfg.OnError != campaign.SkipAndCount {
 		t.Error("skip_errors must select SkipAndCount")
 	}
-	if cfg.StopCI != 0.01 || cfg.StopConf != 0.9 || cfg.StopMin != 5 {
+	if want := (stats.StopRule{HalfWidth: 0.01, Confidence: 0.9, MinTrials: 5}); cfg.Stop != want {
 		t.Errorf("stop rule wrong: %+v", cfg)
 	}
 	if cfg.Scenario == nil || cfg.Scenario.Fault.DType != "int8" {

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"strings"
 
+	"gofi/internal/campaign/stats"
 	"gofi/internal/core"
 )
 
@@ -215,6 +216,11 @@ type StopSpec struct {
 	Min  int     `json:"min,omitempty"`
 }
 
+// Rule is the stopping rule the block declares (off when CI is 0).
+func (s StopSpec) Rule() stats.StopRule {
+	return stats.StopRule{HalfWidth: s.CI, Confidence: s.Conf, MinTrials: s.Min}
+}
+
 // Selector kinds.
 const (
 	SelRandom   = "random"
@@ -296,7 +302,7 @@ func (sc Scenario) Canon() Scenario {
 		sc.Run.Workers = 4
 	}
 	if sc.Run.Stop.CI > 0 && sc.Run.Stop.Conf == 0 {
-		sc.Run.Stop.Conf = 0.95
+		sc.Run.Stop.Conf = stats.DefaultConfidence
 	}
 	return sc
 }

@@ -239,12 +239,8 @@ func (c *Campaign) run(ctx context.Context) {
 	// environment: fixtures are cached across campaigns that differ only
 	// in run shape (trials, sharding, stopping), so env.Cfg's stop fields
 	// belong to whichever campaign trained the fixture first.
-	if c.watcher == nil && sp.StopCI > 0 {
-		c.watcher = stats.NewSequential(stats.StopRule{
-			HalfWidth:  sp.StopCI,
-			Confidence: sp.StopConf,
-			MinTrials:  sp.StopMin,
-		})
+	if rule := sp.Stop(); c.watcher == nil && rule.On() {
+		c.watcher = stats.NewSequential(rule)
 	}
 	c.mu.Unlock()
 

@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"gofi/internal/campaign"
+	"gofi/internal/campaign/stats"
 	"gofi/internal/core"
 	"gofi/internal/experiments"
 	"gofi/internal/scenario"
@@ -81,8 +82,9 @@ type Spec struct {
 	Workers int `json:"workers,omitempty"`
 	// SkipErrors counts failing trials instead of aborting.
 	SkipErrors bool `json:"skip_errors,omitempty"`
-	// StopCI/StopConf/StopMin attach the sequential early-stopping rule
-	// (see the -stop-ci flag family); StopCI 0 disables it.
+	// The three stop fields attach the sequential early-stopping rule (see
+	// the -stop-ci flag family); stop_ci 0 disables it. Read them through
+	// Stop.
 	StopCI   float64 `json:"stop_ci,omitempty"`
 	StopConf float64 `json:"stop_conf,omitempty"`
 	StopMin  int     `json:"stop_min,omitempty"`
@@ -125,15 +127,13 @@ func (sp Spec) Canon() Spec {
 		if s.Run.SkipErrors {
 			sp.SkipErrors = true
 		}
-		if sp.StopCI == 0 && s.Run.Stop.CI > 0 {
-			sp.StopCI, sp.StopConf, sp.StopMin = s.Run.Stop.CI, s.Run.Stop.Conf, s.Run.Stop.Min
+		if rule := s.Run.Stop.Rule(); sp.Stop().HalfWidth == 0 && rule.On() {
+			sp.SetStop(rule)
 		}
 		if sp.Shards <= 0 {
 			sp.Shards = 1
 		}
-		if sp.StopCI > 0 && sp.StopConf == 0 {
-			sp.StopConf = 0.95
-		}
+		sp.canonStop()
 		return sp
 	}
 	if sp.Model == "" {
@@ -175,10 +175,29 @@ func (sp Spec) Canon() Spec {
 	if sp.Workers <= 0 {
 		sp.Workers = 4
 	}
-	if sp.StopCI > 0 && sp.StopConf == 0 {
-		sp.StopConf = 0.95
-	}
+	sp.canonStop()
 	return sp
+}
+
+// Stop is the spec's stopping rule (off when stop_ci is 0). Stop and
+// SetStop are the one conversion between the three wire fields and the
+// stats.StopRule every layer below the wire carries.
+func (sp Spec) Stop() stats.StopRule {
+	return stats.StopRule{HalfWidth: sp.StopCI, Confidence: sp.StopConf, MinTrials: sp.StopMin}
+}
+
+// SetStop writes rule into the spec's three wire fields.
+func (sp *Spec) SetStop(rule stats.StopRule) {
+	sp.StopCI, sp.StopConf, sp.StopMin = rule.HalfWidth, rule.Confidence, rule.MinTrials
+}
+
+// canonStop spells out the default confidence of a rule that is on, so
+// the canonical spec a client reads back states the level it ran at.
+func (sp *Spec) canonStop() {
+	if rule := sp.Stop(); rule.On() && rule.Confidence == 0 {
+		rule.Confidence = stats.DefaultConfidence
+		sp.SetStop(rule)
+	}
 }
 
 // Validate rejects specs that cannot run, mirroring the CLI's flag
@@ -261,16 +280,8 @@ func (sp Spec) validateRunShape() error {
 	if sp.Workers < 1 {
 		return bad("workers must be >= 1, got %d", sp.Workers)
 	}
-	if sp.StopCI < 0 || sp.StopCI >= 0.5 {
-		return bad("stop_ci must be in [0, 0.5), got %g", sp.StopCI)
-	}
-	if sp.StopCI > 0 {
-		if sp.StopConf <= 0 || sp.StopConf >= 1 {
-			return bad("stop_conf must be in (0,1), got %g", sp.StopConf)
-		}
-		if sp.StopMin < 0 {
-			return bad("stop_min must be non-negative, got %d", sp.StopMin)
-		}
+	if err := sp.Stop().Validate(); err != nil {
+		return bad("stop_ci/stop_conf/stop_min: %v", err)
 	}
 	return nil
 }
@@ -315,7 +326,7 @@ func (sp Spec) Config() (experiments.GenericCampaignConfig, error) {
 		if sp.SkipErrors {
 			cfg.OnError = campaign.SkipAndCount
 		}
-		cfg.StopCI, cfg.StopConf, cfg.StopMin = sp.StopCI, sp.StopConf, sp.StopMin
+		cfg.Stop = sp.Stop()
 		return cfg, nil
 	}
 	em, _ := experiments.ParseErrorModel(sp.Error)
@@ -341,9 +352,7 @@ func (sp Spec) Config() (experiments.GenericCampaignConfig, error) {
 		Seed:           sp.Seed,
 		OnError:        policy,
 		PrefixReuse:    true,
-		StopCI:         sp.StopCI,
-		StopConf:       sp.StopConf,
-		StopMin:        sp.StopMin,
+		Stop:           sp.Stop(),
 	}, nil
 }
 
@@ -355,7 +364,7 @@ func (sp Spec) Config() (experiments.GenericCampaignConfig, error) {
 func (sp Spec) envKey() string {
 	sp = sp.Canon()
 	sp.Trials, sp.Shards, sp.Workers = 0, 0, 0
-	sp.StopCI, sp.StopConf, sp.StopMin = 0, 0, 0
+	sp.SetStop(stats.StopRule{})
 	if sp.Scenario != nil {
 		// Mirror the zeroing inside the scenario's run block (its other
 		// run knobs were already copied to the top level by Canon).

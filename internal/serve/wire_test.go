@@ -133,8 +133,8 @@ func TestSpecConfig(t *testing.T) {
 	if cfg.Model != "alexnet" || cfg.Trials != sp.Trials || cfg.Seed != sp.Seed {
 		t.Fatalf("fixture fields drifted: %+v", cfg)
 	}
-	if cfg.StopCI != 0.02 || cfg.StopConf != 0.95 {
-		t.Fatalf("stop fields drifted: ci=%g conf=%g", cfg.StopCI, cfg.StopConf)
+	if cfg.Stop.HalfWidth != 0.02 || cfg.Stop.Confidence != 0.95 {
+		t.Fatalf("stop rule drifted: %+v", cfg.Stop)
 	}
 	if _, err := (Spec{V: 3}).Config(); !errors.Is(err, ErrWireVersion) {
 		t.Fatalf("Config on a bad version: %v", err)

@@ -13,6 +13,17 @@
 # on every CI run without turning CI into a fuzzing farm.
 set -eux
 
+# The size figure a simplicity PR reports in CHANGES.md: non-test Go
+# lines under internal/ + cmd/, with the packages such PRs usually touch
+# broken out. Printed first so the figure comes from this script and is
+# there even when a later gate fails.
+count_go_lines() {
+	find "$@" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+}
+echo "non-test Go lines: internal/ + cmd/ $(count_go_lines internal cmd)" \
+	"(internal/experiments $(count_go_lines internal/experiments)," \
+	"internal/serve $(count_go_lines internal/serve), cmd/ $(count_go_lines cmd))"
+
 go vet ./...
 go build ./...
 go test ./...
@@ -167,6 +178,18 @@ check_scenario() {
 	check_selected -run='^$' -fuzz='^FuzzScenarioDecode$' -fuzztime=10s ./internal/scenario
 }
 check_scenario
+
+# The study runners (Fig. 4, bit study, layer study) are loops over the
+# generic campaign path: the study golden holds Fig. 4 and bit-study rows
+# recorded before they moved onto it (both backends, with and without a
+# stop rule, stop indices included), and the layer study, whose legs run
+# on the engine's workers, must give the same rows at every Workers x
+# prefix-reuse cell under the race detector at both GOMAXPROCS settings.
+check_studies() {
+	check_selected -run 'TestStudyGolden' ./internal/experiments
+	check_selected -race -cpu 1,4 -run 'TestLayerVulnDeterministic' ./internal/experiments
+}
+check_studies
 
 # The cut-aware scheduler's two promises on the DenseNet campaign: with
 # prefix reuse, auto must decline to pack (sequential warmed-store hits
