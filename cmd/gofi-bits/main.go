@@ -80,22 +80,10 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	fmt.Printf("Bit-position sensitivity — %s, %s neuron bit flips (%s backend)\n", *model, dt, be)
-	cols := []string{"Bit", "Trials", "Top1-Mis", "NonFinite", "Rate (%)", "99% CI (%)"}
-	if stop.On() {
-		cols = append(cols, "Stop@")
-	}
-	tb := report.NewTable(cols...)
+	tb, addRow := experiments.StopTable(stop, "Bit", "Trials", "Top1-Mis", "NonFinite", "Rate (%)", "99% CI (%)")
 	for _, r := range rows {
-		vals := []any{r.Bit, r.Trials, r.Top1Mis, r.NonFinite,
-			100 * r.Rate, fmt.Sprintf("[%.2f, %.2f]", 100*r.CILo, 100*r.CIHi)}
-		if stop.On() {
-			stop := "budget"
-			if r.StopTrial >= 0 {
-				stop = fmt.Sprintf("%d", r.StopTrial)
-			}
-			vals = append(vals, stop)
-		}
-		tb.AddRow(vals...)
+		addRow(r.StopTrial, r.Bit, r.Trials, r.Top1Mis, r.NonFinite,
+			100*r.Rate, fmt.Sprintf("[%.2f, %.2f]", 100*r.CILo, 100*r.CIHi))
 	}
 	tb.Render(os.Stdout)
 

@@ -25,7 +25,7 @@ import (
 	"time"
 
 	"gofi/internal/campaign"
-	"gofi/internal/core"
+	"gofi/internal/campaign/stats"
 	"gofi/internal/experiments"
 	"gofi/internal/obs"
 	"gofi/internal/report"
@@ -42,31 +42,48 @@ func main() {
 	}
 }
 
+// withDefault states a flag's default in its help text the way the flag
+// package would. The campaign flags register a zero default — an unset
+// flag must leave its serve.Spec field unset — so the value shown is read
+// from Spec.Canon, the one place the defaults are written.
+func withDefault(usage string, def any) string {
+	if s, ok := def.(string); ok {
+		return fmt.Sprintf("%s (default %q)", usage, s)
+	}
+	return fmt.Sprintf("%s (default %v)", usage, def)
+}
+
 func run(ctx context.Context, args []string, out *os.File) error {
 	fs := flag.NewFlagSet("gofi-campaign", flag.ContinueOnError)
+	// Every campaign flag writes one field of the one serve.Spec that
+	// describes the run; Spec.Canon fills what stays unset (from the
+	// scenario's run block when there is one) and Spec.Validate checks it,
+	// the same for a local run and for -submit.
+	sp := serve.Spec{V: serve.WireVersion}
+	def := sp.Canon()
 	scenarioPath := fs.String("scenario", "", "run a declarative scenario file (YAML or JSON; see DESIGN.md §17 and examples/scenarios/): the file owns the model fixture and fault shape, so -model/-error/-scope/-dtype/-backend/-act-zp/-classes/-size/-epochs/-noise/-stratify/-dedup conflict with it; run knobs (-trials, -workers, -seed, ...) override the file's run block")
-	model := fs.String("model", "resnet18", "architecture (see gofi-info -list)")
-	errModel := fs.String("error", "bitflip", "error model: bitflip, bitflip2, random, zero, gauss, gain, stuck0, stuck1")
-	scope := fs.String("scope", "neuron", "injection scope per trial: neuron, per-layer, fmap, weight")
-	dtype := fs.String("dtype", "int8", "emulated data type: fp32, fp16, int8")
-	backend := fs.String("backend", "f32", "tensor execution backend: f32 runs float32 kernels with emulated precision; int8 quantizes the trained model and runs the campaign on the int8 GEMM/conv backend (implies -dtype int8, stored-code fault semantics)")
-	actZP := fs.Bool("act-zp", false, "int8 backend: use asymmetric (zero-point) input quantizers for non-negative activations")
-	trials := fs.Int("trials", 1000, "injection trials")
-	workers := fs.Int("workers", 4, "parallel campaign workers (throughput only; results depend on -seed and -trials alone)")
-	classes := fs.Int("classes", 10, "dataset classes")
-	size := fs.Int("size", 32, "input size")
-	epochs := fs.Int("epochs", 8, "training epochs before the campaign")
-	noise := fs.Float64("noise", 0.6, "dataset pixel-noise std")
-	seed := fs.Int64("seed", 1, "experiment seed")
+	fs.StringVar(&sp.Model, "model", "", withDefault("architecture (see gofi-info -list)", def.Model))
+	fs.StringVar(&sp.Error, "error", "", withDefault("error model: bitflip, bitflip2, random, zero, gauss, gain, stuck0, stuck1", def.Error))
+	fs.StringVar(&sp.Scope, "scope", "", withDefault("injection scope per trial: neuron, per-layer, fmap, weight", def.Scope))
+	fs.StringVar(&sp.DType, "dtype", "", withDefault("emulated data type: fp32, fp16, int8", def.DType))
+	fs.StringVar(&sp.Backend, "backend", "", withDefault("tensor execution backend: f32 runs float32 kernels with emulated precision; int8 quantizes the trained model and runs the campaign on the int8 GEMM/conv backend (implies -dtype int8, stored-code fault semantics)", def.Backend))
+	fs.BoolVar(&sp.ActZeroPoint, "act-zp", false, "int8 backend: use asymmetric (zero-point) input quantizers for non-negative activations")
+	fs.IntVar(&sp.Trials, "trials", 0, withDefault("injection trials", def.Trials))
+	fs.IntVar(&sp.Workers, "workers", 0, withDefault("parallel campaign workers (throughput only; results depend on -seed and -trials alone)", def.Workers))
+	fs.IntVar(&sp.Classes, "classes", 0, withDefault("dataset classes", def.Classes))
+	fs.IntVar(&sp.Size, "size", 0, withDefault("input size", def.Size))
+	fs.IntVar(&sp.Epochs, "epochs", 0, withDefault("training epochs before the campaign", def.Epochs))
+	fs.Float64Var(&sp.Noise, "noise", 0, withDefault("dataset pixel-noise std", def.Noise))
+	fs.Int64Var(&sp.Seed, "seed", 0, withDefault("experiment seed; 0 selects the default (the scenario file's seed with -scenario), as it does on the wire", def.Seed))
 	progress := fs.Bool("progress", false, "print live trials/sec and ETA to stderr")
 	jsonl := fs.String("jsonl", "", "stream one JSON record per trial to this file")
-	skipErrors := fs.Bool("skip-errors", false, "count failing trials and continue instead of aborting the campaign")
+	fs.BoolVar(&sp.SkipErrors, "skip-errors", false, "count failing trials and continue instead of aborting the campaign")
 	var stopFlags experiments.StopFlags
 	stopFlags.AddFlags(fs, "the campaign")
 	submit := fs.String("submit", "", "submit the campaign to a running gofi-serve at this base URL (e.g. http://127.0.0.1:8091) instead of executing locally; records stream back and the same summary is printed")
-	shards := fs.Int("shards", 1, "with -submit: split the campaign into this many contiguous trial-range shards on the server (throughput only; results are byte-identical at any shard count)")
-	stratify := fs.Bool("stratify", false, "stratified sampling over (layer, bit-position) strata with fixed-bit flips, merged by fault-space weight; requires -scope neuron (ignores -error: the strata fix the bits)")
-	dedup := fs.Bool("dedup", false, "fault-space dedup: trials arming an identical (sample, site, bit) fault are computed once and multiplied in the aggregate; requires -scope neuron")
+	fs.IntVar(&sp.Shards, "shards", 0, withDefault("with -submit: split the campaign into this many contiguous trial-range shards on the server (throughput only; results are byte-identical at any shard count)", def.Shards))
+	fs.BoolVar(&sp.Stratify, "stratify", false, "stratified sampling over (layer, bit-position) strata with fixed-bit flips, merged by fault-space weight; requires -scope neuron (ignores -error: the strata fix the bits)")
+	fs.BoolVar(&sp.Dedup, "dedup", false, "fault-space dedup: trials arming an identical (sample, site, bit) fault are computed once and multiplied in the aggregate; requires -scope neuron")
 	var mcli obs.CLI
 	mcli.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -78,204 +95,88 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	}
 	defer mcli.Finish()
 
-	visited := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { visited[f.Name] = true })
-	var sc *scenario.Scenario
-	if *scenarioPath != "" {
-		for _, name := range []string{"model", "error", "scope", "dtype", "backend", "act-zp", "classes", "size", "epochs", "noise", "stratify", "dedup"} {
-			if visited[name] {
-				return experiments.UsageError(fs, "-%s conflicts with -scenario: the scenario file owns the model fixture and fault shape", name)
-			}
+	// A zero field is how a spec says "unset", so a budget or shard count
+	// spelled out as 0 would run the default; it stays the error it was.
+	zero := ""
+	fs.Visit(func(f *flag.Flag) {
+		if (f.Name == "trials" || f.Name == "shards") && f.Value.String() == "0" {
+			zero = f.Name
 		}
-		loaded, err := scenario.Load(*scenarioPath)
-		if err != nil {
-			return err
-		}
-		sc = &loaded
+	})
+	if zero != "" {
+		return experiments.UsageError(fs, "-%s must be positive, got 0", zero)
 	}
-
-	em, err := experiments.ParseErrorModel(*errModel)
-	if err != nil {
-		return experiments.UsageError(fs, "%v", err)
-	}
-	dt, err := experiments.ParseDType(*dtype)
-	if err != nil {
-		return experiments.UsageError(fs, "%v", err)
-	}
-	be, err := experiments.ParseBackend(*backend)
-	if err != nil {
-		return experiments.UsageError(fs, "%v", err)
-	}
-	if be == "int8" && dt != core.INT8 {
-		return experiments.UsageError(fs, "-backend int8 implies -dtype int8, got %q", *dtype)
-	}
-	arm, err := experiments.ParseScope(*scope, em)
-	if err != nil {
-		return experiments.UsageError(fs, "%v", err)
-	}
-	if *trials <= 0 {
-		return experiments.UsageError(fs, "-trials must be positive, got %d", *trials)
-	}
-	if *workers < 0 {
-		return experiments.UsageError(fs, "-workers must be non-negative, got %d", *workers)
+	if sp.Shards > 1 && *submit == "" {
+		return experiments.UsageError(fs, "-shards only applies to -submit mode; local runs already parallelize with -workers")
 	}
 	stop, err := stopFlags.Rule()
 	if err != nil {
 		return experiments.UsageError(fs, "%v", err)
 	}
-	if (*stratify || *dedup) && *scope != "neuron" {
-		return experiments.UsageError(fs, "-stratify/-dedup cover single-neuron faults only; use -scope neuron, not %q", *scope)
-	}
-	if *stratify && *errModel != "bitflip" {
-		return experiments.UsageError(fs, "-stratify arms fixed-bit flips by stratum and so requires -error bitflip, not %q", *errModel)
-	}
-	if *shards < 1 {
-		return experiments.UsageError(fs, "-shards must be >= 1, got %d", *shards)
-	}
-	if *shards > 1 && *submit == "" {
-		return experiments.UsageError(fs, "-shards only applies to -submit mode; local runs already parallelize with -workers")
-	}
-	if *submit != "" {
-		if *stratify || *dedup {
-			return experiments.UsageError(fs, "-stratify/-dedup are not in the service wire format; run them locally")
+	sp.SetStop(stop)
+	if *scenarioPath != "" {
+		sc, err := scenario.Load(*scenarioPath)
+		if err != nil {
+			return err
 		}
-		if sc != nil {
-			sp := serve.Spec{V: serve.WireVersion, Scenario: sc, Shards: *shards}
-			// Only explicitly-set run knobs go on the wire; the server
-			// backfills the rest from the scenario's run block.
-			if visited["trials"] {
-				sp.Trials = *trials
-			}
-			if visited["workers"] {
-				sp.Workers = *workers
-			}
-			if visited["seed"] {
-				sp.Seed = *seed
-			}
-			if visited["skip-errors"] {
-				sp.SkipErrors = *skipErrors
-			}
-			if visited["stop-ci"] {
-				sp.SetStop(stop)
-			}
-			return runSubmit(ctx, *submit, sp, *jsonl, *progress, out)
-		}
-		sp := serve.Spec{
-			V:            serve.WireVersion,
-			Model:        *model,
-			Classes:      *classes,
-			Size:         *size,
-			Epochs:       *epochs,
-			Noise:        *noise,
-			Seed:         *seed,
-			Trials:       *trials,
-			Error:        *errModel,
-			Scope:        *scope,
-			Backend:      *backend,
-			DType:        *dtype,
-			ActZeroPoint: *actZP,
-			Shards:       *shards,
-			Workers:      *workers,
-			SkipErrors:   *skipErrors,
-		}
-		sp.SetStop(stop)
-		return runSubmit(ctx, *submit, sp, *jsonl, *progress, out)
+		sp.Scenario = &sc
 	}
-
-	var sinks []campaign.TrialSink
+	sp = sp.Canon()
+	cfg, err := sp.Config()
+	if err == nil && *submit != "" {
+		err = sp.Validate() // adds what the wire cannot carry
+	}
+	if err != nil {
+		return experiments.UsageError(fs, "%v", err)
+	}
+	var sink *report.TrialJSONL
 	if *jsonl != "" {
 		f, err := os.Create(*jsonl)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		sinks = append(sinks, report.NewTrialJSONL(f))
-	}
-	var progressFn func(campaign.Progress)
-	if *progress {
-		progressFn = func(p campaign.Progress) {
-			fmt.Fprintf(os.Stderr, "\r%d/%d trials  %.1f trials/s  ETA %s   ",
-				p.Done, p.Total, p.TrialsPerSec, p.ETA.Round(time.Second))
-		}
-	}
-	policy := campaign.FailFast
-	if *skipErrors {
-		policy = campaign.SkipAndCount
+		sink = report.NewTrialJSONL(f)
 	}
 
-	var gcfg experiments.GenericCampaignConfig
-	if sc != nil {
-		gcfg, err = experiments.ScenarioConfig(*sc)
-		if err != nil {
-			return err
-		}
-		// Explicit run-knob flags override the scenario's run block; none
-		// of them change which fault a trial index arms.
-		if visited["trials"] {
-			gcfg.Trials = *trials
-		}
-		if visited["workers"] {
-			gcfg.Workers = *workers
-		}
-		if visited["seed"] {
-			gcfg.Seed = *seed
-		}
-		if visited["skip-errors"] {
-			gcfg.OnError = policy
-		}
-		if visited["stop-ci"] || visited["stop-conf"] || visited["stop-min"] {
-			gcfg.Stop = stop
-		}
-		gcfg.Sinks, gcfg.Progress, gcfg.Metrics = sinks, progressFn, metrics
+	// The one fork: either side yields a result (and a served campaign its
+	// id and state for the header); everything after it is shared.
+	var tag string
+	var res experiments.GenericCampaignResult
+	if *submit != "" {
+		tag, res, err = runSubmit(ctx, *submit, sp, sink, *progress, out)
 	} else {
-		gcfg = experiments.GenericCampaignConfig{
-			Model:          *model,
-			Classes:        *classes,
-			InSize:         *size,
-			TrainEpochs:    *epochs,
-			Noise:          float32(*noise),
-			Trials:         *trials,
-			Workers:        *workers,
-			DType:          dt,
-			Backend:        be,
-			ActZeroPoint:   *actZP,
-			Arm:            arm,
-			IsolateWeights: *scope == "weight",
-			Seed:           *seed,
-			Sinks:          sinks,
-			Progress:       progressFn,
-			OnError:        policy,
-			Metrics:        metrics,
-			PrefixReuse:    true,
-			Stop:           stop,
-			Stratify:       *stratify,
-			Dedup:          *dedup,
+		if sink != nil {
+			cfg.Sinks = []campaign.TrialSink{sink}
 		}
-		if *stratify || *dedup {
-			// The generator owns fault declaration; hand it the error model
-			// instead of the Arm closure.
-			gcfg.Arm = nil
-			gcfg.ErrorModel = em
+		if *progress {
+			cfg.Progress = func(p campaign.Progress) {
+				fmt.Fprintf(os.Stderr, "\r%d/%d trials  %.1f trials/s  ETA %s   ",
+					p.Done, p.Total, p.TrialsPerSec, p.ETA.Round(time.Second))
+			}
 		}
+		cfg.Metrics = metrics
+		res, err = experiments.RunGenericCampaign(ctx, cfg)
 	}
-	res, err := experiments.RunGenericCampaign(ctx, gcfg)
 	if *progress {
 		fmt.Fprintln(os.Stderr)
 	}
-	aborted := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	// A local run interrupted mid-campaign still reports what completed.
+	aborted := *submit == "" && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 	if err != nil && !aborted {
 		return err
 	}
 
-	if s := gcfg.Scenario; s != nil {
-		label := s.Name
-		if label == "" {
-			label = *scenarioPath
+	if s := sp.Scenario; s != nil {
+		name := s.Name
+		if name == "" {
+			name = "(unnamed)"
 		}
-		fmt.Fprintf(out, "GoFI campaign — scenario %s: %s, %s error model, %s scope + %s selector, %s (%s backend)\n",
-			label, s.Model.Arch, s.Fault.Error.Kind, s.Fault.Scope, s.Selector.Kind, s.Fault.DType, s.Fault.Backend)
+		fmt.Fprintf(out, "GoFI campaign %s— scenario %s: %s, %s error model, %s scope + %s selector, %s (%s backend)\n",
+			tag, name, s.Model.Arch, s.Fault.Error.Kind, s.Fault.Scope, s.Selector.Kind, s.Fault.DType, s.Fault.Backend)
 	} else {
-		fmt.Fprintf(out, "GoFI campaign — %s, %s error model, %s scope, %s (%s backend)\n", *model, em.Name(), *scope, dt, be)
+		fmt.Fprintf(out, "GoFI campaign %s— %s, %s error model, %s scope, %s (%s backend)\n",
+			tag, sp.Model, sp.Error, sp.Scope, sp.DType, sp.Backend)
 	}
 	if aborted {
 		fmt.Fprintf(out, "campaign aborted (%v) — partial statistics over %d completed trials\n",
@@ -334,30 +235,22 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	return nil
 }
 
-// runSubmit drives service mode: ship the spec to a gofi-serve instance,
-// stream the index-ordered records back (optionally into the -jsonl
-// file, byte-identical to a local run's), and print the same summary
-// table the local path prints. The campaign survives this client: Ctrl-C
+// runSubmit is the service side of the fork: post the spec to a
+// gofi-serve instance, stream the index-ordered records back into the
+// -jsonl sink, and hand back the campaign's id and state plus the result
+// the summary is rendered from. A served -jsonl is index-ordered with
+// worker 0; a local one is written in completion order with the real
+// worker ids unless a stop rule is on — the two hold equal records per
+// trial, not identical bytes. The campaign survives this client: Ctrl-C
 // here leaves it running server-side, resumable and streamable later.
-func runSubmit(ctx context.Context, base string, sp serve.Spec, jsonl string, progress bool, out *os.File) error {
+func runSubmit(ctx context.Context, base string, sp serve.Spec, sink *report.TrialJSONL, progress bool, out *os.File) (tag string, res experiments.GenericCampaignResult, err error) {
 	cl := &serve.Client{Base: base}
 	st, err := cl.Submit(ctx, sp)
 	if err != nil {
-		return err
+		return "", res, err
 	}
-	canon := st.Spec
-	fmt.Fprintf(out, "submitted campaign %s to %s (%d shard(s) x %d workers)\n",
-		st.ID, base, canon.Shards, canon.Workers)
+	fmt.Fprintf(out, "submitted campaign %s to %s (%d shard(s) x %d workers)\n", st.ID, base, sp.Shards, sp.Workers)
 
-	var sink *report.TrialJSONL
-	if jsonl != "" {
-		f, err := os.Create(jsonl)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sink = report.NewTrialJSONL(f)
-	}
 	var done *serve.Event
 	err = cl.Stream(ctx, st.ID, 0, func(ev serve.Event) error {
 		switch ev.Type {
@@ -378,52 +271,26 @@ func runSubmit(ctx context.Context, base string, sp serve.Spec, jsonl string, pr
 		}
 		return nil
 	})
-	if progress {
-		fmt.Fprintln(os.Stderr)
-	}
 	if err != nil {
-		return err
+		return "", res, err
 	}
 	if done == nil || done.Agg == nil {
-		return fmt.Errorf("campaign %s: stream ended without a done event", st.ID)
+		return "", res, fmt.Errorf("campaign %s: stream ended without a done event", st.ID)
 	}
 	fin, err := cl.Status(ctx, st.ID)
 	if err != nil {
-		return err
+		return "", res, err
 	}
-
-	agg := done.Agg
-	if s := canon.Scenario; s != nil {
-		label := s.Name
-		if label == "" {
-			label = "(unnamed)"
-		}
-		fmt.Fprintf(out, "GoFI campaign %s (%s) — scenario %s: %s, %s error model, %s scope, %s (%s backend)\n",
-			st.ID, done.State, label, s.Model.Arch, s.Fault.Error.Kind, s.Fault.Scope, s.Fault.DType, s.Fault.Backend)
-	} else {
-		fmt.Fprintf(out, "GoFI campaign %s (%s) — %s, %s error model, %s scope, %s (%s backend)\n",
-			st.ID, done.State, canon.Model, canon.Error, canon.Scope, canon.DType, canon.Backend)
+	v := done.Agg
+	res.CleanAcc, res.EligibleCount = fin.CleanAcc, fin.Eligible
+	res.Aggregate = campaign.Aggregate{Trials: v.Trials, Top1Mis: v.Top1Mis, OutOfTop5: v.OutOfTop5,
+		NonFinite: v.NonFinite, BigConfDrop: v.BigConfDrop, Skipped: v.Skipped}
+	if rule := sp.Stop(); rule.On() {
+		// The service runs the plain sequential rule, whose estimate is the
+		// interval over the folded aggregate at the rule's level.
+		ci := stats.Wilson(v.Top1Mis, v.Trials, rule.Confidence)
+		res.Stop = &experiments.StopSummary{Trial: v.StopTrial, Budget: sp.Trials, Confidence: rule.Confidence,
+			Rate: v.Rate, Lo: ci.Lo, Hi: ci.Hi}
 	}
-	fmt.Fprintf(out, "clean accuracy: %.1f%% (%d eligible inputs)\n", 100*fin.CleanAcc, fin.Eligible)
-	tb := report.NewTable("Metric", "Value")
-	tb.AddRow("Trials", agg.Trials)
-	tb.AddRow("Top-1 misclassifications", agg.Top1Mis)
-	tb.AddRow("Rate (%)", 100*agg.Rate)
-	tb.AddRow("99% CI (%)", fmt.Sprintf("[%.3f, %.3f]", 100*agg.Lo, 100*agg.Hi))
-	tb.AddRow("Clean Top-1 out of faulty Top-5", agg.OutOfTop5)
-	tb.AddRow("Confidence drops > 0.2", agg.BigConfDrop)
-	tb.AddRow("Non-finite outputs", agg.NonFinite)
-	if agg.Skipped > 0 {
-		tb.AddRow("Skipped (trial errors)", agg.Skipped)
-	}
-	if canon.Stop().On() {
-		if agg.StopTrial >= 0 {
-			tb.AddRow("Early stop at trial", agg.StopTrial)
-			tb.AddRow("Trials saved", canon.Trials-agg.StopTrial-1)
-		} else {
-			tb.AddRow("Early stop", "not reached (budget exhausted)")
-		}
-	}
-	tb.Render(out)
-	return nil
+	return fmt.Sprintf("%s (%s) ", st.ID, done.State), res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -17,38 +18,70 @@ import (
 	"gofi/internal/serve"
 )
 
-func TestRunRejectsBadFlags(t *testing.T) {
-	ctx := context.Background()
-	for _, args := range [][]string{
-		{"-error", "nope"},
-		{"-dtype", "nope"},
-		{"-scope", "nope"},
-		{"-trials", "0"},
-		{"-trials", "-5"},
-		{"-workers", "-1"},
-		{"-definitely-not-a-flag"},
-		// The engine's execution settings are not flags: values the
-		// previous revision accepted are unknown flags now.
-		{"-schedule", "auto"},
-		{"-trial-batch", "8"},
-		{"-prefix-reuse=false"},
-		{"-stop-ci", "-0.1"},
-		{"-stop-ci", "0.5"},
-		{"-stop-ci", "0.005", "-stop-conf", "0"},
-		{"-stop-ci", "0.005", "-stop-conf", "1.5"},
-		{"-stop-ci", "0.005", "-stop-min", "-1"},
-		{"-stratify", "-scope", "weight"},
-		{"-stratify", "-error", "zero"},
-		{"-dedup", "-scope", "fmap"},
-		{"-shards", "0"},
-		{"-shards", "4"}, // sharding is submit-mode only
-		{"-submit", "http://127.0.0.1:1", "-stratify"},
-		{"-submit", "http://127.0.0.1:1", "-dedup"},
-	} {
-		if err := run(ctx, args, os.Stdout); err == nil {
-			t.Fatalf("run(%v) must fail", args)
+// capture runs the CLI with args and returns what it printed to stdout.
+func capture(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "out.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	runErr := run(context.Background(), args, out)
+	buf, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(buf), runErr
+}
+
+// rejected is a command line that must fail with an error naming the
+// offending flag or spec field.
+type rejected struct {
+	want string
+	args []string
+}
+
+func mustReject(t *testing.T, rows []rejected) {
+	t.Helper()
+	for _, c := range rows {
+		err := run(context.Background(), c.args, os.Stdout)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v) = %v, want an error naming %q", c.args, err, c.want)
 		}
 	}
+}
+
+func TestRunRejectsBadFlags(t *testing.T) {
+	mustReject(t, []rejected{
+		{`error model "nope"`, []string{"-error", "nope"}},
+		{`dtype "nope"`, []string{"-dtype", "nope"}},
+		{`scope "nope"`, []string{"-scope", "nope"}},
+		{"-trials must be positive", []string{"-trials", "0"}},
+		{"trials must be positive", []string{"-trials", "-5"}},
+		{"workers must be >= 1", []string{"-workers", "-1"}},
+		{"-definitely-not-a-flag", []string{"-definitely-not-a-flag"}},
+		// The engine's execution settings are not flags: values the
+		// previous revision accepted are unknown flags now.
+		{"-schedule", []string{"-schedule", "auto"}},
+		{"-trial-batch", []string{"-trial-batch", "8"}},
+		{"-prefix-reuse", []string{"-prefix-reuse=false"}},
+		{"-stop-ci", []string{"-stop-ci", "-0.1"}},
+		{"-stop-ci", []string{"-stop-ci", "0.5"}},
+		{"-stop-conf", []string{"-stop-ci", "0.005", "-stop-conf", "0"}},
+		{"-stop-conf", []string{"-stop-ci", "0.005", "-stop-conf", "1.5"}},
+		{"-stop-min", []string{"-stop-ci", "0.005", "-stop-min", "-1"}},
+		{"stratify", []string{"-stratify", "-scope", "weight"}},
+		{"stratify", []string{"-stratify", "-error", "zero"}},
+		{"dedup", []string{"-dedup", "-scope", "fmap"}},
+		{"-shards must be positive", []string{"-shards", "0"}},
+		{"shards must be >= 1", []string{"-shards", "-2", "-submit", "http://127.0.0.1:1"}},
+		{"-shards only applies", []string{"-shards", "4"}}, // sharding is submit-mode only
+		// What the wire cannot carry fails before anything is sent.
+		{"-stratify locally", []string{"-submit", "http://127.0.0.1:1", "-stratify"}},
+		{"-dedup locally", []string{"-submit", "http://127.0.0.1:1", "-dedup"}},
+		{"observers", []string{"-submit", "http://127.0.0.1:1", "-scenario", "../../examples/scenarios/int8_stored_code.yaml"}},
+		{"run.trials", []string{"-submit", "http://127.0.0.1:1", "-scenario", "../../examples/scenarios/sweep_conv5_bit0.yaml"}},
+	})
 }
 
 // TestSubmitMode drives the -submit client path against an in-process
@@ -58,45 +91,23 @@ func TestSubmitMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model fixture; skipped with -short")
 	}
-	srv, err := serve.New(serve.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	dir := t.TempDir()
-	jsonl := filepath.Join(dir, "trials.jsonl")
-	outPath := filepath.Join(dir, "out.txt")
-	out, err := os.Create(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-
-	args := []string{
-		"-submit", hs.URL, "-shards", "2",
+	jsonl := filepath.Join(t.TempDir(), "trials.jsonl")
+	text, err := capture(t,
+		"-submit", newService(t), "-shards", "2",
 		"-model", "alexnet", "-classes", "4", "-size", "16", "-epochs", "6",
 		"-noise", "0.2", "-seed", "42", "-trials", "20", "-workers", "2",
-		"-skip-errors", "-jsonl", jsonl,
-	}
-	if err := run(context.Background(), args, out); err != nil {
+		"-skip-errors", "-jsonl", jsonl)
+	if err != nil {
 		t.Fatalf("submit mode: %v", err)
 	}
-	buf, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(buf)
 	for _, want := range []string{"submitted campaign c000001", "(done)", "Trials", "99% CI"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("output missing %q:\n%s", want, text)
 		}
 	}
 
-	// The -jsonl file carries one index-ordered record per trial — the
-	// same stream a local run writes.
+	// The -jsonl file carries one index-ordered record per trial, equal
+	// to the local run's record for that trial.
 	f, err := os.Open(jsonl)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +126,7 @@ func TestSubmitMode(t *testing.T) {
 	}
 
 	// A dead server is a plain error, not a hang.
-	if err := run(context.Background(), []string{"-submit", "http://127.0.0.1:1", "-trials", "5"}, out); err == nil {
+	if _, err := capture(t, "-submit", "http://127.0.0.1:1", "-trials", "5"); err == nil {
 		t.Fatal("submit to a dead server succeeded")
 	}
 }
@@ -124,31 +135,28 @@ func TestSubmitMode(t *testing.T) {
 // shape, so the corresponding flags must be rejected up front (and a
 // missing or malformed file is a plain error).
 func TestScenarioFlagConflicts(t *testing.T) {
-	ctx := context.Background()
 	bad := filepath.Join(t.TempDir(), "bad.yaml")
 	if err := os.WriteFile(bad, []byte("scenario_version: 99\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{
-		{"-scenario", "does-not-exist.yaml"},
-		{"-scenario", bad},
-		{"-scenario", "x.yaml", "-model", "alexnet"},
-		{"-scenario", "x.yaml", "-error", "zero"},
-		{"-scenario", "x.yaml", "-scope", "weight"},
-		{"-scenario", "x.yaml", "-dtype", "fp16"},
-		{"-scenario", "x.yaml", "-backend", "int8"},
-		{"-scenario", "x.yaml", "-act-zp"},
-		{"-scenario", "x.yaml", "-classes", "4"},
-		{"-scenario", "x.yaml", "-size", "16"},
-		{"-scenario", "x.yaml", "-epochs", "2"},
-		{"-scenario", "x.yaml", "-noise", "0.3"},
-		{"-scenario", "x.yaml", "-stratify"},
-		{"-scenario", "x.yaml", "-dedup"},
-	} {
-		if err := run(ctx, args, os.Stdout); err == nil {
-			t.Fatalf("run(%v) must fail", args)
-		}
-	}
+	const file = "../../examples/scenarios/neuron_bitflip.yaml"
+	const owns = "a scenario owns the model fixture and fault shape"
+	mustReject(t, []rejected{
+		{"does-not-exist.yaml", []string{"-scenario", "does-not-exist.yaml"}},
+		{"scenario_version", []string{"-scenario", bad}},
+		{owns, []string{"-scenario", file, "-model", "alexnet"}},
+		{owns, []string{"-scenario", file, "-error", "zero"}},
+		{owns, []string{"-scenario", file, "-scope", "weight"}},
+		{owns, []string{"-scenario", file, "-dtype", "fp16"}},
+		{owns, []string{"-scenario", file, "-backend", "int8"}},
+		{owns, []string{"-scenario", file, "-act-zp"}},
+		{owns, []string{"-scenario", file, "-classes", "4"}},
+		{owns, []string{"-scenario", file, "-size", "16"}},
+		{owns, []string{"-scenario", file, "-epochs", "2"}},
+		{owns, []string{"-scenario", file, "-noise", "0.3"}},
+		{owns, []string{"-scenario", file, "-stratify"}},
+		{owns, []string{"-scenario", file, "-dedup"}},
+	})
 }
 
 // TestScenarioExamples executes every committed example scenario
@@ -170,22 +178,11 @@ func TestScenarioExamples(t *testing.T) {
 	for _, e := range entries {
 		path := filepath.Join(dir, e.Name())
 		t.Run(e.Name(), func(t *testing.T) {
-			tmp := t.TempDir()
-			outPath := filepath.Join(tmp, "out.txt")
-			out, err := os.Create(outPath)
+			jsonl := filepath.Join(t.TempDir(), "trials.jsonl")
+			text, err := capture(t, "-scenario", path, "-jsonl", jsonl)
 			if err != nil {
-				t.Fatal(err)
-			}
-			defer out.Close()
-			jsonl := filepath.Join(tmp, "trials.jsonl")
-			if err := run(context.Background(), []string{"-scenario", path, "-jsonl", jsonl}, out); err != nil {
 				t.Fatalf("run(-scenario %s): %v", e.Name(), err)
 			}
-			buf, err := os.ReadFile(outPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			text := string(buf)
 			for _, want := range []string{"GoFI campaign — scenario", "clean accuracy", "Trials"} {
 				if !strings.Contains(text, want) {
 					t.Fatalf("output missing %q:\n%s", want, text)
@@ -202,11 +199,25 @@ func TestScenarioExamples(t *testing.T) {
 	}
 }
 
+// newService starts an in-process campaign service for -submit runs.
+func newService(t *testing.T) string {
+	t.Helper()
+	srv, err := serve.New(serve.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	return hs.URL
+}
+
 // TestScenarioRunKnobOverride: explicit run-knob flags override the
 // scenario file's run block (a smaller -trials budget shrinks the record
 // stream accordingly), and what the flags leave alone is the file's: the
 // summary reports the budget and the stop confidence the run resolved
-// to, not the flag defaults (1000 trials, 95%).
+// to, not the flag defaults (1000 trials, 95%). The stop knobs follow the
+// same rule one by one — -stop-conf alone changes the level of the file's
+// rule and nothing else — and mean the same locally and over the wire.
 func TestScenarioRunKnobOverride(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model fixture; skipped with -short")
@@ -215,64 +226,57 @@ func TestScenarioRunKnobOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withStop := filepath.Join(t.TempDir(), "with_stop.json")
 	fileRun := `"run": {"trials": 20, "seed": 11, "workers": 2}`
 	if !strings.Contains(string(example), fileRun) {
 		t.Fatalf("example scenario no longer declares %s", fileRun)
 	}
-	stopRun := `"run": {"trials": 40, "seed": 11, "workers": 2, "stop": {"ci": 0.2, "conf": 0.9, "min": 10}}`
-	if err := os.WriteFile(withStop, []byte(strings.Replace(string(example), fileRun, stopRun, 1)), 0o644); err != nil {
-		t.Fatal(err)
+	withRun := func(name, run string) string {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(strings.Replace(string(example), fileRun, run, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
+	withStop := withRun("with_stop.json", `"run": {"trials": 40, "seed": 11, "workers": 2, "stop": {"ci": 0.2, "conf": 0.9, "min": 10}}`)
+	longStop := withRun("long_stop.json", `"run": {"trials": 400, "seed": 11, "workers": 2, "stop": {"ci": 0.2, "conf": 0.9, "min": 10}}`)
 	for _, c := range []struct {
 		name        string
 		args        []string
 		wantRecords int
 		// wantBudget, when positive, expects a fired stop rule whose
-		// "Trials saved" row counts from this budget at a 90% estimator CI.
-		wantBudget int
+		// "Trials saved" row counts from this budget at a wantConf%
+		// estimator CI.
+		wantBudget, wantConf int
+		// served runs the row against a campaign service as well.
+		served bool
 	}{
-		{"trials flag overrides the file", []string{"-scenario", "../../examples/scenarios/per_layer_zero.json", "-trials", "8", "-workers", "1"}, 8, 0},
-		{"file budget and stop confidence reach the summary", []string{"-scenario", withStop}, 0, 40},
+		{"trials flag overrides the file", []string{"-scenario", "../../examples/scenarios/per_layer_zero.json", "-trials", "8", "-workers", "1"}, 8, 0, 0, false},
+		{"file budget and stop confidence reach the summary", []string{"-scenario", withStop}, 0, 40, 90, false},
+		{"stop-conf alone keeps the file's half-width and floor", []string{"-scenario", longStop, "-stop-conf", "0.8"}, 0, 400, 80, true},
 	} {
-		t.Run(c.name, func(t *testing.T) {
-			tmp := t.TempDir()
-			outPath := filepath.Join(tmp, "out.txt")
-			out, err := os.Create(outPath)
+		check := func(t *testing.T, args []string) {
+			jsonl := filepath.Join(t.TempDir(), "trials.jsonl")
+			summary, err := capture(t, append(args, "-jsonl", jsonl)...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer out.Close()
-			jsonl := filepath.Join(tmp, "trials.jsonl")
-			if err := run(context.Background(), append(c.args, "-jsonl", jsonl), out); err != nil {
-				t.Fatal(err)
-			}
-			f, err := os.Open(jsonl)
+			records, err := os.ReadFile(jsonl)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer f.Close()
-			lines := 0
-			sc := bufio.NewScanner(f)
-			for sc.Scan() {
-				lines++
-			}
+			lines := strings.Count(string(records), "\n")
 			if c.wantRecords > 0 && lines != c.wantRecords {
 				t.Fatalf("jsonl has %d records, want the -trials override of %d", lines, c.wantRecords)
 			}
 			if c.wantBudget == 0 {
 				return
 			}
-			summary, err := os.ReadFile(outPath)
-			if err != nil {
-				t.Fatal(err)
-			}
 			row := func(label string) int {
-				m := regexp.MustCompile(regexp.QuoteMeta(label) + `\s+(-?\d+)`).FindSubmatch(summary)
+				m := regexp.MustCompile(regexp.QuoteMeta(label) + `\s+(-?\d+)`).FindStringSubmatch(summary)
 				if m == nil {
 					t.Fatalf("summary has no %q row:\n%s", label, summary)
 				}
-				n, _ := strconv.Atoi(string(m[1]))
+				n, _ := strconv.Atoi(m[1])
 				return n
 			}
 			stopAt := row("Early stop at trial")
@@ -282,8 +286,59 @@ func TestScenarioRunKnobOverride(t *testing.T) {
 			if got, want := row("Trials saved"), c.wantBudget-stopAt-1; got != want {
 				t.Errorf("Trials saved = %d, want %d (the file's budget of %d less the %d trials run)", got, want, c.wantBudget, stopAt+1)
 			}
-			if !strings.Contains(string(summary), "Estimator 90% CI") {
-				t.Errorf("estimator CI is not labelled with the file's 90%% confidence:\n%s", summary)
+			if label := fmt.Sprintf("Estimator %d%% CI", c.wantConf); !strings.Contains(summary, label) {
+				t.Errorf("no %q row: the estimator CI is not at the resolved confidence:\n%s", label, summary)
+			}
+		}
+		t.Run(c.name, func(t *testing.T) { check(t, c.args) })
+		if c.served {
+			t.Run(c.name+"/served", func(t *testing.T) { check(t, append(c.args, "-submit", newService(t))) })
+		}
+	}
+}
+
+// TestLocalEqualsSubmit: one command line means one campaign and prints
+// one report, whether it runs in this process or on a campaign service.
+// Only the "submitted campaign" line and the id and state in the header
+// tell the two outputs apart.
+func TestLocalEqualsSubmit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains model fixtures; skipped with -short")
+	}
+	url := newService(t)
+	fixture := []string{"-model", "alexnet", "-classes", "4", "-size", "16", "-epochs", "4", "-seed", "9", "-workers", "2"}
+	served := regexp.MustCompile(`(?m)^submitted campaign .*\n|c\d{6} \(done\) `)
+	for _, c := range []struct {
+		name string
+		args []string
+		// rows are summary rows the case exists to cover.
+		rows []string
+	}{
+		{"flat neuron", append([]string{"-trials", "40", "-dtype", "fp32"}, fixture...), nil},
+		{"weight scope, skipped errors", append([]string{"-trials", "30", "-scope", "weight", "-dtype", "fp32", "-skip-errors"}, fixture...), nil},
+		{"example scenario", []string{"-scenario", "../../examples/scenarios/layer_rules.yaml"}, []string{"scenario layer-rules"}},
+		{"stop rule fires", append([]string{"-trials", "600", "-scope", "fmap", "-dtype", "fp32", "-stop-ci", "0.1", "-stop-conf", "0.9", "-stop-min", "20"}, fixture...),
+			[]string{"Early stop at trial", "Trials saved", "Estimator 90% CI (%)"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			local, err := capture(t, c.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote, err := capture(t, append(c.args, "-submit", url, "-shards", "2")...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !served.MatchString(remote) {
+				t.Fatalf("served run does not identify its campaign:\n%s", remote)
+			}
+			if got := served.ReplaceAllString(remote, ""); got != local {
+				t.Errorf("served report differs from the local one:\n--- local\n%s--- served\n%s", local, got)
+			}
+			for _, row := range c.rows {
+				if !strings.Contains(local, row) {
+					t.Errorf("report has no %q row:\n%s", row, local)
+				}
 			}
 		})
 	}
@@ -299,20 +354,12 @@ func TestWeightScopeResumesFromCheckpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model fixture; skipped with -short")
 	}
-	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "metrics.json")
-	out, err := os.Create(filepath.Join(dir, "out.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
+	snapPath := filepath.Join(t.TempDir(), "metrics.json")
 	const trials = 40
-	args := []string{
+	if _, err := capture(t,
 		"-model", "alexnet", "-classes", "4", "-size", "16", "-epochs", "4", "-seed", "9",
 		"-scope", "weight", "-error", "bitflip", "-dtype", "fp32",
-		"-trials", strconv.Itoa(trials), "-workers", "2", "-metrics", snapPath,
-	}
-	if err := run(context.Background(), args, out); err != nil {
+		"-trials", strconv.Itoa(trials), "-workers", "2", "-metrics", snapPath); err != nil {
 		t.Fatal(err)
 	}
 	buf, err := os.ReadFile(snapPath)

@@ -106,23 +106,11 @@ func run(ctx context.Context, args []string) error {
 	}
 	fmt.Println("(synthetic 10-class dataset stands in for ImageNet; each network trained to")
 	fmt.Println(" high accuracy first; injections only on correctly-classified inputs)")
-	cols := []string{"Network", "CleanAcc", "Trials", "Top1-Mis", "Rate (%)", "99% CI (%)", "OutOfTop5", "NonFinite"}
-	if stop.On() {
-		cols = append(cols, "Stop@")
-	}
-	tb := report.NewTable(cols...)
+	tb, addRow := experiments.StopTable(stop, "Network", "CleanAcc", "Trials", "Top1-Mis", "Rate (%)", "99% CI (%)", "OutOfTop5", "NonFinite")
 	for _, r := range rows {
-		vals := []any{r.Model, r.CleanAcc, r.Trials, r.Top1Mis,
-			100 * r.Rate, fmt.Sprintf("[%.3f, %.3f]", 100*r.CILo, 100*r.CIHi),
-			r.OutOfTop5, r.NonFinite}
-		if stop.On() {
-			stop := "budget"
-			if r.StopTrial >= 0 {
-				stop = fmt.Sprintf("%d", r.StopTrial)
-			}
-			vals = append(vals, stop)
-		}
-		tb.AddRow(vals...)
+		addRow(r.StopTrial, r.Model, r.CleanAcc, r.Trials, r.Top1Mis,
+			100*r.Rate, fmt.Sprintf("[%.3f, %.3f]", 100*r.CILo, 100*r.CIHi),
+			r.OutOfTop5, r.NonFinite)
 	}
 	tb.Render(os.Stdout)
 

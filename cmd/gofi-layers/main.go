@@ -78,22 +78,10 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	fmt.Printf("Per-layer vulnerability profile — %s, %s-granularity injections\n", *model, g)
-	cols := []string{"Layer", "Path", "Output", "Trials", "Mis", "Rate (%)", "99% CI (%)"}
-	if stop.On() {
-		cols = append(cols, "Stop@")
-	}
-	tb := report.NewTable(cols...)
+	tb, addRow := experiments.StopTable(stop, "Layer", "Path", "Output", "Trials", "Mis", "Rate (%)", "99% CI (%)")
 	for _, r := range rows {
-		vals := []any{r.Layer, r.Path, fmt.Sprintf("%v", r.OutShape), r.Trials, r.Mis,
-			100 * r.Rate, fmt.Sprintf("[%.2f, %.2f]", 100*r.CILo, 100*r.CIHi)}
-		if stop.On() {
-			stop := "budget"
-			if r.StopTrial >= 0 {
-				stop = fmt.Sprintf("%d", r.StopTrial)
-			}
-			vals = append(vals, stop)
-		}
-		tb.AddRow(vals...)
+		addRow(r.StopTrial, r.Layer, r.Path, fmt.Sprintf("%v", r.OutShape), r.Trials, r.Mis,
+			100*r.Rate, fmt.Sprintf("[%.2f, %.2f]", 100*r.CILo, 100*r.CIHi))
 	}
 	tb.Render(os.Stdout)
 

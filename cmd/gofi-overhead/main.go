@@ -93,10 +93,10 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		fmt.Printf("Per-layer hook overhead — %s, %d timed forwards per mode\n", res.Model, res.Trials)
-		fmt.Println("(bare = timing hooks only; FI = timing + disarmed injection hooks)")
-		tb := report.NewTable("Layer", "Path", "Bare p50 (µs)", "FI p50 (µs)", "Δp50 (µs)", "FI p99 (µs)")
+		fmt.Println("(bare = timing hooks only; FI = timing + disarmed injection hooks; raw samples, passes alternated)")
+		tb := report.NewTable("Layer", "Path", "Bare min (µs)", "FI min (µs)", "Δmin (µs)", "Bare p50 (µs)", "FI p50 (µs)", "Δp50 (µs)")
 		for _, r := range res.Rows {
-			tb.AddRow(r.Layer, r.Path, r.BareP50Us, r.FIP50Us, r.DeltaP50Us, r.FIP99Us)
+			tb.AddRow(r.Layer, r.Path, r.BareMinUs, r.FIMinUs, r.DeltaMinUs, r.BareP50Us, r.FIP50Us, r.DeltaP50Us)
 		}
 		tb.Render(os.Stdout)
 		fmt.Printf("\nwhole network: bare p50 %.6fs (min %.6fs), FI p50 %.6fs — overhead %.3fms at p50\n",

@@ -30,6 +30,7 @@ import (
 	"syscall"
 	"time"
 
+	"gofi/internal/obs"
 	"gofi/internal/serve"
 )
 
@@ -68,7 +69,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "gofi-serve listening on http://%s (state %s)\n", ln.Addr(), *dir)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: obs.ReadHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

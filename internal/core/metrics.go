@@ -80,24 +80,17 @@ type timingRegistrar interface {
 	RegisterForwardPreHook(nn.ForwardPreHook) nn.HookHandle
 }
 
-// TimeLayers installs per-layer forward timing on every hookable layer:
-// a pre-hook records the start time, a forward hook observes the
-// elapsed wall clock into reg's histogram named
-//
-//	<prefix><index>.<path>.forward_ns
-//
-// (index zero-padded so lexicographic order is walk order). Because
-// forward hooks run in registration order, timing installed after the
-// injector's own hooks includes their cost — which is exactly what the
-// overhead study wants to measure. The returned HandleSet removes the
-// instrumentation; a nil registry installs nothing.
+// ObserveLayers installs per-layer forward timing on every hookable
+// layer: a pre-hook records the start time and a forward hook hands the
+// elapsed wall clock to the layer's observer, which newObserver builds
+// once per layer from its walk index and path. Because forward hooks run
+// in registration order, timing installed after the injector's own hooks
+// includes their cost — which is exactly what the overhead study wants to
+// measure. The returned HandleSet removes the instrumentation.
 //
 // Timing shares the model's single-goroutine discipline: do not run a
 // timed model from multiple goroutines.
-func TimeLayers(model nn.Layer, includeLinear bool, reg *obs.Registry, prefix string) HandleSet {
-	if reg == nil {
-		return nil
-	}
+func ObserveLayers(model nn.Layer, includeLinear bool, newObserver func(index int, path string) func(time.Duration)) HandleSet {
 	var hs HandleSet
 	idx := 0
 	walkHookables(model, includeLinear, func(h hookable) {
@@ -107,16 +100,32 @@ func TimeLayers(model nn.Layer, includeLinear bool, reg *obs.Registry, prefix st
 		if !ok {
 			return
 		}
-		hist := reg.Histogram(fmt.Sprintf("%s%03d.%s.forward_ns", prefix, i, h.path))
+		observe := newObserver(i, h.path)
 		var t0 time.Time
 		hs = append(hs, tr.RegisterForwardPreHook(func(nn.Layer, *tensor.Tensor) {
 			t0 = time.Now()
 		}))
 		hs = append(hs, tr.RegisterForwardHook(func(nn.Layer, *tensor.Tensor, *tensor.Tensor) {
-			hist.Observe(int64(time.Since(t0)))
+			observe(time.Since(t0))
 		}))
 	})
 	return hs
+}
+
+// TimeLayers is ObserveLayers into reg's histograms named
+//
+//	<prefix><index>.<path>.forward_ns
+//
+// (index zero-padded so lexicographic order is walk order). A nil
+// registry installs nothing.
+func TimeLayers(model nn.Layer, includeLinear bool, reg *obs.Registry, prefix string) HandleSet {
+	if reg == nil {
+		return nil
+	}
+	return ObserveLayers(model, includeLinear, func(i int, path string) func(time.Duration) {
+		hist := reg.Histogram(fmt.Sprintf("%s%03d.%s.forward_ns", prefix, i, path))
+		return func(d time.Duration) { hist.Observe(int64(d)) }
+	})
 }
 
 // EnableLayerTiming is TimeLayers over the injector's own hookable

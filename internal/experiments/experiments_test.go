@@ -8,6 +8,7 @@ import (
 
 	"gofi/internal/core"
 	"gofi/internal/models"
+	"gofi/internal/obs"
 )
 
 // The experiment runners are exercised end-to-end at reduced scale; the
@@ -68,6 +69,43 @@ func TestRunBatchSweep(t *testing.T) {
 	}
 	if rows[1].BaseSec <= rows[0].BaseSec {
 		t.Fatalf("batch 4 not slower than batch 1: %+v", rows)
+	}
+}
+
+// TestLayerOverheadResolvesBelowABucket: the per-layer instrument exists
+// to resolve hook overhead of a microsecond or less, so its deltas must
+// come from raw samples. Read off a log-bucketed histogram they are all
+// whole bucket steps — multiples of a power of two well above the clock's
+// resolution — and say nothing about the hooks.
+func TestLayerOverheadResolvesBelowABucket(t *testing.T) {
+	reg := obs.NewRegistry()
+	res, err := RunLayerOverhead(context.Background(), LayerOverheadConfig{Model: "alexnet", InSize: 16, Trials: 9, Seed: 3, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 5 {
+		t.Fatalf("alexnet has 5 hooked layers, got %d rows", len(res.Rows))
+	}
+	step := int64(0)
+	for _, r := range res.Rows {
+		if !(r.BareMinUs > 0 && r.BareMinUs <= r.BareP50Us && r.FIMinUs > 0 && r.FIMinUs <= r.FIP50Us) {
+			t.Errorf("layer %d: min/median out of order: %+v", r.Layer, r)
+		}
+		for a, b := int64(math.Round(math.Abs(r.DeltaP50Us)*1e3)), step; ; a, b = b, a%b {
+			if b == 0 {
+				step = a
+				break
+			}
+		}
+	}
+	if step >= 64 {
+		t.Errorf("every Δp50 is a multiple of %d ns: bucket steps, not samples: %+v", step, res.Rows)
+	}
+	if res.Bare.MinSec <= 0 || res.FI.MinSec <= 0 || res.Int8.MinSec <= 0 || res.Int8SpeedupP50 <= 0 {
+		t.Errorf("whole-network timings missing: %+v", res)
+	}
+	if n := reg.Snapshot().Histograms["fi.000.alexnet.conv1.forward_ns"].Count; n != 9 {
+		t.Errorf("-metrics histogram of the first layer holds %d samples, want 9", n)
 	}
 }
 

@@ -94,8 +94,8 @@ type GenericCampaignConfig struct {
 	// (overwriting those fields), compiles it against the profiled
 	// layer geometry and arms trials through the compiled selector.
 	// Mutually exclusive with Arm, Stratify, Dedup and ErrorModel. The
-	// run knobs (Trials, Workers, Seed, Stop, OnError) stay
-	// caller-controlled — start from ScenarioConfig and override freely.
+	// run knobs (Trials, Workers, Seed, Stop, OnError) stay the caller's:
+	// serve.Spec.Config resolves them against the scenario's run block.
 	Scenario *scenario.Scenario
 }
 

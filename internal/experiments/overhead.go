@@ -117,16 +117,19 @@ func (c LayerOverheadConfig) canon() LayerOverheadConfig {
 }
 
 // LayerOverheadRow is one hooked layer's bare-vs-instrumented forward
-// timing. "Bare" is the model with timing hooks only; "FI" adds the
-// injector's (disarmed) instrumentation hooks, so Delta isolates what
-// the injection machinery itself costs at that layer.
+// timing, from raw samples. "Bare" is a copy of the model with timing
+// hooks only; "FI" adds the injector's (disarmed) instrumentation hooks,
+// so the deltas isolate what the injection machinery itself costs at that
+// layer. The minimum is the least noisy statistic a wall clock offers;
+// the median shows what a typical pass pays.
 type LayerOverheadRow struct {
 	Layer      int     `json:"layer"`
 	Path       string  `json:"path"`
+	BareMinUs  float64 `json:"bare_min_us"`
 	BareP50Us  float64 `json:"bare_p50_us"`
-	BareP99Us  float64 `json:"bare_p99_us"`
+	FIMinUs    float64 `json:"fi_min_us"`
 	FIP50Us    float64 `json:"fi_p50_us"`
-	FIP99Us    float64 `json:"fi_p99_us"`
+	DeltaMinUs float64 `json:"delta_min_us"`
 	DeltaP50Us float64 `json:"delta_p50_us"`
 }
 
@@ -153,106 +156,111 @@ type LayerOverheadResult struct {
 	Int8SpeedupP50 float64 `json:"int8_speedup_p50"`
 }
 
+// timedModel is one variant of the overhead study's network with raw
+// per-layer and whole-forward samples.
+type timedModel struct {
+	model  nn.Layer
+	layers [][]time.Duration // indexed by hookable walk order
+	whole  []time.Duration
+}
+
+func (m *timedModel) forward(x *tensor.Tensor) {
+	start := time.Now()
+	nn.Run(m.model, x)
+	m.whole = append(m.whole, time.Since(start))
+}
+
 // RunLayerOverhead measures per-layer forward time with and without the
 // injector's (disarmed) instrumentation, upgrading the paper's single
-// wall-clock Figure 3 number into per-layer percentile deltas. Both
-// modes carry identical timing hooks (core.TimeLayers), so the reported
-// delta isolates the injection hook itself — the quantity the
-// near-zero-overhead claim is actually about.
+// wall-clock Figure 3 number into per-layer deltas. The variants are
+// copies of one network carrying identical timing hooks
+// (core.ObserveLayers), so a delta isolates the injection hook itself —
+// the quantity the near-zero-overhead claim is actually about — and they
+// are timed in alternation, one pass each per round, so warm-up and
+// frequency drift land on every variant alike instead of on whichever
+// ran first. Statistics come from the raw samples: a histogram's log
+// buckets are wider than the deltas being resolved.
 func RunLayerOverhead(ctx context.Context, cfg LayerOverheadConfig) (LayerOverheadResult, error) {
 	cfg = cfg.canon()
 	res := LayerOverheadResult{Model: cfg.Model, Trials: cfg.Trials}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	model, err := models.Build(cfg.Model, rng, cfg.Classes, cfg.InSize)
-	if err != nil {
-		return res, err
-	}
-	nn.SetTraining(model, false)
 	x := tensor.RandUniform(rand.New(rand.NewSource(cfg.Seed+2)), -1, 1, cfg.Batch, 3, cfg.InSize, cfg.InSize)
-	nn.Run(model, x) // warm-up, untimed and unhooked
-
-	timed := func(m nn.Layer, reg *obs.Registry, prefix string) ([]time.Duration, AllocStat, error) {
-		hs := core.TimeLayers(m, false, reg, prefix)
-		defer hs.Remove()
-		samples := make([]time.Duration, cfg.Trials)
-		var loopErr error
+	variant := func(prepare func(nn.Layer) error) (*timedModel, AllocStat, error) {
+		model, err := models.Build(cfg.Model, rand.New(rand.NewSource(cfg.Seed+1)), cfg.Classes, cfg.InSize)
+		if err != nil {
+			return nil, AllocStat{}, err
+		}
+		nn.SetTraining(model, false)
+		if err := prepare(model); err != nil {
+			return nil, AllocStat{}, err
+		}
+		nn.Run(model, x) // warm-up
+		// Heap traffic is read before the sample hooks go on: they append.
 		alloc := measureAllocs(cfg.Trials, func() {
-			for i := range samples {
-				if err := ctx.Err(); err != nil {
-					loopErr = err
-					return
-				}
-				start := time.Now()
-				nn.Run(m, x)
-				samples[i] = time.Since(start)
+			for i := 0; i < cfg.Trials && ctx.Err() == nil; i++ {
+				nn.Run(model, x)
 			}
 		})
-		if loopErr != nil {
-			return nil, AllocStat{}, loopErr
-		}
-		return samples, alloc, nil
+		m := &timedModel{model: model, whole: make([]time.Duration, 0, cfg.Trials)}
+		core.ObserveLayers(model, false, func(i int, _ string) func(time.Duration) {
+			for len(m.layers) <= i {
+				m.layers = append(m.layers, make([]time.Duration, 0, cfg.Trials))
+			}
+			return func(d time.Duration) { m.layers[i] = append(m.layers[i], d) }
+		})
+		return m, alloc, ctx.Err()
 	}
 
-	bareReg := obs.NewRegistry()
-	bareSamples, bareAlloc, err := timed(model, bareReg, "bare.")
+	bare, bareAlloc, err := variant(func(nn.Layer) error { return nil })
 	if err != nil {
 		return res, err
 	}
-
-	inj, err := core.New(model, core.Config{
-		Batch: cfg.Batch, Height: cfg.InSize, Width: cfg.InSize, Seed: cfg.Seed,
+	var inj *core.Injector
+	fi, fiAlloc, err := variant(func(m nn.Layer) (err error) {
+		inj, err = core.New(m, core.Config{Batch: cfg.Batch, Height: cfg.InSize, Width: cfg.InSize, Seed: cfg.Seed})
+		return err
 	})
 	if err != nil {
 		return res, err
 	}
 	defer inj.Detach()
-	fiReg := cfg.Metrics
-	if fiReg == nil {
-		fiReg = obs.NewRegistry()
-	}
-	fiSamples, fiAlloc, err := timed(model, fiReg, "fi.")
+	// The int8 variant is the bare network quantized: the backend's raw
+	// forward ratio, with the same timing hooks and no injector.
+	int8, _, err := variant(func(m nn.Layer) error { return nn.QuantizeModel(m, x, nn.QuantizeOptions{}) })
 	if err != nil {
 		return res, err
 	}
 	res.BareAlloc, res.FIAlloc = bareAlloc, fiAlloc
 
-	// Int8 pass: a quantized private copy of the model with the same
-	// timing hooks but no injector — the bare-forward backend ratio.
-	qmodel, err := models.Build(cfg.Model, rand.New(rand.NewSource(cfg.Seed+1)), cfg.Classes, cfg.InSize)
-	if err != nil {
-		return res, err
+	for i := 0; i < cfg.Trials; i++ {
+		if err := ctx.Err(); err != nil {
+			return res, err
+		}
+		bare.forward(x)
+		fi.forward(x)
+		int8.forward(x)
 	}
-	if err := nn.CopyParams(qmodel, model); err != nil {
-		return res, err
-	}
-	nn.SetTraining(qmodel, false)
-	if err := nn.QuantizeModel(qmodel, x, nn.QuantizeOptions{}); err != nil {
-		return res, err
-	}
-	nn.Run(qmodel, x) // warm-up
-	int8Samples, _, err := timed(qmodel, obs.NewRegistry(), "int8.")
-	if err != nil {
-		return res, err
-	}
-	res.Int8 = durStat(int8Samples)
 
-	bareSnap, fiSnap := bareReg.Snapshot(), fiReg.Snapshot()
-	us := func(ns int64) float64 { return float64(ns) / 1e3 }
+	us := func(sec float64) float64 { return 1e6 * sec }
 	for _, li := range inj.Layers() {
-		bare := bareSnap.Histograms[fmt.Sprintf("bare.%03d.%s.forward_ns", li.Index, li.Path)]
-		fi := fiSnap.Histograms[fmt.Sprintf("fi.%03d.%s.forward_ns", li.Index, li.Path)]
+		b, f := durStat(bare.layers[li.Index]), durStat(fi.layers[li.Index])
 		res.Rows = append(res.Rows, LayerOverheadRow{
 			Layer:      li.Index,
 			Path:       li.Path,
-			BareP50Us:  us(bare.P50),
-			BareP99Us:  us(bare.P99),
-			FIP50Us:    us(fi.P50),
-			FIP99Us:    us(fi.P99),
-			DeltaP50Us: us(fi.P50 - bare.P50),
+			BareMinUs:  us(b.MinSec),
+			BareP50Us:  us(b.P50Sec),
+			FIMinUs:    us(f.MinSec),
+			FIP50Us:    us(f.P50Sec),
+			DeltaMinUs: us(f.MinSec - b.MinSec),
+			DeltaP50Us: us(f.P50Sec - b.P50Sec),
 		})
+		if cfg.Metrics != nil {
+			hist := cfg.Metrics.Histogram(fmt.Sprintf("fi.%03d.%s.forward_ns", li.Index, li.Path))
+			for _, d := range fi.layers[li.Index] {
+				hist.Observe(int64(d))
+			}
+		}
 	}
-	res.Bare = durStat(bareSamples)
-	res.FI = durStat(fiSamples)
+	res.Bare, res.FI, res.Int8 = durStat(bare.whole), durStat(fi.whole), durStat(int8.whole)
 	res.OverheadP50Sec = res.FI.P50Sec - res.Bare.P50Sec
 	if res.Int8.P50Sec > 0 {
 		res.Int8SpeedupP50 = res.Bare.P50Sec / res.Int8.P50Sec

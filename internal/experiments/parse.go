@@ -12,6 +12,7 @@ import (
 
 	"gofi/internal/campaign/stats"
 	"gofi/internal/core"
+	"gofi/internal/report"
 )
 
 // UsageError reports an invalid flag value or combination: it prints the
@@ -28,31 +29,55 @@ func UsageError(fs *flag.FlagSet, format string, args ...any) error {
 // study CLI offers: AddFlags registers the three flags, Rule turns the
 // parsed values into the one stats.StopRule the configs carry.
 type StopFlags struct {
-	ci, conf float64
-	min      int
+	fs   *flag.FlagSet
+	rule stats.StopRule
 }
 
 // AddFlags registers the flags on fs. unit names what one rule watches
 // in the help text ("the campaign", "each bit's campaign", ...).
 func (f *StopFlags) AddFlags(fs *flag.FlagSet, unit string) {
-	fs.Float64Var(&f.ci, "stop-ci", 0, "halt "+unit+" once its corruption-rate confidence interval's half-width is at most this (rate units; 0.005 = ±0.5 percentage points); the trial budget then caps the run instead of fixing it; 0 disables early stopping")
-	fs.Float64Var(&f.conf, "stop-conf", stats.DefaultConfidence, "confidence level for -stop-ci, in (0,1)")
-	fs.IntVar(&f.min, "stop-min", 0, fmt.Sprintf("observed trials required before -stop-ci may halt %s; 0 = default %d", unit, stats.DefaultMinTrials))
+	f.fs = fs
+	fs.Float64Var(&f.rule.HalfWidth, "stop-ci", 0, "halt "+unit+" once its corruption-rate confidence interval's half-width is at most this (rate units; 0.005 = ±0.5 percentage points); the trial budget then caps the run instead of fixing it; 0 disables early stopping")
+	// An unset level stays zero in the rule, which every layer below reads
+	// as the default, so the help text states the default itself.
+	fs.Float64Var(&f.rule.Confidence, "stop-conf", 0, fmt.Sprintf("confidence level for -stop-ci, in (0,1) (default %g)", stats.DefaultConfidence))
+	fs.IntVar(&f.rule.MinTrials, "stop-min", 0, fmt.Sprintf("observed trials required before -stop-ci may halt %s; 0 = default %d", unit, stats.DefaultMinTrials))
 }
 
-// Rule validates the parsed flags and returns their rule, which is off
-// unless -stop-ci was given.
+// Rule validates the parsed flags and returns their rule: off unless
+// -stop-ci was given, and zero in every field the command line left
+// unset.
 func (f *StopFlags) Rule() (stats.StopRule, error) {
-	rule := stats.StopRule{HalfWidth: f.ci, Confidence: f.conf, MinTrials: f.min}
-	if f.conf == 0 {
+	zeroConf := false
+	f.fs.Visit(func(fl *flag.Flag) { zeroConf = zeroConf || fl.Name == "stop-conf" && f.rule.Confidence == 0 })
+	if zeroConf {
 		// The rule reads 0 as "the default level"; on a command line it is
 		// a mistyped level.
-		return rule, fmt.Errorf("-stop-conf must be in (0,1), got 0")
+		return f.rule, fmt.Errorf("-stop-conf must be in (0,1), got 0")
 	}
-	if err := rule.Validate(); err != nil {
-		return rule, fmt.Errorf("-stop-ci/-stop-conf/-stop-min: %w", err)
+	if err := f.rule.Validate(); err != nil {
+		return f.rule, fmt.Errorf("-stop-ci/-stop-conf/-stop-min: %w", err)
 	}
-	return rule, nil
+	return f.rule, nil
+}
+
+// StopTable starts a result table with one row per campaign: when rule
+// is on, the table gains a trailing "Stop@" column and addRow fills it
+// with the trial index that campaign's rule fired on, or "budget" when
+// it ran its whole budget (stopTrial < 0).
+func StopTable(rule stats.StopRule, cols ...string) (tb *report.Table, addRow func(stopTrial int, cells ...any)) {
+	if !rule.On() {
+		tb = report.NewTable(cols...)
+		return tb, func(_ int, cells ...any) { tb.AddRow(cells...) }
+	}
+	tb = report.NewTable(append(cols, "Stop@")...)
+	return tb, func(stopTrial int, cells ...any) {
+		if stopTrial < 0 {
+			tb.AddRow(append(cells, "budget")...)
+		} else {
+			tb.AddRow(append(cells, stopTrial)...)
+		}
+	}
 }
 
 // ParseErrorModel resolves an -error flag spelling to its error model.

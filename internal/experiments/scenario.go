@@ -1,36 +1,9 @@
 package experiments
 
 import (
-	"gofi/internal/campaign"
 	"gofi/internal/core"
 	"gofi/internal/scenario"
 )
-
-// ScenarioConfig maps a declarative scenario onto a
-// GenericCampaignConfig: the scenario's run block fills the execution
-// knobs, and the scenario itself rides along in Scenario so
-// PrepareGenericCampaign derives the fault shape (model fixture,
-// backend, dtype, scope) from it and compiles the arming hook. CLI
-// flags may override the returned run knobs afterwards — they are
-// budget controls and never change which fault a trial index arms.
-func ScenarioConfig(sc scenario.Scenario) (GenericCampaignConfig, error) {
-	sc = sc.Canon()
-	if err := sc.Validate(); err != nil {
-		return GenericCampaignConfig{}, err
-	}
-	cfg := GenericCampaignConfig{
-		Trials:      sc.Run.Trials,
-		Workers:     sc.Run.Workers,
-		Seed:        sc.Run.Seed,
-		PrefixReuse: true,
-		Stop:        sc.Run.Stop.Rule(),
-		Scenario:    &sc,
-	}
-	if sc.Run.SkipErrors {
-		cfg.OnError = campaign.SkipAndCount
-	}
-	return cfg, nil
-}
 
 // ScenarioObservers builds the prepared campaign's observer sink, or
 // (nil, nil) when no scenario observers are declared. Attach the sink

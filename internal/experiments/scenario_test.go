@@ -12,47 +12,29 @@ import (
 	"testing"
 
 	"gofi/internal/campaign"
-	"gofi/internal/campaign/stats"
 	"gofi/internal/core"
 	"gofi/internal/scenario"
 )
 
 var updateScenarioGolden = flag.Bool("update", false, "rewrite the scenario golden fixtures")
 
-func TestScenarioConfigMapsRunBlock(t *testing.T) {
-	sc := scenario.Scenario{
-		Fault: scenario.FaultSpec{DType: "int8"},
-		Run: scenario.RunSpec{
-			Trials:     40,
-			Seed:       7,
-			Workers:    3,
-			SkipErrors: true,
-			Stop:       scenario.StopSpec{CI: 0.01, Conf: 0.9, Min: 5},
-		},
+// scenarioConfig is the configuration serve.Spec.Config builds for a spec
+// that carries sc and sets no run knob of its own (that package imports
+// this one, so the tests here cannot call it).
+func scenarioConfig(sc scenario.Scenario) GenericCampaignConfig {
+	sc = sc.Canon()
+	cfg := GenericCampaignConfig{
+		Trials:      sc.Run.Trials,
+		Workers:     sc.Run.Workers,
+		Seed:        sc.Run.Seed,
+		PrefixReuse: true,
+		Stop:        sc.Run.Stop.Rule(),
+		Scenario:    &sc,
 	}
-	cfg, err := ScenarioConfig(sc)
-	if err != nil {
-		t.Fatal(err)
+	if sc.Run.SkipErrors {
+		cfg.OnError = campaign.SkipAndCount
 	}
-	if cfg.Trials != 40 || cfg.Seed != 7 || cfg.Workers != 3 {
-		t.Errorf("run knobs wrong: %+v", cfg)
-	}
-	if !cfg.PrefixReuse || cfg.TrialBatch != 0 || cfg.Schedule != campaign.ScheduleAuto {
-		t.Errorf("execution settings must be the defaults (reuse on, lanes worked out, auto): %+v", cfg)
-	}
-	if cfg.OnError != campaign.SkipAndCount {
-		t.Error("skip_errors must select SkipAndCount")
-	}
-	if want := (stats.StopRule{HalfWidth: 0.01, Confidence: 0.9, MinTrials: 5}); cfg.Stop != want {
-		t.Errorf("stop rule wrong: %+v", cfg)
-	}
-	if cfg.Scenario == nil || cfg.Scenario.Fault.DType != "int8" {
-		t.Errorf("scenario must ride along canonicalized: %+v", cfg.Scenario)
-	}
-
-	if _, err := ScenarioConfig(scenario.Scenario{Run: scenario.RunSpec{Trials: -1}}); err == nil {
-		t.Error("invalid scenario must fail")
-	}
+	return cfg
 }
 
 func TestPrepareGenericCampaignScenarioConflicts(t *testing.T) {
@@ -229,10 +211,7 @@ func TestScenarioDifferentialByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gcfg, err := ScenarioConfig(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			gcfg := scenarioConfig(sc)
 			senv, err := PrepareGenericCampaign(ctx, gcfg)
 			if err != nil {
 				t.Fatal(err)
@@ -296,10 +275,7 @@ func TestScenarioGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gcfg, err := ScenarioConfig(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			gcfg := scenarioConfig(sc)
 			res, err := RunGenericCampaign(context.Background(), gcfg)
 			if err != nil {
 				t.Fatal(err)
@@ -357,14 +333,11 @@ func TestWeightScopeIsolatesReplicas(t *testing.T) {
 				dtype = "int8"
 			}
 			noise := 0.2
-			cfg, err := ScenarioConfig(scenario.Scenario{
+			cfg := scenarioConfig(scenario.Scenario{
 				Model: scenario.ModelSpec{Arch: "alexnet", Classes: 4, InSize: 16, Epochs: 2, Noise: &noise},
 				Fault: scenario.FaultSpec{Scope: tc.scope, Backend: tc.backend, DType: dtype},
 				Run:   scenario.RunSpec{Trials: 4, Workers: 2, Seed: 11},
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			env, err := PrepareGenericCampaign(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)

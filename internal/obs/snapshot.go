@@ -102,6 +102,11 @@ func (r *Registry) Handler() http.Handler {
 	return mux
 }
 
+// ReadHeaderTimeout bounds how long a connection to one of the tool's
+// HTTP servers (this one, gofi-serve) may take to send its request
+// headers, so idle or trickling connections cannot pile up.
+const ReadHeaderTimeout = 5 * time.Second
+
 // Server is a running metrics HTTP endpoint.
 type Server struct {
 	// Addr is the bound listen address (useful with ":0").
@@ -119,7 +124,7 @@ func (r *Registry) Serve(addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: r.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: r.Handler(), ReadHeaderTimeout: ReadHeaderTimeout}
 	go func() {
 		// ErrServerClosed (and the listener-closed error from Close) are
 		// the expected shutdown paths; the server owns no other state.

@@ -34,11 +34,11 @@ type Campaign struct {
 
 	srv *Server
 
-	mu       sync.Mutex
-	cond     *sync.Cond // broadcast on every fold advance and state change
-	spec     Spec
-	state    string
-	errMsg   string
+	mu         sync.Mutex
+	cond       *sync.Cond // broadcast on every fold advance and state change
+	spec       Spec
+	state      string
+	errMsg     string
 	env        *experiments.CampaignEnv
 	agg        campaign.Aggregate
 	watcher    *stats.Sequential // nil without a stop rule
@@ -348,6 +348,14 @@ func (c *Campaign) run(ctx context.Context) {
 					return
 				}
 			}
+		}
+		// Streamers read the log up to c.next the moment they wake, so the
+		// lines behind the new frontier must be in the file before it is
+		// published.
+		if err := logw.Flush(); err != nil {
+			c.mu.Unlock()
+			c.fail(err)
+			return
 		}
 		c.cond.Broadcast()
 		c.mu.Unlock()

@@ -263,7 +263,10 @@ func TestServeKillResumeDeterminism(t *testing.T) {
 	}
 	sp := stopSpec()
 	sp.Shards = 2
-	c := srvA.Submit(sp)
+	c, err := srvA.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Wait on the coordinator's own condvar until the fold frontier has
 	// advanced, then pause immediately. The stop rule's 40-trial floor
@@ -420,6 +423,9 @@ func TestServeHTTPSurface(t *testing.T) {
 		`{"v":1,"error":"martian"}`, // unknown error model
 		`{"v":1,"typo_field":3}`,    // unknown field
 		`{"v":1,"stop_ci":0.7}`,     // out-of-range rule
+		// One request may not pin the server's memory: a body past the cap
+		// is cut off and refused like any other malformed spec.
+		`{"v":1,"model":"` + strings.Repeat("x", maxSpecBytes) + `"}`,
 	}
 	for _, body := range bad {
 		resp, err := http.Post(hs.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
@@ -431,8 +437,9 @@ func TestServeHTTPSurface(t *testing.T) {
 		}
 		err = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || err != nil || e.Error == "" {
-			t.Fatalf("POST %s = %d (%q)", body, resp.StatusCode, e.Error)
+		if resp.StatusCode != http.StatusBadRequest || err != nil ||
+			!strings.Contains(e.Error, ErrSpec.Error()) && !strings.Contains(e.Error, ErrWireVersion.Error()) {
+			t.Fatalf("POST %s = %d (%q)", truncate(body, 40), resp.StatusCode, e.Error)
 		}
 	}
 	if _, err := cl.Submit(ctx, Spec{V: 99}); err == nil {
@@ -546,6 +553,56 @@ func TestServeHTTPSurface(t *testing.T) {
 	}
 }
 
+// TestServeLiveStream tails a campaign from before its first trial while
+// its record log outgrows the log writer's 4 KiB buffer several times
+// over, with no periodic checkpoint flushing the log on the side: the
+// stream must deliver every trial exactly once, in order, and end with a
+// done event — the fold may not publish a frontier whose lines are still
+// in the buffer. A stream that cannot be served (here: the log is gone)
+// ends with an error event rather than silently.
+func TestServeLiveStream(t *testing.T) {
+	skipIfShort(t)
+	dir := t.TempDir()
+	srv, err := New(Config{Dir: dir, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	cl := &Client{Base: hs.URL}
+
+	sp := baseSpec()
+	sp.Trials = 400
+	st, err := cl.Submit(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, done := collectStream(t, cl, st.ID, 0)
+	if done.State != StateDone || len(recs) != sp.Trials {
+		t.Fatalf("live stream ended %q after %d of %d trials", done.State, len(recs), sp.Trials)
+	}
+	for i, rec := range recs {
+		if rec.Trial != i {
+			t.Fatalf("stream position %d carries trial %d", i, rec.Trial)
+		}
+	}
+	if info, err := os.Stat(filepath.Join(dir, st.ID+".log.jsonl")); err != nil || info.Size() <= 3*4096 {
+		t.Fatalf("record log (%v, err %v) does not outgrow the writer's buffer; raise Trials", info, err)
+	}
+
+	if err := os.Remove(filepath.Join(dir, st.ID+".log.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	var last Event
+	if err := cl.Stream(context.Background(), st.ID, 0, func(ev Event) error { last = ev; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if last.Type != "error" || last.Err == "" {
+		t.Fatalf("stream over a missing log ended with %+v, want an error event", last)
+	}
+}
+
 // TestServeRecoveryRejectsCorruptState pins the crash-recovery guard
 // rails: a state directory whose artifacts cannot reproduce the
 // checkpointed frontier must refuse to load rather than resume into a
@@ -611,7 +668,7 @@ func TestServeRecoveryRejectsCorruptState(t *testing.T) {
 	}
 	cheap := baseSpec().Canon()
 	cheap.Model = "no-such-model" // fails fast; this only probes ID allocation
-	if got := srv.Submit(cheap); got.ID != "c000001" {
-		t.Fatalf("fresh ID = %q, want c000001", got.ID)
+	if got, err := srv.Submit(cheap); err != nil || got.ID != "c000001" {
+		t.Fatalf("fresh ID = %+v (err %v), want c000001", got, err)
 	}
 }

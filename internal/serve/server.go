@@ -124,8 +124,12 @@ func parseID(id string) (int, bool) {
 // Metrics returns the server-level registry.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
-// Submit accepts a validated spec and starts its campaign.
-func (s *Server) Submit(sp Spec) *Campaign {
+// Submit validates a spec and starts its campaign.
+func (s *Server) Submit(sp Spec) (*Campaign, error) {
+	sp = sp.Canon()
+	if err := sp.Validate(); err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	s.seq++
 	id := fmt.Sprintf("c%06d", s.seq)
@@ -134,7 +138,7 @@ func (s *Server) Submit(sp Spec) *Campaign {
 	s.mu.Unlock()
 	s.reg.Counter(MetricCampaignsSubmitted).Inc()
 	c.start(s.baseCtx)
-	return c
+	return c, nil
 }
 
 // Get returns a campaign by ID.
@@ -284,13 +288,21 @@ func (s *Server) withCampaign(fn func(*Campaign, http.ResponseWriter, *http.Requ
 	}
 }
 
+// maxSpecBytes caps a submission body: room for a scenario with a long
+// fixed-site or rule list, far below what would let one request pin the
+// server's memory.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	sp, err := DecodeSpec(r.Body)
+	var c *Campaign
+	sp, err := DecodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err == nil {
+		c, err = s.Submit(sp)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	c := s.Submit(sp)
 	writeJSON(w, http.StatusAccepted, c.Status())
 }
 
@@ -345,8 +357,11 @@ func (s *Server) handleStream(c *Campaign, w http.ResponseWriter, r *http.Reques
 		return nil
 	})
 	if err != nil {
-		// Client went away or the log failed; nothing more to say on this
-		// connection.
+		// A client that went away hears nothing more; anything else (the
+		// log failed) ends the stream with the reason instead of silently.
+		if r.Context().Err() == nil {
+			out.Write(Event{Type: "error", State: c.Status().State, Err: err.Error()})
+		}
 		return
 	}
 	st = c.Status()
@@ -428,6 +443,9 @@ func (c *Campaign) replayLog(from, to int, fn func(campaign.TrialRecord) error) 
 	}
 	if err := sc.Err(); err != nil {
 		return idx, err
+	}
+	if idx < to {
+		return idx, fmt.Errorf("serve: campaign %s: record log ends at trial %d, the fold is at %d", c.ID, idx, to)
 	}
 	return idx, nil
 }

@@ -17,6 +17,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,20 +41,17 @@ var ErrWireVersion = errors.New("serve: unsupported wire version")
 // ErrSpec is wrapped by spec validation failures.
 var ErrSpec = errors.New("serve: invalid campaign spec")
 
-// ErrUnsupportedEstimator is wrapped by validation failures for specs
-// requesting the stratified-sampling or fault-space-dedup estimators.
-// Their estimates are not plain index-ordered folds, so sharded
-// execution cannot yet reproduce them byte-for-byte; the wire format
-// rejects them loudly rather than silently running the plain estimator.
+// ErrUnsupportedEstimator is wrapped (next to ErrSpec) by validation
+// failures for specs requesting the stratified-sampling or
+// fault-space-dedup estimators; see Spec.offWire.
 var ErrUnsupportedEstimator = errors.New("serve: estimator not supported on the wire")
 
-// Spec is the wire form of a campaign submission. The zero value of
-// every optional field means "the gofi-campaign default", so a spec
+// Spec is the one description of a campaign: gofi-campaign fills one from
+// its flags and runs it locally (Config) or posts it (Client.Submit), and
+// the service stores it in its checkpoints. The zero value of every
+// optional field means "unset", and Canon resolves it, so a spec
 // submitted with only {"v":1} runs exactly what a bare CLI invocation
-// runs. Stratified sampling and fault-space dedup are deliberately not
-// supported: their estimators are not plain index-ordered folds, so
-// sharded execution cannot yet reproduce them byte-for-byte — Validate
-// rejects the Stratify/Dedup fields with ErrUnsupportedEstimator.
+// runs. A few things a spec can say only run locally; offWire lists them.
 type Spec struct {
 	// V is the wire version; must equal WireVersion.
 	V int `json:"v"`
@@ -68,7 +66,7 @@ type Spec struct {
 	// Trials is the trial budget (default 1000).
 	Trials int `json:"trials,omitempty"`
 	// Error, Scope, Backend and DType select the fault model (defaults:
-	// bitflip, neuron, f32, int8 — the CLI's defaults).
+	// bitflip, neuron, f32, int8).
 	Error   string `json:"error,omitempty"`
 	Scope   string `json:"scope,omitempty"`
 	Backend string `json:"backend,omitempty"`
@@ -76,8 +74,9 @@ type Spec struct {
 	// ActZeroPoint enables asymmetric input quantizers on the int8
 	// backend.
 	ActZeroPoint bool `json:"act_zp,omitempty"`
-	// Shards is how many engine legs the campaign is split into
-	// (default 1); Workers is each leg's worker count (default 4).
+	// Shards is how many engine legs the service splits the campaign into
+	// (default 1; a local run has one leg); Workers is each leg's worker
+	// count (default 4).
 	Shards  int `json:"shards,omitempty"`
 	Workers int `json:"workers,omitempty"`
 	// SkipErrors counts failing trials instead of aborting.
@@ -88,94 +87,60 @@ type Spec struct {
 	StopCI   float64 `json:"stop_ci,omitempty"`
 	StopConf float64 `json:"stop_conf,omitempty"`
 	StopMin  int     `json:"stop_min,omitempty"`
-	// Stratify and Dedup mirror the CLI's -stratify/-dedup estimator
-	// flags. The service does not support them (see ErrUnsupportedEstimator);
-	// they exist on the wire so a submission asking for them fails loudly
-	// instead of being silently decoded as an unknown-field error with no
-	// explanation.
+	// Stratify and Dedup are the -stratify/-dedup estimators: stratified
+	// fixed-bit flips over (layer, bit) strata, and computing trials that
+	// arm an identical fault once. Both need neuron scope, and Stratify
+	// the bitflip error model. Local runs only (see offWire).
 	Stratify bool `json:"stratify,omitempty"`
 	Dedup    bool `json:"dedup,omitempty"`
 	// Scenario embeds a declarative scenario (internal/scenario) as the
 	// campaign's fault shape. When set, the scenario's model and fault
 	// blocks own the fixture and fault model — the spec's
-	// model/classes/size/epochs/noise/error/scope/backend/dtype/act_zp
-	// fields must be left zero — and the scenario's run block provides
-	// defaults for any unset run knobs here (the spec's knobs win).
-	// Scenario observers are not in the wire format: the shard
-	// coordinator folds aggregates only.
+	// model/classes/size/epochs/noise/error/scope/backend/dtype/act_zp/
+	// stratify/dedup fields must be left zero — and the scenario's run
+	// block fills every run knob the spec leaves unset (see Canon).
 	Scenario *scenario.Scenario `json:"scenario,omitempty"`
 }
 
-// Canon fills defaults, returning the spec every zero-valued field
-// resolved to the value gofi-campaign would use. With an embedded
-// scenario the fixture/fault fields stay untouched (the scenario owns
-// them; Validate rejects non-zero values) and the scenario's run block
-// backfills any unset run knobs.
+// Canon resolves every unset (zero) field, and is the only place a
+// default or a precedence rule is written: without a scenario the
+// defaults are gofi-campaign's; with one the fixture/fault fields stay
+// zero (the scenario owns them) and each run knob the spec leaves unset
+// takes the value of the scenario's run block — the spec's knobs win,
+// field by field, stop_ci, stop_conf and stop_min included. Negative
+// values are not "unset"; they stay for Validate to reject.
 func (sp Spec) Canon() Spec {
 	if sp.Scenario != nil {
 		s := sp.Scenario.Canon()
 		sp.Scenario = &s
-		if sp.Seed == 0 {
-			sp.Seed = s.Run.Seed
-		}
-		if sp.Trials <= 0 {
-			sp.Trials = s.Run.Trials
-		}
-		if sp.Workers <= 0 {
-			sp.Workers = s.Run.Workers
-		}
-		if s.Run.SkipErrors {
-			sp.SkipErrors = true
-		}
-		if rule := s.Run.Stop.Rule(); sp.Stop().HalfWidth == 0 && rule.On() {
-			sp.SetStop(rule)
-		}
-		if sp.Shards <= 0 {
-			sp.Shards = 1
-		}
-		sp.canonStop()
-		return sp
+		stop := s.Run.Stop.Rule()
+		sp.Seed = cmp.Or(sp.Seed, s.Run.Seed)
+		sp.Trials = cmp.Or(sp.Trials, s.Run.Trials)
+		sp.Workers = cmp.Or(sp.Workers, s.Run.Workers)
+		sp.SkipErrors = sp.SkipErrors || s.Run.SkipErrors
+		sp.StopCI = cmp.Or(sp.StopCI, stop.HalfWidth)
+		sp.StopConf = cmp.Or(sp.StopConf, stop.Confidence)
+		sp.StopMin = cmp.Or(sp.StopMin, stop.MinTrials)
+	} else {
+		sp.Model = cmp.Or(sp.Model, "resnet18")
+		sp.Classes = cmp.Or(sp.Classes, 10)
+		sp.Size = cmp.Or(sp.Size, 32)
+		sp.Epochs = cmp.Or(sp.Epochs, 8)
+		sp.Noise = cmp.Or(sp.Noise, 0.6)
+		sp.Seed = cmp.Or(sp.Seed, 1)
+		sp.Trials = cmp.Or(sp.Trials, 1000)
+		sp.Error = cmp.Or(sp.Error, "bitflip")
+		sp.Scope = cmp.Or(sp.Scope, "neuron")
+		sp.Backend = cmp.Or(sp.Backend, "f32")
+		sp.DType = cmp.Or(sp.DType, "int8")
+		sp.Workers = cmp.Or(sp.Workers, 4)
 	}
-	if sp.Model == "" {
-		sp.Model = "resnet18"
+	sp.Shards = cmp.Or(sp.Shards, 1)
+	if sp.StopCI > 0 {
+		// Spell out the level of a rule that is on, so the canonical spec
+		// a client reads back states the level it ran at.
+		sp.StopConf = cmp.Or(sp.StopConf, stats.DefaultConfidence)
 	}
-	if sp.Classes <= 0 {
-		sp.Classes = 10
-	}
-	if sp.Size <= 0 {
-		sp.Size = 32
-	}
-	if sp.Epochs <= 0 {
-		sp.Epochs = 8
-	}
-	if sp.Noise == 0 {
-		sp.Noise = 0.6
-	}
-	if sp.Seed == 0 {
-		sp.Seed = 1
-	}
-	if sp.Trials <= 0 {
-		sp.Trials = 1000
-	}
-	if sp.Error == "" {
-		sp.Error = "bitflip"
-	}
-	if sp.Scope == "" {
-		sp.Scope = "neuron"
-	}
-	if sp.Backend == "" {
-		sp.Backend = "f32"
-	}
-	if sp.DType == "" {
-		sp.DType = "int8"
-	}
-	if sp.Shards <= 0 {
-		sp.Shards = 1
-	}
-	if sp.Workers <= 0 {
-		sp.Workers = 4
-	}
-	sp.canonStop()
 	return sp
 }
 
@@ -191,97 +156,95 @@ func (sp *Spec) SetStop(rule stats.StopRule) {
 	sp.StopCI, sp.StopConf, sp.StopMin = rule.HalfWidth, rule.Confidence, rule.MinTrials
 }
 
-// canonStop spells out the default confidence of a rule that is on, so
-// the canonical spec a client reads back states the level it ran at.
-func (sp *Spec) canonStop() {
-	if rule := sp.Stop(); rule.On() && rule.Confidence == 0 {
-		rule.Confidence = stats.DefaultConfidence
-		sp.SetStop(rule)
-	}
+func badSpec(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrSpec, fmt.Sprintf(format, args...))
 }
 
-// Validate rejects specs that cannot run, mirroring the CLI's flag
-// checks so a rejected submission would also have been a rejected
-// command line. Call on a Canon()ed spec.
+// Validate is the check at the service's door — DecodeSpec, a restored
+// checkpoint and Server.Submit all pass through it: the spec must be
+// runnable and must ask for nothing the wire cannot carry. Call on a
+// Canon()ed spec.
 func (sp Spec) Validate() error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("%w: %s", ErrSpec, fmt.Sprintf(format, args...))
+	if err := sp.offWire(); err != nil {
+		return err
 	}
+	return sp.runnable()
+}
+
+// offWire is the one list of what a spec can describe but the service
+// cannot run; a local run (Config) takes all of it.
+func (sp Spec) offWire() error {
+	switch {
+	case sp.Stratify:
+		// The coordinator re-folds shard records in plain index order, which
+		// reproduces neither estimator byte for byte.
+		return fmt.Errorf("%w: %w: stratified sampling's estimate is not an index-ordered fold; run -stratify locally", ErrSpec, ErrUnsupportedEstimator)
+	case sp.Dedup:
+		return fmt.Errorf("%w: %w: fault-space dedup's canonical-outcome fills are not an index-ordered fold; run -dedup locally", ErrSpec, ErrUnsupportedEstimator)
+	case sp.Scenario != nil && len(sp.Scenario.Observers) != 0:
+		return badSpec("scenario observers are not in the wire format: the shard coordinator folds aggregates only; run them locally")
+	case sp.Scenario != nil && sp.Trials == 0:
+		// Only a sweep canonicalizes to a zero budget (its enumeration size,
+		// known once the fixture is profiled); the coordinator splits the
+		// trial range before that.
+		return badSpec("sweep scenarios must declare run.trials (or the spec's trials) for service submission")
+	}
+	return nil
+}
+
+// runnable is the one fixture/fault/run check, shared by local runs and
+// the service. Call on a Canon()ed spec.
+func (sp Spec) runnable() error {
 	if sp.V != WireVersion {
 		return fmt.Errorf("%w: got %d, this build speaks %d", ErrWireVersion, sp.V, WireVersion)
 	}
-	if sp.Stratify {
-		return fmt.Errorf("%w: stratified sampling's estimate is not an index-ordered fold; run -stratify locally", ErrUnsupportedEstimator)
-	}
-	if sp.Dedup {
-		return fmt.Errorf("%w: fault-space dedup's canonical-outcome fills are not an index-ordered fold; run -dedup locally", ErrUnsupportedEstimator)
-	}
 	if sp.Scenario != nil {
-		return sp.validateScenario()
+		if sp.Model != "" || sp.Classes != 0 || sp.Size != 0 || sp.Epochs != 0 || sp.Noise != 0 || sp.Error != "" ||
+			sp.Scope != "" || sp.Backend != "" || sp.DType != "" || sp.ActZeroPoint || sp.Stratify || sp.Dedup {
+			return badSpec("a scenario owns the model fixture and fault shape; drop model/classes/size/epochs/noise/error/scope/backend/dtype/act_zp/stratify/dedup")
+		}
+		if err := sp.Scenario.Validate(); err != nil {
+			return badSpec("%v", err)
+		}
+	} else {
+		em, err := experiments.ParseErrorModel(sp.Error)
+		if err != nil {
+			return badSpec("%v", err)
+		}
+		if _, err := experiments.ParseScope(sp.Scope, em); err != nil {
+			return badSpec("%v", err)
+		}
+		dt, err := experiments.ParseDType(sp.DType)
+		if err != nil {
+			return badSpec("%v", err)
+		}
+		be, err := experiments.ParseBackend(sp.Backend)
+		if err != nil {
+			return badSpec("%v", err)
+		}
+		if be == "int8" && dt != core.INT8 {
+			return badSpec("backend int8 implies dtype int8, got %q", sp.DType)
+		}
+		if (sp.Stratify || sp.Dedup) && sp.Scope != "neuron" {
+			return badSpec("stratify/dedup cover single-neuron faults only; use scope neuron, not %q", sp.Scope)
+		}
+		if sp.Stratify && sp.Error != "bitflip" {
+			return badSpec("stratify arms fixed-bit flips by stratum and so requires error bitflip, not %q", sp.Error)
+		}
 	}
-	em, err := experiments.ParseErrorModel(sp.Error)
-	if err != nil {
-		return bad("%v", err)
-	}
-	if _, err := experiments.ParseScope(sp.Scope, em); err != nil {
-		return bad("%v", err)
-	}
-	dt, err := experiments.ParseDType(sp.DType)
-	if err != nil {
-		return bad("%v", err)
-	}
-	be, err := experiments.ParseBackend(sp.Backend)
-	if err != nil {
-		return bad("%v", err)
-	}
-	if be == "int8" && dt != core.INT8 {
-		return bad("backend int8 implies dtype int8, got %q", sp.DType)
-	}
-	if sp.Trials <= 0 {
-		return bad("trials must be positive, got %d", sp.Trials)
-	}
-	return sp.validateRunShape()
-}
-
-// validateScenario checks a spec whose fault shape is an embedded
-// scenario. Call on a Canon()ed spec.
-func (sp Spec) validateScenario() error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("%w: %s", ErrSpec, fmt.Sprintf(format, args...))
-	}
-	if sp.Model != "" || sp.Classes != 0 || sp.Size != 0 || sp.Epochs != 0 || sp.Noise != 0 ||
-		sp.Error != "" || sp.Scope != "" || sp.Backend != "" || sp.DType != "" || sp.ActZeroPoint {
-		return bad("a scenario owns the model fixture and fault shape; drop the spec's model/classes/size/epochs/noise/error/scope/backend/dtype/act_zp fields")
-	}
-	if err := sp.Scenario.Validate(); err != nil {
-		return bad("%v", err)
-	}
-	if len(sp.Scenario.Observers) != 0 {
-		return bad("scenario observers are not in the wire format: the shard coordinator folds aggregates only")
-	}
-	if sp.Trials <= 0 {
-		// Only sweep scenarios canonicalize to a zero budget (it is filled
-		// at compile time); the coordinator shards by trial range up front,
-		// so the wire needs the count declared.
-		return bad("sweep scenarios must declare run.trials (or the spec's trials) for service submission")
-	}
-	return sp.validateRunShape()
-}
-
-// validateRunShape checks the run knobs shared by plain and scenario
-// specs.
-func (sp Spec) validateRunShape() error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("%w: %s", ErrSpec, fmt.Sprintf(format, args...))
+	if sp.Trials < 0 {
+		// Canon left 0 only to a sweep scenario, whose budget is its
+		// enumeration size.
+		return badSpec("trials must be positive, got %d", sp.Trials)
 	}
 	if sp.Shards < 1 {
-		return bad("shards must be >= 1, got %d", sp.Shards)
+		return badSpec("shards must be >= 1, got %d", sp.Shards)
 	}
 	if sp.Workers < 1 {
-		return bad("workers must be >= 1, got %d", sp.Workers)
+		return badSpec("workers must be >= 1, got %d", sp.Workers)
 	}
 	if err := sp.Stop().Validate(); err != nil {
-		return bad("stop_ci/stop_conf/stop_min: %v", err)
+		return badSpec("stop_ci/stop_conf/stop_min: %v", err)
 	}
 	return nil
 }
@@ -295,7 +258,7 @@ func DecodeSpec(r io.Reader) (Spec, error) {
 	dec.DisallowUnknownFields()
 	var sp Spec
 	if err := dec.Decode(&sp); err != nil {
-		return Spec{}, fmt.Errorf("%w: %v", ErrSpec, err)
+		return Spec{}, badSpec("%v", err)
 	}
 	sp = sp.Canon()
 	if err := sp.Validate(); err != nil {
@@ -304,56 +267,46 @@ func DecodeSpec(r io.Reader) (Spec, error) {
 	return sp, nil
 }
 
-// Config translates the spec into the experiments-layer configuration
-// the local CLI would build for the same flags. The Trials/Workers
-// fields carry over directly; sharding stays the coordinator's business.
+// Config lowers the spec to the experiments-layer configuration — the
+// one producer of a campaign config from user input, for a local run and
+// for the service's fixture alike. Process-local taps (sinks, progress,
+// metrics) are the caller's to add; sharding stays the coordinator's
+// business.
 func (sp Spec) Config() (experiments.GenericCampaignConfig, error) {
 	sp = sp.Canon()
-	if err := sp.Validate(); err != nil {
+	if err := sp.runnable(); err != nil {
 		return experiments.GenericCampaignConfig{}, err
 	}
+	cfg := experiments.GenericCampaignConfig{
+		Trials:      sp.Trials,
+		Workers:     sp.Workers,
+		Seed:        sp.Seed,
+		PrefixReuse: true,
+		Stop:        sp.Stop(),
+		Stratify:    sp.Stratify,
+		Dedup:       sp.Dedup,
+		Scenario:    sp.Scenario,
+	}
+	if sp.SkipErrors {
+		cfg.OnError = campaign.SkipAndCount
+	}
 	if sp.Scenario != nil {
-		cfg, err := experiments.ScenarioConfig(*sp.Scenario)
-		if err != nil {
-			return experiments.GenericCampaignConfig{}, err
-		}
-		// The spec's (Canon-resolved) run knobs win over the scenario's
-		// run block; neither changes which fault a trial index arms.
-		cfg.Trials = sp.Trials
-		cfg.Workers = sp.Workers
-		cfg.Seed = sp.Seed
-		cfg.OnError = campaign.FailFast
-		if sp.SkipErrors {
-			cfg.OnError = campaign.SkipAndCount
-		}
-		cfg.Stop = sp.Stop()
+		// Prepare derives the fixture and fault fields from the scenario.
 		return cfg, nil
 	}
 	em, _ := experiments.ParseErrorModel(sp.Error)
-	arm, _ := experiments.ParseScope(sp.Scope, em)
-	dt, _ := experiments.ParseDType(sp.DType)
-	policy := campaign.FailFast
-	if sp.SkipErrors {
-		policy = campaign.SkipAndCount
+	cfg.Model, cfg.Classes, cfg.InSize = sp.Model, sp.Classes, sp.Size
+	cfg.TrainEpochs, cfg.Noise = sp.Epochs, float32(sp.Noise)
+	cfg.DType, _ = experiments.ParseDType(sp.DType)
+	cfg.Backend, cfg.ActZeroPoint = sp.Backend, sp.ActZeroPoint
+	cfg.IsolateWeights = sp.Scope == "weight"
+	if sp.Stratify || sp.Dedup {
+		// The generator owns fault declaration and arms em itself.
+		cfg.ErrorModel = em
+	} else {
+		cfg.Arm, _ = experiments.ParseScope(sp.Scope, em)
 	}
-	return experiments.GenericCampaignConfig{
-		Model:          sp.Model,
-		Classes:        sp.Classes,
-		InSize:         sp.Size,
-		TrainEpochs:    sp.Epochs,
-		Noise:          float32(sp.Noise),
-		Trials:         sp.Trials,
-		Workers:        sp.Workers,
-		DType:          dt,
-		Backend:        sp.Backend,
-		ActZeroPoint:   sp.ActZeroPoint,
-		Arm:            arm,
-		IsolateWeights: sp.Scope == "weight",
-		Seed:           sp.Seed,
-		OnError:        policy,
-		PrefixReuse:    true,
-		Stop:           sp.Stop(),
-	}, nil
+	return cfg, nil
 }
 
 // envKey is the fixture-cache key: every spec field that affects the

@@ -1,13 +1,18 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"gofi/internal/campaign"
+	"gofi/internal/campaign/stats"
 	"gofi/internal/scenario"
+	"gofi/internal/serialize"
 )
 
 // wireScenario is a small valid scenario for wire tests (no observers:
@@ -145,9 +150,16 @@ func TestScenarioSpecConfig(t *testing.T) {
 	sp := scenarioSpec()
 	sp.Trials = 24
 	sp.SkipErrors = true
+	sp.Scenario.Run.Stop = scenario.StopSpec{CI: 0.01, Conf: 0.9, Min: 5}
+	sp.StopConf = 0.8
 	cfg, err := sp.Config()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The run block's stop rule reaches the config, one knob at a time:
+	// the spec set the level and nothing else.
+	if want := (stats.StopRule{HalfWidth: 0.01, Confidence: 0.8, MinTrials: 5}); cfg.Stop != want {
+		t.Fatalf("stop rule = %+v, want %+v", cfg.Stop, want)
 	}
 	if cfg.Scenario == nil {
 		t.Fatal("config lost the scenario")
@@ -230,5 +242,74 @@ func TestScenarioEnvKey(t *testing.T) {
 	// A plain spec and a scenario spec never share a fixture.
 	if base.envKey() == baseSpec().envKey() {
 		t.Error("scenario and plain specs share a fixture key")
+	}
+}
+
+// TestOffWireRunsLocallyOnly: the four things a spec can describe but the
+// service cannot run lower to a local config, and are turned away at
+// every door of the service — a decoded submission, Server.Submit and a
+// restored checkpoint.
+func TestOffWireRunsLocallyOnly(t *testing.T) {
+	sweep := func(sp *Spec) {
+		sp.Scenario.Selector = scenario.SelectorSpec{Kind: scenario.SelSweep, Sweep: &scenario.SweepSpec{}}
+		sp.Scenario.Run.Trials = 0
+	}
+	for _, c := range []struct {
+		name string
+		sp   Spec
+		mut  func(*Spec)
+	}{
+		{"stratify", baseSpec(), func(sp *Spec) { sp.Stratify = true }},
+		{"dedup", baseSpec(), func(sp *Spec) { sp.Dedup = true }},
+		{"observers", scenarioSpec(), func(sp *Spec) {
+			sp.Scenario.Observers = []scenario.ObserverSpec{{Kind: scenario.ObsSDC}}
+		}},
+		{"budget-less sweep", scenarioSpec(), sweep},
+	} {
+		sp := c.sp
+		c.mut(&sp)
+		cfg, err := sp.Config()
+		if err != nil {
+			t.Errorf("%s: no local config: %v", c.name, err)
+		}
+		if cfg.Stratify != sp.Stratify || cfg.Dedup != sp.Dedup || (sp.Stratify || sp.Dedup) && (cfg.Arm != nil || cfg.ErrorModel == nil) {
+			t.Errorf("%s: estimator fields not lowered (the generator must own arming): %+v", c.name, cfg)
+		}
+
+		raw, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSpec(bytes.NewReader(raw)); !errors.Is(err, ErrSpec) {
+			t.Errorf("%s: DecodeSpec = %v, want ErrSpec", c.name, err)
+		}
+		dir := t.TempDir()
+		srv, err := New(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Submit(sp); !errors.Is(err, ErrSpec) {
+			t.Errorf("%s: Server.Submit = %v, want ErrSpec", c.name, err)
+		}
+		srv.Close()
+		ck := serialize.CampaignCheckpoint{ID: "c000001", State: StatePaused, Spec: raw, StopTrial: -1}
+		if err := serialize.SaveCampaignCheckpoint(filepath.Join(dir, "c000001.ckpt"), ck); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(Config{Dir: dir}); !errors.Is(err, ErrSpec) {
+			t.Errorf("%s: restoring a checkpoint = %v, want ErrSpec", c.name, err)
+		}
+	}
+	// Stratify and dedup keep their local constraints on both paths.
+	for _, mut := range []func(*Spec){
+		func(sp *Spec) { sp.Stratify, sp.Scope = true, "weight" },
+		func(sp *Spec) { sp.Stratify, sp.Error = true, "zero" },
+		func(sp *Spec) { sp.Dedup, sp.Scope = true, "fmap" },
+	} {
+		sp := baseSpec()
+		mut(&sp)
+		if _, err := sp.Config(); !errors.Is(err, ErrSpec) {
+			t.Errorf("Config(%+v) = %v, want ErrSpec", sp, err)
+		}
 	}
 }

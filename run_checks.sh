@@ -154,11 +154,44 @@ check_int8
 # goldens across the worker x schedule x reuse corners), a coverage
 # floor over the wire/coordinator/HTTP code, and the CLI end-to-end
 # smokes (gofi-serve boot/shutdown, gofi-campaign -submit round trip).
+# Two promises are gated by name under the race detector, so renaming
+# either test fails CI: a live stream delivers every folded record and a
+# done event (the fold and its streamers share the record log), and one
+# gofi-campaign command line prints one report locally and with -submit.
+# serve_smoke then checks the second promise on the built binaries, at a
+# campaign long enough (3000 trials) to outgrow the log buffer many times.
+serve_smoke() {
+	tmp=$(mktemp -d)
+	go build -o "$tmp/gofi-serve" ./cmd/gofi-serve
+	go build -o "$tmp/gofi-campaign" ./cmd/gofi-campaign
+	"$tmp/gofi-serve" -dir "$tmp/state" -addr 127.0.0.1:0 >"$tmp/serve.out" 2>&1 &
+	serve_pid=$!
+	trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
+	url=
+	for _ in $(seq 100); do
+		url=$(sed -n 's/.*listening on \(http:[^ ]*\) .*/\1/p' "$tmp/serve.out")
+		[ -n "$url" ] && break
+		sleep 0.1
+	done
+	[ -n "$url" ] || { echo "FAIL: gofi-serve never announced its address" >&2; cat "$tmp/serve.out" >&2; exit 1; }
+	set -- -model alexnet -classes 4 -size 16 -epochs 4 -seed 9 -dtype fp32 -scope fmap -trials 3000 -workers 2
+	"$tmp/gofi-campaign" "$@" | sed -n '/^clean accuracy/,$p' >"$tmp/local.txt"
+	"$tmp/gofi-campaign" "$@" -submit "$url" -shards 2 | sed -n '/^clean accuracy/,$p' >"$tmp/served.txt"
+	kill "$serve_pid"
+	wait "$serve_pid" || true
+	trap - EXIT
+	grep -q '^Trials  *3000$' "$tmp/local.txt"
+	diff "$tmp/local.txt" "$tmp/served.txt"
+	rm -rf "$tmp"
+}
 check_serve() {
 	go test -race -timeout 20m ./internal/serve
+	check_selected -race -run 'TestServeLiveStream' ./internal/serve
 	check_selected -race -cpu 1,4 -run 'TestSplitTrials|TestShardMergeMatchesGolden' ./internal/campaign
 	check_cover ./internal/serve 85
 	go test ./cmd/gofi-serve ./cmd/gofi-campaign
+	check_selected -race -timeout 20m -run 'TestLocalEqualsSubmit' ./cmd/gofi-campaign
+	serve_smoke
 }
 check_serve
 
