@@ -91,12 +91,20 @@ const (
 	MetricPrefixMisses    = "campaign.prefix.misses"
 	MetricPrefixFallbacks = "campaign.prefix.fallbacks"
 	// MetricPrefixEvictions / MetricPrefixStoreBytes are gauges set when
-	// Run ends: snapshots the campaign's checkpoint store pushed out
-	// under its byte budget, and the bytes it held at the end. Evictions
-	// above zero mean the clean working set did not fit and misses
-	// recomputed prefixes the store had held before.
+	// Run ends: snapshots the clean cache's checkpoint store has pushed
+	// out under its byte budget (over the store's life, so on a fixture's
+	// cache they accumulate across Runs), and the bytes it held at the
+	// end. Evictions above zero mean the clean working set did not fit
+	// and misses recomputed prefixes the store had held before.
 	MetricPrefixEvictions  = "campaign.prefix.evictions"
 	MetricPrefixStoreBytes = "campaign.prefix.store_bytes"
+	// MetricCleanComputed / MetricCleanReused split the distinct samples a
+	// Run drew into those whose clean pass it ran itself and those the
+	// clean cache already held (or another Run was computing). Like the
+	// hit/miss split they describe this particular run: on a private
+	// cache everything is computed, on a warm fixture nothing.
+	MetricCleanComputed = "campaign.clean.computed"
+	MetricCleanReused   = "campaign.clean.reused"
 	// MetricPrefixSaved is a histogram of nanoseconds saved per cache
 	// hit: the recorded cost of the prefix computation the hit avoided.
 	MetricPrefixSaved = "campaign.prefix_reuse_ns_saved"
@@ -378,12 +386,18 @@ type Config struct {
 	// in the model's first chain node) run the full forward, as do
 	// weight-armed trials on replicas that share weight storage with
 	// another worker, and models whose structure defeats chain planning.
-	// The checkpoints live in one store per Run, shared by the workers.
+	// The checkpoints, and the clean predictions whose walks warm them,
+	// live in Clean when one is handed over, else in a cache private to
+	// the Run. With reuse off nothing outlives the Run or is shared with
+	// another: this is the reference configuration.
 	PrefixReuse bool
-	// store, when set, is the checkpoint store Run uses under PrefixReuse
-	// instead of building one — how this package's tests look inside it
-	// after a run, or shrink it to force evictions.
-	store *tensor.CheckpointStore
+	// Clean, when non-nil, is the fixture's clean pass (see CleanCache):
+	// under PrefixReuse the Run computes only the drawn samples the cache
+	// lacks, resumes trials from its checkpoint store and calibrates the
+	// scheduler from its carried node costs. Every Run sharing one cache
+	// must build replicas of one model over one Source. Ignored with
+	// PrefixReuse off.
+	Clean *CleanCache
 	// TrialBatch packs up to this many compatible trials (same sample,
 	// lane-safe neuron faults only) into one forward pass over an input
 	// tiled across that many batch lanes — the batched counterpart of

@@ -73,13 +73,6 @@ func prefixMetrics(reg *obs.Registry) core.PrefixMetrics {
 	}
 }
 
-// prefixStoreBudget is what each worker adds to the budget of the
-// campaign's one checkpoint store. Boundary activations for 32×32-class
-// models run tens to hundreds of KiB, so a worker's share holds a few
-// hundred (sample, cut) snapshots; LRU eviction keeps memory flat on
-// larger sweeps.
-const prefixStoreBudget int64 = 64 << 20
-
 // observe folds one finished trial's record into the exact counters.
 // Called from the single collector goroutine.
 func (m *engineMetrics) observe(rec TrialRecord, backlog int, sank bool) {
@@ -168,16 +161,18 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 	// if one cannot be built.
 	crew := make([]*worker, workers)
 	pmet := prefixMetrics(cfg.Metrics)
-	// One clean-checkpoint store for the whole crew. A clean activation is
-	// the same bit pattern on every replica, so whichever worker walks a
-	// sample's prefix first serves every other worker's trials on it, and
-	// the working set is held once instead of once per worker.
-	var store *tensor.CheckpointStore
-	if cfg.PrefixReuse {
-		if store = cfg.store; store == nil {
-			store = tensor.NewCheckpointStore(prefixStoreBudget * int64(workers))
-		}
+	// The clean pass has one owner: the fixture's cache when the caller
+	// hands one over and PrefixReuse is on, else a table private to this
+	// Run — with a checkpoint store of its own under PrefixReuse, without
+	// one otherwise, so the reference configuration (reuse off) shares no
+	// state with any other Run.
+	clean := cfg.Clean
+	if !cfg.PrefixReuse {
+		clean = newCleanCache(nil)
+	} else if clean == nil {
+		clean = NewCleanCache(StoreBudget(workers))
 	}
+	store := clean.store
 	var buildWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		buildWG.Add(1)
@@ -266,9 +261,10 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 		wg.Wait()
 	}
 
-	// Pre-pass: derive every trial's sample choice, then compute each
-	// distinct sample's clean prediction exactly once, in parallel,
-	// before fan-out.
+	// Pre-pass: derive every trial's sample choice, then fetch each
+	// distinct sample's clean prediction from the clean cache, in
+	// parallel, before fan-out; what the cache lacks is computed here,
+	// exactly once however many Runs ask.
 	sampleOf := make([]int, cfg.Trials)
 	var order []int // distinct samples, first-use order
 	slot := make(map[int]int, len(cfg.Eligible))
@@ -281,20 +277,37 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 		}
 	}
 	cleanVals := make([]cleanPrediction, len(order))
+	var cleanComputed atomic.Int64
 	steal(len(order), func(w *worker, i int) {
-		cp, nodeNS, err := cleanPredict(cfg, w, order[i])
+		cp, computed, err := clean.get(runCtx, order[i], func() (cleanPrediction, error) {
+			cp, nodeNS, err := cleanPredict(cfg, w, order[i])
+			clean.noteCosts(nodeNS)
+			return cp, err
+		})
 		if err != nil {
 			fail(err)
 			return
 		}
 		cleanVals[i] = cp
-		w.costs = mergeNodeCosts(w.costs, nodeNS)
+		if computed {
+			cleanComputed.Add(1)
+		}
 	})
+	for _, w := range crew {
+		if w.runner != nil {
+			clean.noteCosts(w.runner.NodeCostsNS())
+		}
+	}
 	if failErr != nil {
 		return Aggregate{}, failErr
 	}
 	if err := ctx.Err(); err != nil {
 		return Aggregate{}, err
+	}
+	if reg := cfg.Metrics; reg != nil {
+		computed := cleanComputed.Load()
+		reg.Counter(MetricCleanComputed).Add(computed)
+		reg.Counter(MetricCleanReused).Add(int64(len(order)) - computed)
 	}
 	x := &executor{cfg: cfg, clean: make(map[int]cleanPrediction, len(order)), prefixFallbacks: pmet.Fallbacks}
 	injs := make([]*core.Injector, len(crew))
@@ -360,7 +373,7 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 				live = append(live, specs[t])
 			}
 		}
-		costs, costSource := buildCostTable(cfg, crew, order[0])
+		costs, costSource := buildCostTable(cfg, clean, crew, order[0])
 		plan := sched.Build(live, sched.Config{
 			K:     K,
 			Mode:  cfg.Schedule,
@@ -597,7 +610,7 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 // every chain-node boundary for the sample, so the armed trials that
 // follow resume from direct hits instead of paying a first-miss prefix
 // (the runner also times each node for the scheduler — see
-// core.PrefixRunner.NodeCostsNS, collected by buildCostTable). With no
+// core.PrefixRunner.NodeCostsNS, folded into the clean cache). With no
 // runner but a chain plan (batching on, reuse off), the pass walks the
 // chain node by node instead of calling nn.Run — bit-identical output,
 // since Step composition IS the forward pass — and returns the per-node
@@ -642,38 +655,14 @@ func cleanPredict(cfg Config, w *worker, idx int) (cp cleanPrediction, nodeNS []
 	return cp, nodeNS, nil
 }
 
-// mergeNodeCosts folds one timed walk into a worker's per-node minimums
-// (the minimum across walks is the robust per-node estimate; first
-// executions pay allocation and cache warmup).
-func mergeNodeCosts(acc, nodeNS []int64) []int64 {
-	if len(nodeNS) == 0 {
-		return acc
-	}
-	if len(acc) != len(nodeNS) {
-		return append([]int64(nil), nodeNS...)
-	}
-	for i, v := range nodeNS {
-		if v > 0 && (acc[i] == 0 || v < acc[i]) {
-			acc[i] = v
-		}
-	}
-	return acc
-}
-
 // buildCostTable assembles the scheduler's per-chain-node cost table:
-// timed calibration first (per-node minimums across every worker's
-// checkpoint and clean-pass walks), static FLOP estimates from the chain
-// geometry when no walk was timed, nil when neither is available (the
-// scheduler then falls back to unconditional chunking).
-func buildCostTable(cfg Config, crew []*worker, sampleIdx int) (*sched.CostTable, int) {
-	var merged []int64
-	for _, w := range crew {
-		if w.runner != nil {
-			merged = mergeNodeCosts(merged, w.runner.NodeCostsNS())
-		}
-		merged = mergeNodeCosts(merged, w.costs)
-	}
-	if t := sched.NewCostTableNS(merged); t.Usable() {
+// timed calibration first (the clean cache's per-node minimums across
+// every clean walk it has seen — this Run's or, on a warm fixture, an
+// earlier one's), static FLOP estimates from the chain geometry when no
+// walk was timed, nil when neither is available (the scheduler then
+// falls back to unconditional chunking).
+func buildCostTable(cfg Config, clean *CleanCache, crew []*worker, sampleIdx int) (*sched.CostTable, int) {
+	if t := sched.NewCostTableNS(clean.nodeCosts()); t.Usable() {
 		return t, costSourceTimed
 	}
 	for _, w := range crew {

@@ -49,7 +49,7 @@ import (
 type worker struct {
 	id  int
 	inj *core.Injector
-	// runner resumes this replica's forwards from the campaign's
+	// runner resumes this replica's forwards from the clean cache's
 	// checkpoint store; nil when PrefixReuse is off or the model's
 	// structure defeats chain planning.
 	runner *core.PrefixRunner
@@ -57,8 +57,6 @@ type worker struct {
 	// store-less one so multi-lane entries still share their clean
 	// prefix); nil runs every forward full-length.
 	plan *core.PrefixPlan
-	// costs are the per-node minimums of this worker's timed clean walks.
-	costs []int64
 }
 
 // batchMetrics resolves the multi-lane observability handles; nil when no
@@ -238,7 +236,9 @@ func (x *executor) forward(w *worker, en sched.Entry, lanes int, recs []TrialRec
 		}
 		return t.TileBatch(lanes)
 	}
-	in := x.cfg.input(en.Sample)
+	// The input is materialised only where something reads it: a forward
+	// from node 0, or a prefix walk that finds no checkpoint to start from.
+	input := func() *tensor.Tensor { return x.cfg.input(en.Sample) }
 	cut := 0
 	if w.plan != nil && !(x.weightsShared && w.inj.WeightFaultsArmed()) {
 		if minLayer, ok := w.inj.MinArmedLayer(); ok {
@@ -250,17 +250,17 @@ func (x *executor) forward(w *worker, en sched.Entry, lanes int, recs []TrialRec
 		if w.runner != nil && x.prefixFallbacks != nil {
 			x.prefixFallbacks.Inc()
 		}
-		logits = nn.Run(w.inj.Model(), tile(in))
+		logits = nn.Run(w.inj.Model(), tile(input()))
 	} else {
 		var boundary *tensor.Tensor
 		if w.runner != nil {
-			boundary, err = w.runner.Boundary(en.Sample, cut, in)
+			boundary, err = w.runner.Boundary(en.Sample, cut, input)
 		} else {
 			// No checkpoint store (PrefixReuse off): compute the clean
 			// prefix once per entry. Armed hooks below the cut have no
 			// sites to apply, so this walk is clean by the same argument
 			// as PrefixRunner.Boundary.
-			boundary, err = w.plan.Chain().ForwardTo(cut, in)
+			boundary, err = w.plan.Chain().ForwardTo(cut, input())
 		}
 		if err != nil {
 			return err

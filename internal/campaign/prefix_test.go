@@ -11,7 +11,6 @@ import (
 	"gofi/internal/data"
 	"gofi/internal/nn"
 	"gofi/internal/obs"
-	"gofi/internal/tensor"
 )
 
 // trialOutcomes runs a campaign and returns its aggregate plus the
@@ -212,16 +211,19 @@ func TestPrefixReuseWeightCampaignIdentical(t *testing.T) {
 // storage with another worker (a weight campaign built without per-worker
 // copies) must not resume weight-armed trials from checkpoints, nor write
 // any — another worker's mutation is visible to this one's prefix walk.
-// The engine sees the sharing by itself. Two trials on two workers,
-// sequenced through ArmTrial and the sink so the scenario is a real
-// cross-worker one yet free of data races: trial 0 faults the first
-// layer on one worker and stays armed while trial 1, on the other, faults
-// the last — a trial whose own cut would otherwise be deep.
+// The engine sees the sharing by itself, trial by trial, so such a crew
+// may still be handed the fixture's clean cache: what its clean pass
+// leaves there is pristine, and its trials never touch it. Two trials on
+// two workers, sequenced through ArmTrial and the sink so the scenario is
+// a real cross-worker one yet free of data races: trial 0 faults the
+// first layer on one worker and stays armed while trial 1, on the other,
+// faults the last — a trial whose own cut would otherwise be deep.
 func TestSharedWeightReplicasKeepFullForward(t *testing.T) {
 	ds, model, eligible := trainedSetup(t)
 	entered, done0 := make(chan struct{}), make(chan struct{})
 	reg := obs.NewRegistry()
-	store := tensor.NewCheckpointStore(16 << 20)
+	cache := NewCleanCache(16 << 20)
+	store := cache.store
 	cfg := Config{
 		Workers:     2,
 		Trials:      2,
@@ -231,7 +233,7 @@ func TestSharedWeightReplicasKeepFullForward(t *testing.T) {
 		Eligible:    eligible,
 		PrefixReuse: true,
 		Metrics:     reg,
-		store:       store,
+		Clean:       cache,
 		ArmTrial: func(inj *core.Injector, _ *rand.Rand, g int) error {
 			layer := 0
 			if g == 1 {

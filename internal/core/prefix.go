@@ -228,7 +228,7 @@ func (r *PrefixRunner) Forward(item int, x *tensor.Tensor) (*tensor.Tensor, erro
 	minLayer, ok := r.inj.MinArmedLayer()
 	if ok {
 		if cut := r.plan.CutFor(minLayer); cut > 0 {
-			boundary, err := r.Boundary(item, cut, x)
+			boundary, err := r.Boundary(item, cut, func() *tensor.Tensor { return x })
 			if err != nil {
 				return nil, err
 			}
@@ -241,22 +241,25 @@ func (r *PrefixRunner) Forward(item int, x *tensor.Tensor) (*tensor.Tensor, erro
 	return nn.Run(r.inj.Model(), x), nil
 }
 
-// Boundary returns the clean activation at chain node cut for model
-// input x (item keys the checkpoint store): the tensor that
+// Boundary returns the clean activation at chain node cut for the model
+// input that item keys in the checkpoint store: the tensor that
 // ForwardFrom(cut, ...) resumes from. On a store hit it is the
 // checkpointed snapshot; on a miss the prefix is recomputed from the
 // deepest earlier checkpoint of the item, snapshotting every boundary
-// walked along the way (see the miss strategy below). cut == 0 returns x
-// itself — no reusable prefix. Boundary never executes layers at or
+// walked along the way (see the miss strategy below). cut == 0 returns
+// the input itself — no reusable prefix. input materialises the model
+// input and is called only when the walk starts at node 0: a hit, or a
+// miss with an earlier checkpoint to resume from, never pays for
+// synthesising it. Boundary never executes layers at or
 // after cut, so it is sound on an armed injector whenever every armed
 // site lies at or after the cut (the MinArmedLayer/CutFor contract): the
 // prefix layers' hooks fire, but carry no armed sites to apply, and no
 // prefix layer reads a mutated weight. The
 // batched campaign path calls this directly and tiles the result across
 // K trial lanes before running the suffix once for a whole pack.
-func (r *PrefixRunner) Boundary(item, cut int, x *tensor.Tensor) (*tensor.Tensor, error) {
+func (r *PrefixRunner) Boundary(item, cut int, input func() *tensor.Tensor) (*tensor.Tensor, error) {
 	if cut <= 0 {
-		return x, nil
+		return input(), nil
 	}
 	if cut > r.plan.chain.Len() {
 		return nil, fmt.Errorf("core: boundary cut %d outside chain [0,%d]", cut, r.plan.chain.Len())
@@ -279,12 +282,16 @@ func (r *PrefixRunner) Boundary(item, cut int, x *tensor.Tensor) (*tensor.Tensor
 	// is a direct hit. Each boundary's recorded cost accumulates
 	// the walk below it, approximating the full [0, node) prefix
 	// cost a later hit avoids.
-	start, cur, elapsed := 0, x, int64(0)
+	start, elapsed := 0, int64(0)
+	var cur *tensor.Tensor
 	for j := cut - 1; j > 0; j-- {
 		if b, ns, ok := r.store.Get(item, j); ok {
 			start, cur, elapsed = j, b, ns
 			break
 		}
+	}
+	if start == 0 {
+		cur = input()
 	}
 	for n := start; n < cut; n++ {
 		t0 := time.Now()

@@ -144,6 +144,14 @@ type GenericCampaignResult struct {
 // Environments are safe for concurrent Run calls: replicas are built per
 // worker and the trained weights are read-only during neuron campaigns
 // (IsolateWeights deep-copies them per replica otherwise).
+//
+// The environment also owns the fixture's clean pass (campaign.CleanCache):
+// every Run with Cfg.PrefixReuse on — legs, shards and concurrent
+// campaigns alike — computes only the samples no earlier Run drew and
+// resumes from one checkpoint store, budgeted at campaign.StoreBudget of
+// the canonical Cfg.Workers and dropped with the environment. Value
+// copies share it by pointer; a copy that turns PrefixReuse off (the
+// reference configuration) does not use it.
 type CampaignEnv struct {
 	// Cfg is the canonicalized configuration (defaults filled, backend
 	// and dtype resolved, TrialBatch pinned).
@@ -169,6 +177,7 @@ type CampaignEnv struct {
 	armTrial func(*core.Injector, *rand.Rand, int) error
 	key      func(*rand.Rand, int, int) (string, bool)
 	strata   *stats.Strata
+	clean    *campaign.CleanCache
 }
 
 // ShardRun describes one engine leg over the contiguous global
@@ -217,6 +226,7 @@ func (env *CampaignEnv) Run(ctx context.Context, sr ShardRun) (campaign.Aggregat
 		OnError:     env.Cfg.OnError,
 		Metrics:     sr.Metrics,
 		PrefixReuse: env.Cfg.PrefixReuse,
+		Clean:       env.clean,
 		TrialBatch:  env.Cfg.TrialBatch,
 		Schedule:    env.Cfg.Schedule,
 	})
@@ -498,6 +508,7 @@ func PrepareGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (*Ca
 		armTrial:     armTrial,
 		key:          key,
 		strata:       strata,
+		clean:        campaign.NewCleanCache(campaign.StoreBudget(cfg.Workers)),
 	}, nil
 }
 

@@ -19,6 +19,10 @@ const (
 	MetricCheckpointWrites = "serve.checkpoint.writes"
 	// MetricStreamClients gauges currently-connected stream readers.
 	MetricStreamClients = "serve.stream.clients"
+	// MetricStreamLogBytes counts bytes stream readers read from record
+	// logs. A streamer reads each log byte once (plus one buffer of
+	// read-ahead), so this stays within a small factor of bytes streamed.
+	MetricStreamLogBytes = "serve.stream.log_bytes"
 	// MetricHTTPRequests counts API requests served.
 	MetricHTTPRequests = "serve.http.requests"
 	// MetricEnvCacheHits counts fixture-cache hits (campaigns that

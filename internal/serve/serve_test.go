@@ -558,8 +558,12 @@ func TestServeHTTPSurface(t *testing.T) {
 // over, with no periodic checkpoint flushing the log on the side: the
 // stream must deliver every trial exactly once, in order, and end with a
 // done event — the fold may not publish a frontier whose lines are still
-// in the buffer. A stream that cannot be served (here: the log is gone)
-// ends with an error event rather than silently.
+// in the buffer. Following it costs O(log): the streamer keeps one reader
+// open across wakes, so the bytes it reads stay within twice the log's
+// size however many wakes 5000 trials take (rescanning from line 0 per
+// wake, as the handler once did, reads hundreds of times that). A stream
+// that cannot be served (here: the log is gone) ends with an error event
+// rather than silently.
 func TestServeLiveStream(t *testing.T) {
 	skipIfShort(t)
 	dir := t.TempDir()
@@ -573,7 +577,7 @@ func TestServeLiveStream(t *testing.T) {
 	cl := &Client{Base: hs.URL}
 
 	sp := baseSpec()
-	sp.Trials = 400
+	sp.Trials = 5000
 	st, err := cl.Submit(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
@@ -587,8 +591,12 @@ func TestServeLiveStream(t *testing.T) {
 			t.Fatalf("stream position %d carries trial %d", i, rec.Trial)
 		}
 	}
-	if info, err := os.Stat(filepath.Join(dir, st.ID+".log.jsonl")); err != nil || info.Size() <= 3*4096 {
+	info, err := os.Stat(filepath.Join(dir, st.ID+".log.jsonl"))
+	if err != nil || info.Size() <= 3*4096 {
 		t.Fatalf("record log (%v, err %v) does not outgrow the writer's buffer; raise Trials", info, err)
+	}
+	if read := srv.Metrics().Snapshot().Counters[MetricStreamLogBytes]; read < info.Size() || read > 2*info.Size() {
+		t.Fatalf("the live stream read %d bytes of a %d-byte log, want between one and two times its size", read, info.Size())
 	}
 
 	if err := os.Remove(filepath.Join(dir, st.ID+".log.jsonl")); err != nil {
@@ -600,6 +608,89 @@ func TestServeLiveStream(t *testing.T) {
 	}
 	if last.Type != "error" || last.Err == "" {
 		t.Fatalf("stream over a missing log ended with %+v, want an error event", last)
+	}
+}
+
+// TestServeEnvCacheBounded: the fixture cache holds at most its cap, least
+// recently used out, and eviction is only the map letting go — a campaign
+// running on the evicted environment keeps it by pointer and finishes
+// with the records of a local run.
+func TestServeEnvCacheBounded(t *testing.T) {
+	skipIfShort(t)
+	srv, err := New(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.envCap = 2
+	cached := func(sp Spec) bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		_, ok := srv.envs[sp.envKey()]
+		return ok
+	}
+	submit := func(sp Spec) *Campaign {
+		t.Helper()
+		c, err := srv.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// until polls cond, failing once c settles: every condition below must
+	// come true while the long campaign is still running.
+	until := func(c *Campaign, what string, cond func() bool) {
+		t.Helper()
+		for !cond() {
+			if st := c.Status(); terminalState(st.State) {
+				t.Fatalf("campaign %s was %s before %s; raise its Trials", c.ID, st.State, what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	long := baseSpec()
+	long.Trials = 4000
+	small := func(seed int64) Spec {
+		sp := baseSpec()
+		sp.Seed, sp.Epochs, sp.Trials = seed, 1, 4
+		return sp
+	}
+	a := submit(long)
+	until(a, "its first record", func() bool { return a.Status().Agg.NextTrial > 0 })
+
+	// Two more fixtures fill the cap and push the long campaign's out; a
+	// touch in between decides which of the first two goes.
+	b := submit(small(7))
+	until(a, "the second fixture was cached", func() bool { return cached(small(7)) })
+	if !cached(long) {
+		t.Fatal("the cache dropped an entry below its cap")
+	}
+	submit(small(7)) // makes the long campaign's entry the least recently used
+	until(a, "the touch", func() bool {
+		return srv.Metrics().Counter(MetricEnvCacheHits).Value() > 0
+	})
+	submit(small(8))
+	until(a, "the third fixture was cached", func() bool { return cached(small(8)) })
+	if cached(long) || !cached(small(7)) {
+		t.Fatalf("entry cap+1 did not evict the least recently used: long cached %v, touched cached %v", cached(long), cached(small(7)))
+	}
+	if st := a.Status(); st.State != StateRunning {
+		t.Fatalf("campaign %s is %s at eviction, want it still running; raise its Trials", a.ID, st.State)
+	}
+
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	cl := &Client{Base: hs.URL}
+	got, done := collectStream(t, cl, a.ID, 0)
+	if done.State != StateDone {
+		t.Fatalf("campaign on the evicted fixture ended %s", done.State)
+	}
+	var ref localRef
+	want, _ := ref.run(t, long)
+	sameRecords(t, "campaign on an evicted fixture vs local", got, want)
+	if _, err := cl.Wait(context.Background(), b.ID, time.Millisecond); err != nil {
+		t.Fatal(err)
 	}
 }
 

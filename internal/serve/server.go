@@ -50,6 +50,8 @@ type Server struct {
 	seq       int
 	campaigns map[string]*Campaign
 	envs      map[string]*envEntry
+	envCap    int    // maxEnvs; tests lower it
+	envClock  uint64 // ticks once per envFor, orders envEntry.used
 
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
@@ -61,7 +63,16 @@ type envEntry struct {
 	once sync.Once
 	env  *experiments.CampaignEnv
 	err  error
+	used uint64 // Server.envClock at the last envFor, under Server.mu
 }
+
+// maxEnvs caps the fixture cache. An entry pins a trained model, its
+// dataset and the fixture's clean cache (a checkpoint store of up to
+// campaign.StoreBudget bytes), so the cache must not grow with the number
+// of distinct fixtures ever submitted; past the cap the least recently
+// used entry is dropped. Campaigns hold their environment by pointer, so
+// eviction only costs the next submission of that fixture a retrain.
+const maxEnvs = 8
 
 // New builds a server over the given state directory, loading any
 // checkpointed campaigns found there (interrupted ones come back
@@ -91,6 +102,7 @@ func New(cfg Config) (*Server, error) {
 		slots:      make(chan struct{}, slots),
 		campaigns:  make(map[string]*Campaign),
 		envs:       make(map[string]*envEntry),
+		envCap:     maxEnvs,
 		baseCtx:    ctx,
 		cancelBase: cancel,
 	}
@@ -186,16 +198,28 @@ func (s *Server) Close() {
 // envFor resolves the campaign's prepared environment through the
 // fixture cache: campaigns with the same fixture key (model, training
 // and fault-model fields; not trial budget, sharding or stopping) share
-// one trained fixture, so submitting ten shardings of one experiment
-// trains once.
+// one trained fixture — and its clean cache — so submitting ten shardings
+// of one experiment trains once and runs each sample's clean pass once.
+// The cache holds at most maxEnvs fixtures, least recently used out.
 func (s *Server) envFor(ctx context.Context, sp Spec) (*experiments.CampaignEnv, error) {
 	key := sp.envKey()
 	s.mu.Lock()
 	e, ok := s.envs[key]
 	if !ok {
+		if len(s.envs) >= s.envCap {
+			lru := ""
+			for k, o := range s.envs {
+				if lru == "" || o.used < s.envs[lru].used {
+					lru = k
+				}
+			}
+			delete(s.envs, lru)
+		}
 		e = &envEntry{}
 		s.envs[key] = e
 	}
+	s.envClock++
+	e.used = s.envClock
 	s.mu.Unlock()
 	if ok {
 		s.reg.Counter(MetricEnvCacheHits).Inc()
@@ -378,6 +402,8 @@ func (s *Server) handleStream(c *Campaign, w http.ResponseWriter, r *http.Reques
 // same bytes the fold wrote — so a streamer is oblivious to whether it
 // replays history or tails the live fold.
 func (c *Campaign) streamRecords(ctx context.Context, from int, fn func(campaign.TrialRecord) error) error {
+	tail := logTail{c: c}
+	defer tail.close()
 	next := from
 	for {
 		c.mu.Lock()
@@ -405,7 +431,7 @@ func (c *Campaign) streamRecords(ctx context.Context, from int, fn func(campaign
 			return err
 		}
 		if available > next {
-			n, err := c.replayLog(next, available, fn)
+			n, err := tail.read(next, available, fn)
 			if err != nil {
 				return err
 			}
@@ -418,36 +444,70 @@ func (c *Campaign) streamRecords(ctx context.Context, from int, fn func(campaign
 	}
 }
 
-// replayLog reads log records with indices [from, to) and feeds them to
-// fn, returning the next unread index.
-func (c *Campaign) replayLog(from, to int, fn func(campaign.TrialRecord) error) (int, error) {
-	f, err := os.Open(c.logPath())
-	if err != nil {
-		return from, err
+// logTail is one streamer's cursor into its campaign's record log: the
+// file stays open between wakes and the reader stays where the last wake
+// left it, so following a live campaign reads every log byte once instead
+// of rescanning from line 0 per wake.
+type logTail struct {
+	c    *Campaign
+	f    *os.File
+	r    *bufio.Reader
+	next int // index of the log line the reader stands before
+}
+
+func (t *logTail) close() {
+	if t.f != nil {
+		t.f.Close()
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	idx := 0
-	for idx < to && sc.Scan() {
-		if idx >= from {
+}
+
+// read feeds the log records with indices [from, to) to fn and returns
+// the next unread index; a streamer's from never moves backwards, so the
+// reader only ever skips ahead to it. The fold flushes the log before it
+// publishes a frontier, so every line below to is whole in the file; the
+// reader never consumes past the last one it returns, and a file that
+// ends short of to is reported rather than waited for.
+func (t *logTail) read(from, to int, fn func(campaign.TrialRecord) error) (int, error) {
+	if t.f == nil {
+		f, err := os.Open(t.c.logPath())
+		if err != nil {
+			return from, err
+		}
+		t.f = f
+		t.r = bufio.NewReaderSize(countingReader{f, t.c.srv.reg.Counter(MetricStreamLogBytes)}, 1<<16)
+	}
+	for t.next < to {
+		line, err := t.r.ReadBytes('\n')
+		if err == io.EOF {
+			return t.next, fmt.Errorf("serve: campaign %s: record log ends at trial %d, the fold is at %d", t.c.ID, t.next, to)
+		}
+		if err != nil {
+			return t.next, err
+		}
+		if t.next >= from {
 			var rec campaign.TrialRecord
-			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-				return idx, fmt.Errorf("serve: campaign %s: log line %d: %v", c.ID, idx, err)
+			if err := json.Unmarshal(line, &rec); err != nil {
+				return t.next, fmt.Errorf("serve: campaign %s: log line %d: %v", t.c.ID, t.next, err)
 			}
 			if err := fn(rec); err != nil {
-				return idx, err
+				return t.next, err
 			}
 		}
-		idx++
+		t.next++
 	}
-	if err := sc.Err(); err != nil {
-		return idx, err
-	}
-	if idx < to {
-		return idx, fmt.Errorf("serve: campaign %s: record log ends at trial %d, the fold is at %d", c.ID, idx, to)
-	}
-	return idx, nil
+	return t.next, nil
+}
+
+// countingReader adds every byte read through it to n.
+type countingReader struct {
+	r io.Reader
+	n *obs.Counter
+}
+
+func (cr countingReader) Read(p []byte) (int, error) {
+	n, err := cr.r.Read(p)
+	cr.n.Add(int64(n))
+	return n, err
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -79,6 +79,15 @@ check_selected -race -cpu 1,4 -run 'TestCrossLaneIsolation|TestBatchedRun|TestDe
 # run happens to take.
 check_selected -race -count=10 -cpu 1,4 -run 'TestCheckpointStoreConcurrent' ./internal/tensor
 
+# One campaign.CleanCache serves every Run on a fixture. Its concurrent
+# test starts two campaigns and the four shards of a third on one cache
+# and requires each sample's clean pass to run exactly once; its failure
+# test requires a panicked pass to leave no entry behind. The real
+# CampaignEnv has the same wall. Repeated under the race detector for the
+# same reason as the store's.
+check_selected -race -count=5 -cpu 1,4 -run 'TestCleanCacheConcurrentRunsComputeOnce|TestCleanCacheFailureIsNotCached' ./internal/campaign
+check_selected -race -cpu 1,4 -run 'TestCampaignEnvOwnsTheCleanPass' ./internal/experiments
+
 # Per-package statement-coverage floors for the thin support packages.
 # Their public APIs are small and fully table-testable, so coverage that
 # drops below the floor means new code landed without tests.
@@ -154,11 +163,13 @@ check_int8
 # goldens across the worker x schedule x reuse corners), a coverage
 # floor over the wire/coordinator/HTTP code, and the CLI end-to-end
 # smokes (gofi-serve boot/shutdown, gofi-campaign -submit round trip).
-# Two promises are gated by name under the race detector, so renaming
-# either test fails CI: a live stream delivers every folded record and a
-# done event (the fold and its streamers share the record log), and one
-# gofi-campaign command line prints one report locally and with -submit.
-# serve_smoke then checks the second promise on the built binaries, at a
+# Three promises are gated by name under the race detector, so renaming
+# a test fails CI: a live stream delivers every folded record and a done
+# event while reading the log once (the fold and its streamers share the
+# record log), the fixture cache stays within its cap without disturbing
+# a campaign that runs on an evicted entry, and one gofi-campaign command
+# line prints one report locally and with -submit.
+# serve_smoke then checks the last promise on the built binaries, at a
 # campaign long enough (3000 trials) to outgrow the log buffer many times.
 serve_smoke() {
 	tmp=$(mktemp -d)
@@ -186,7 +197,7 @@ serve_smoke() {
 }
 check_serve() {
 	go test -race -timeout 20m ./internal/serve
-	check_selected -race -run 'TestServeLiveStream' ./internal/serve
+	check_selected -race -run 'TestServeLiveStream|TestServeEnvCacheBounded' ./internal/serve
 	check_selected -race -cpu 1,4 -run 'TestSplitTrials|TestShardMergeMatchesGolden' ./internal/campaign
 	check_cover ./internal/serve 85
 	go test ./cmd/gofi-serve ./cmd/gofi-campaign
