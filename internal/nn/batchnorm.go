@@ -66,10 +66,11 @@ func (l *BatchNorm2d) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	plane := h * w
 	cnt := n * plane
-	out := tensor.New(x.Shape()...)
-	xd, od := x.Data(), out.Data()
+	xd := x.Data()
 
 	if l.Training() {
+		out := tensor.New(x.Shape()...)
+		od := out.Data()
 		l.lastInput = x
 		l.lastXHat = tensor.New(x.Shape()...)
 		l.lastMean = make([]float32, c)
@@ -109,7 +110,10 @@ func (l *BatchNorm2d) Forward(x *tensor.Tensor) *tensor.Tensor {
 		return out
 	}
 
-	// Evaluation mode: use running statistics.
+	// Evaluation mode: use running statistics. Every element is
+	// overwritten, so a reused output buffer needs no clearing.
+	out := l.output(x.Shape()...)
+	od := out.Data()
 	for ch := 0; ch < c; ch++ {
 		mean := l.RunningMean.AtFlat(ch)
 		invSD := float32(1 / math.Sqrt(float64(l.RunningVar.AtFlat(ch))+float64(l.Eps)))

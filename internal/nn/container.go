@@ -129,11 +129,15 @@ func (c *Concat) Params() []*Param { return nil }
 func (c *Concat) Forward(x *tensor.Tensor) *tensor.Tensor {
 	outs := make([]*tensor.Tensor, len(c.Branches))
 	c.lastCounts = make([]int, len(c.Branches))
+	ctot := 0
 	for i, b := range c.Branches {
 		outs[i] = Run(b, x)
 		c.lastCounts[i] = outs[i].Dim(1)
+		ctot += c.lastCounts[i]
 	}
-	return tensor.ConcatChannels(outs...)
+	out := c.output(outs[0].Dim(0), ctot, outs[0].Dim(2), outs[0].Dim(3))
+	tensor.ConcatChannelsInto(out, outs...)
+	return out
 }
 
 // Backward implements Layer.

@@ -418,3 +418,142 @@ func TestTanhForwardBackward(t *testing.T) {
 	}
 	gradCheck(t, NewTanh("t2"), tensor.RandUniform(rand.New(rand.NewSource(61)), -2, 2, 2, 4), 1e-2, 1e-2)
 }
+
+// TestReLUForwardMatchesBranchingLoop pins the branch-free rectifier to
+// the loop it replaced, bit for bit, on the values injected faults make
+// routine: both zeros, both infinities, NaNs of either sign with default
+// and non-default payloads, the denormal and finite extremes, and random
+// bit patterns — uncapped and capped.
+func TestReLUForwardMatchesBranchingLoop(t *testing.T) {
+	reference := func(v, cap float32) float32 {
+		if v < 0 {
+			v = 0
+		} else if cap > 0 && v > cap {
+			v = cap
+		}
+		return v
+	}
+	bits := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x7F800000, 0xFF800000, // ±Inf
+		0x7FC00000, 0xFFC00000, // quiet NaN, both signs
+		0x7FC12345, 0xFFC12345, // non-default payload
+		0x7F800001, 0xFF800001, // signalling NaN, smallest payload
+		0x7FFFFFFF, 0xFFFFFFFF, // largest payload
+		0x00000001, 0x80000001, // ± smallest denormal
+		0x007FFFFF, 0x807FFFFF, // ± largest denormal
+		0x7F7FFFFF, 0xFF7FFFFF, // ±MaxFloat32
+		0x40C00000, 0xC0C00000, // ±6, the ReLU6 cap
+		0x40C00001, 0x40BFFFFF, // just above and below the cap
+	}
+	rng := rand.New(rand.NewSource(71))
+	for i := 0; i < 10000; i++ {
+		bits = append(bits, rng.Uint32())
+	}
+	vals := make([]float32, len(bits))
+	for i, b := range bits {
+		vals[i] = math.Float32frombits(b)
+	}
+	x := tensor.FromSlice(vals, 1, len(vals))
+	for _, l := range []*ReLU{NewReLU("r"), NewReLU6("r6")} {
+		out := Run(l, x).Data()
+		for i, v := range vals {
+			want := math.Float32bits(reference(v, l.Cap))
+			if got := math.Float32bits(out[i]); got != want {
+				t.Fatalf("Cap=%g: ReLU(%#08x) = %#08x, branching loop gives %#08x", l.Cap, bits[i], got, want)
+			}
+		}
+	}
+}
+
+// denseFixture is DenseNet in miniature — every layer kind whose eval
+// forward writes into Base.output: dense layers (Concat of identity and
+// BN-ReLU-conv3×3), a BN-ReLU-conv1×1-pool transition, a final BN.
+func denseFixture(seed int64) Layer {
+	rng := rand.New(rand.NewSource(seed))
+	dense := func(name string, in int) Layer {
+		return NewConcat(name, NewIdentity(name+".id"), NewSequential(name+".branch",
+			NewBatchNorm2d(name+".bn", in),
+			NewReLU(name+".relu"),
+			NewConv2d(name+".conv", rng, in, 4, 3, Conv2dConfig{Pad: 1, NoBias: true}),
+		))
+	}
+	net := NewSequential("dense",
+		NewConv2d("stem", rng, 3, 8, 3, Conv2dConfig{Pad: 1, NoBias: true}),
+		dense("d1", 8), dense("d2", 12),
+		NewBatchNorm2d("t.bn", 16), NewReLU("t.relu"),
+		NewConv2d("t.conv", rng, 16, 8, 1, Conv2dConfig{NoBias: true}),
+		NewAvgPool2d("t.pool", 2, 0, 0),
+		dense("d3", 8),
+		NewBatchNorm2d("final.bn", 12), NewReLU("final.relu"),
+		NewGlobalAvgPool2d("gap"), NewFlatten("fl"),
+		NewLinear("fc", rng, 12, 5, true),
+	)
+	for _, bn := range batchNorms(net) {
+		for ch := 0; ch < bn.Channels; ch++ {
+			bn.RunningMean.SetFlat(ch, rng.Float32()-0.5)
+			bn.RunningVar.SetFlat(ch, 0.5+rng.Float32())
+			bn.gamma.Data.SetFlat(ch, 0.5+rng.Float32())
+			bn.beta.Data.SetFlat(ch, rng.Float32()-0.5)
+		}
+	}
+	SetTraining(net, false)
+	return net
+}
+
+// TestOutputReuseBitIdenticalLogits: a replica that reuses its output
+// buffers (as campaign workers do) and a model that allocates every
+// output produce bit-identical logits over two consecutive forwards of
+// different inputs — so no layer reads what the previous forward left in
+// a buffer — and the replica's eval BatchNorm2d and Concat really do hand
+// back the buffer of the forward before.
+func TestOutputReuseBitIdenticalLogits(t *testing.T) {
+	fresh, replica := denseFixture(73), denseFixture(73)
+	if err := ShareParams(replica, fresh); err != nil {
+		t.Fatal(err)
+	}
+	SetOutputReuse(replica, true)
+
+	seen := map[string]*tensor.Tensor{}
+	Walk(replica, func(path string, l Layer) {
+		record := func(_ Layer, _, out *tensor.Tensor) { seen[path] = out }
+		switch v := l.(type) {
+		case *BatchNorm2d:
+			v.RegisterForwardHook(record)
+		case *Concat:
+			v.RegisterForwardHook(record)
+		}
+	})
+
+	rng := rand.New(rand.NewSource(79))
+	first := map[string]*tensor.Tensor{}
+	for pass := 0; pass < 2; pass++ {
+		x := tensor.RandUniform(rng, -2, 2, 1, 3, 8, 8)
+		want, got := Run(fresh, x), Run(replica, x)
+		for i, v := range want.Data() {
+			if math.Float32bits(v) != math.Float32bits(got.Data()[i]) {
+				t.Fatalf("forward %d: logit %d = %g on the reusing replica, %g on the allocating model", pass, i, got.Data()[i], v)
+			}
+		}
+		for path, out := range seen {
+			if pass == 0 {
+				first[path] = out
+			} else if first[path] != out {
+				t.Errorf("%s allocated a new output on the second forward with reuse on", path)
+			}
+		}
+	}
+	if len(first) != 8 {
+		t.Fatalf("hooked %d BatchNorm2d/Concat layers, want 8", len(first))
+	}
+
+	// Training-mode BatchNorm2d keeps allocating: Backward reads the
+	// activations of the forward it belongs to.
+	bn := NewBatchNorm2d("bn", 3)
+	bn.SetOutputReuse(true)
+	bn.SetTraining(true)
+	x := tensor.RandUniform(rng, -1, 1, 2, 3, 4, 4)
+	if a, b := bn.Forward(x), bn.Forward(x); a == b {
+		t.Fatal("training-mode BatchNorm2d reused its output buffer")
+	}
+}

@@ -155,9 +155,9 @@ func (b *Base) OutputReuse() bool { return b.reuseOutput }
 // output returns the buffer a forward pass should write into: a cached
 // one when reuse is on and a cached shape matches, a fresh tensor
 // otherwise. With reuse on the contents are stale — callers must fully
-// overwrite every element (Conv2d, Linear and ReLU forwards do). The
-// matched buffer is promoted to slot 0 so the cache keeps the two most
-// recently used shapes.
+// overwrite every element (Conv2d, Linear, ReLU, Concat and eval-mode
+// BatchNorm2d forwards do). The matched buffer is promoted to slot 0 so
+// the cache keeps the two most recently used shapes.
 func (b *Base) output(shape ...int) *tensor.Tensor {
 	if !b.reuseOutput {
 		return tensor.New(shape...)

@@ -97,6 +97,16 @@ func BenchmarkConvForward_Depthwise(b *testing.B) { benchConvForward(b, 1, 32, 3
 // Batched early layer: the N×groups parallel axis has 8 units of work.
 func BenchmarkConvForward_Batch8(b *testing.B) { benchConvForward(b, 8, 16, 32, 16, 3, 1, 1, 1) }
 
+// 1×1 stride-1 unpadded (DenseNet transition): the GEMM reads the image
+// slab in place, no im2col.
+func BenchmarkConvForward_Pointwise(b *testing.B) { benchConvForward(b, 1, 48, 24, 16, 1, 1, 0, 1) }
+
+// Unpadded 5×5 (LeNet-style), OW != W: im2col's per-row copy path.
+func BenchmarkConvForward_Unpadded(b *testing.B) { benchConvForward(b, 1, 16, 32, 16, 5, 1, 0, 1) }
+
+// Stride-2 downsampling conv: im2col's strided per-tap fallback.
+func BenchmarkConvForward_Strided(b *testing.B) { benchConvForward(b, 1, 32, 64, 16, 3, 2, 1, 1) }
+
 func BenchmarkConvBackward_AlexLate(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	x := RandUniform(rng, -1, 1, 1, 48, 8, 8)

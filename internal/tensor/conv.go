@@ -66,32 +66,102 @@ func checkConvShapes(x, w, bias *Tensor, spec ConvSpec) ConvSpec {
 	return spec
 }
 
+// pointwise reports whether a kh×kw convolution under this (canonical)
+// spec is 1×1, unit-stride and unpadded. Its im2col is the identity: the
+// group's [Cg, H·W] image slab already is the [Cg·KH·KW, OH·OW] column
+// matrix, so the GEMM reads it in place and no col scratch is taken.
+func (s ConvSpec) pointwise(kh, kw int) bool {
+	return kh == 1 && kw == 1 && s.StrideH == 1 && s.StrideW == 1 && s.PadH == 0 && s.PadW == 0
+}
+
+// fillPad sets every element of dst to pad. A plain store loop on
+// purpose: nearly every run is a conv's pad columns, one to three
+// elements long, where a memclr call costs more than the stores.
+func fillPad[T float32 | int8](dst []T, pad T) {
+	for i := range dst {
+		dst[i] = pad
+	}
+}
+
 // im2colInto unrolls one sample's group slice into col [Cg*KH*KW, OH*OW].
-// img is the [C, H, W] sample slice, cLo the first channel of the group.
-func im2colInto(col []float32, img []float32, c0, cg, h, wd, kh, kw, oh, ow int, spec ConvSpec) {
+// img is the [C, H, W] sample slice, c0 the first channel of the group.
+// Out-of-image taps read pad: 0 for float32, the input zero-point code
+// (the code of real 0.0) for int8, so padding contributes exactly zero
+// after the zp·rowSum correction. It is the one im2col of both backends
+// and only moves data — every col element is a copy of one img element or
+// pad, so nothing here can touch the GEMM's reduction order.
+//
+// Each input element is moved by memmove wherever the geometry allows:
+//
+//   - unit stride both ways and OW == W (the "same" 3×3/pad 1, 5×5/pad 2
+//     convolutions): a tap's whole col row is the image plane shifted by a
+//     constant, so one copy moves every valid output row at once and the
+//     pad columns — which received the neighbouring row's edge — are
+//     overwritten afterwards;
+//   - unit horizontal stride otherwise: per output row one left-pad fill,
+//     one copy of the contiguous image span, one right-pad fill;
+//   - horizontally strided: the per-tap loop with its bounds branches.
+func im2colInto[T float32 | int8](col, img []T, c0, cg, h, wd, kh, kw, oh, ow int, spec ConvSpec, pad T) {
 	l := oh * ow
 	for c := 0; c < cg; c++ {
 		chImg := img[(c0+c)*h*wd : (c0+c+1)*h*wd]
 		for ky := 0; ky < kh; ky++ {
 			for kx := 0; kx < kw; kx++ {
 				row := col[((c*kh+ky)*kw+kx)*l : ((c*kh+ky)*kw+kx+1)*l]
+				if spec.StrideW != 1 {
+					for oy := 0; oy < oh; oy++ {
+						iy := oy*spec.StrideH - spec.PadH + ky
+						if iy < 0 || iy >= h {
+							fillPad(row[oy*ow:(oy+1)*ow], pad)
+							continue
+						}
+						base := iy * wd
+						for ox := 0; ox < ow; ox++ {
+							ix := ox*spec.StrideW - spec.PadW + kx
+							if ix < 0 || ix >= wd {
+								row[oy*ow+ox] = pad
+							} else {
+								row[oy*ow+ox] = chImg[base+ix]
+							}
+						}
+					}
+					continue
+				}
+				// Output columns [lo, hi) of a row read the image at
+				// column ox-PadW+kx; a pad at least as wide as the image
+				// clamps to an all-pad row.
+				lo := min(max(spec.PadW-kx, 0), ow)
+				hi := max(min(wd+spec.PadW-kx, ow), lo)
+				if spec.StrideH == 1 && ow == wd {
+					// Output rows [oyLo, oyHi) read image rows; the copy
+					// is clamped to the plane, which drops only elements
+					// the pad fills below overwrite anyway.
+					oyLo := min(max(spec.PadH-ky, 0), oh)
+					oyHi := max(min(h+spec.PadH-ky, oh), oyLo)
+					fillPad(row[:oyLo*ow], pad)
+					fillPad(row[oyHi*ow:], pad)
+					shift := (ky-spec.PadH)*wd + kx - spec.PadW
+					if a, b := max(oyLo*ow+shift, 0), min(oyHi*ow+shift, h*wd); a < b {
+						copy(row[a-shift:b-shift], chImg[a:b])
+					}
+					for oy := oyLo; oy < oyHi; oy++ {
+						fillPad(row[oy*ow:oy*ow+lo], pad)
+						fillPad(row[oy*ow+hi:(oy+1)*ow], pad)
+					}
+					continue
+				}
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*spec.StrideH - spec.PadH + ky
+					dst := row[oy*ow : (oy+1)*ow]
 					if iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							row[oy*ow+ox] = 0
-						}
+						fillPad(dst, pad)
 						continue
 					}
-					base := iy * wd
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*spec.StrideW - spec.PadW + kx
-						if ix < 0 || ix >= wd {
-							row[oy*ow+ox] = 0
-						} else {
-							row[oy*ow+ox] = chImg[base+ix]
-						}
+					fillPad(dst[:lo], pad)
+					if base := iy*wd - spec.PadW + kx; lo < hi {
+						copy(dst[lo:hi], chImg[base+lo:base+hi])
 					}
+					fillPad(dst[hi:], pad)
 				}
 			}
 		}
@@ -166,11 +236,23 @@ func conv2dInto(out, x, w, bias *Tensor, spec ConvSpec) {
 	l := oh * ow
 	kdim := cg * kh * kw
 
+	// colLen is the im2col scratch one unit needs: none when the image
+	// slab is the column matrix.
+	pointwise := spec.pointwise(kh, kw)
+	colLen := kdim * l
+	if pointwise {
+		colLen = 0
+	}
+
 	unit := func(u int, col []float32, ar *arena) {
 		s, gi := u/g, u%g
 		img := x.data[s*c*h*wd : (s+1)*c*h*wd]
 		outImg := out.data[s*cout*l : (s+1)*cout*l]
-		im2colInto(col, img, gi*cg, cg, h, wd, kh, kw, oh, ow, spec)
+		if pointwise {
+			col = img[gi*cg*l : (gi+1)*cg*l]
+		} else {
+			im2colInto(col, img, gi*cg, cg, h, wd, kh, kw, oh, ow, spec, 0)
+		}
 		wg := w.data[gi*coutG*kdim : (gi+1)*coutG*kdim]
 		og := outImg[gi*coutG*l : (gi+1)*coutG*l]
 		if ar != nil {
@@ -193,8 +275,8 @@ func conv2dInto(out, x, w, bias *Tensor, spec ConvSpec) {
 	if Workers() > 1 && units >= Workers() {
 		parallelForChunks(units, func(lo, hi int) {
 			ar := getArena()
-			ar.reserve(kdim*l + gemmPackBound(coutG, kdim, l))
-			col := ar.take(kdim * l)
+			ar.reserve(colLen + gemmPackBound(coutG, kdim, l))
+			col := ar.take(colLen)
 			for u := lo; u < hi; u++ {
 				unit(u, col, ar)
 			}
@@ -203,8 +285,8 @@ func conv2dInto(out, x, w, bias *Tensor, spec ConvSpec) {
 		return
 	}
 	ar := getArena()
-	ar.reserve(kdim * l)
-	col := ar.take(kdim * l)
+	ar.reserve(colLen)
+	col := ar.take(colLen)
 	for u := 0; u < units; u++ {
 		unit(u, col, nil)
 	}
@@ -258,12 +340,22 @@ func Conv2dBackward(x, w *Tensor, hasBias bool, gradOut *Tensor, spec ConvSpec, 
 	}
 
 	// dW pass: per group, sequential over samples.
-	// dW_g += gOut_g [coutG, l] × colᵀ (col is [kdim, l]).
+	// dW_g += gOut_g [coutG, l] × colᵀ (col is [kdim, l]; the image slab
+	// itself for a pointwise conv, as in the forward pass).
+	pointwise := spec.pointwise(kh, kw)
+	colLen := kdim * l
+	if pointwise {
+		colLen = 0
+	}
 	dwGroup := func(gi int, col []float32, ar *arena) {
 		gwg := grads.Weight.data[gi*coutG*kdim : (gi+1)*coutG*kdim]
 		for s := 0; s < n; s++ {
 			img := x.data[s*c*h*wd : (s+1)*c*h*wd]
-			im2colInto(col, img, gi*cg, cg, h, wd, kh, kw, oh, ow, spec)
+			if pointwise {
+				col = img[gi*cg*l : (gi+1)*cg*l]
+			} else {
+				im2colInto(col, img, gi*cg, cg, h, wd, kh, kw, oh, ow, spec, 0)
+			}
 			gog := gradOut.data[s*cout*l+gi*coutG*l : s*cout*l+(gi+1)*coutG*l]
 			if ar != nil {
 				gemmSerial(gwg, kdim, gog, l, false, col, l, true, coutG, l, kdim, true, ar)
@@ -275,8 +367,8 @@ func Conv2dBackward(x, w *Tensor, hasBias bool, gradOut *Tensor, spec ConvSpec, 
 	if Workers() > 1 && g >= Workers() {
 		parallelForChunks(g, func(lo, hi int) {
 			ar := getArena()
-			ar.reserve(kdim*l + gemmPackBound(coutG, l, kdim))
-			col := ar.take(kdim * l)
+			ar.reserve(colLen + gemmPackBound(coutG, l, kdim))
+			col := ar.take(colLen)
 			for gi := lo; gi < hi; gi++ {
 				dwGroup(gi, col, ar)
 			}
@@ -284,8 +376,8 @@ func Conv2dBackward(x, w *Tensor, hasBias bool, gradOut *Tensor, spec ConvSpec, 
 		})
 	} else {
 		ar := getArena()
-		ar.reserve(kdim * l)
-		col := ar.take(kdim * l)
+		ar.reserve(colLen)
+		col := ar.take(colLen)
 		for gi := 0; gi < g; gi++ {
 			dwGroup(gi, col, nil)
 		}

@@ -67,75 +67,6 @@ func QuantizeI8Into(dst []int8, src []float32, scale float32, zp int8) {
 	}
 }
 
-// im2colInt8Into is im2colInto over int8 codes; out-of-image taps are
-// padded with the zero-point code (the code of real 0.0), so padding
-// contributes exactly zero after the zp·rowSum correction.
-func im2colInt8Into(col []int8, img []int8, c0, cg, h, wd, kh, kw, oh, ow int, spec ConvSpec, zp int8) {
-	l := oh * ow
-	for c := 0; c < cg; c++ {
-		chImg := img[(c0+c)*h*wd : (c0+c+1)*h*wd]
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				row := col[((c*kh+ky)*kw+kx)*l : ((c*kh+ky)*kw+kx+1)*l]
-				if spec.StrideW == 1 {
-					// Unit horizontal stride: each output row is a
-					// left-pad run, one contiguous image span, and a
-					// right-pad run — bulk copy instead of a per-tap
-					// bounds check (1-byte elements make this memmove
-					// the whole cost of im2col).
-					lo, hi := 0, ow
-					if d := spec.PadW - kx; d > 0 {
-						lo = d
-					}
-					if d := wd + spec.PadW - kx; d < hi {
-						hi = d
-					}
-					if hi < lo {
-						hi = lo
-					}
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*spec.StrideH - spec.PadH + ky
-						dst := row[oy*ow : (oy+1)*ow]
-						if iy < 0 || iy >= h {
-							for i := range dst {
-								dst[i] = zp
-							}
-							continue
-						}
-						for i := 0; i < lo; i++ {
-							dst[i] = zp
-						}
-						base := iy*wd - spec.PadW + kx
-						copy(dst[lo:hi], chImg[base+lo:base+hi])
-						for i := hi; i < ow; i++ {
-							dst[i] = zp
-						}
-					}
-					continue
-				}
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*spec.StrideH - spec.PadH + ky
-					if iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							row[oy*ow+ox] = zp
-						}
-						continue
-					}
-					base := iy * wd
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*spec.StrideW - spec.PadW + kx
-						if ix < 0 || ix >= wd {
-							row[oy*ow+ox] = zp
-						} else {
-							row[oy*ow+ox] = chImg[base+ix]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // Conv2dInt8Into computes a 2-D convolution of x [N,C,H,W] against int8
 // weight codes wq with shape wShape [Cout,C/groups,KH,KW], writing the
 // dequantized float32 result into dst. Parallelization mirrors the
@@ -179,11 +110,9 @@ func Conv2dInt8Into(dst, x *Tensor, wq []int8, wShape []int, qp QuantParams, spe
 	xq := ixa.take8(len(x.data))
 	QuantizeI8Into(xq, x.data, qp.InScale, qp.InZP)
 
-	// A 1×1 stride-1 unpadded conv's im2col is the identity: the group's
-	// quantized channel slab already IS the [Cg, OH·OW] column matrix, so
-	// the GEMM reads it in place and the whole im2col pass disappears.
-	pointwise := kh == 1 && kw == 1 && spec.StrideH == 1 && spec.StrideW == 1 &&
-		spec.PadH == 0 && spec.PadW == 0
+	// A pointwise conv reads the group's quantized channel slab in place
+	// (see ConvSpec.pointwise); the whole im2col pass disappears.
+	pointwise := spec.pointwise(kh, kw)
 
 	unit := func(u int, col []int8, acc []int32, ia *iarena) {
 		s, gi := u/g, u%g
@@ -191,7 +120,7 @@ func Conv2dInt8Into(dst, x *Tensor, wq []int8, wShape []int, qp QuantParams, spe
 		if pointwise {
 			col = img[gi*cg*h*wd : (gi+1)*cg*h*wd]
 		} else {
-			im2colInt8Into(col, img, gi*cg, cg, h, wd, kh, kw, oh, ow, spec, qp.InZP)
+			im2colInto(col, img, gi*cg, cg, h, wd, kh, kw, oh, ow, spec, qp.InZP)
 		}
 		wg := wq[gi*coutG*kdim : (gi+1)*coutG*kdim]
 		if ia != nil {

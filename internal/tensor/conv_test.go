@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -125,6 +126,11 @@ func TestConv2dMatchesNaive(t *testing.T) {
 		{"grouped", 1, 4, 6, 6, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1, Groups: 2}},
 		{"depthwise", 2, 6, 5, 5, 6, 3, 3, ConvSpec{PadH: 1, PadW: 1, Groups: 6}},
 		{"1x1", 2, 8, 4, 4, 16, 1, 1, ConvSpec{}},
+		// The in-place pointwise path (wide enough for the blocked GEMM,
+		// and grouped) and its strided neighbour, which must im2col.
+		{"1x1-wide", 1, 24, 8, 8, 12, 1, 1, ConvSpec{}},
+		{"1x1-grouped", 2, 8, 6, 6, 8, 1, 1, ConvSpec{Groups: 2}},
+		{"1x1-stride2", 1, 24, 8, 8, 12, 1, 1, ConvSpec{StrideH: 2, StrideW: 2}},
 	}
 	rng := rand.New(rand.NewSource(42))
 	for _, tc := range tests {
@@ -135,8 +141,13 @@ func TestConv2dMatchesNaive(t *testing.T) {
 			b := RandUniform(rng, -1, 1, tc.cout)
 			got := Conv2d(x, w, b, spec)
 			want := naiveConv2d(x, w, b, spec)
-			if !got.AllClose(want, 1e-4) {
-				t.Fatalf("conv mismatch vs naive reference")
+			// The reference sums each output's taps in the GEMM's k order
+			// (channel, ky, kx) and skips padded taps, whose +0 products
+			// cannot change a sum: equality is exact, not approximate.
+			for i, v := range got.Data() {
+				if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+					t.Fatalf("conv[%d] = %g, naive reference %g", i, v, want.Data()[i])
+				}
 			}
 		})
 	}
@@ -305,6 +316,8 @@ func TestConvWorkerCountBitIdentical(t *testing.T) {
 		{"strided", 1, 4, 17, 17, 8, 5, ConvSpec{PadH: 2, PadW: 2, StrideH: 2, StrideW: 2}},
 		{"grouped", 3, 8, 9, 9, 8, 3, ConvSpec{PadH: 1, PadW: 1, Groups: 4}},
 		{"batch-heavy", 8, 2, 7, 7, 4, 3, ConvSpec{PadH: 1, PadW: 1}},
+		{"pointwise", 8, 24, 8, 8, 12, 1, ConvSpec{}},
+		{"pointwise-stride2", 2, 24, 8, 8, 12, 1, ConvSpec{StrideH: 2, StrideW: 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -323,7 +336,7 @@ func TestConvWorkerCountBitIdentical(t *testing.T) {
 				SetWorkers(workers)
 				got := Conv2d(x, wt, b, tc.spec)
 				for i, v := range got.Data() {
-					if v != ref.Data()[i] {
+					if math.Float32bits(v) != math.Float32bits(ref.Data()[i]) {
 						t.Fatalf("Workers=%d forward[%d] = %g, Workers=1 %g", workers, i, v, ref.Data()[i])
 					}
 				}
@@ -334,7 +347,7 @@ func TestConvWorkerCountBitIdentical(t *testing.T) {
 					"input":  {gotG.Input, refG.Input},
 				} {
 					for i, v := range gw[0].Data() {
-						if v != gw[1].Data()[i] {
+						if math.Float32bits(v) != math.Float32bits(gw[1].Data()[i]) {
 							t.Fatalf("Workers=%d %s grad[%d] = %g, Workers=1 %g", workers, pair, i, v, gw[1].Data()[i])
 						}
 					}

@@ -6,18 +6,36 @@ import "fmt"
 // dimension, the operation underlying dense blocks, inception modules and
 // fire modules. All inputs must agree on N, H and W.
 func ConcatChannels(ts ...*Tensor) *Tensor {
+	n, ctot, h, w := concatChannelsShape(ts)
+	out := New(n, ctot, h, w)
+	ConcatChannelsInto(out, ts...)
+	return out
+}
+
+// concatChannelsShape returns the shape [N, ΣC_i, H, W] ConcatChannels
+// produces for ts, panicking when the inputs disagree on N, H or W.
+func concatChannelsShape(ts []*Tensor) (n, ctot, h, w int) {
 	if len(ts) == 0 {
 		panic("tensor: ConcatChannels of no tensors")
 	}
-	n, h, w := ts[0].shape[0], ts[0].shape[2], ts[0].shape[3]
-	ctot := 0
+	n, h, w = ts[0].shape[0], ts[0].shape[2], ts[0].shape[3]
 	for _, t := range ts {
 		if t.Rank() != 4 || t.shape[0] != n || t.shape[2] != h || t.shape[3] != w {
 			panic(fmt.Sprintf("tensor: ConcatChannels incompatible shape %v (want [%d,*,%d,%d])", t.shape, n, h, w))
 		}
 		ctot += t.shape[1]
 	}
-	out := New(n, ctot, h, w)
+	return n, ctot, h, w
+}
+
+// ConcatChannelsInto is ConcatChannels writing into a caller-provided dst
+// of shape [N, ΣC_i, H, W]; every element of dst is overwritten, so
+// layers can reuse one output buffer across forwards.
+func ConcatChannelsInto(out *Tensor, ts ...*Tensor) {
+	n, ctot, h, w := concatChannelsShape(ts)
+	if !sameShape(out.shape, []int{n, ctot, h, w}) {
+		panic(fmt.Sprintf("tensor: ConcatChannelsInto dst shape %v != expected %v", out.shape, []int{n, ctot, h, w}))
+	}
 	plane := h * w
 	for s := 0; s < n; s++ {
 		off := s * ctot * plane
@@ -27,7 +45,6 @@ func ConcatChannels(ts ...*Tensor) *Tensor {
 			off += c * plane
 		}
 	}
-	return out
 }
 
 // SplitChannels splits a [N,C,H,W] tensor into chunks of the given channel

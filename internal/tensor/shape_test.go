@@ -43,6 +43,7 @@ func TestConcatChannelsPanics(t *testing.T) {
 		{"batch-mismatch", func() { ConcatChannels(New(1, 2, 4, 4), New(2, 2, 4, 4)) }},
 		{"spatial-mismatch", func() { ConcatChannels(New(1, 2, 4, 4), New(1, 2, 5, 4)) }},
 		{"rank", func() { ConcatChannels(New(2, 4, 4)) }},
+		{"into-dst-mismatch", func() { ConcatChannelsInto(New(1, 3, 4, 4), New(1, 2, 4, 4), New(1, 2, 4, 4)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {

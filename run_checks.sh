@@ -40,7 +40,10 @@ GOARCH=arm64 go build ./...
 # count; -cpu varies GOMAXPROCS so the persistent pool actually runs
 # multi-threaded (the container may default to 1 CPU), and the bench
 # smoke compiles + executes every benchmark once so kernel-path rot
-# can't hide behind "benchmarks aren't tests".
+# can't hide behind "benchmarks aren't tests" — BenchmarkConvForward_*
+# has a case on each conv lowering: the shifted-plane im2col copy (the
+# padded 3x3 cases), the per-row copy (_Unpadded), the strided fallback
+# (_Strided) and the in-place 1x1 (_Pointwise).
 go test -cpu 1,4 ./internal/tensor ./internal/nn ./internal/campaign
 go test -run='^$' -bench . -benchtime 1x ./internal/tensor
 
@@ -252,4 +255,5 @@ check_selected -run='^$' -fuzz='^FuzzSpecDecode$' -fuzztime=10s ./internal/serve
 check_selected -run='^$' -fuzz='^FuzzEventDecode$' -fuzztime=10s ./internal/serve
 check_selected -run='^$' -fuzz='^FuzzTrialRecordJSONLRoundTrip$' -fuzztime=10s ./internal/report
 check_selected -run='^$' -fuzz='^FuzzForwardFrom$' -fuzztime=10s ./internal/nn
+check_selected -run='^$' -fuzz='^FuzzIm2col$' -fuzztime=10s ./internal/tensor
 check_selected -run='^$' -fuzz='^FuzzBuildPlan$' -fuzztime=10s ./internal/campaign/sched
