@@ -65,15 +65,19 @@ func run(ctx context.Context, args []string) error {
 
 	fmt.Println("Figure 6 — relative vulnerability of AlexNet's first two layers after IBP")
 	fmt.Printf("(baseline = same initialization, α = 0; baseline clean accuracy %.1f%%)\n", 100*res.BaselineAcc)
-	tb := report.NewTable("eps", "alpha", "CleanAcc (%)", "Vuln(IBP)", "Vuln(base)", "Relative")
+	tb := report.NewTable("eps", "alpha", "CleanAcc (%)", "IBP mis/trials (rate, 99% CI)", "Baseline mis/trials (rate, 99% CI)", "Relative")
 	for _, r := range res.Rows {
-		tb.AddRow(r.Eps, r.Alpha, 100*r.CleanAcc, r.VulnIBP, r.VulnBase, r.Relative)
+		tb.AddRow(r.Eps, r.Alpha, 100*r.CleanAcc, r.IBP, r.Base, r.RelativeText())
 	}
 	tb.Render(os.Stdout)
 
+	// A ratio over a baseline that saw no misclassification is undefined,
+	// not zero: such rows read n/a above and get no bar.
 	chart := &report.BarChart{Title: "\nRelative vulnerability (< 1 means IBP improved resilience)"}
 	for _, r := range res.Rows {
-		chart.Add(fmt.Sprintf("e=%.3g a=%.3g", r.Eps, r.Alpha), r.Relative, "")
+		if rel, ok := r.Relative(); ok {
+			chart.Add(fmt.Sprintf("e=%.3g a=%.3g", r.Eps, r.Alpha), rel, "")
+		}
 	}
 	chart.Render(os.Stdout)
 	return nil

@@ -71,14 +71,9 @@ func run(ctx context.Context, args []string) error {
 	tb := report.NewTable("Metric", "Baseline", "GoFI-trained")
 	tb.AddRow("Training time", res.BaselineTrainTime.Round(1e6), res.FITrainTime.Round(1e6))
 	tb.AddRow("Test accuracy (%)", 100*res.BaselineAcc, 100*res.FIAcc)
-	tb.AddRow(fmt.Sprintf("Post-training misclassifications (of %d)", res.EvalTrials),
-		res.BaselineMis, res.FIMis)
+	tb.AddRow("Post-training mis/trials (rate, 99% CI)", res.Baseline, res.FI)
 	tb.Render(os.Stdout)
 
-	if res.FIMis < res.BaselineMis {
-		fmt.Println("\n→ injection-trained model is MORE resilient (fewer post-training misclassifications), matching the paper.")
-	} else {
-		fmt.Println("\n→ injection-trained model did not improve resilience at this scale; increase -epochs / -eval-trials.")
-	}
+	fmt.Println("\n→ " + res.Verdict() + ".")
 	return nil
 }

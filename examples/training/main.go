@@ -36,7 +36,7 @@ func run() error {
 	fmt.Println("twin training: baseline vs. injection-during-training (ResNet-18)")
 	fmt.Printf("training time:   baseline %v, GoFI %v\n", res.BaselineTrainTime.Round(1e6), res.FITrainTime.Round(1e6))
 	fmt.Printf("test accuracy:   baseline %.1f%%, GoFI %.1f%%\n", 100*res.BaselineAcc, 100*res.FIAcc)
-	fmt.Printf("post-training misclassifications (of %d injections): baseline %d, GoFI %d\n",
-		res.EvalTrials, res.BaselineMis, res.FIMis)
+	fmt.Printf("post-training mis/trials (rate, 99%% CI): baseline %v, GoFI %v\n", res.Baseline, res.FI)
+	fmt.Println("→ " + res.Verdict() + ".")
 	return nil
 }

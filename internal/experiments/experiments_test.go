@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gofi/internal/core"
@@ -67,7 +68,9 @@ func TestRunBatchSweep(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	if rows[1].BaseSec <= rows[0].BaseSec {
+	// Fastest pass, not the mean of two: one descheduled batch-1 pass on a
+	// loaded machine otherwise outweighs the 4x work.
+	if rows[1].Base.MinSec <= rows[0].Base.MinSec {
 		t.Fatalf("batch 4 not slower than batch 1: %+v", rows)
 	}
 }
@@ -184,8 +187,19 @@ func TestRunFig6SinglePoint(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	r := res.Rows[0]
-	if r.VulnBase < 0 || r.VulnIBP < 0 || math.IsNaN(r.Relative) {
-		t.Fatalf("vulnerability values: %+v", r)
+	for name, s := range map[string]LegStat{"ibp": r.IBP, "baseline": r.Base} {
+		if s.Trials != 60 || s.Rate != float64(s.Mis)/60 || s.CILo > s.Rate || s.Rate > s.CIHi || s.CIHi <= s.CILo {
+			t.Fatalf("%s statistic: %+v", name, s)
+		}
+	}
+	if rel, ok := r.Relative(); ok != (r.Base.Mis > 0) || math.IsNaN(rel) {
+		t.Fatalf("relative %v, %v on %+v", rel, ok, r)
+	}
+	// A baseline that saw no misclassification leaves the ratio
+	// undefined; it must not read as "IBP perfectly resilient".
+	r.Base.Mis, r.Base.Rate = 0, 0
+	if _, ok := r.Relative(); ok || r.RelativeText() != "n/a" {
+		t.Fatalf("zero-baseline ratio renders %q, want n/a", r.RelativeText())
 	}
 	if res.BaselineAcc < 0.5 || r.CleanAcc < 0.4 {
 		t.Fatalf("accuracies too low: base %.2f ibp %.2f", res.BaselineAcc, r.CleanAcc)
@@ -214,8 +228,24 @@ func TestRunTable1Small(t *testing.T) {
 	if res.BaselineAcc < 0.4 || res.FIAcc < 0.4 {
 		t.Fatalf("accuracies too low: %+v", res)
 	}
-	if res.EvalTrials != 60 {
-		t.Fatalf("eval trials %d", res.EvalTrials)
+	for name, s := range map[string]LegStat{"baseline": res.Baseline, "FI": res.FI} {
+		if s.Trials != 60 || s.Rate != float64(s.Mis)/60 || s.CILo > s.Rate || s.Rate > s.CIHi || s.CIHi <= s.CILo {
+			t.Fatalf("%s statistic: %+v", name, s)
+		}
+	}
+	// The verdict names a direction only when the intervals are disjoint.
+	for _, c := range []struct {
+		fi, base LegStat
+		want     string
+	}{
+		{LegStat{CILo: 0.01, CIHi: 0.02}, LegStat{CILo: 0.03, CIHi: 0.04}, "MORE resilient"},
+		{LegStat{CILo: 0.03, CIHi: 0.04}, LegStat{CILo: 0.01, CIHi: 0.02}, "LESS resilient"},
+		{LegStat{Trials: 3000, CILo: 0.020, CIHi: 0.035}, LegStat{CILo: 0.021, CIHi: 0.036}, "not resolved at 3000 trials"},
+		{res.FI, res.Baseline, "not resolved at 60 trials"},
+	} {
+		if got := (Table1Result{FI: c.fi, Baseline: c.base}).Verdict(); !strings.Contains(got, c.want) {
+			t.Fatalf("verdict for FI %+v vs baseline %+v = %q, want %q", c.fi, c.base, got, c.want)
+		}
 	}
 	// Training-time parity: FI training should not be drastically slower
 	// (the paper reports +24 s on 2h8m; we allow 3× at this tiny scale

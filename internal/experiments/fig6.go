@@ -10,8 +10,6 @@ import (
 	"gofi/internal/ibp"
 	"gofi/internal/nn"
 	"gofi/internal/obs"
-	"gofi/internal/tensor"
-	"gofi/internal/train"
 )
 
 // Fig6Config drives the IBP vulnerability study.
@@ -20,15 +18,15 @@ type Fig6Config struct {
 	// paper's α ∈ {.025, .1, .25}, ε ∈ {.125, .25, .5, 2}).
 	Alphas   []float64
 	Epsilons []float32
-	// Trials is the number of bit-flip injections per (layer, model).
+	// Trials is the number of bit-flip injections per trained model.
 	Trials int
 	// InSize / Classes size the synthetic CIFAR stand-in.
 	InSize, Classes int
 	// TrainEpochs per model.
 	TrainEpochs int
 	Seed        int64
-	// Metrics, when non-nil, is attached to each evaluation injector so
-	// perturbation tallies accumulate (see core.Metric*).
+	// Metrics, when non-nil, receives the engines' counters and
+	// histograms; all per-model campaigns share the one registry.
 	Metrics *obs.Registry
 }
 
@@ -55,17 +53,33 @@ func (c Fig6Config) canon() Fig6Config {
 }
 
 // Fig6Row is one bar of Figure 6: the vulnerability of AlexNet's first
-// two layers under one (α, ε), relative to the non-IBP baseline.
+// two layers under one (α, ε), next to the non-IBP baseline's.
 type Fig6Row struct {
 	Alpha    float64
 	Eps      float32
 	CleanAcc float64
-	// VulnIBP / VulnBase are Top-1 misclassification rates under bit
-	// flips confined to the first two convolution layers.
-	VulnIBP, VulnBase float64
-	// Relative = VulnIBP / VulnBase (the paper's y-axis; < 1 means IBP
-	// improved resilience, their headline is up to 4× ⇒ 0.25).
-	Relative float64
+	// IBP / Base are the Top-1 misclassification statistics under bit
+	// flips confined to the first two convolution layers, drawn for both
+	// models from the same engine seed.
+	IBP, Base LegStat
+}
+
+// Relative is IBP.Rate / Base.Rate (the paper's y-axis; < 1 means IBP
+// improved resilience, their headline is up to 4× ⇒ 0.25). It is
+// undefined — ok false — when the baseline saw no misclassification.
+func (r Fig6Row) Relative() (ratio float64, ok bool) {
+	if r.Base.Mis == 0 {
+		return 0, false
+	}
+	return r.IBP.Rate / r.Base.Rate, true
+}
+
+// RelativeText renders Relative for a table cell, "n/a" when undefined.
+func (r Fig6Row) RelativeText() string {
+	if rel, ok := r.Relative(); ok {
+		return fmt.Sprintf("%.4g", rel)
+	}
+	return "n/a"
 }
 
 // Fig6Result holds the sweep plus baseline metadata.
@@ -76,109 +90,71 @@ type Fig6Result struct {
 
 // RunFig6 reproduces Figure 6: train AlexNet with the Eq. 1 IBP objective
 // across the (α, ε) grid, then measure the bit-flip vulnerability of the
-// first two convolutional layers relative to a conventionally trained
-// baseline from the same initialization.
+// first two convolutional layers next to a conventionally trained
+// baseline from the same initialization. Each trained network is one
+// engine campaign on a pre-built Fixture.
 func RunFig6(ctx context.Context, cfg Fig6Config) (Fig6Result, error) {
 	cfg = cfg.canon()
-	ds, err := data.NewClassification(data.ClassificationConfig{
-		Classes: cfg.Classes, Channels: 3, Size: cfg.InSize, Noise: 0.2, Seed: cfg.Seed,
-	})
+	ds, err := dataset(cfg.Classes, cfg.InSize, 0.2, cfg.Seed)
 	if err != nil {
 		return Fig6Result{}, err
 	}
-
-	steps := cfg.TrainEpochs * (384 / 16)
-	trainOne := func(alpha float64, eps float32) (*ibp.Net, error) {
-		rng := rand.New(rand.NewSource(cfg.Seed + 5))
-		net := ibp.TinyAlexNet(rng, cfg.Classes, cfg.InSize)
-		_, err := ibp.Train(net, ds, ibp.TrainConfig{
-			Epochs: cfg.TrainEpochs, BatchSize: 16, TrainSize: 384,
-			LR: 0.02, Momentum: 0.9,
-			Alpha: alpha, Eps: eps,
-			// The paper ramps from iteration 41 to 123; scale to our step
-			// budget.
-			RampStart: steps / 3, RampEnd: steps * 2 / 3,
-		})
-		return net, err
+	vulnerability := func(alpha float64, eps float32) (LegStat, float64, error) {
+		fx, err := ibpFixture(cfg, ds, alpha, eps)
+		if err != nil {
+			return LegStat{}, 0, fmt.Errorf("fig6 α=%g ε=%g: %w", alpha, eps, err)
+		}
+		return fixtureLeg(ctx, fx, GenericCampaignConfig{
+			Model: "ibp-alexnet", InSize: cfg.InSize, Trials: cfg.Trials, Seed: cfg.Seed, Metrics: cfg.Metrics,
+			Arm: armFirstTwoLayers,
+		}, cfg.Seed+11)
 	}
 
-	baseline, err := trainOne(0, 0)
-	if err != nil {
-		return Fig6Result{}, fmt.Errorf("fig6 baseline: %w", err)
-	}
-	baseVuln, baseAcc, err := firstTwoLayerVulnerability(ctx, baseline, ds, cfg)
+	base, baseAcc, err := vulnerability(0, 0)
 	if err != nil {
 		return Fig6Result{}, err
 	}
 	res := Fig6Result{BaselineAcc: baseAcc}
-
 	for _, eps := range cfg.Epsilons {
 		for _, alpha := range cfg.Alphas {
 			if err := ctx.Err(); err != nil {
 				return res, err
 			}
-			net, err := trainOne(alpha, eps)
-			if err != nil {
-				return res, fmt.Errorf("fig6 α=%g ε=%g: %w", alpha, eps, err)
-			}
-			vuln, acc, err := firstTwoLayerVulnerability(ctx, net, ds, cfg)
+			stat, acc, err := vulnerability(alpha, eps)
 			if err != nil {
 				return res, err
 			}
-			rel := 0.0
-			if baseVuln > 0 {
-				rel = vuln / baseVuln
-			}
-			res.Rows = append(res.Rows, Fig6Row{
-				Alpha: alpha, Eps: eps, CleanAcc: acc,
-				VulnIBP: vuln, VulnBase: baseVuln, Relative: rel,
-			})
+			res.Rows = append(res.Rows, Fig6Row{Alpha: alpha, Eps: eps, CleanAcc: acc, IBP: stat, Base: base})
 		}
 	}
 	return res, nil
 }
 
-// firstTwoLayerVulnerability runs a bit-flip campaign restricted to the
-// first two convolution layers and returns the Top-1 misclassification
-// rate over correctly-classified held-out samples, plus clean accuracy.
-func firstTwoLayerVulnerability(ctx context.Context, net *ibp.Net, ds *data.Classification, cfg Fig6Config) (float64, float64, error) {
-	eligible := train.CorrectIndices(net, ds, 50_000, 96, 16)
-	acc := float64(len(eligible)) / 96
-	if len(eligible) == 0 {
-		return 0, 0, fmt.Errorf("fig6: model classifies nothing correctly")
+// ibpFixture trains the study's AlexNet under the Eq. 1 objective at
+// (alpha, eps) — the conventional baseline at (0, 0) — from the study's
+// one initialization, and scores it on held-out samples.
+func ibpFixture(cfg Fig6Config, ds *data.Classification, alpha float64, eps float32) (Fixture, error) {
+	build := func() *ibp.Net {
+		return ibp.TinyAlexNet(rand.New(rand.NewSource(cfg.Seed+5)), cfg.Classes, cfg.InSize)
 	}
-	inj, err := core.New(net, core.Config{Height: cfg.InSize, Width: cfg.InSize, Seed: cfg.Seed + 9})
-	if err != nil {
-		return 0, 0, err
+	net := build()
+	steps := cfg.TrainEpochs * (384 / 16)
+	if _, err := ibp.Train(net, ds, ibp.TrainConfig{
+		Epochs: cfg.TrainEpochs, BatchSize: 16, TrainSize: 384,
+		LR: 0.02, Momentum: 0.9,
+		Alpha: alpha, Eps: eps,
+		// The paper ramps from iteration 41 to 123; scale to our step
+		// budget.
+		RampStart: steps / 3, RampEnd: steps * 2 / 3,
+	}); err != nil {
+		return Fixture{}, err
 	}
-	inj.SetMetrics(cfg.Metrics)
-	defer inj.Detach()
+	fx := Fixture{Trained: net, Build: func() (nn.Layer, error) { return build(), nil }, Source: ds}
+	return fx.scored(50_000, 96), nil
+}
 
-	rng := rand.New(rand.NewSource(cfg.Seed + 11))
-	mis := 0
-	for t := 0; t < cfg.Trials; t++ {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, err
-		}
-		idx := eligible[rng.Intn(len(eligible))]
-		img, _ := ds.Sample(idx)
-		x := img.Reshape(1, 3, cfg.InSize, cfg.InSize)
-
-		inj.Reset()
-		cleanTop1 := tensor.ArgMaxRows(nn.Run(net, x))[0]
-
-		layer := rng.Intn(2) // first two convolutional layers only
-		site, err := inj.SiteInLayer(rng, layer, true)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := inj.DeclareNeuronFI(core.BitFlip{Bit: core.RandomBit}, site); err != nil {
-			return 0, 0, err
-		}
-		if tensor.ArgMaxRows(nn.Run(net, x))[0] != cleanTop1 {
-			mis++
-		}
-	}
-	inj.Reset()
-	return float64(mis) / float64(cfg.Trials), acc, nil
+// armFirstTwoLayers flips one random bit of one random neuron in one of
+// the first two convolution layers, the layers Figure 6 studies.
+func armFirstTwoLayers(inj *core.Injector, rng *rand.Rand) error {
+	return armLayer(rng.Intn(2), GranNeuron)(inj, rng)
 }

@@ -264,6 +264,44 @@ func (env *CampaignEnv) runLeg(ctx context.Context, seed int64, arm ArmFunc) (ca
 	return agg, stopTrial, err
 }
 
+// LegStat is one engine leg's Top-1 misclassification count with its
+// Wilson 99% interval: what a study that compares models reports per
+// model.
+type LegStat struct {
+	Trials, Mis      int
+	Rate, CILo, CIHi float64
+}
+
+func legStat(agg campaign.Aggregate) LegStat {
+	lo, hi := agg.WilsonCI(campaign.Z99)
+	return LegStat{Trials: agg.Trials, Mis: agg.Top1Mis, Rate: agg.Rate(), CILo: lo, CIHi: hi}
+}
+
+// String renders the statistic as "mis/trials (rate% [lo, hi])", the
+// interval in percent.
+func (s LegStat) String() string {
+	return fmt.Sprintf("%d/%d (%.3f%% [%.3f, %.3f])", s.Mis, s.Trials, 100*s.Rate, 100*s.CILo, 100*s.CIHi)
+}
+
+// fixtureLeg is the study path for a model the study trained itself: it
+// prepares an FP32 neuron campaign (cfg carries InSize, Trials, Seed, Arm
+// and Metrics) on the pre-built fixture at the engine's default execution
+// settings, runs one whole-budget leg on legSeed and returns the leg's
+// statistic and the fixture's clean accuracy.
+func fixtureLeg(ctx context.Context, fx Fixture, cfg GenericCampaignConfig, legSeed int64) (LegStat, float64, error) {
+	cfg.PrefixReuse = true
+	cfg, err := cfg.canon()
+	if err != nil {
+		return LegStat{}, 0, err
+	}
+	env, err := prepareOnFixture(cfg, fx)
+	if err != nil {
+		return LegStat{}, 0, err
+	}
+	agg, _, err := env.runLeg(ctx, legSeed, nil)
+	return legStat(agg), env.CleanAcc, err
+}
+
 // RunGenericCampaign trains the model on the synthetic dataset, prepares
 // per-worker injector replicas at the requested emulated data type (with
 // INT8 calibration / FP16 rounding when applicable), and runs the
@@ -310,32 +348,49 @@ func RunGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (Generic
 }
 
 // PrepareGenericCampaign validates and canonicalizes cfg, trains the
-// model fixture, builds the replica factory for the selected backend and
-// wires the Stratify/Dedup generators, returning an environment ready to
-// run engine legs. It performs no trials itself.
+// model fixture it names and prepares the campaign on it, returning an
+// environment ready to run engine legs. It performs no trials itself.
 func PrepareGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (*CampaignEnv, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	cfg, err := cfg.canon()
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	fx, err := trainedModel(cfg.Model, cfg.Classes, cfg.InSize, cfg.Noise, cfg.Seed, cfg.TrainEpochs)
+	if err != nil {
+		return nil, err
+	}
+	return prepareOnFixture(cfg, fx)
+}
+
+// canon validates cfg and returns it with defaults filled, a scenario's
+// fixture and fault fields derived, and backend and dtype resolved —
+// everything that can be rejected before a fixture is trained.
+func (cfg GenericCampaignConfig) canon() (GenericCampaignConfig, error) {
 	useGen := cfg.Stratify || cfg.Dedup
 	if !useGen && cfg.Arm == nil && cfg.Scenario == nil {
-		return nil, fmt.Errorf("campaign: Arm function required")
+		return cfg, fmt.Errorf("campaign: Arm function required")
 	}
 	if cfg.Scenario != nil {
 		if cfg.Arm != nil {
-			return nil, fmt.Errorf("campaign: a scenario owns fault declaration; leave Arm nil")
+			return cfg, fmt.Errorf("campaign: a scenario owns fault declaration; leave Arm nil")
 		}
 		if useGen {
-			return nil, fmt.Errorf("campaign: scenarios do not compose with Stratify/Dedup (the observers replay trial draws, which dedup's canonical-outcome fills would break)")
+			return cfg, fmt.Errorf("campaign: scenarios do not compose with Stratify/Dedup (the observers replay trial draws, which dedup's canonical-outcome fills would break)")
 		}
 		if cfg.ErrorModel != nil {
-			return nil, fmt.Errorf("campaign: the scenario declares its error models; leave ErrorModel nil")
+			return cfg, fmt.Errorf("campaign: the scenario declares its error models; leave ErrorModel nil")
 		}
 		// The scenario owns the fault shape; derive the fixture and
 		// backend fields from it so they cannot drift apart.
 		s := cfg.Scenario.Canon()
 		if err := s.Validate(); err != nil {
-			return nil, err
+			return cfg, err
 		}
 		cfg.Scenario = &s
 		cfg.Model, cfg.Classes, cfg.InSize = s.Model.Arch, s.Model.Classes, s.Model.InSize
@@ -346,13 +401,13 @@ func PrepareGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (*Ca
 	}
 	if useGen {
 		if cfg.Arm != nil {
-			return nil, fmt.Errorf("campaign: Stratify/Dedup own fault declaration; leave Arm nil")
+			return cfg, fmt.Errorf("campaign: Stratify/Dedup own fault declaration; leave Arm nil")
 		}
 		if cfg.IsolateWeights {
-			return nil, fmt.Errorf("campaign: Stratify/Dedup cover neuron faults only, not weight campaigns")
+			return cfg, fmt.Errorf("campaign: Stratify/Dedup cover neuron faults only, not weight campaigns")
 		}
 		if !cfg.Stratify && cfg.ErrorModel == nil {
-			return nil, fmt.Errorf("campaign: Dedup needs ErrorModel so the generator owns the fault draws")
+			return cfg, fmt.Errorf("campaign: Dedup needs ErrorModel so the generator owns the fault draws")
 		}
 	}
 	if cfg.Model == "" {
@@ -372,19 +427,19 @@ func PrepareGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (*Ca
 	}
 	if cfg.Trials <= 0 && !(cfg.Scenario != nil && cfg.Scenario.Selector.Kind == scenario.SelSweep) {
 		// A sweep scenario's budget defaults to its enumeration size,
-		// known only after the layer geometry is profiled below.
+		// known only once prepareOnFixture has profiled the layer geometry.
 		cfg.Trials = 1000
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	backend, err := ParseBackend(cfg.Backend)
-	if err != nil {
-		return nil, err
+	var err error
+	if cfg.Backend, err = ParseBackend(cfg.Backend); err != nil {
+		return cfg, err
 	}
-	if backend == "int8" {
+	if cfg.Backend == "int8" {
 		if cfg.DType != 0 && cfg.DType != core.INT8 {
-			return nil, fmt.Errorf("campaign: int8 backend implies -dtype int8, got %s", cfg.DType)
+			return cfg, fmt.Errorf("campaign: int8 backend implies -dtype int8, got %s", cfg.DType)
 		}
 		cfg.DType = core.INT8
 	}
@@ -392,21 +447,20 @@ func PrepareGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (*Ca
 		cfg.DType = core.FP32
 	}
 
-	if err := cfg.Stop.Validate(); err != nil {
-		return nil, err
-	}
+	return cfg, cfg.Stop.Validate()
+}
 
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	trained, ds, eligible, err := trainedModel(cfg.Model, cfg.Classes, cfg.InSize, cfg.Noise, cfg.Seed, cfg.TrainEpochs)
-	if err != nil {
-		return nil, err
-	}
-	if len(eligible) == 0 {
+// prepareOnFixture prepares a canonical cfg (GenericCampaignConfig.canon)
+// on a trained fixture: it builds the replica factory for the resolved
+// backend and dtype, wires the scenario or the Stratify/Dedup generators,
+// and gives the environment its clean cache and engine seed. Every study
+// reaches the engine through it — PrepareGenericCampaign with a fixture
+// it trained by name, Fig. 6 and Table I with one they trained
+// themselves.
+func prepareOnFixture(cfg GenericCampaignConfig, fx Fixture) (*CampaignEnv, error) {
+	if len(fx.Eligible) == 0 {
 		return nil, fmt.Errorf("campaign: model classifies nothing correctly after training")
 	}
-
 	if cfg.TrialBatch == 0 {
 		cfg.TrialBatch = defaultTrialBatch
 		if cfg.IsolateWeights {
@@ -418,36 +472,14 @@ func PrepareGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (*Ca
 	injCfg := core.Config{
 		Batch: cfg.TrialBatch, Height: cfg.InSize, Width: cfg.InSize, DType: cfg.DType, Seed: cfg.Seed,
 	}
-	calib, _ := ds.Batch(0, 8)
-	var newReplica func(int) (*core.Injector, error)
-	if backend == "int8" {
-		newReplica, err = quantReplicaFactory(cfg.Model, cfg.Classes, cfg.InSize, cfg.Seed, trained, calib,
-			nn.QuantizeOptions{ActZeroPoint: cfg.ActZeroPoint}, injCfg, cfg.IsolateWeights)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		base := replicaFactory(cfg.Model, cfg.Classes, cfg.InSize, cfg.Seed, trained, injCfg, cfg.IsolateWeights)
-		newReplica = func(worker int) (*core.Injector, error) {
-			inj, err := base(worker)
-			if err != nil {
-				return nil, err
-			}
-			switch cfg.DType {
-			case core.INT8:
-				if err := inj.CalibrateINT8(calib); err != nil {
-					return nil, err
-				}
-				if err := inj.EnableActQuant(true); err != nil {
-					return nil, err
-				}
-			case core.FP16:
-				if err := inj.EnableFP16Acts(true); err != nil {
-					return nil, err
-				}
-			}
-			return inj, nil
-		}
+	calib, _ := fx.Source.Batch(0, 8)
+	var quant *nn.QuantizeOptions
+	if cfg.Backend == "int8" {
+		quant = &nn.QuantizeOptions{ActZeroPoint: cfg.ActZeroPoint}
+	}
+	newReplica, err := replicaFactory(fx, calib, quant, injCfg, cfg.IsolateWeights)
+	if err != nil {
+		return nil, err
 	}
 
 	// Scenario and generator wiring. Both need the profiled layer
@@ -457,7 +489,7 @@ func PrepareGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (*Ca
 	var key func(*rand.Rand, int, int) (string, bool)
 	var strata *stats.Strata
 	var compiled *scenario.Compiled
-	if cfg.Scenario != nil || useGen {
+	if cfg.Scenario != nil || cfg.Stratify || cfg.Dedup {
 		probe, err := newReplica(0)
 		if err != nil {
 			return nil, err
@@ -496,13 +528,12 @@ func PrepareGenericCampaign(ctx context.Context, cfg GenericCampaignConfig) (*Ca
 		}
 	}
 
-	cfg.Backend = backend
 	return &CampaignEnv{
 		Cfg:          cfg,
-		Source:       ds,
-		Eligible:     eligible,
+		Source:       fx.Source,
+		Eligible:     fx.Eligible,
 		NewReplica:   newReplica,
-		CleanAcc:     float64(len(eligible)) / heldOutSamples,
+		CleanAcc:     float64(len(fx.Eligible)) / float64(fx.HeldOut),
 		CampaignSeed: cfg.Seed + 101,
 		Compiled:     compiled,
 		armTrial:     armTrial,

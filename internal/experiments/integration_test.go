@@ -19,10 +19,11 @@ import (
 // original exactly.
 func TestCheckpointedCampaignIsReproducible(t *testing.T) {
 	skipIfShort(t)
-	trained, ds, eligible, err := trainedModel("alexnet", 4, 16, 0.2, 42, 6)
+	fx, err := trainedModel("alexnet", 4, 16, 0.2, 42, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
+	trained, ds, eligible := fx.Trained, fx.Source, fx.Eligible
 	if len(eligible) < 20 {
 		t.Fatalf("only %d eligible samples", len(eligible))
 	}

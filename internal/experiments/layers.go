@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"gofi/internal/campaign"
 	"gofi/internal/campaign/stats"
 	"gofi/internal/core"
 	"gofi/internal/obs"
@@ -69,13 +68,10 @@ func (c LayerVulnConfig) canon() LayerVulnConfig {
 
 // LayerVulnRow is one layer's vulnerability measurement.
 type LayerVulnRow struct {
-	Layer      int
-	Path       string
-	OutShape   []int
-	Trials     int
-	Mis        int
-	Rate       float64
-	CILo, CIHi float64
+	Layer    int
+	Path     string
+	OutShape []int
+	LegStat
 	// StopTrial is the index this layer's early-stopping rule fired on
 	// (-1 when the rule never fired or Stop was off).
 	StopTrial int
@@ -120,15 +116,12 @@ func layerVulnRows(ctx context.Context, env *CampaignEnv, gran Granularity) ([]L
 		if err != nil {
 			return rows, fmt.Errorf("layer-vuln %s: %w", li.Path, err)
 		}
-		lo, hi := agg.WilsonCI(campaign.Z99)
 		// Replicas are profiled at the engine's lane count; the row
 		// reports the layer's output for one input.
 		shape := append([]int(nil), li.OutShape...)
 		shape[0] = 1
 		rows = append(rows, LayerVulnRow{
-			Layer: li.Index, Path: li.Path, OutShape: shape,
-			Trials: agg.Trials, Mis: agg.Top1Mis, Rate: agg.Rate(), CILo: lo, CIHi: hi,
-			StopTrial: stopTrial,
+			Layer: li.Index, Path: li.Path, OutShape: shape, LegStat: legStat(agg), StopTrial: stopTrial,
 		})
 	}
 	return rows, nil

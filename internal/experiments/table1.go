@@ -11,7 +11,6 @@ import (
 	"gofi/internal/models"
 	"gofi/internal/nn"
 	"gofi/internal/obs"
-	"gofi/internal/tensor"
 	"gofi/internal/train"
 )
 
@@ -30,8 +29,8 @@ type Table1Config struct {
 	// Fig4Config.Noise).
 	Noise float32
 	Seed  int64
-	// Metrics, when non-nil, is attached to the train-time and
-	// evaluation injectors so perturbation tallies accumulate.
+	// Metrics, when non-nil, receives the train-time injector's
+	// perturbation tallies and the evaluation engines' counters.
 	Metrics *obs.Registry
 }
 
@@ -67,8 +66,22 @@ func (c Table1Config) canon() Table1Config {
 type Table1Result struct {
 	BaselineTrainTime, FITrainTime time.Duration
 	BaselineAcc, FIAcc             float64
-	EvalTrials                     int
-	BaselineMis, FIMis             int
+	// Baseline / FI are the post-training misclassification statistics of
+	// the two twins, drawn from the same engine seed.
+	Baseline, FI LegStat
+}
+
+// Verdict states what the two Wilson 99% intervals support about the
+// injection-trained twin's resilience, and nothing they do not: a
+// direction only when the intervals are disjoint.
+func (r Table1Result) Verdict() string {
+	switch {
+	case r.FI.CIHi < r.Baseline.CILo:
+		return "injection-trained model is MORE resilient (its 99% interval lies below the baseline's), matching the paper"
+	case r.FI.CILo > r.Baseline.CIHi:
+		return "injection-trained model is LESS resilient (its 99% interval lies above the baseline's), contrary to the paper"
+	}
+	return fmt.Sprintf("not resolved at %d trials: the twins' 99%% intervals overlap; train longer or evaluate more trials", r.FI.Trials)
 }
 
 // RunTable1 reproduces Table I: train two models from identical
@@ -76,121 +89,91 @@ type Table1Result struct {
 // set to U[-1,1) on every training forward pass (§IV-D) — then compare
 // training time, clean test accuracy, and post-training
 // misclassifications under single-bit-flip injections (the §IV-A
-// methodology the paper's evaluation references).
+// methodology the paper's evaluation references). Each twin's evaluation
+// is one engine campaign on a pre-built Fixture.
 func RunTable1(ctx context.Context, cfg Table1Config) (Table1Result, error) {
 	cfg = cfg.canon()
 	if err := ctx.Err(); err != nil {
 		return Table1Result{}, err
 	}
-	ds, err := data.NewClassification(data.ClassificationConfig{
-		Classes: cfg.Classes, Channels: 3, Size: cfg.InSize, Noise: cfg.Noise, Seed: cfg.Seed,
-	})
+	ds, err := dataset(cfg.Classes, cfg.InSize, cfg.Noise, cfg.Seed)
 	if err != nil {
 		return Table1Result{}, err
 	}
-
-	build := func() (nn.Layer, error) {
-		// Identical seed ⇒ identical initialization for both twins.
-		return models.Build(cfg.Model, rand.New(rand.NewSource(cfg.Seed+21)), cfg.Classes, cfg.InSize)
-	}
-	tc := train.Config{
-		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, TrainSize: cfg.TrainSize,
-		LR: 0.02, Momentum: 0.9,
-	}
-
-	var res Table1Result
-
-	// Baseline twin.
-	baseline, err := build()
+	baseline, baseTime, err := trainTwin(cfg, ds, false)
 	if err != nil {
-		return Table1Result{}, err
-	}
-	start := time.Now()
-	if _, err := train.Loop(baseline, ds, tc); err != nil {
 		return Table1Result{}, fmt.Errorf("table1 baseline training: %w", err)
 	}
-	res.BaselineTrainTime = time.Since(start)
-	res.BaselineAcc = train.Accuracy(baseline, ds, 100_000, 128, 16)
-
-	// Injection twin: instrument with GoFI and re-arm one random neuron
-	// per layer with U[-1,1) before every forward pass (§IV-D).
-	fiModel, err := build()
+	fiTwin, fiTime, err := trainTwin(cfg, ds, true)
 	if err != nil {
-		return Table1Result{}, err
-	}
-	inj, err := core.New(fiModel, core.Config{
-		Batch: cfg.BatchSize, Height: cfg.InSize, Width: cfg.InSize, Seed: cfg.Seed + 22,
-	})
-	if err != nil {
-		return Table1Result{}, err
-	}
-	inj.SetMetrics(cfg.Metrics)
-	siteRng := rand.New(rand.NewSource(cfg.Seed + 23))
-	fitc := tc
-	fitc.BeforeForward = func(step int) {
-		inj.Reset()
-		if _, err := inj.InjectRandomNeuronPerLayer(siteRng, core.DefaultRandomValue()); err != nil {
-			panic(fmt.Sprintf("table1: arming validated sites failed: %v", err))
-		}
-	}
-	start = time.Now()
-	if _, err := train.Loop(fiModel, ds, fitc); err != nil {
 		return Table1Result{}, fmt.Errorf("table1 FI training: %w", err)
 	}
-	res.FITrainTime = time.Since(start)
-	inj.Reset()
-	res.FIAcc = train.Accuracy(fiModel, ds, 100_000, 128, 16)
+	res := Table1Result{
+		BaselineTrainTime: baseTime, FITrainTime: fiTime,
+		BaselineAcc: train.Accuracy(baseline.Trained, ds, 100_000, 128, 16),
+		FIAcc:       train.Accuracy(fiTwin.Trained, ds, 100_000, 128, 16),
+	}
 
-	// Post-training resiliency evaluation under the same error model.
-	res.EvalTrials = cfg.EvalTrials
-	res.BaselineMis, err = injectionMisclassifications(ctx, baseline, ds, cfg, cfg.Seed+31)
-	if err != nil {
+	// Post-training resiliency evaluation under the §IV-A error model,
+	// both twins on one engine seed so trial t draws the same stream.
+	evaluate := func(fx Fixture) (LegStat, error) {
+		stat, _, err := fixtureLeg(ctx, fx, GenericCampaignConfig{
+			Model: cfg.Model, InSize: cfg.InSize, Trials: cfg.EvalTrials, Seed: cfg.Seed, Metrics: cfg.Metrics,
+			Arm: armNeuron(core.BitFlip{Bit: core.RandomBit}),
+		}, cfg.Seed+31)
+		return stat, err
+	}
+	if res.Baseline, err = evaluate(baseline); err != nil {
 		return Table1Result{}, err
 	}
-	res.FIMis, err = postTrainingMis(ctx, inj, ds, cfg, cfg.Seed+31)
-	if err != nil {
+	if res.FI, err = evaluate(fiTwin); err != nil {
 		return Table1Result{}, err
 	}
 	return res, nil
 }
 
-// injectionMisclassifications instruments a fresh injector on the model
-// and counts Top-1 flips under single-neuron bit-flip injections.
-func injectionMisclassifications(ctx context.Context, model nn.Layer, ds *data.Classification, cfg Table1Config, seed int64) (int, error) {
-	inj, err := core.New(model, core.Config{Height: cfg.InSize, Width: cfg.InSize, Seed: seed})
+// trainTwin trains one Table I twin from the twins' identical
+// initialization and returns it as a scored fixture with its training
+// time. With inject set the model is instrumented and one random neuron
+// per layer is re-armed with U[-1,1) before every training forward pass
+// (§IV-D); the injector is gone again before the twin is scored, so both
+// twins are evaluated un-hooked.
+func trainTwin(cfg Table1Config, ds *data.Classification, inject bool) (Fixture, time.Duration, error) {
+	build := func() (nn.Layer, error) {
+		return models.Build(cfg.Model, rand.New(rand.NewSource(cfg.Seed+21)), cfg.Classes, cfg.InSize)
+	}
+	model, err := build()
 	if err != nil {
-		return 0, err
+		return Fixture{}, 0, err
 	}
-	defer inj.Detach()
-	inj.SetMetrics(cfg.Metrics)
-	return postTrainingMis(ctx, inj, ds, cfg, seed)
-}
-
-func postTrainingMis(ctx context.Context, inj *core.Injector, ds *data.Classification, cfg Table1Config, seed int64) (int, error) {
-	model := inj.Model()
-	nn.SetTraining(model, false)
-	eligible := train.CorrectIndices(model, ds, 200_000, 96, 16)
-	if len(eligible) == 0 {
-		return 0, fmt.Errorf("table1: no correctly classified samples")
+	tc := train.Config{
+		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, TrainSize: cfg.TrainSize,
+		LR: 0.02, Momentum: 0.9,
 	}
-	rng := rand.New(rand.NewSource(seed))
-	mis := 0
-	for t := 0; t < cfg.EvalTrials; t++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
+	detach := func() {}
+	if inject {
+		inj, err := core.New(model, core.Config{
+			Batch: cfg.BatchSize, Height: cfg.InSize, Width: cfg.InSize, Seed: cfg.Seed + 22,
+		})
+		if err != nil {
+			return Fixture{}, 0, err
 		}
-		idx := eligible[rng.Intn(len(eligible))]
-		img, _ := ds.Sample(idx)
-		x := img.Reshape(1, 3, cfg.InSize, cfg.InSize)
-		inj.Reset()
-		cleanTop1 := tensor.ArgMaxRows(nn.Run(model, x))[0]
-		if _, err := inj.InjectRandomNeuron(rng, core.BitFlip{Bit: core.RandomBit}); err != nil {
-			return 0, err
-		}
-		if tensor.ArgMaxRows(nn.Run(model, x))[0] != cleanTop1 {
-			mis++
+		detach = func() { inj.Reset(); inj.Detach() }
+		inj.SetMetrics(cfg.Metrics)
+		siteRng := rand.New(rand.NewSource(cfg.Seed + 23))
+		tc.BeforeForward = func(step int) {
+			inj.Reset()
+			if _, err := inj.InjectRandomNeuronPerLayer(siteRng, core.DefaultRandomValue()); err != nil {
+				panic(fmt.Sprintf("table1: arming validated sites failed: %v", err))
+			}
 		}
 	}
-	inj.Reset()
-	return mis, nil
+	start := time.Now()
+	_, err = train.Loop(model, ds, tc)
+	elapsed := time.Since(start)
+	detach()
+	if err != nil {
+		return Fixture{}, 0, err
+	}
+	return Fixture{Trained: model, Build: build, Source: ds}.scored(200_000, 96), elapsed, nil
 }

@@ -226,15 +226,29 @@ check_scenario() {
 }
 check_scenario
 
-# The study runners (Fig. 4, bit study, layer study) are loops over the
-# generic campaign path: the study golden holds Fig. 4 and bit-study rows
-# recorded before they moved onto it (both backends, with and without a
-# stop rule, stop indices included), and the layer study, whose legs run
-# on the engine's workers, must give the same rows at every Workers x
-# prefix-reuse cell under the race detector at both GOMAXPROCS settings.
+# The study runners (Fig. 4, bit study, layer study, Fig. 6, Table I) are
+# loops over one path, Fixture -> CampaignEnv -> runLeg: the study golden
+# holds Fig. 4 and bit-study rows recorded before they moved onto it (both
+# backends, with and without a stop rule, stop indices included), and the
+# layer study, whose legs run on the engine's workers, must give the same
+# rows at every Workers x prefix-reuse cell under the race detector at
+# both GOMAXPROCS settings. Fig. 6 and Table I run on fixtures they train
+# themselves: those fixtures must meet the reference-configuration
+# contract under the race detector (one GOMAXPROCS setting: training a
+# resnet18 under the detector is most of the minute it takes), their rows
+# are pinned by their own golden, and the two claims hold as intervals. A classification study
+# never forwards a model itself — the engine does — so nn.Run( in a study
+# file means someone re-grew a clean-plus-faulty trial loop beside it.
 check_studies() {
-	check_selected -run 'TestStudyGolden' ./internal/experiments
+	check_selected -run 'TestStudyGolden|TestFixtureStudiesGolden|TestClaim' ./internal/experiments
 	check_selected -race -cpu 1,4 -run 'TestLayerVulnDeterministic' ./internal/experiments
+	check_selected -race -cpu 4 -run 'TestPrebuiltFixtureContract' ./internal/experiments
+	if grep -n 'nn\.Run(' internal/experiments/fig4.go internal/experiments/fig6.go internal/experiments/table1.go \
+		internal/experiments/bits.go internal/experiments/layers.go internal/experiments/generic.go \
+		internal/experiments/experiments.go; then
+		echo "FAIL: a classification study forwards a model itself; run it as an engine leg (CampaignEnv.runLeg)" >&2
+		exit 1
+	fi
 }
 check_studies
 
