@@ -3,7 +3,6 @@ package nn
 import (
 	"math/rand"
 
-	"gofi/internal/quant"
 	"gofi/internal/tensor"
 )
 
@@ -98,9 +97,6 @@ func (l *Conv2d) Forward(x *tensor.Tensor) *tensor.Tensor {
 			bias = l.bias.Data.Data()
 		}
 		tensor.Conv2dInt8Into(out, x, qs.WCodes, l.weight.Data.Shape(), qs.params(bias), l.Spec)
-		// Snap onto the calibrated activation grid so downstream layers
-		// and hooks see the codes an int8 device would hold.
-		quant.QuantizeTensor(out, qs.Out)
 		return out
 	}
 	var b *tensor.Tensor

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"gofi/internal/quant"
 	"gofi/internal/tensor"
 )
 
@@ -77,7 +76,6 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 			bias = l.bias.Data.Data()
 		}
 		tensor.LinearInt8Into(out, x, qs.WCodes, qs.params(bias))
-		quant.QuantizeTensor(out, qs.Out)
 		return out
 	}
 	// out = x [n,in] × Wᵀ [in,out] with W stored [out,in]; the GEMM

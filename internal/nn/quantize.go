@@ -40,14 +40,17 @@ type QuantState struct {
 	wsFloat []float32 // WScales as float32, in tensor.QuantParams form
 }
 
-// params assembles the tensor-level QuantParams for a forward pass.
+// params assembles the tensor-level QuantParams for a forward pass. The
+// int8 kernels' epilogue snaps the output onto qs.Out's grid, so
+// downstream layers and hooks see the values an int8 device would hold.
 func (qs *QuantState) params(bias []float32) tensor.QuantParams {
 	return tensor.QuantParams{
-		InScale: float32(qs.In.S),
-		InZP:    qs.In.ZP,
-		WScales: qs.wsFloat,
-		RowSums: qs.RowSums,
-		Bias:    bias,
+		InScale:  float32(qs.In.S),
+		InZP:     qs.In.ZP,
+		WScales:  qs.wsFloat,
+		RowSums:  qs.RowSums,
+		Bias:     bias,
+		OutScale: float32(qs.Out),
 	}
 }
 

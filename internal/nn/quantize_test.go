@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"gofi/internal/quant"
 	"gofi/internal/tensor"
 )
 
@@ -78,6 +79,64 @@ func TestQuantizeModelAccuracyAndGrid(t *testing.T) {
 		t.Fatalf("expected 3 quantized layers, checked %d", checked)
 	}
 	Run(m, calib)
+}
+
+// TestQuantizedForwardSnapsInEpilogue: on the mini-DenseNet, every int8
+// Conv2d and Linear forward equals the two passes it replaced — the
+// tensor call with OutScale 0, then quant.QuantizeTensor onto qs.Out — bit for
+// bit, with zero-point inputs, and at spatial sizes whose channel rows
+// are and are not multiples of the 16-lane kernels.
+func TestQuantizedForwardSnapsInEpilogue(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	for _, size := range []int{8, 9} {
+		net := denseFixture(83)
+		if err := QuantizeModel(net, tensor.RandUniform(rng, -2, 2, 4, 3, size, size), QuantizeOptions{ActZeroPoint: true}); err != nil {
+			t.Fatal(err)
+		}
+		var checked, zps int
+		Walk(net, func(path string, l Layer) {
+			// fold runs the layer's tensor call unsnapped: OutScale 0.
+			var fold func(dst, in *tensor.Tensor)
+			var qs *QuantState
+			var base *Base
+			switch v := l.(type) {
+			case *Conv2d:
+				qs, base = v.qstate, &v.Base
+				fold = func(dst, in *tensor.Tensor) {
+					qp := qs.params(nil) // the fixture's convs are bias-free
+					qp.OutScale = 0
+					tensor.Conv2dInt8Into(dst, in, qs.WCodes, v.weight.Data.Shape(), qp, v.Spec)
+				}
+			case *Linear:
+				qs, base = v.qstate, &v.Base
+				fold = func(dst, in *tensor.Tensor) {
+					qp := qs.params(v.bias.Data.Data())
+					qp.OutScale = 0
+					tensor.LinearInt8Into(dst, in, qs.WCodes, qp)
+				}
+			default:
+				return
+			}
+			if qs.In.ZP != 0 {
+				zps++
+			}
+			base.RegisterForwardHook(func(_ Layer, in, out *tensor.Tensor) {
+				checked++
+				ref := tensor.New(out.Shape()...)
+				fold(ref, in)
+				quant.QuantizeTensor(ref, qs.Out)
+				for i, v := range ref.Data() {
+					if got := out.Data()[i]; math.Float32bits(got) != math.Float32bits(v) {
+						t.Fatalf("size %d, %s: output[%d] = %#08x fused, %#08x in two passes", size, path, i, math.Float32bits(got), math.Float32bits(v))
+					}
+				}
+			})
+		})
+		Run(net, tensor.RandUniform(rng, -2, 2, 2, 3, size, size))
+		if checked != 6 || zps == 0 {
+			t.Fatalf("size %d: checked %d quantized layers (want 6), %d with a zero-point (want > 0)", size, checked, zps)
+		}
+	}
 }
 
 func TestQuantizeModelDeterministicAcrossWorkers(t *testing.T) {

@@ -144,26 +144,11 @@ func CalibrateAffine(t *tensor.Tensor, useZP bool) (Affine, error) {
 }
 
 // Quantize maps a real value to its affine INT8 code with round-to-nearest
-// and saturation to [-127, 127].
+// (half away from zero) and saturation to [-127, 127]; a non-positive
+// scale maps every value to ZP. The rule is the int8 backend's own,
+// tensor.QuantizeI8, so a stored code here is the code the kernels compute.
 func (a Affine) Quantize(v float32) int8 {
-	if a.S <= 0 {
-		return a.ZP
-	}
-	q := v / float32(a.S)
-	var r int32
-	if q >= 0 {
-		r = int32(q + 0.5)
-	} else {
-		r = int32(q - 0.5)
-	}
-	r += int32(a.ZP)
-	if r > 127 {
-		r = 127
-	}
-	if r < -127 {
-		r = -127
-	}
-	return int8(r)
+	return tensor.QuantizeI8(v, float32(a.S), a.ZP)
 }
 
 // Dequantize maps an affine INT8 code back to a real value.
@@ -174,37 +159,19 @@ func (a Affine) Dequantize(q int8) float32 {
 // RoundTrip quantizes and dequantizes v under the affine scheme.
 func (a Affine) RoundTrip(v float32) float32 { return a.Dequantize(a.Quantize(v)) }
 
-// Quantize maps a real value to its INT8 code with round-to-nearest and
-// saturation. It is total: a non-positive scale (which the calibration
-// APIs never produce — they return errors instead) maps every value to
-// code 0 rather than panicking mid-campaign.
-func (s Scale) Quantize(v float32) int8 {
-	if s <= 0 {
-		return 0
-	}
-	q := v / float32(s)
-	// Round half away from zero, then saturate.
-	var r int32
-	if q >= 0 {
-		r = int32(q + 0.5)
-	} else {
-		r = int32(q - 0.5)
-	}
-	if r > 127 {
-		r = 127
-	}
-	if r < -127 {
-		r = -127
-	}
-	return int8(r)
-}
+// Quantize maps a real value to its INT8 code with round-to-nearest (half
+// away from zero) and saturation, tensor.QuantizeI8's rule at zero-point
+// 0. It is total: a non-positive scale (which the calibration APIs never
+// produce — they return errors instead) maps every value to code 0
+// rather than panicking mid-campaign.
+func (s Scale) Quantize(v float32) int8 { return tensor.QuantizeI8(v, float32(s), 0) }
 
 // Dequantize maps an INT8 code back to a real value.
 func (s Scale) Dequantize(q int8) float32 { return float32(q) * float32(s) }
 
 // RoundTrip quantizes and dequantizes v, emulating INT8 storage of an
 // activation.
-func (s Scale) RoundTrip(v float32) float32 { return s.Dequantize(s.Quantize(v)) }
+func (s Scale) RoundTrip(v float32) float32 { return tensor.SnapI8(v, float32(s)) }
 
 // FlipBit emulates a single-bit hardware fault in an INT8 activation:
 // v is quantized, bit [0,7] of the two's-complement code is flipped, and

@@ -391,27 +391,60 @@ func TestFlipBitOnGrid_Property(t *testing.T) {
 	}
 }
 
-// TestTensorQuantizeI8MatchesAffine pins the cross-package contract: the
-// tensor backend's QuantizeI8Into (which cannot import quant) must agree
-// bit-for-bit with Affine.Quantize for every input, including NaN, ±Inf,
-// saturating values, and degenerate scales.
+// affineQuantizeReference is Affine.Quantize as it was written before the
+// rounding rule moved into internal/tensor, kept verbatim as a reference.
+func affineQuantizeReference(a Affine, v float32) int8 {
+	if a.S <= 0 {
+		return a.ZP
+	}
+	q := v / float32(a.S)
+	var r int32
+	if q >= 0 {
+		r = int32(q + 0.5)
+	} else {
+		r = int32(q - 0.5)
+	}
+	r += int32(a.ZP)
+	if r > 127 {
+		r = 127
+	}
+	if r < -127 {
+		r = -127
+	}
+	return int8(r)
+}
+
+// TestTensorQuantizeI8MatchesAffine pins every quantizer of this package
+// — Affine.Quantize, Scale.Quantize and RoundTrip, QuantizeTensor — and
+// the tensor backend's QuantizeI8Into to the branching reference loop,
+// bit for bit, including NaN, ±Inf, ties, saturating values and
+// degenerate scales.
 func TestTensorQuantizeI8MatchesAffine(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	specials := []float32{0, 1, -1, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e30, -1e30, 0.5, -0.5, 1.5, -1.5}
+	specials := []float32{0, float32(math.Copysign(0, -1)), 1, -1, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e30, -1e30, 3e9, -3e9, 0.5, -0.5, 1.5, -1.5}
 	for iter := 0; iter < 50; iter++ {
 		af := Affine{S: Scale(rng.Float64()*2 - 0.5), ZP: int8(rng.Intn(255) - 127)}
 		if iter == 0 {
 			af = Affine{S: 0, ZP: -7} // degenerate scale
 		}
+		sym := Affine{S: af.S}
 		vals := append([]float32{}, specials...)
 		for i := 0; i < 100; i++ {
 			vals = append(vals, float32(rng.NormFloat64()))
 		}
 		got := make([]int8, len(vals))
 		tensor.QuantizeI8Into(got, vals, float32(af.S), af.ZP)
+		snapped := tensor.FromSlice(append([]float32{}, vals...), len(vals))
+		QuantizeTensor(snapped, af.S)
 		for i, v := range vals {
-			if want := af.Quantize(v); got[i] != want {
-				t.Fatalf("iter %d scale=%g zp=%d v=%g: tensor=%d quant=%d", iter, af.S, af.ZP, v, got[i], want)
+			want := affineQuantizeReference(af, v)
+			if got[i] != want || af.Quantize(v) != want {
+				t.Fatalf("iter %d scale=%g zp=%d v=%g: tensor=%d Affine=%d reference=%d", iter, af.S, af.ZP, v, got[i], af.Quantize(v), want)
+			}
+			code := affineQuantizeReference(sym, v)
+			back := math.Float32bits(float32(code) * float32(af.S))
+			if af.S.Quantize(v) != code || math.Float32bits(af.S.RoundTrip(v)) != back || math.Float32bits(snapped.Data()[i]) != back {
+				t.Fatalf("iter %d scale=%g v=%g: Scale.Quantize=%d RoundTrip=%g QuantizeTensor=%g, reference code %d", iter, af.S, v, af.S.Quantize(v), af.S.RoundTrip(v), snapped.Data()[i], code)
 			}
 		}
 	}

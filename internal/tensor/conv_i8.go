@@ -13,14 +13,15 @@ import "fmt"
 // where rowSum[oc] is the precomputed sum of output channel oc's weight
 // codes: with affine input codes q = q' + zp the zp·rowSum term removes
 // the zero-point's contribution exactly (integer arithmetic, no
-// rounding). Requantization of the output to the layer's activation
-// grid is the caller's job (internal/nn does it with quant.Scale so the
-// rounding rule has a single definition).
+// rounding). With QuantParams.OutScale set, the same epilogue snaps each
+// output onto the layer's symmetric activation grid (SnapI8's rule), so
+// a layer's output leaves Conv2dInt8Into/LinearInt8Into as the values an
+// int8 device would hold, with no second pass over it.
 //
 // Determinism: quantization is elementwise, the int32 accumulation is
-// exact under any blocking or worker split, and the fold is elementwise
-// float32 — so results are bit-identical across worker counts and
-// schedules, the same contract as the float32 backend.
+// exact under any blocking or worker split, and the fold and snap are
+// elementwise float32 — so results are bit-identical across worker
+// counts and schedules, the same contract as the float32 backend.
 
 // QuantParams carries the calibrated quantization metadata one int8
 // layer forward needs. Scales are plain float32 here — the tensor
@@ -32,39 +33,9 @@ type QuantParams struct {
 	WScales []float32
 	RowSums []int32
 	Bias    []float32 // optional, float32 domain
-}
-
-// QuantizeI8Into writes the affine int8 codes of src into dst:
-// code = clamp(round(v/scale) + zp, -127, 127), rounding half away from
-// zero. This must match quant.Affine.Quantize bit-for-bit (pinned by a
-// property test in internal/quant).
-func QuantizeI8Into(dst []int8, src []float32, scale float32, zp int8) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("tensor: QuantizeI8Into length mismatch %d != %d", len(dst), len(src)))
-	}
-	if scale <= 0 {
-		for i := range dst {
-			dst[i] = zp
-		}
-		return
-	}
-	for i, v := range src {
-		q := v / scale
-		var r int32
-		if q >= 0 {
-			r = int32(q + 0.5)
-		} else {
-			r = int32(q - 0.5)
-		}
-		r += int32(zp)
-		if r > 127 {
-			r = 127
-		}
-		if r < -127 {
-			r = -127
-		}
-		dst[i] = int8(r)
-	}
+	// OutScale > 0 snaps every output onto the symmetric int8 grid of
+	// that scale inside the epilogue; zero leaves the fold unsnapped.
+	OutScale float32
 }
 
 // Conv2dInt8Into computes a 2-D convolution of x [N,C,H,W] against int8
@@ -102,17 +73,22 @@ func Conv2dInt8Into(dst, x *Tensor, wq []int8, wShape []int, qp QuantParams, spe
 	l := oh * ow
 	kdim := cg * kh * kw
 
+	// A pointwise conv reads the group's quantized channel slab in place
+	// (see ConvSpec.pointwise); the whole im2col pass and its col scratch
+	// disappear.
+	pointwise := spec.pointwise(kh, kw)
+	colLen := kdim * l
+	if pointwise {
+		colLen = 0
+	}
+
 	// Quantize the whole input once; units only read their slab. The
-	// extra kdim·l + B-pack bound covers the serial path's column buffer
+	// extra colLen + B-pack bound covers the serial path's column buffer
 	// and the GEMM's B panels so nested takes never reallocate.
 	ixa := getIArena()
-	ixa.reserve8(len(x.data) + kdim*l + gemmI8PackBoundB(kdim, l))
+	ixa.reserve8(len(x.data) + colLen + gemmI8PackBoundB(kdim, l))
 	xq := ixa.take8(len(x.data))
 	QuantizeI8Into(xq, x.data, qp.InScale, qp.InZP)
-
-	// A pointwise conv reads the group's quantized channel slab in place
-	// (see ConvSpec.pointwise); the whole im2col pass disappears.
-	pointwise := spec.pointwise(kh, kw)
 
 	unit := func(u int, col []int8, acc []int32, ia *iarena) {
 		s, gi := u/g, u%g
@@ -137,11 +113,7 @@ func Conv2dInt8Into(dst, x *Tensor, wq []int8, wShape []int, qp QuantParams, spe
 			if qp.Bias != nil {
 				bv = qp.Bias[oc]
 			}
-			arow := acc[ocg*l : (ocg+1)*l]
-			orow := outImg[oc*l : (oc+1)*l]
-			for i, av := range arow {
-				orow[i] = float32(av-corr)*scale + bv
-			}
+			requantRow(outImg[oc*l:(oc+1)*l], acc[ocg*l:(ocg+1)*l], corr, scale, bv, qp.OutScale)
 		}
 	}
 
@@ -149,10 +121,10 @@ func Conv2dInt8Into(dst, x *Tensor, wq []int8, wShape []int, qp QuantParams, spe
 	if Workers() > 1 && units >= Workers() {
 		parallelForChunks(units, func(lo, hi int) {
 			ia := getIArena()
-			ia.reserve8(kdim*l + gemmI8PackBoundB(kdim, l))
+			ia.reserve8(colLen + gemmI8PackBoundB(kdim, l))
 			ia.reserve32(coutG * l)
 			ia.reserve16(gemmI8PackBoundA(coutG, kdim))
-			col := ia.take8(kdim * l)
+			col := ia.take8(colLen)
 			acc := ia.take32(coutG * l)
 			for u := lo; u < hi; u++ {
 				unit(u, col, acc, ia)
@@ -163,7 +135,7 @@ func Conv2dInt8Into(dst, x *Tensor, wq []int8, wShape []int, qp QuantParams, spe
 		return
 	}
 	ixa.reserve32(coutG * l)
-	col := ixa.take8(kdim * l)
+	col := ixa.take8(colLen)
 	acc := ixa.take32(coutG * l)
 	for u := 0; u < units; u++ {
 		unit(u, col, acc, nil)
@@ -173,7 +145,7 @@ func Conv2dInt8Into(dst, x *Tensor, wq []int8, wShape []int, qp QuantParams, spe
 
 // LinearInt8Into computes dst = dequant(quant(x) × Wqᵀ) for x [N, in]
 // and weight codes wq [out, in] (row-major), the int8 analogue of
-// MatMulTransB plus the bias fold.
+// MatMulTransB plus the bias fold and, with qp.OutScale set, the snap.
 func LinearInt8Into(dst, x *Tensor, wq []int8, qp QuantParams) {
 	if x.Rank() != 2 || dst.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: LinearInt8 requires rank-2 tensors, got %v -> %v", x.shape, dst.shape))
@@ -203,7 +175,7 @@ func LinearInt8Into(dst, x *Tensor, wq []int8, qp QuantParams) {
 			if qp.Bias != nil {
 				bv = qp.Bias[oc]
 			}
-			orow[oc] = float32(av-corr)*scale + bv
+			orow[oc] = requantI8(av, corr, scale, bv, qp.OutScale)
 		}
 	}
 	ia.release()

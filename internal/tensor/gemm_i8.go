@@ -262,6 +262,13 @@ func packBI8(bpack []int8, b []int8, ldb int, transB bool, pc, jc, kb, nb int) {
 					panel[p*gemmNR+c] = v
 				}
 			}
+		} else if cols == gemmNR {
+			// A full-width row as one fixed-size array assignment: Go
+			// lowers it to a 16-byte load/store pair, where copy() would
+			// call memmove once per row.
+			for p := 0; p < kb; p++ {
+				*(*[gemmNR]int8)(panel[p*gemmNR:]) = *(*[gemmNR]int8)(b[(pc+p)*ldb+jc+jr:])
+			}
 		} else {
 			for p := 0; p < kb; p++ {
 				copy(panel[p*gemmNR:p*gemmNR+cols], b[(pc+p)*ldb+jc+jr:(pc+p)*ldb+jc+jr+cols])

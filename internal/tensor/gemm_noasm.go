@@ -2,6 +2,10 @@
 
 package tensor
 
+// gemmAVX2 is always false off amd64. It exists so the parity tests that
+// force the scalar path (gemmAVX2 = false) build on every target.
+var gemmAVX2 = false
+
 func kern4x16(c []float32, ldc int, ap, bp []float32, kb int, first bool) {
 	kern4x16scalar(c, ldc, ap, bp, kb, first)
 }

@@ -29,7 +29,9 @@ go build ./...
 go test ./...
 go test -race -short -timeout 20m ./...
 
-# The int8 GEMM ships an amd64 assembly kernel behind a build tag; the
+# The int8 backend ships amd64 assembly behind a build tag — the GEMM
+# micro-kernel and the quantize/requantize elementwise tier — and the
+# `go vet ./...` above runs asmdecl over every TEXT symbol of it; the
 # arm64-crossed vet+build prove the portable (noasm) half of every
 # signature still compiles, so a kernel-signature change can't silently
 # break non-amd64 targets CI never executes.
@@ -149,11 +151,21 @@ check_stats
 # floor over internal/tensor (where all new int8 kernels live), and a
 # one-iteration int8-vs-f32 campaign bench smoke so the quantized
 # pipeline in bench_test.go can't rot between full runs (BENCH_int8.json
-# records the measured ratio).
+# records the measured ratio). The elementwise tier (quantize before
+# every int8 layer, the snap fused into its epilogue) has its own wall:
+# AVX2, forced-scalar and the pre-fusion reference loops equal bit for
+# bit on special, tie and random inputs at every tail length, the nn
+# forward equal to the old two-pass fold-then-snap, both under the race
+# detector at both GOMAXPROCS settings (the tests flip the shared AVX2
+# gate), and a coverage-guided reference-vs-dispatch fuzz smoke. asmdecl
+# over the two kernels runs in the `go vet ./...` pass at the top.
 check_int8() {
 	check_selected -race -cpu 1,4 -run 'TestGoldenCampaignAggregates/int8' ./internal/campaign
 	check_cover ./internal/tensor 90
 	go test -run='^$' -bench 'BenchmarkCampaign(F32|Int8)$' -benchtime 1x .
+	check_selected -race -cpu 1,4 -run 'TestQuantizeI8VecMatchesReference|TestRequantEpilogueMatchesReference' ./internal/tensor
+	check_selected -race -cpu 1,4 -run 'TestQuantizedForwardSnapsInEpilogue' ./internal/nn
+	check_selected -run='^$' -fuzz='^FuzzQuantizeI8$' -fuzztime=10s ./internal/tensor
 }
 check_int8
 
