@@ -32,43 +32,18 @@ func NewReLU6(name string) *ReLU { return &ReLU{Base: NewBase(name), Cap: 6} }
 // Params implements Layer.
 func (l *ReLU) Params() []*Param { return nil }
 
-// Forward implements Layer.
+// Forward implements Layer: tensor.ReLUInto, whose rule keeps −0, +0
+// and NaN of either sign unchanged as `if v < 0 { v = 0 }` does, with the
+// upper bound at Cap for a clipped rectifier and at +Inf otherwise.
 func (l *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	l.lastInput = x
 	out := l.output(x.Shape()...)
-	in := x.Data()
-	o := out.Data()
-	if cap := l.Cap; cap > 0 {
-		for i, v := range in {
-			if v < 0 {
-				v = 0
-			} else if v > cap {
-				v = cap
-			}
-			o[i] = v
-		}
-		return out
+	hi := float32(math.Inf(1))
+	if l.Cap > 0 {
+		hi = l.Cap
 	}
-	reluInto(o, in)
+	tensor.ReLUInto(out.Data(), x.Data(), hi)
 	return out
-}
-
-// reluInto writes max(0, v) for every v of in, as `if v < 0 { v = 0 }`
-// does — so −0, +0 and NaN of either sign pass through unchanged, which
-// matters because injected faults produce NaN and Inf routinely — but
-// without a branch on the data: pre-activations are negative about half
-// the time, in no pattern a predictor can learn. v < 0 holds exactly when
-// the bit pattern lies in (0x80000000, 0xFF800000], i.e. sign set, not
-// −0, not NaN; the integer select compiles to a conditional move.
-func reluInto(o, in []float32) {
-	o = o[:len(in)]
-	for i, v := range in {
-		b := math.Float32bits(v)
-		if b-0x80000001 < 0x7F800000 {
-			b = 0
-		}
-		o[i] = math.Float32frombits(b)
-	}
 }
 
 // Backward implements Layer.

@@ -122,9 +122,7 @@ func (l *BatchNorm2d) Forward(x *tensor.Tensor) *tensor.Tensor {
 		shift := b - mean*scale
 		for s := 0; s < n; s++ {
 			base := (s*c + ch) * plane
-			for i := 0; i < plane; i++ {
-				od[base+i] = xd[base+i]*scale + shift
-			}
+			tensor.ScaleShiftInto(od[base:base+plane], xd[base:base+plane], scale, shift)
 		}
 	}
 	return out

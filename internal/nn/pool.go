@@ -63,7 +63,9 @@ func (l *AvgPool2d) Params() []*Param { return nil }
 // Forward implements Layer.
 func (l *AvgPool2d) Forward(x *tensor.Tensor) *tensor.Tensor {
 	l.lastInShape = x.Shape()
-	return tensor.AvgPool2d(x, l.Spec)
+	out := l.output(tensor.PoolOutShape(l.lastInShape, l.Spec)...)
+	tensor.AvgPool2dInto(out, x, l.Spec)
+	return out
 }
 
 // Backward implements Layer.

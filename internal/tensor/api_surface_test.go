@@ -95,6 +95,27 @@ func TestConv2dIntoReusesDst(t *testing.T) {
 	}
 }
 
+// AvgPool2dInto's reuse of a dirty dst is walled, with the allocating
+// form, by TestAvgPool2dIntoMatchesGeneric in pool_test.go.
+
+// TestElementwiseIntoLengthMismatchPanics: ScaleShiftInto and ReLUInto
+// take equal-length slices, as QuantizeI8Into does.
+func TestElementwiseIntoLengthMismatchPanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"ScaleShiftInto": func() { ScaleShiftInto(make([]float32, 2), make([]float32, 3), 1, 0) },
+		"ReLUInto":       func() { ReLUInto(make([]float32, 3), make([]float32, 2), 6) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: length mismatch must panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 // The kernel-gate-flipping tests (forced-scalar vs AVX2 parity,
 // KernelBackend names) live in api_surface_amd64_test.go: the gemmAVX2
 // gate only exists on amd64 builds.

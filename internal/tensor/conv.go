@@ -97,7 +97,7 @@ func fillPad[T float32 | int8](dst []T, pad T) {
 //     convolutions): a tap's whole col row is the image plane shifted by a
 //     constant, so one copy moves every valid output row at once and the
 //     pad columns — which received the neighbouring row's edge — are
-//     overwritten afterwards;
+//     overwritten afterwards, one strided store pass per column;
 //   - unit horizontal stride otherwise: per output row one left-pad fill,
 //     one copy of the contiguous image span, one right-pad fill;
 //   - horizontally strided: the per-tap loop with its bounds branches.
@@ -144,9 +144,19 @@ func im2colInto[T float32 | int8](col, img []T, c0, cg, h, wd, kh, kw, oh, ow in
 					if a, b := max(oyLo*ow+shift, 0), min(oyHi*ow+shift, h*wd); a < b {
 						copy(row[a-shift:b-shift], chImg[a:b])
 					}
-					for oy := oyLo; oy < oyHi; oy++ {
-						fillPad(row[oy*ow:oy*ow+lo], pad)
-						fillPad(row[oy*ow+hi:(oy+1)*ow], pad)
+					// One strided pass per pad column: columns [0, lo)
+					// and [hi, ow) of the copied rows; none for the
+					// centre tap.
+					rows := row[oyLo*ow : oyHi*ow]
+					for x := 0; x < lo; x++ {
+						for i := x; i < len(rows); i += ow {
+							rows[i] = pad
+						}
+					}
+					for x := hi; x < ow; x++ {
+						for i := x; i < len(rows); i += ow {
+							rows[i] = pad
+						}
 					}
 					continue
 				}

@@ -262,6 +262,9 @@ func packB(bpack []float32, b []float32, ldb int, transB bool, pc, jc, kb, nb in
 				}
 			}
 			idx += cols * kb
+		} else if cols == gemmNR {
+			packBRows(bpack[idx:], b[pc*ldb+jc+jr:], ldb, kb)
+			idx += kb * gemmNR
 		} else {
 			for p := 0; p < kb; p++ {
 				src := b[(pc+p)*ldb+jc+jr : (pc+p)*ldb+jc+jr+cols]
@@ -269,6 +272,21 @@ func packB(bpack []float32, b []float32, ldb int, transB bool, pc, jc, kb, nb in
 				idx += cols
 			}
 		}
+	}
+}
+
+// packBRows copies kb full-width panel rows, row p from src[p·ldb …] to
+// dst[p·gemmNR …]. Each row is four 16-byte array assignments, which Go
+// lowers to MOVUPS load/store pairs; a single [16]float32 assignment,
+// like copy(), calls memmove once per row.
+func packBRows(dst, src []float32, ldb, kb int) {
+	for p := 0; p < kb; p++ {
+		s := (*[gemmNR]float32)(src[p*ldb:])
+		d := (*[gemmNR]float32)(dst[p*gemmNR:])
+		*(*[4]float32)(d[0:4]) = *(*[4]float32)(s[0:4])
+		*(*[4]float32)(d[4:8]) = *(*[4]float32)(s[4:8])
+		*(*[4]float32)(d[8:12]) = *(*[4]float32)(s[8:12])
+		*(*[4]float32)(d[12:16]) = *(*[4]float32)(s[12:16])
 	}
 }
 

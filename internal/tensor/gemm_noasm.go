@@ -1,9 +1,10 @@
-//go:build !amd64
+//go:build !amd64 || noasm
 
 package tensor
 
-// gemmAVX2 is always false off amd64. It exists so the parity tests that
-// force the scalar path (gemmAVX2 = false) build on every target.
+// gemmAVX2 is always false without the assembly tier (off amd64, or under
+// the noasm build tag). It exists so the parity tests that force the
+// scalar path (gemmAVX2 = false) build on every target.
 var gemmAVX2 = false
 
 func kern4x16(c []float32, ldc int, ap, bp []float32, kb int, first bool) {

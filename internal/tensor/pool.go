@@ -108,10 +108,54 @@ func MaxPool2dBackward(inShape []int, arg []int32, gradOut *Tensor) *Tensor {
 // default).
 func AvgPool2d(x *Tensor, spec PoolSpec) *Tensor {
 	spec, oh, ow := checkPool(x, spec)
+	out := New(x.shape[0], x.shape[1], oh, ow)
+	avgPool2dInto(out, x, spec)
+	return out
+}
+
+// AvgPool2dInto is AvgPool2d writing into a caller-provided dst of shape
+// PoolOutShape(x, spec), so layers can reuse an output buffer across
+// forward passes.
+func AvgPool2dInto(dst, x *Tensor, spec PoolSpec) {
+	spec, oh, ow := checkPool(x, spec)
+	if want := []int{x.shape[0], x.shape[1], oh, ow}; !sameShape(dst.shape, want) {
+		panic(fmt.Sprintf("tensor: AvgPool2dInto dst shape %v != expected %v", dst.shape, want))
+	}
+	avgPool2dInto(dst, x, spec)
+}
+
+// avgPool2dInto is the pooling kernel; spec must be canonical and shapes
+// checked. Every output element is the chain ((+0 + v₀) + v₁ + …) · inv
+// over its window in row-major order, padded taps skipped. The unpadded
+// 2×2/stride-2 window (every DenseNet transition) runs that chain
+// unrolled, without the bounds tests: no tap of it can leave the plane.
+func avgPool2dInto(out, x *Tensor, spec PoolSpec) {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	out := New(n, c, oh, ow)
+	oh, ow := out.shape[2], out.shape[3]
 	inv := 1 / float32(spec.KernelH*spec.KernelW)
 	planes := n * c
+	if spec == (PoolSpec{KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2}) {
+		parallelForChunks(planes, func(lo, hi int) {
+			for p := lo; p < hi; p++ {
+				in := x.data[p*h*w : (p+1)*h*w]
+				o := out.data[p*oh*ow : (p+1)*oh*ow]
+				for oy := 0; oy < oh; oy++ {
+					r0 := in[2*oy*w : 2*oy*w+2*ow]
+					r1 := in[(2*oy+1)*w : (2*oy+1)*w+2*ow]
+					orow := o[oy*ow : (oy+1)*ow]
+					for ox := range orow {
+						var s float32
+						s += r0[2*ox]
+						s += r0[2*ox+1]
+						s += r1[2*ox]
+						s += r1[2*ox+1]
+						orow[ox] = s * inv
+					}
+				}
+			}
+		})
+		return
+	}
 	parallelForChunks(planes, func(lo, hi int) {
 		for p := lo; p < hi; p++ {
 			in := x.data[p*h*w : (p+1)*h*w]
@@ -137,7 +181,6 @@ func AvgPool2d(x *Tensor, spec PoolSpec) *Tensor {
 			}
 		}
 	})
-	return out
 }
 
 // AvgPool2dBackward distributes gradOut uniformly over each pooling

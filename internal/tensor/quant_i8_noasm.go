@@ -1,8 +1,9 @@
-//go:build !amd64
+//go:build !amd64 || noasm
 
 package tensor
 
-// Off amd64 the int8 elementwise passes run the scalar rule only.
+// Without the assembly tier the int8 elementwise passes run the scalar rule
+// only.
 
 func quantizeI8Vec(dst []int8, src []float32, scale float32, zp int8) int { return 0 }
 

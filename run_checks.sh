@@ -29,12 +29,13 @@ go build ./...
 go test ./...
 go test -race -short -timeout 20m ./...
 
-# The int8 backend ships amd64 assembly behind a build tag — the GEMM
-# micro-kernel and the quantize/requantize elementwise tier — and the
-# `go vet ./...` above runs asmdecl over every TEXT symbol of it; the
-# arm64-crossed vet+build prove the portable (noasm) half of every
-# signature still compiles, so a kernel-signature change can't silently
-# break non-amd64 targets CI never executes.
+# The kernel backend ships amd64 assembly behind build tags — the GEMM
+# micro-kernels, the int8 quantize/requantize tier and the float32
+# BatchNorm/ReLU tier — and the `go vet ./...` above runs asmdecl over
+# every TEXT symbol of it; the arm64-crossed vet+build prove the portable
+# (noasm) half of every signature still compiles, so a kernel-signature
+# change can't silently break non-amd64 targets (check_kernels below runs
+# that half on this box under -tags noasm).
 GOARCH=arm64 go vet ./...
 GOARCH=arm64 go build ./...
 
@@ -168,6 +169,28 @@ check_int8() {
 	check_selected -run='^$' -fuzz='^FuzzQuantizeI8$' -fuzztime=10s ./internal/tensor
 }
 check_int8
+
+# The float32 elementwise tier's gates, and the portable build. The eval
+# BatchNorm map and the (clipped) rectifier run as AVX2 kernels with the
+# scalar rule on tails: AVX2, forced-scalar and the pre-vector reference
+# loops equal bit for bit on special and random inputs, scale/shift
+# pairs and caps at every tail length; the 2×2 average pool's unrolled
+# loop equals the generic one; a whole mini-DenseNet eval forward equals
+# itself on the scalar kernels — all under the race detector at both
+# GOMAXPROCS settings (the tests flip the shared AVX2 gate) — and a
+# reference-vs-dispatch fuzz smoke. Then the noasm build tag, which drops
+# every assembly file for its portable twin, runs the tensor and nn suites
+# and the campaign goldens on the scalar kernels this box would otherwise
+# only reach through gate flips. asmdecl over the new kernels runs in the
+# `go vet ./...` pass at the top; the arm64 lines cover the twins' build.
+check_kernels() {
+	check_selected -race -cpu 1,4 -run 'TestScaleShiftMatchesScalar|TestClampMatchesBranchingLoop|TestAvgPool2dIntoMatchesGeneric' ./internal/tensor
+	check_selected -race -cpu 1,4 -run 'TestEvalForwardMatchesScalarKernels' ./internal/nn
+	check_selected -run='^$' -fuzz='^FuzzClamp$' -fuzztime=10s ./internal/tensor
+	go test -tags noasm ./internal/tensor ./internal/nn
+	check_selected -tags noasm -run 'TestGoldenCampaignAggregates' ./internal/campaign
+}
+check_kernels
 
 # The campaign service's gates: the serve test wall under the race
 # detector (sharded byte-identity against the local single-machine run,
