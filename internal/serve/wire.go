@@ -52,6 +52,8 @@ var ErrUnsupportedEstimator = errors.New("serve: estimator not supported on the 
 // optional field means "unset", and Canon resolves it, so a spec
 // submitted with only {"v":1} runs exactly what a bare CLI invocation
 // runs. A few things a spec can say only run locally; offWire lists them.
+// Validation bounds what one spec can cost: at most maxTrials (10⁸)
+// trials, maxWorkers (256) workers per leg and maxShards (256) legs.
 type Spec struct {
 	// V is the wire version; must equal WireVersion.
 	V int `json:"v"`
@@ -156,6 +158,13 @@ func (sp *Spec) SetStop(rule stats.StopRule) {
 	sp.StopCI, sp.StopConf, sp.StopMin = rule.HalfWidth, rule.Confidence, rule.MinTrials
 }
 
+// The upper bounds runnable enforces (see Spec).
+const (
+	maxTrials  = 100_000_000
+	maxWorkers = 256
+	maxShards  = 256
+)
+
 func badSpec(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrSpec, fmt.Sprintf(format, args...))
 }
@@ -207,6 +216,9 @@ func (sp Spec) runnable() error {
 			return badSpec("%v", err)
 		}
 	} else {
+		if sp.Classes < 0 || sp.Size < 0 || sp.Epochs < 0 || !(sp.Noise >= 0) {
+			return badSpec("classes/size/epochs/noise must not be negative, got %d/%d/%d/%g", sp.Classes, sp.Size, sp.Epochs, sp.Noise)
+		}
 		em, err := experiments.ParseErrorModel(sp.Error)
 		if err != nil {
 			return badSpec("%v", err)
@@ -232,16 +244,16 @@ func (sp Spec) runnable() error {
 			return badSpec("stratify arms fixed-bit flips by stratum and so requires error bitflip, not %q", sp.Error)
 		}
 	}
-	if sp.Trials < 0 {
+	if sp.Trials < 0 || sp.Trials > maxTrials {
 		// Canon left 0 only to a sweep scenario, whose budget is its
 		// enumeration size.
-		return badSpec("trials must be positive, got %d", sp.Trials)
+		return badSpec("trials must be positive and at most %d, got %d", maxTrials, sp.Trials)
 	}
-	if sp.Shards < 1 {
-		return badSpec("shards must be >= 1, got %d", sp.Shards)
+	if sp.Shards < 1 || sp.Shards > maxShards {
+		return badSpec("shards must be >= 1 and <= %d, got %d", maxShards, sp.Shards)
 	}
-	if sp.Workers < 1 {
-		return badSpec("workers must be >= 1, got %d", sp.Workers)
+	if sp.Workers < 1 || sp.Workers > maxWorkers {
+		return badSpec("workers must be >= 1 and <= %d, got %d", maxWorkers, sp.Workers)
 	}
 	if err := sp.Stop().Validate(); err != nil {
 		return badSpec("stop_ci/stop_conf/stop_min: %v", err)

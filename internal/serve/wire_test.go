@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -96,6 +97,36 @@ func TestDecodeSpec(t *testing.T) {
 	// A missing version is not silently treated as current.
 	if _, err := DecodeSpec(strings.NewReader(`{}`)); !errors.Is(err, ErrWireVersion) {
 		t.Fatalf("missing version: %v", err)
+	}
+}
+
+// TestDecodeSpecRejectsOutOfRange: negative fixture fields and run knobs
+// beyond their bounds fail with ErrSpec at decode time — before a spec
+// is stored or a fixture trained — and so does the local path (Config);
+// the bounds themselves are accepted.
+func TestDecodeSpecRejectsOutOfRange(t *testing.T) {
+	for _, doc := range []string{
+		`{"v":1,"classes":-1}`,
+		`{"v":1,"size":-5}`,
+		`{"v":1,"epochs":-2}`,
+		`{"v":1,"noise":-0.5}`,
+		`{"v":1,"trials":100000001}`,
+		`{"v":1,"workers":257}`,
+		`{"v":1,"shards":257}`,
+	} {
+		if _, err := DecodeSpec(strings.NewReader(doc)); !errors.Is(err, ErrSpec) {
+			t.Errorf("DecodeSpec(%s) = %v, want ErrSpec", doc, err)
+		}
+		var sp Spec
+		if err := json.Unmarshal([]byte(doc), &sp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sp.Config(); !errors.Is(err, ErrSpec) {
+			t.Errorf("Config(%s) = %v, want ErrSpec", doc, err)
+		}
+	}
+	if _, err := DecodeSpec(strings.NewReader(`{"v":1,"trials":100000000,"workers":256,"shards":256}`)); err != nil {
+		t.Errorf("spec at the bounds rejected: %v", err)
 	}
 }
 

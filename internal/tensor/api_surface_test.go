@@ -62,16 +62,16 @@ func TestMatMulWrapperFamily(t *testing.T) {
 	near("MatMulTransAAcc", ta)
 
 	into := make([]float32, m*n)
-	matMulInto(into, a.Data(), b.Data(), m, k, n)
+	gemmParallel(f32Kernels, into, n, a.Data(), k, false, b.Data(), n, false, m, k, n, false)
 	for i, w := range want.Data() {
 		if into[i] != w {
-			t.Fatalf("matMulInto element %d = %g, want %g", i, into[i], w)
+			t.Fatalf("gemmParallel element %d = %g, want %g", i, into[i], w)
 		}
 	}
-	matMulAccInto(into, a.Data(), b.Data(), m, k, n)
+	gemmParallel(f32Kernels, into, n, a.Data(), k, false, b.Data(), n, false, m, k, n, true)
 	for i, w := range want.Data() {
 		if d := into[i] - 2*w; d > 1e-5 || d < -1e-5 {
-			t.Fatalf("matMulAccInto element %d = %g, want ≈%g", i, into[i], 2*w)
+			t.Fatalf("gemmParallel acc element %d = %g, want ≈%g", i, into[i], 2*w)
 		}
 	}
 }
@@ -217,11 +217,11 @@ func TestConv2dInt8StridedMatchesNaive(t *testing.T) {
 // TestGemmI8SerialDegenerate: zero-sized operands are exact no-ops or
 // zero fills, never panics or stale data.
 func TestGemmI8SerialDegenerate(t *testing.T) {
-	ia := getIArena()
-	defer ia.release()
-	gemmI8Serial(nil, 0, nil, 0, nil, 0, false, 0, 3, 0, ia)
+	var sc scratch
+	defer sc.release()
+	gemmSerial(i8Kernels, nil, 0, nil, 0, false, nil, 0, false, 0, 3, 0, false, &sc)
 	dst := []int32{1, 2, 3, 4}
-	gemmI8Serial(dst, 2, nil, 0, nil, 0, false, 2, 0, 2, ia)
+	gemmSerial(i8Kernels, dst, 2, nil, 0, false, nil, 0, false, 2, 0, 2, false, &sc)
 	for i, v := range dst {
 		if v != 0 {
 			t.Fatalf("k=0 must zero dst, element %d = %d", i, v)
@@ -238,61 +238,70 @@ func TestQuantizeI8IntoLengthMismatchPanics(t *testing.T) {
 	QuantizeI8Into(make([]int8, 2), make([]float32, 3), 1, 0)
 }
 
-// TestIArenaGrowthAndMarkGuards: takes that outgrow a section leave
-// previously taken slices valid on the old array, and a restore whose
-// mark predates a reallocation is a guarded no-op (rolling the offset
-// back onto the fresh buffer would alias live slices).
-func TestIArenaGrowthAndMarkGuards(t *testing.T) {
-	ia := getIArena()
-	defer ia.release()
+// TestArenaGrowthAndMarkGuards, for every element type of the generic
+// arena: takes that outgrow the buffer leave previously taken slices
+// valid on the old array, a restore whose mark predates a reallocation is
+// a guarded no-op (rolling the offset back onto the fresh buffer would
+// alias live slices), and a same-generation restore rolls back.
+func TestArenaGrowthAndMarkGuards(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T)
+	}{
+		{"float32", arenaGuards[float32]},
+		{"int8", arenaGuards[int8]},
+		{"int16", arenaGuards[int16]},
+		{"int32", arenaGuards[int32]},
+	} {
+		t.Run(tc.name, tc.run)
+	}
+}
 
-	ia.reserve8(4)
-	first8 := ia.take8(4)
-	first8[0] = 42
-	m8 := ia.mark8()
-	grown8 := ia.take8(1 << 12) // forces reallocation
-	grown8[0] = 1
-	if first8[0] != 42 {
-		t.Fatal("take8 growth invalidated a live slice")
+func arenaGuards[T elem](t *testing.T) {
+	var sc scratch
+	if arenaOf[T](&sc) != arenaOf[T](&sc) {
+		t.Fatal("a scratch must hand out one arena per element type")
 	}
-	off := ia.off8
-	ia.restore8(m8)
-	if ia.off8 != off {
-		t.Fatal("restore8 across a reallocation must be a no-op")
+	sc.release()
+
+	// Fresh arenas, not pooled ones, so the sizes below are the buffer's.
+	a := new(arena[T])
+	a.reserve(4)
+	first := a.take(4)
+	first[0] = 42
+	m := a.mark()
+	grown := a.take(1 << 12) // forces reallocation
+	grown[0] = 1
+	if first[0] != 42 {
+		t.Fatal("growth invalidated a live slice")
+	}
+	off := a.off
+	a.restore(m)
+	if a.off != off {
+		t.Fatal("restore across a reallocation must be a no-op")
 	}
 
-	ia.reserve16(4)
-	first16 := ia.take16(4)
-	first16[0] = 7
-	m16 := ia.mark16()
-	ia.take16(1 << 12)
-	if first16[0] != 7 {
-		t.Fatal("take16 growth invalidated a live slice")
-	}
-	off16 := ia.off16
-	ia.restore16(m16)
-	if ia.off16 != off16 {
-		t.Fatal("restore16 across a reallocation must be a no-op")
+	// Same-generation restores do roll back (a fresh arena with headroom,
+	// so the takes can't trigger another reallocation).
+	// Reservations add up: two users of one arena take their shares
+	// without a reallocation between them.
+	c := new(arena[T])
+	c.reserve(3)
+	c.reserve(5)
+	c.take(3)
+	gen := c.gen
+	c.take(5)
+	if c.gen != gen || len(c.buf) != 8 {
+		t.Fatal("takes within the summed reservation must not reallocate")
 	}
 
-	// Same-generation restores do roll back (fresh arena with headroom
-	// so the take can't trigger another reallocation).
-	ib := getIArena()
-	ib.reserve16(64)
-	ib.take16(8)
-	m := ib.mark16()
-	ib.take16(8)
-	ib.restore16(m)
-	if ib.off16 != m.off {
-		t.Fatal("same-generation restore16 must roll back")
-	}
-	ib.release()
-
-	ia.reserve32(4)
-	first32 := ia.take32(4)
-	first32[0] = 9
-	ia.take32(1 << 12)
-	if first32[0] != 9 {
-		t.Fatal("take32 growth invalidated a live slice")
+	b := new(arena[T])
+	b.reserve(64)
+	b.take(8)
+	m = b.mark()
+	b.take(8)
+	b.restore(m)
+	if b.off != m.off {
+		t.Fatal("same-generation restore must roll back")
 	}
 }

@@ -29,6 +29,16 @@ func SetWorkers(n int) int {
 // Workers returns the current kernel parallelism degree.
 func Workers() int { return int(workers.Load()) }
 
+// KernelBackend names the active micro-kernel implementation: "avx2"
+// when the assembly tier runs, else "scalar". The two produce
+// bit-identical results, so it is a diagnostic only.
+func KernelBackend() string {
+	if gemmAVX2 {
+		return "avx2"
+	}
+	return "scalar"
+}
+
 // --- persistent worker pool ---------------------------------------------
 //
 // Kernels used to spawn fresh goroutines on every parallelFor call, so a

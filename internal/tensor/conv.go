@@ -39,31 +39,156 @@ func ConvOutShape(inShape, wShape []int, spec ConvSpec) []int {
 	return []int{inShape[0], wShape[0], oh, ow}
 }
 
-func checkConvShapes(x, w, bias *Tensor, spec ConvSpec) ConvSpec {
+// convGeom is a checked convolution's geometry: input [N,C,H,W], weight
+// [Cout,Cg,KH,KW] in G groups, output [N,Cout,OH,OW]. Each (sample,
+// group) unit is one [coutG, kdim] × [kdim, l] GEMM.
+type convGeom struct {
+	spec                     ConvSpec
+	n, c, h, wd              int
+	cout, cg, kh, kw, oh, ow int
+	g, coutG, l, kdim        int
+}
+
+// checkConvShapes checks a convolution of x with a weight of shape wShape
+// under spec, on either backend, and returns its geometry.
+func checkConvShapes(x *Tensor, wShape []int, spec ConvSpec) convGeom {
 	spec = spec.Canon()
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Conv2d input must be [N,C,H,W], got %v", x.shape))
 	}
-	if w.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: Conv2d weight must be [Cout,Cin/g,KH,KW], got %v", w.shape))
+	if len(wShape) != 4 {
+		panic(fmt.Sprintf("tensor: Conv2d weight must be [Cout,Cin/g,KH,KW], got %v", wShape))
 	}
-	c := x.shape[1]
-	cout, cg := w.shape[0], w.shape[1]
-	if c%spec.Groups != 0 || cout%spec.Groups != 0 {
-		panic(fmt.Sprintf("tensor: Conv2d channels C=%d Cout=%d not divisible by groups=%d", c, cout, spec.Groups))
+	cv := convGeom{spec: spec, n: x.shape[0], c: x.shape[1], h: x.shape[2], wd: x.shape[3],
+		cout: wShape[0], cg: wShape[1], kh: wShape[2], kw: wShape[3], g: spec.Groups}
+	if cv.c%cv.g != 0 || cv.cout%cv.g != 0 {
+		panic(fmt.Sprintf("tensor: Conv2d channels C=%d Cout=%d not divisible by groups=%d", cv.c, cv.cout, cv.g))
 	}
-	if cg != c/spec.Groups {
-		panic(fmt.Sprintf("tensor: Conv2d weight per-group channels %d != C/groups = %d", cg, c/spec.Groups))
+	if cv.cg != cv.c/cv.g {
+		panic(fmt.Sprintf("tensor: Conv2d weight per-group channels %d != C/groups = %d", cv.cg, cv.c/cv.g))
 	}
-	if bias != nil && (bias.Rank() != 1 || bias.shape[0] != cout) {
-		panic(fmt.Sprintf("tensor: Conv2d bias shape %v does not match Cout=%d", bias.shape, cout))
+	cv.oh = convOutSize(cv.h, cv.kh, spec.StrideH, spec.PadH)
+	cv.ow = convOutSize(cv.wd, cv.kw, spec.StrideW, spec.PadW)
+	if cv.oh <= 0 || cv.ow <= 0 {
+		panic(fmt.Sprintf("tensor: Conv2d output size %dx%d not positive for input %v kernel %v spec %+v", cv.oh, cv.ow, x.shape, wShape, spec))
 	}
-	oh := convOutSize(x.shape[2], w.shape[2], spec.StrideH, spec.PadH)
-	ow := convOutSize(x.shape[3], w.shape[3], spec.StrideW, spec.PadW)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Conv2d output size %dx%d not positive for input %v kernel %v spec %+v", oh, ow, x.shape, w.shape, spec))
+	cv.coutG, cv.l, cv.kdim = cv.cout/cv.g, cv.oh*cv.ow, cv.cg*cv.kh*cv.kw
+	return cv
+}
+
+// checkDst panics unless dst has the convolution's output shape.
+func (cv *convGeom) checkDst(dst *Tensor, op string) {
+	if want := [4]int{cv.n, cv.cout, cv.oh, cv.ow}; !sameShape(dst.shape, want[:]) {
+		panic(fmt.Sprintf("tensor: %s dst shape %v != expected %v", op, dst.shape, want))
 	}
-	return spec
+}
+
+// colLen is the im2col scratch one unit needs: none when the image slab
+// is the column matrix.
+func (cv *convGeom) colLen() int {
+	if cv.spec.pointwise(cv.kh, cv.kw) {
+		return 0
+	}
+	return cv.kdim * cv.l
+}
+
+// slab returns sample s's channels of group gi, [Cg, H, W], out of the
+// [N, C, H, W] data x: all a unit reads of its input.
+func slab[T elem](cv *convGeom, x []T, s, gi int) []T {
+	lo := (s*cv.c + gi*cv.cg) * cv.h * cv.wd
+	return x[lo : lo+cv.cg*cv.h*cv.wd]
+}
+
+// convCols returns a unit's [Cg·KH·KW, OH·OW] column matrix over its
+// [Cg, H, W] input slab img: img itself for a pointwise conv, else col
+// filled by im2col with pad.
+func convCols[T elem](cv *convGeom, col, img []T, pad T) []T {
+	if cv.spec.pointwise(cv.kh, cv.kw) {
+		return img
+	}
+	im2colInto(col, img, 0, cv.cg, cv.h, cv.wd, cv.kh, cv.kw, cv.oh, cv.ow, cv.spec, pad)
+	return col
+}
+
+// convUnits runs chunk over a conv's units [0, units) — (sample, group)
+// pairs, or groups — in contiguous chunks. Every unit owns a disjoint
+// output slab and its GEMMs keep their per-element chains, so the bits
+// never depend on the worker count. With at least as many units as
+// workers the chunks fan out and fanned is set: chunk then runs its GEMMs
+// serially (convGEMM) on its own scratch and must reserve their pack
+// panels. Otherwise one chunk runs on the caller and the parallelism
+// moves inside the GEMMs, which split output rows or columns without
+// touching the chains either.
+func convUnits(units int, chunk func(lo, hi int, fanned bool)) {
+	if Workers() > 1 && units >= Workers() {
+		parallelForChunks(units, func(lo, hi int) { chunk(lo, hi, true) })
+		return
+	}
+	chunk(0, units, false)
+}
+
+// convGEMM runs one unit's GEMM: serially with pack panels from sc when
+// the units fan out, else split across the workers.
+func convGEMM[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], fanned bool, sc *scratch, dst []Out, ldc int, a []In, lda int, transA bool, b []In, ldb int, transB bool, m, k, n int, acc bool) {
+	if fanned {
+		gemmSerial(g, dst, ldc, a, lda, transA, b, ldb, transB, m, k, n, acc, sc)
+		return
+	}
+	gemmParallel(g, dst, ldc, a, lda, transA, b, ldb, transB, m, k, n, acc)
+}
+
+// convStages is what a backend writes itself of a conv forward.
+type convStages[In, Out elem] interface {
+	// load returns unit (s, gi)'s [Cg, H, W] input slab in the GEMM's
+	// operand type, converted into buf if it must be.
+	load(buf []In, s, gi int) []In
+	// result returns where the unit's [coutG, l] GEMM result goes: acc,
+	// or the output itself.
+	result(acc []Out, s, gi int) []Out
+	// finish is the epilogue on that result.
+	finish(res []Out, s, gi int)
+}
+
+// convJob is one conv forward on the lowering both backends share: the
+// checked geometry, the backend's GEMM kernels, its weights [Cout,
+// Cg·KH·KW] and im2col pad value in the GEMM's operand type, its stages,
+// and the per-unit scratch its load and result stages use (the float32
+// backend reads its input and writes its output in place and needs none;
+// the int8 backend quantizes each slab and accumulates int32).
+type convJob[In, AP, BP, Out elem] struct {
+	cv            *convGeom
+	gemm          *gemmKernels[In, AP, BP, Out]
+	w             []In
+	pad           In
+	inLen, accLen int
+	st            convStages[In, Out]
+}
+
+// run is the one conv lowering: the unit fan-out, the pointwise slab vs
+// im2col choice, the scratch reservation, and per unit load → im2col →
+// GEMM → finish.
+func (j *convJob[In, AP, BP, Out]) run() { convUnits(j.cv.n*j.cv.g, j.units) }
+
+func (j *convJob[In, AP, BP, Out]) units(lo, hi int, fanned bool) {
+	cv := j.cv
+	colLen := cv.colLen()
+	var sc scratch
+	arenaOf[In](&sc).reserve(j.inLen + colLen)
+	arenaOf[Out](&sc).reserve(j.accLen)
+	if fanned {
+		gemmReserve(j.gemm, &sc, cv.coutG, cv.kdim, cv.l)
+	}
+	buf, col := arenaOf[In](&sc).take(j.inLen), arenaOf[In](&sc).take(colLen)
+	acc := arenaOf[Out](&sc).take(j.accLen)
+	for u := lo; u < hi; u++ {
+		s, gi := u/cv.g, u%cv.g
+		cols := convCols(cv, col, j.st.load(buf, s, gi), j.pad)
+		res := j.st.result(acc, s, gi)
+		wg := j.w[gi*cv.coutG*cv.kdim : (gi+1)*cv.coutG*cv.kdim]
+		convGEMM(j.gemm, fanned, &sc, res, cv.l, wg, cv.kdim, false, cols, cv.l, false, cv.coutG, cv.kdim, cv.l, false)
+		j.st.finish(res, s, gi)
+	}
+	sc.release()
 }
 
 // pointwise reports whether a kh×kw convolution under this (canonical)
@@ -77,7 +202,7 @@ func (s ConvSpec) pointwise(kh, kw int) bool {
 // fillPad sets every element of dst to pad. A plain store loop on
 // purpose: nearly every run is a conv's pad columns, one to three
 // elements long, where a memclr call costs more than the stores.
-func fillPad[T float32 | int8](dst []T, pad T) {
+func fillPad[T elem](dst []T, pad T) {
 	for i := range dst {
 		dst[i] = pad
 	}
@@ -101,7 +226,7 @@ func fillPad[T float32 | int8](dst []T, pad T) {
 //   - unit horizontal stride otherwise: per output row one left-pad fill,
 //     one copy of the contiguous image span, one right-pad fill;
 //   - horizontally strided: the per-tap loop with its bounds branches.
-func im2colInto[T float32 | int8](col, img []T, c0, cg, h, wd, kh, kw, oh, ow int, spec ConvSpec, pad T) {
+func im2colInto[T elem](col, img []T, c0, cg, h, wd, kh, kw, oh, ow int, spec ConvSpec, pad T) {
 	l := oh * ow
 	for c := 0; c < cg; c++ {
 		chImg := img[(c0+c)*h*wd : (c0+c+1)*h*wd]
@@ -210,9 +335,9 @@ func col2imAccInto(imgGrad []float32, col []float32, c0, cg, h, wd, kh, kw, oh, 
 // every deep-learning framework) of x [N,C,H,W] with weight
 // [Cout,C/groups,KH,KW] and optional bias [Cout], using im2col + GEMM.
 func Conv2d(x, w, bias *Tensor, spec ConvSpec) *Tensor {
-	spec = checkConvShapes(x, w, bias, spec)
-	out := New(ConvOutShape(x.shape, w.shape, spec)...)
-	conv2dInto(out, x, w, bias, spec)
+	cv := checkConvShapes(x, w.shape, spec)
+	out := New(cv.n, cv.cout, cv.oh, cv.ow)
+	conv2dInto(out, x, w, bias, &cv)
 	return out
 }
 
@@ -220,87 +345,49 @@ func Conv2d(x, w, bias *Tensor, spec ConvSpec) *Tensor {
 // ConvOutShape(x, w, spec). It lets layers reuse an output buffer across
 // forward passes instead of allocating one per call.
 func Conv2dInto(dst, x, w, bias *Tensor, spec ConvSpec) {
-	spec = checkConvShapes(x, w, bias, spec)
-	want := ConvOutShape(x.shape, w.shape, spec)
-	if !sameShape(dst.shape, want) {
-		panic(fmt.Sprintf("tensor: Conv2dInto dst shape %v != expected %v", dst.shape, want))
-	}
-	conv2dInto(dst, x, w, bias, spec)
+	cv := checkConvShapes(x, w.shape, spec)
+	cv.checkDst(dst, "Conv2dInto")
+	conv2dInto(dst, x, w, bias, &cv)
 }
 
-// conv2dInto is the forward kernel; spec must be canonical and shapes
-// checked. Work is parallelized over the N×groups axis — each (sample,
-// group) unit owns a disjoint slab of out, its own im2col scratch, and a
-// strictly serial GEMM, so the per-element accumulation chains (and hence
-// the bits of the result) never depend on the worker count. When there are
-// fewer units than workers (single small image), the unit loop runs serial
-// and the parallelism moves inside the GEMM instead, which partitions
-// output columns without touching the chains either.
-func conv2dInto(out, x, w, bias *Tensor, spec ConvSpec) {
-	n, c, h, wd := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	cout, cg, kh, kw := w.shape[0], w.shape[1], w.shape[2], w.shape[3]
-	oh := convOutSize(h, kh, spec.StrideH, spec.PadH)
-	ow := convOutSize(wd, kw, spec.StrideW, spec.PadW)
-	g := spec.Groups
-	coutG := cout / g
-	l := oh * ow
-	kdim := cg * kh * kw
-
-	// colLen is the im2col scratch one unit needs: none when the image
-	// slab is the column matrix.
-	pointwise := spec.pointwise(kh, kw)
-	colLen := kdim * l
-	if pointwise {
-		colLen = 0
+// conv2dInto is the float32 forward.
+func conv2dInto(out, x, w, bias *Tensor, cv *convGeom) {
+	if bias != nil && (bias.Rank() != 1 || bias.shape[0] != cv.cout) {
+		panic(fmt.Sprintf("tensor: Conv2d bias shape %v does not match Cout=%d", bias.shape, cv.cout))
 	}
+	f := &f32Conv{cv: *cv, x: x, out: out, bias: bias}
+	f.job = convJob[float32, float32, float32, float32]{cv: &f.cv, gemm: f32Kernels, w: w.data, st: f}
+	f.job.run()
+}
 
-	unit := func(u int, col []float32, ar *arena) {
-		s, gi := u/g, u%g
-		img := x.data[s*c*h*wd : (s+1)*c*h*wd]
-		outImg := out.data[s*cout*l : (s+1)*cout*l]
-		if pointwise {
-			col = img[gi*cg*l : (gi+1)*cg*l]
-		} else {
-			im2colInto(col, img, gi*cg, cg, h, wd, kh, kw, oh, ow, spec, 0)
-		}
-		wg := w.data[gi*coutG*kdim : (gi+1)*coutG*kdim]
-		og := outImg[gi*coutG*l : (gi+1)*coutG*l]
-		if ar != nil {
-			gemmSerial(og, l, wg, kdim, false, col, l, false, coutG, kdim, l, false, ar)
-		} else {
-			gemmParallel(og, l, wg, kdim, false, col, l, false, coutG, kdim, l, false)
-		}
-		if bias != nil {
-			for oc := gi * coutG; oc < (gi+1)*coutG; oc++ {
-				bv := bias.data[oc]
-				row := outImg[oc*l : (oc+1)*l]
-				for i := range row {
-					row[i] += bv
-				}
-			}
-		}
-	}
+// f32Conv is the float32 forward's stages: units read the input and
+// write the output in place, and the epilogue adds the bias rows. It
+// holds its job, so one allocation carries a call.
+type f32Conv struct {
+	job          convJob[float32, float32, float32, float32]
+	cv           convGeom
+	x, out, bias *Tensor
+}
 
-	units := n * g
-	if Workers() > 1 && units >= Workers() {
-		parallelForChunks(units, func(lo, hi int) {
-			ar := getArena()
-			ar.reserve(colLen + gemmPackBound(coutG, kdim, l))
-			col := ar.take(colLen)
-			for u := lo; u < hi; u++ {
-				unit(u, col, ar)
-			}
-			ar.release()
-		})
+func (f *f32Conv) load(_ []float32, s, gi int) []float32 { return slab(&f.cv, f.x.data, s, gi) }
+
+func (f *f32Conv) result(_ []float32, s, gi int) []float32 {
+	cv := &f.cv
+	return f.out.data[(s*cv.cout+gi*cv.coutG)*cv.l : (s*cv.cout+(gi+1)*cv.coutG)*cv.l]
+}
+
+func (f *f32Conv) finish(res []float32, _, gi int) {
+	if f.bias == nil {
 		return
 	}
-	ar := getArena()
-	ar.reserve(colLen)
-	col := ar.take(colLen)
-	for u := 0; u < units; u++ {
-		unit(u, col, nil)
+	cv := &f.cv
+	for ocg := 0; ocg < cv.coutG; ocg++ {
+		bv := f.bias.data[gi*cv.coutG+ocg]
+		row := res[ocg*cv.l : (ocg+1)*cv.l]
+		for i := range row {
+			row[i] += bv
+		}
 	}
-	ar.release()
 }
 
 // Conv2dGrads holds the result of Conv2dBackward.
@@ -321,18 +408,12 @@ type Conv2dGrads struct {
 // over the full N×groups axis. Both choices keep every accumulation chain
 // independent of the worker count.
 func Conv2dBackward(x, w *Tensor, hasBias bool, gradOut *Tensor, spec ConvSpec, needInput bool) Conv2dGrads {
-	spec = checkConvShapes(x, w, nil, spec)
-	n, c, h, wd := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	cout, cg, kh, kw := w.shape[0], w.shape[1], w.shape[2], w.shape[3]
-	oh := convOutSize(h, kh, spec.StrideH, spec.PadH)
-	ow := convOutSize(wd, kw, spec.StrideW, spec.PadW)
-	if !sameShape(gradOut.shape, []int{n, cout, oh, ow}) {
-		panic(fmt.Sprintf("tensor: Conv2dBackward gradOut shape %v != expected %v", gradOut.shape, []int{n, cout, oh, ow}))
+	cv := checkConvShapes(x, w.shape, spec)
+	n, c, h, wd := cv.n, cv.c, cv.h, cv.wd
+	cout, g, coutG, l, kdim := cv.cout, cv.g, cv.coutG, cv.l, cv.kdim
+	if want := []int{n, cout, cv.oh, cv.ow}; !sameShape(gradOut.shape, want) {
+		panic(fmt.Sprintf("tensor: Conv2dBackward gradOut shape %v != expected %v", gradOut.shape, want))
 	}
-	g := spec.Groups
-	coutG := cout / g
-	l := oh * ow
-	kdim := cg * kh * kw
 
 	grads := Conv2dGrads{Weight: New(w.shape...)}
 	if hasBias {
@@ -352,47 +433,25 @@ func Conv2dBackward(x, w *Tensor, hasBias bool, gradOut *Tensor, spec ConvSpec, 
 	// dW pass: per group, sequential over samples.
 	// dW_g += gOut_g [coutG, l] × colᵀ (col is [kdim, l]; the image slab
 	// itself for a pointwise conv, as in the forward pass).
-	pointwise := spec.pointwise(kh, kw)
-	colLen := kdim * l
-	if pointwise {
-		colLen = 0
-	}
-	dwGroup := func(gi int, col []float32, ar *arena) {
-		gwg := grads.Weight.data[gi*coutG*kdim : (gi+1)*coutG*kdim]
-		for s := 0; s < n; s++ {
-			img := x.data[s*c*h*wd : (s+1)*c*h*wd]
-			if pointwise {
-				col = img[gi*cg*l : (gi+1)*cg*l]
-			} else {
-				im2colInto(col, img, gi*cg, cg, h, wd, kh, kw, oh, ow, spec, 0)
-			}
-			gog := gradOut.data[s*cout*l+gi*coutG*l : s*cout*l+(gi+1)*coutG*l]
-			if ar != nil {
-				gemmSerial(gwg, kdim, gog, l, false, col, l, true, coutG, l, kdim, true, ar)
-			} else {
-				gemmParallel(gwg, kdim, gog, l, false, col, l, true, coutG, l, kdim, true)
-			}
-		}
-	}
-	if Workers() > 1 && g >= Workers() {
-		parallelForChunks(g, func(lo, hi int) {
-			ar := getArena()
-			ar.reserve(colLen + gemmPackBound(coutG, l, kdim))
-			col := ar.take(colLen)
-			for gi := lo; gi < hi; gi++ {
-				dwGroup(gi, col, ar)
-			}
-			ar.release()
-		})
-	} else {
-		ar := getArena()
+	colLen := cv.colLen()
+	convUnits(g, func(lo, hi int, fanned bool) {
+		var sc scratch
+		defer sc.release()
+		ar := arenaOf[float32](&sc)
 		ar.reserve(colLen)
-		col := ar.take(colLen)
-		for gi := 0; gi < g; gi++ {
-			dwGroup(gi, col, nil)
+		if fanned {
+			gemmReserve(f32Kernels, &sc, coutG, l, kdim)
 		}
-		ar.release()
-	}
+		col := ar.take(colLen)
+		for gi := lo; gi < hi; gi++ {
+			gwg := grads.Weight.data[gi*coutG*kdim : (gi+1)*coutG*kdim]
+			for s := 0; s < n; s++ {
+				gog := gradOut.data[(s*cout+gi*coutG)*l : (s*cout+(gi+1)*coutG)*l]
+				cols := convCols(&cv, col, slab(&cv, x.data, s, gi), 0)
+				convGEMM(f32Kernels, fanned, &sc, gwg, kdim, gog, l, false, cols, l, true, coutG, l, kdim, true)
+			}
+		}
+	})
 
 	if !needInput {
 		return grads
@@ -402,37 +461,23 @@ func Conv2dBackward(x, w *Tensor, hasBias bool, gradOut *Tensor, spec ConvSpec, 
 	// back by col2im. Units (s, gi) touch disjoint regions of grads.Input.
 	// The GEMM overwrites colGrad, so the scratch needs no zeroing.
 	grads.Input = New(x.shape...)
-	dxUnit := func(u int, colGrad []float32, ar *arena) {
-		s, gi := u/g, u%g
-		wg := w.data[gi*coutG*kdim : (gi+1)*coutG*kdim]
-		gog := gradOut.data[s*cout*l+gi*coutG*l : s*cout*l+(gi+1)*coutG*l]
-		if ar != nil {
-			gemmSerial(colGrad, l, wg, kdim, true, gog, l, false, kdim, coutG, l, false, ar)
-		} else {
-			gemmParallel(colGrad, l, wg, kdim, true, gog, l, false, kdim, coutG, l, false)
-		}
-		imgGrad := grads.Input.data[s*c*h*wd : (s+1)*c*h*wd]
-		col2imAccInto(imgGrad, colGrad, gi*cg, cg, h, wd, kh, kw, oh, ow, spec)
-	}
-	units := n * g
-	if Workers() > 1 && units >= Workers() {
-		parallelForChunks(units, func(lo, hi int) {
-			ar := getArena()
-			ar.reserve(kdim*l + gemmPackBound(kdim, coutG, l))
-			colGrad := ar.take(kdim * l)
-			for u := lo; u < hi; u++ {
-				dxUnit(u, colGrad, ar)
-			}
-			ar.release()
-		})
-	} else {
-		ar := getArena()
+	convUnits(n*g, func(lo, hi int, fanned bool) {
+		var sc scratch
+		defer sc.release()
+		ar := arenaOf[float32](&sc)
 		ar.reserve(kdim * l)
-		colGrad := ar.take(kdim * l)
-		for u := 0; u < units; u++ {
-			dxUnit(u, colGrad, nil)
+		if fanned {
+			gemmReserve(f32Kernels, &sc, kdim, coutG, l)
 		}
-		ar.release()
-	}
+		colGrad := ar.take(kdim * l)
+		for u := lo; u < hi; u++ {
+			s, gi := u/g, u%g
+			wg := w.data[gi*coutG*kdim : (gi+1)*coutG*kdim]
+			gog := gradOut.data[(s*cout+gi*coutG)*l : (s*cout+(gi+1)*coutG)*l]
+			convGEMM(f32Kernels, fanned, &sc, colGrad, l, wg, kdim, true, gog, l, false, kdim, coutG, l, false)
+			imgGrad := grads.Input.data[s*c*h*wd : (s+1)*c*h*wd]
+			col2imAccInto(imgGrad, colGrad, gi*cv.cg, cv.cg, h, wd, cv.kh, cv.kw, cv.oh, cv.ow, cv.spec)
+		}
+	})
 	return grads
 }

@@ -38,109 +38,59 @@ type QuantParams struct {
 	OutScale float32
 }
 
+// fold returns output channel oc's requant constants: the zero-point
+// correction zp·rowSum[oc], the dequant scale and the bias.
+func (qp *QuantParams) fold(oc int) (corr int32, scale, bias float32) {
+	if qp.Bias != nil {
+		bias = qp.Bias[oc]
+	}
+	return int32(qp.InZP) * qp.RowSums[oc], qp.InScale * qp.WScales[oc], bias
+}
+
 // Conv2dInt8Into computes a 2-D convolution of x [N,C,H,W] against int8
 // weight codes wq with shape wShape [Cout,C/groups,KH,KW], writing the
-// dequantized float32 result into dst. Parallelization mirrors the
-// float32 conv: disjoint (sample, group) units fan out across workers;
-// a single small unit instead parallelizes columns inside the GEMM.
+// dequantized float32 result into dst, on the conv lowering the float32
+// backend runs (convJob) with the int8 GEMM and i8Conv's stages.
 func Conv2dInt8Into(dst, x *Tensor, wq []int8, wShape []int, qp QuantParams, spec ConvSpec) {
-	spec = spec.Canon()
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: Conv2dInt8 input must be [N,C,H,W], got %v", x.shape))
-	}
-	if len(wShape) != 4 {
-		panic(fmt.Sprintf("tensor: Conv2dInt8 weight shape must be rank 4, got %v", wShape))
-	}
-	n, c, h, wd := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	cout, cg, kh, kw := wShape[0], wShape[1], wShape[2], wShape[3]
-	if len(wq) != cout*cg*kh*kw {
+	cv := checkConvShapes(x, wShape, spec)
+	if len(wq) != cv.cout*cv.kdim {
 		panic(fmt.Sprintf("tensor: Conv2dInt8 weight codes %d != shape %v", len(wq), wShape))
 	}
-	if len(qp.WScales) != cout || len(qp.RowSums) != cout {
-		panic(fmt.Sprintf("tensor: Conv2dInt8 needs %d per-channel scales and row sums, got %d/%d", cout, len(qp.WScales), len(qp.RowSums)))
+	if len(qp.WScales) != cv.cout || len(qp.RowSums) != cv.cout {
+		panic(fmt.Sprintf("tensor: Conv2dInt8 needs %d per-channel scales and row sums, got %d/%d", cv.cout, len(qp.WScales), len(qp.RowSums)))
 	}
-	g := spec.Groups
-	if c%g != 0 || cout%g != 0 || cg != c/g {
-		panic(fmt.Sprintf("tensor: Conv2dInt8 channels C=%d Cout=%d groups=%d Cg=%d inconsistent", c, cout, g, cg))
-	}
-	oh := convOutSize(h, kh, spec.StrideH, spec.PadH)
-	ow := convOutSize(wd, kw, spec.StrideW, spec.PadW)
-	want := []int{n, cout, oh, ow}
-	if !sameShape(dst.shape, want) {
-		panic(fmt.Sprintf("tensor: Conv2dInt8Into dst shape %v != expected %v", dst.shape, want))
-	}
-	coutG := cout / g
-	l := oh * ow
-	kdim := cg * kh * kw
+	cv.checkDst(dst, "Conv2dInt8Into")
 
-	// A pointwise conv reads the group's quantized channel slab in place
-	// (see ConvSpec.pointwise); the whole im2col pass and its col scratch
-	// disappear.
-	pointwise := spec.pointwise(kh, kw)
-	colLen := kdim * l
-	if pointwise {
-		colLen = 0
-	}
+	c := &i8Conv{cv: cv, x: x, dst: dst, qp: qp}
+	c.job = convJob[int8, int16, int8, int32]{cv: &c.cv, gemm: i8Kernels, w: wq, pad: qp.InZP,
+		inLen: cv.cg * cv.h * cv.wd, accLen: cv.coutG * cv.l, st: c}
+	c.job.run()
+}
 
-	// Quantize the whole input once; units only read their slab. The
-	// extra colLen + B-pack bound covers the serial path's column buffer
-	// and the GEMM's B panels so nested takes never reallocate.
-	ixa := getIArena()
-	ixa.reserve8(len(x.data) + colLen + gemmI8PackBoundB(kdim, l))
-	xq := ixa.take8(len(x.data))
-	QuantizeI8Into(xq, x.data, qp.InScale, qp.InZP)
+// i8Conv is the int8 forward's stages: each unit quantizes its input
+// slab, accumulates int32, and the requant epilogue writes dst. Like
+// f32Conv it holds its job.
+type i8Conv struct {
+	job    convJob[int8, int16, int8, int32]
+	cv     convGeom
+	x, dst *Tensor
+	qp     QuantParams
+}
 
-	unit := func(u int, col []int8, acc []int32, ia *iarena) {
-		s, gi := u/g, u%g
-		img := xq[s*c*h*wd : (s+1)*c*h*wd]
-		if pointwise {
-			col = img[gi*cg*h*wd : (gi+1)*cg*h*wd]
-		} else {
-			im2colInto(col, img, gi*cg, cg, h, wd, kh, kw, oh, ow, spec, qp.InZP)
-		}
-		wg := wq[gi*coutG*kdim : (gi+1)*coutG*kdim]
-		if ia != nil {
-			gemmI8Serial(acc, l, wg, kdim, col, l, false, coutG, kdim, l, ia)
-		} else {
-			gemmI8Parallel(acc, l, wg, kdim, col, l, false, coutG, kdim, l)
-		}
-		outImg := dst.data[s*cout*l : (s+1)*cout*l]
-		for ocg := 0; ocg < coutG; ocg++ {
-			oc := gi*coutG + ocg
-			scale := qp.InScale * qp.WScales[oc]
-			corr := int32(qp.InZP) * qp.RowSums[oc]
-			var bv float32
-			if qp.Bias != nil {
-				bv = qp.Bias[oc]
-			}
-			requantRow(outImg[oc*l:(oc+1)*l], acc[ocg*l:(ocg+1)*l], corr, scale, bv, qp.OutScale)
-		}
-	}
+func (c *i8Conv) load(buf []int8, s, gi int) []int8 {
+	QuantizeI8Into(buf, slab(&c.cv, c.x.data, s, gi), c.qp.InScale, c.qp.InZP)
+	return buf
+}
 
-	units := n * g
-	if Workers() > 1 && units >= Workers() {
-		parallelForChunks(units, func(lo, hi int) {
-			ia := getIArena()
-			ia.reserve8(colLen + gemmI8PackBoundB(kdim, l))
-			ia.reserve32(coutG * l)
-			ia.reserve16(gemmI8PackBoundA(coutG, kdim))
-			col := ia.take8(colLen)
-			acc := ia.take32(coutG * l)
-			for u := lo; u < hi; u++ {
-				unit(u, col, acc, ia)
-			}
-			ia.release()
-		})
-		ixa.release()
-		return
+func (c *i8Conv) result(acc []int32, _, _ int) []int32 { return acc }
+
+func (c *i8Conv) finish(acc []int32, s, gi int) {
+	cv, l := &c.cv, c.cv.l
+	for ocg := 0; ocg < cv.coutG; ocg++ {
+		oc := gi*cv.coutG + ocg
+		corr, scale, bias := c.qp.fold(oc)
+		requantRow(c.dst.data[(s*cv.cout+oc)*l:(s*cv.cout+oc+1)*l], acc[ocg*l:(ocg+1)*l], corr, scale, bias, c.qp.OutScale)
 	}
-	ixa.reserve32(coutG * l)
-	col := ixa.take8(colLen)
-	acc := ixa.take32(coutG * l)
-	for u := 0; u < units; u++ {
-		unit(u, col, acc, nil)
-	}
-	ixa.release()
 }
 
 // LinearInt8Into computes dst = dequant(quant(x) × Wqᵀ) for x [N, in]
@@ -158,25 +108,18 @@ func LinearInt8Into(dst, x *Tensor, wq []int8, qp QuantParams) {
 	if len(qp.WScales) != out || len(qp.RowSums) != out {
 		panic(fmt.Sprintf("tensor: LinearInt8 needs %d per-unit scales and row sums, got %d/%d", out, len(qp.WScales), len(qp.RowSums)))
 	}
-	ia := getIArena()
-	ia.reserve8(rows * in)
-	ia.reserve32(rows * out)
-	xq := ia.take8(rows * in)
-	acc := ia.take32(rows * out)
+	var sc scratch
+	xq := arenaOf[int8](&sc).take(rows * in)
+	acc := arenaOf[int32](&sc).take(rows * out)
 	QuantizeI8Into(xq, x.data, qp.InScale, qp.InZP)
-	gemmI8Parallel(acc, out, xq, in, wq, in, true, rows, in, out)
+	gemmParallel(i8Kernels, acc, out, xq, in, false, wq, in, true, rows, in, out, false)
 	for i := 0; i < rows; i++ {
 		arow := acc[i*out : (i+1)*out]
 		orow := dst.data[i*out : (i+1)*out]
 		for oc, av := range arow {
-			scale := qp.InScale * qp.WScales[oc]
-			corr := int32(qp.InZP) * qp.RowSums[oc]
-			var bv float32
-			if qp.Bias != nil {
-				bv = qp.Bias[oc]
-			}
-			orow[oc] = requantI8(av, corr, scale, bv, qp.OutScale)
+			corr, scale, bias := qp.fold(oc)
+			orow[oc] = requantI8(av, corr, scale, bias, qp.OutScale)
 		}
 	}
-	ia.release()
+	sc.release()
 }

@@ -1,8 +1,10 @@
 package tensor
 
-// Blocked GEMM backend. One driver serves all four matmul variants
-// (plain, accumulating, Aᵀ×B, A×Bᵀ) by parameterizing the pack routines
-// with leading dimensions and transpose flags.
+// Blocked GEMM. One driver serves both backends — float32 here, int8 in
+// gemm_i8.go, each contributing only its packers and kernels — and all
+// four matmul variants (plain, accumulating, Aᵀ×B, A×Bᵀ) by
+// parameterizing the pack routines with leading dimensions and transpose
+// flags.
 //
 // Determinism contract (DESIGN.md §10): for every output element dst[i,j]
 // the k-loop is a single left-to-right float32 accumulation chain
@@ -17,7 +19,7 @@ package tensor
 // scalar Go alike — keep one accumulator per element and use separate
 // multiply and add (never FMA). Consequently the result is bit-identical
 // regardless of worker count, row/column partitioning, tile shape, or
-// whether the naive fallback handled the call — the property the
+// whether the small-problem loop handled the call — the property the
 // campaign engine's (Seed, Trials) reproducibility rests on.
 
 const (
@@ -28,136 +30,108 @@ const (
 	gemmNC = 512 // columns of B packed per macro block
 )
 
-// gemmNaive is the reference kernel: the obvious triple loop, retained
-// both as the small-problem fallback and as the oracle the property
-// tests compare the blocked path against (exact float32 equality).
-// Element access: A[i,p] is a[i*lda+p], or a[p*lda+i] when transA;
-// B[p,j] is b[p*ldb+j], or b[j*ldb+p] when transB.
-func gemmNaive(dst []float32, ldc int, a []float32, lda int, transA bool, b []float32, ldb int, transB bool, m, k, n int, acc bool) {
-	for i := 0; i < m; i++ {
-		drow := dst[i*ldc : i*ldc+n]
-		for j := 0; j < n; j++ {
-			var s float32
-			if acc {
-				s = drow[j]
-			}
-			for p := 0; p < k; p++ {
-				var av, bv float32
-				if transA {
-					av = a[p*lda+i]
-				} else {
-					av = a[i*lda+p]
-				}
-				if transB {
-					bv = b[j*ldb+p]
-				} else {
-					bv = b[p*ldb+j]
-				}
-				s += av * bv
-			}
-			drow[j] = s
-		}
-	}
+// gemmKernels is one backend's half of the blocked GEMM: its pack
+// routines and its macro kernel, which owns the micro and edge kernels.
+// In is the operand element, Out the accumulator, AP and BP the A and B
+// panel elements. Everything else — the small-problem loop, the
+// jc/pc/ic loop nest, the pack-scratch sizing and the parallel split —
+// is the shared driver below, which never asks which backend it runs.
+type gemmKernels[In, AP, BP, Out elem] struct {
+	packA func(apack []AP, a []In, lda int, transA bool, ic, pc, mb, kb int)
+	packB func(bpack []BP, b []In, ldb int, transB bool, pc, jc, kb, nb int)
+	macro func(dst []Out, ldc, ic, jc int, apack []AP, bpack []BP, mb, nb, kb int, first bool)
+	// kStep is the multiple panels round a k-block up to: 1 for float32,
+	// 2 for the int8 k-pair layout.
+	kStep int
 }
 
-// gemmNaiveIKJ is gemmNaive with the p-loop hoisted outside the j-loop so
-// B rows stream contiguously — much faster for skinny outputs (small m).
-// For a fixed element (i, j) the terms still arrive in ascending p order,
-// one float32 add at a time, so the accumulation chain — and therefore the
-// result bits — match gemmNaive exactly.
-func gemmNaiveIKJ(dst []float32, ldc int, a []float32, lda int, transA bool, b []float32, ldb int, m, k, n int, acc bool) {
+// f32Kernels is the float32 backend.
+var f32Kernels = &gemmKernels[float32, float32, float32, float32]{packA: packA, packB: packB, macro: gemmMacro, kStep: 1}
+
+// roundUp rounds n up to a multiple of m.
+func roundUp(n, m int) int { return (n + m - 1) / m * m }
+
+// panelLens returns the A and B panel elements one gemmSerial call of
+// the given shape takes: one macro block each, in whole micro-tiles.
+func (g *gemmKernels[In, AP, BP, Out]) panelLens(m, k, n int) (int, int) {
+	kb := roundUp(min(k, gemmKC), g.kStep)
+	return roundUp(min(m, gemmMC), gemmMR) * kb, roundUp(min(n, gemmNC), gemmNR) * kb
+}
+
+// gemmReserve adds the pack panels of one gemmSerial call of the given
+// shape to sc's reservations: A panels in AP's arena, B panels in BP's.
+func gemmReserve[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], sc *scratch, m, k, n int) {
+	la, lb := g.panelLens(m, k, n)
+	arenaOf[AP](sc).reserve(la)
+	arenaOf[BP](sc).reserve(lb)
+}
+
+// gemmSmall computes problems below the blocking thresholds on either
+// backend: dot-product order when B is transposed (both operand rows
+// stream contiguously), row-streaming ikj order otherwise. Out(v) widens
+// an int8 code to int32 and is the identity on float32, where every
+// element is the ascending-p chain of the determinism contract — the
+// chain of the naive triple loop. Element access: A[i,p] is a[i*lda+p],
+// or a[p*lda+i] when transA; B[p,j] is b[p*ldb+j], or b[j*ldb+p] when
+// transB.
+func gemmSmall[In, Out elem](dst []Out, ldc int, a []In, lda int, transA bool, b []In, ldb int, transB bool, m, k, n int, acc bool) {
 	for i := 0; i < m; i++ {
 		drow := dst[i*ldc : i*ldc+n]
-		if !acc {
+		if transB {
 			for j := range drow {
-				drow[j] = 0
-			}
-		}
-		for p := 0; p < k; p++ {
-			var av float32
-			if transA {
-				av = a[p*lda+i]
-			} else {
-				av = a[i*lda+p]
-			}
-			brow := b[p*ldb : p*ldb+n]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
-// gemmSmall dispatches problems below the blocking thresholds: dot-product
-// order when B is transposed (both operand rows stream contiguously),
-// row-streaming ikj order otherwise.
-func gemmSmall(dst []float32, ldc int, a []float32, lda int, transA bool, b []float32, ldb int, transB bool, m, k, n int, acc bool) {
-	if transB {
-		// Rows of both operands are contiguous: plain dot products,
-		// branch-free inner loops, same ascending-p chains as gemmNaive.
-		for i := 0; i < m; i++ {
-			drow := dst[i*ldc : i*ldc+n]
-			for j := 0; j < n; j++ {
 				brow := b[j*ldb : j*ldb+k]
-				var s float32
+				var s Out
 				if acc {
 					s = drow[j]
 				}
 				if transA {
 					for p, bv := range brow {
-						s += a[p*lda+i] * bv
+						s += Out(a[p*lda+i]) * Out(bv)
 					}
 				} else {
 					arow := a[i*lda : i*lda+k]
 					for p, av := range arow {
-						s += av * brow[p]
+						s += Out(av) * Out(brow[p])
 					}
 				}
 				drow[j] = s
 			}
+			continue
 		}
-		return
+		// The p-loop outside the j-loop streams B rows; a fixed element
+		// still takes its terms in ascending p, one add at a time.
+		if !acc {
+			clear(drow)
+		}
+		for p := 0; p < k; p++ {
+			var av Out
+			if transA {
+				av = Out(a[p*lda+i])
+			} else {
+				av = Out(a[i*lda+p])
+			}
+			brow := b[p*ldb : p*ldb+n]
+			for j, bv := range brow {
+				drow[j] += av * Out(bv)
+			}
+		}
 	}
-	gemmNaiveIKJ(dst, ldc, a, lda, transA, b, ldb, m, k, n, acc)
-}
-
-// gemmReserve sizes ar for one gemmSerial call of the given shape (pack
-// panels only; callers add their own scratch on top).
-func gemmReserve(ar *arena, m, k, n int) {
-	ar.reserve(gemmPackBound(m, k, n))
-}
-
-// gemmPackBound returns the arena floats gemmSerial needs for a problem
-// of the given shape.
-func gemmPackBound(m, k, n int) int {
-	mb, kb, nb := m, k, n
-	if mb > gemmMC {
-		mb = gemmMC
-	}
-	if kb > gemmKC {
-		kb = gemmKC
-	}
-	if nb > gemmNC {
-		nb = gemmNC
-	}
-	return mb*kb + kb*nb
 }
 
 // gemmSerial computes dst = A×B (acc=false) or dst += A×B (acc=true) on
-// the calling goroutine using the blocked, packed kernel. dst rows are
-// ldc apart; transpose flags and leading dimensions are as in gemmNaive.
-// Pack panels come from ar (restored on return).
-func gemmSerial(dst []float32, ldc int, a []float32, lda int, transA bool, b []float32, ldb int, transB bool, m, k, n int, acc bool, ar *arena) {
+// the calling goroutine with g's blocked, packed kernels. dst rows are
+// ldc apart; transpose flags and leading dimensions are as in gemmSmall.
+// Pack panels come from sc (restored on return). b may itself live in
+// sc's arena (the conv path's column buffer): takes hand out disjoint
+// ranges, so the panels never alias it.
+func gemmSerial[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out, ldc int, a []In, lda int, transA bool, b []In, ldb int, transB bool, m, k, n int, acc bool, sc *scratch) {
 	if m == 0 || n == 0 {
 		return
 	}
 	if k == 0 {
 		if !acc {
 			for i := 0; i < m; i++ {
-				row := dst[i*ldc : i*ldc+n]
-				for j := range row {
-					row[j] = 0
-				}
+				clear(dst[i*ldc : i*ldc+n])
 			}
 		}
 		return
@@ -170,43 +144,72 @@ func gemmSerial(dst []float32, ldc int, a []float32, lda int, transA bool, b []f
 		return
 	}
 
-	mk := ar.mark()
-	mbMax, kbMax, nbMax := m, k, n
-	if mbMax > gemmMC {
-		mbMax = gemmMC
-	}
-	if kbMax > gemmKC {
-		kbMax = gemmKC
-	}
-	if nbMax > gemmNC {
-		nbMax = gemmNC
-	}
-	apack := ar.take(mbMax * kbMax)
-	bpack := ar.take(kbMax * nbMax)
-
+	arA, arB := arenaOf[AP](sc), arenaOf[BP](sc)
+	markA, markB := arA.mark(), arB.mark()
+	la, lb := g.panelLens(m, k, n)
+	apack, bpack := arA.take(la), arB.take(lb)
 	for jc := 0; jc < n; jc += gemmNC {
-		nb := n - jc
-		if nb > gemmNC {
-			nb = gemmNC
-		}
+		nb := min(n-jc, gemmNC)
 		for pc := 0; pc < k; pc += gemmKC {
-			kb := k - pc
-			if kb > gemmKC {
-				kb = gemmKC
-			}
+			kb := min(k-pc, gemmKC)
 			first := pc == 0 && !acc
-			packB(bpack, b, ldb, transB, pc, jc, kb, nb)
+			g.packB(bpack, b, ldb, transB, pc, jc, kb, nb)
 			for ic := 0; ic < m; ic += gemmMC {
-				mb := m - ic
-				if mb > gemmMC {
-					mb = gemmMC
-				}
-				packA(apack, a, lda, transA, ic, pc, mb, kb)
-				gemmMacro(dst, ldc, ic, jc, apack, bpack, mb, nb, kb, first)
+				mb := min(m-ic, gemmMC)
+				g.packA(apack, a, lda, transA, ic, pc, mb, kb)
+				g.macro(dst, ldc, ic, jc, apack, bpack, mb, nb, kb, first)
 			}
 		}
 	}
-	ar.restore(mk)
+	arB.restore(markB)
+	arA.restore(markA)
+}
+
+// gemmParallel is gemmSerial with the output split across Workers(). The
+// split only selects which goroutine computes which output element —
+// every element's accumulation chain is fixed by the determinism
+// contract — so results are bit-identical for any worker count. Tall
+// outputs split by rows; short-and-wide outputs (the conv im2col shape:
+// few output channels, many pixels) split by columns so all workers stay
+// busy. Chunks are whole micro-tiles, so no split adds an edge tile;
+// small problems, and those a split would leave in one chunk, run on the
+// caller. Each worker packs into its own scratch.
+func gemmParallel[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out, ldc int, a []In, lda int, transA bool, b []In, ldb int, transB bool, m, k, n int, acc bool) {
+	w := Workers()
+	rows := m >= n
+	dim, tile := n, gemmNR
+	if rows {
+		dim, tile = m, gemmMR
+	}
+	chunk := roundUp((dim+w-1)/w, tile)
+	if w <= 1 || m*k*n < 1<<15 || chunk >= dim {
+		var sc scratch
+		gemmReserve(g, &sc, m, k, n)
+		gemmSerial(g, dst, ldc, a, lda, transA, b, ldb, transB, m, k, n, acc, &sc)
+		sc.release()
+		return
+	}
+	runParallel(dim, chunk, (dim+chunk-1)/chunk, func(lo, hi int) {
+		var sc scratch
+		if rows {
+			// A stored [k,m] under transA: advancing by output row means
+			// advancing by stored column, and lo*lda could exceed len(a).
+			as := a[lo:]
+			if !transA {
+				as = a[lo*lda:]
+			}
+			gemmReserve(g, &sc, hi-lo, k, n)
+			gemmSerial(g, dst[lo*ldc:], ldc, as, lda, transA, b, ldb, transB, hi-lo, k, n, acc, &sc)
+		} else {
+			bs := b[lo:]
+			if transB {
+				bs = b[lo*ldb:]
+			}
+			gemmReserve(g, &sc, m, k, hi-lo)
+			gemmSerial(g, dst[lo:], ldc, a, lda, transA, bs, ldb, transB, m, k, hi-lo, acc, &sc)
+		}
+		sc.release()
+	})
 }
 
 // packA copies the mb×kb block of A at (ic, pc) into mr-row panels laid
@@ -340,6 +343,25 @@ func kernEdge(c []float32, ldc int, ap, bp []float32, rows, cols, kb int, first 
 			crow[j] = s
 		}
 	}
+}
+
+// kern4x16 and kern1x16 run the AVX2 micro-kernels when the CPU has them
+// (the gemmAVX2 gate), else their scalar twins: the same per-element
+// chains, so the choice never changes a bit.
+func kern4x16(c []float32, ldc int, ap, bp []float32, kb int, first bool) {
+	if gemmAVX2 && kb > 0 {
+		gemmKern4x16AVX(&c[0], ldc, &ap[0], &bp[0], kb, first)
+		return
+	}
+	kern4x16scalar(c, ldc, ap, bp, kb, first)
+}
+
+func kern1x16(c []float32, ap []float32, astride int, bp []float32, kb int, first bool) {
+	if gemmAVX2 && kb > 0 {
+		gemmKern1x16AVX(&c[0], &ap[0], astride, &bp[0], kb, first)
+		return
+	}
+	kern1x16scalar(c, ap, astride, bp, kb, first)
 }
 
 // kern4x16scalar is the portable micro-kernel: the 4×16 tile is computed

@@ -62,10 +62,10 @@ func TestGemmI8ForcedScalarMatchesDefault(t *testing.T) {
 
 	run := func() []int32 {
 		out := make([]int32, m*n)
-		ia := getIArena()
-		gemmI8Reserve(ia, m, k, n)
-		gemmI8Serial(out, n, a, k, b, n, false, m, k, n, ia)
-		ia.release()
+		var sc scratch
+		gemmReserve(i8Kernels, &sc, m, k, n)
+		gemmSerial(i8Kernels, out, n, a, k, false, b, n, false, m, k, n, false, &sc)
+		sc.release()
 		return out
 	}
 	withAVX := run()

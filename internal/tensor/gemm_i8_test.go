@@ -13,6 +13,28 @@ func randI8(rng *rand.Rand, n int) []int8 {
 	return s
 }
 
+// gemmI8Naive is the int8 reference: the obvious triple loop over int8
+// operands with an int32 accumulator per element. A[i,p] = a[i*lda+p];
+// B[p,j] = b[p*ldb+j], or b[j*ldb+p] when transB.
+func gemmI8Naive(dst []int32, ldc int, a []int8, lda int, b []int8, ldb int, transB bool, m, k, n int) {
+	for i := 0; i < m; i++ {
+		drow := dst[i*ldc : i*ldc+n]
+		for j := 0; j < n; j++ {
+			var s int32
+			for p := 0; p < k; p++ {
+				var bv int8
+				if transB {
+					bv = b[j*ldb+p]
+				} else {
+					bv = b[p*ldb+j]
+				}
+				s += int32(a[i*lda+p]) * int32(bv)
+			}
+			drow[j] = s
+		}
+	}
+}
+
 // TestGemmI8BlockedMatchesNaive drives the blocked int8 path over
 // randomized shapes — including tile edges, odd k (pair padding), and
 // multi-chunk k — and requires exact equality with the naive reference.
@@ -44,10 +66,10 @@ func TestGemmI8BlockedMatchesNaive(t *testing.T) {
 			gemmI8Naive(want, n, a, k, b, ldb, transB, m, k, n)
 
 			got := make([]int32, m*n)
-			ia := getIArena()
-			gemmI8Reserve(ia, m, k, n)
-			gemmI8Serial(got, n, a, k, b, ldb, transB, m, k, n, ia)
-			ia.release()
+			var sc scratch
+			gemmReserve(i8Kernels, &sc, m, k, n)
+			gemmSerial(i8Kernels, got, n, a, k, false, b, ldb, transB, m, k, n, false, &sc)
+			sc.release()
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("m=%d k=%d n=%d transB=%v: element %d = %d, want %d", m, k, n, transB, i, got[i], want[i])
@@ -57,7 +79,7 @@ func TestGemmI8BlockedMatchesNaive(t *testing.T) {
 			// Parallel column split must be identical too.
 			old := SetWorkers(4)
 			gotPar := make([]int32, m*n)
-			gemmI8Parallel(gotPar, n, a, k, b, ldb, transB, m, k, n)
+			gemmParallel(i8Kernels, gotPar, n, a, k, false, b, ldb, transB, m, k, n, false)
 			SetWorkers(old)
 			for i := range want {
 				if gotPar[i] != want[i] {
@@ -89,10 +111,10 @@ func TestGemmI8RandomizedShapes_Property(t *testing.T) {
 		want := make([]int32, m*n)
 		gemmI8Naive(want, n, a, k, b, ldb, transB, m, k, n)
 		got := make([]int32, m*n)
-		ia := getIArena()
-		gemmI8Reserve(ia, m, k, n)
-		gemmI8Serial(got, n, a, k, b, ldb, transB, m, k, n, ia)
-		ia.release()
+		var sc scratch
+		gemmReserve(i8Kernels, &sc, m, k, n)
+		gemmSerial(i8Kernels, got, n, a, k, false, b, ldb, transB, m, k, n, false, &sc)
+		sc.release()
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("iter %d m=%d k=%d n=%d transB=%v: element %d = %d, want %d", iter, m, k, n, transB, i, got[i], want[i])
@@ -102,26 +124,80 @@ func TestGemmI8RandomizedShapes_Property(t *testing.T) {
 }
 
 // TestGemmI8WorkerCountIdentity pins the cross-worker determinism
-// contract for the int8 backend: identical bits at 1, 2, 4, 8 workers.
+// contract for the int8 backend: identical bits at 1, 2, 4, 8 workers, on
+// both sides of every split threshold (the shapes of
+// TestGEMMWorkerCountBitIdentical's).
 func TestGemmI8WorkerCountIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	m, k, n := 24, 128, 600
-	a := randI8(rng, m*k)
-	b := randI8(rng, k*n)
-	ref := make([]int32, m*n)
 	old := SetWorkers(1)
-	gemmI8Parallel(ref, n, a, k, b, n, false, m, k, n)
-	for _, w := range []int{2, 4, 8} {
-		SetWorkers(w)
-		got := make([]int32, m*n)
-		gemmI8Parallel(got, n, a, k, b, n, false, m, k, n)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: element %d = %d, want %d", w, i, got[i], ref[i])
+	defer SetWorkers(old)
+	for _, sh := range [][3]int{{24, 128, 600}, {12, 400, 28}, {40, 300, 24}, {97, 200, 50}, {64, 300, 12}, {33, 300, 65}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		a := randI8(rng, m*k)
+		b := randI8(rng, k*n)
+		ref := make([]int32, m*n)
+		SetWorkers(1)
+		gemmParallel(i8Kernels, ref, n, a, k, false, b, n, false, m, k, n, false)
+		for _, w := range []int{2, 4, 8} {
+			SetWorkers(w)
+			got := make([]int32, m*n)
+			gemmParallel(i8Kernels, got, n, a, k, false, b, n, false, m, k, n, false)
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("m=%d k=%d n=%d workers=%d: element %d = %d, want %d", m, k, n, w, i, got[i], ref[i])
+				}
 			}
 		}
 	}
-	SetWorkers(old)
+}
+
+// TestGemmI8Accumulating: the int8 kernels take the shared driver's
+// accumulate mode, with B plain or transposed. Small integer products are
+// exact in float32, so the float32 naive reference over the same values
+// is an exact oracle. A transposed A, which no int8 caller has, is
+// rejected on the blocked path.
+func TestGemmI8Accumulating(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	defer SetWorkers(SetWorkers(4))
+	for _, sh := range [][3]int{{5, 7, 9}, {37, 261, 70}, {70, 100, 20}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		for _, transB := range []bool{false, true} {
+			a, b := randI8(rng, m*k), randI8(rng, k*n)
+			ldb := n
+			if transB {
+				ldb = k
+			}
+			got := make([]int32, m*n)
+			want := make([]float32, m*n)
+			for i := range got {
+				got[i] = int32(rng.Intn(201) - 100)
+				want[i] = float32(got[i])
+			}
+			gemmParallel(i8Kernels, got, n, a, k, false, b, ldb, transB, m, k, n, true)
+			af, bf := make([]float32, len(a)), make([]float32, len(b))
+			for i, v := range a {
+				af[i] = float32(v)
+			}
+			for i, v := range b {
+				bf[i] = float32(v)
+			}
+			gemmNaive(want, n, af, k, false, bf, ldb, transB, m, k, n, true)
+			for i := range got {
+				if float32(got[i]) != want[i] {
+					t.Fatalf("m=%d k=%d n=%d transB=%v: element %d = %d, want %g", m, k, n, transB, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a transposed A must panic on the int8 blocked path")
+		}
+	}()
+	m, k, n := 37, 261, 70
+	var sc scratch
+	defer sc.release()
+	gemmSerial(i8Kernels, make([]int32, m*n), n, randI8(rng, m*k), m, true, randI8(rng, k*n), n, false, m, k, n, false, &sc)
 }
 
 // TestKernI8EdgeMatchesFullTilePath checks the padded edge kernel
@@ -140,7 +216,7 @@ func TestKernI8EdgeMatchesFullTilePath(t *testing.T) {
 				kp := (kb + 1) / 2
 				apack := make([]int16, kp*2*gemmMR)
 				bpack := make([]int8, kp*2*gemmNR)
-				packAI8(apack, a, k, 0, 0, m, kb)
+				packAI8(apack, a, k, false, 0, 0, m, kb)
 				packBI8(bpack, b, n, false, 0, 0, kb, n)
 				got := make([]int32, m*n)
 				kernI8Edge(got, n, apack, bpack, rows, cols, kp, true)

@@ -34,6 +34,38 @@ func math32Copysign(x, sign float32) float32 {
 	return x
 }
 
+// gemmNaive is the reference kernel the property tests compare the
+// blocked path against (exact float32 equality): the obvious triple loop,
+// one left-to-right accumulation chain per element. Element access:
+// A[i,p] is a[i*lda+p], or a[p*lda+i] when transA; B[p,j] is b[p*ldb+j],
+// or b[j*ldb+p] when transB.
+func gemmNaive(dst []float32, ldc int, a []float32, lda int, transA bool, b []float32, ldb int, transB bool, m, k, n int, acc bool) {
+	for i := 0; i < m; i++ {
+		drow := dst[i*ldc : i*ldc+n]
+		for j := 0; j < n; j++ {
+			var s float32
+			if acc {
+				s = drow[j]
+			}
+			for p := 0; p < k; p++ {
+				var av, bv float32
+				if transA {
+					av = a[p*lda+i]
+				} else {
+					av = a[i*lda+p]
+				}
+				if transB {
+					bv = b[j*ldb+p]
+				} else {
+					bv = b[p*ldb+j]
+				}
+				s += av * bv
+			}
+			drow[j] = s
+		}
+	}
+}
+
 // gemmCase runs one shape through gemmParallel with the given flags and
 // demands exact float32 equality against the naive reference.
 func gemmCase(t *testing.T, rng *rand.Rand, m, k, n int, transA, transB, acc bool) {
@@ -64,7 +96,7 @@ func gemmCase(t *testing.T, rng *rand.Rand, m, k, n int, transA, transB, acc boo
 	copy(got, init)
 	copy(want, init)
 
-	gemmParallel(got, n, a, lda, transA, b, ldb, transB, m, k, n, acc)
+	gemmParallel(f32Kernels, got, n, a, lda, transA, b, ldb, transB, m, k, n, acc)
 	gemmNaive(want, n, a, lda, transA, b, ldb, transB, m, k, n, acc)
 
 	for i := range want {
@@ -128,7 +160,11 @@ func TestGEMMMatchesNaiveRandomShapes(t *testing.T) {
 func TestGEMMWorkerCountBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	defer SetWorkers(SetWorkers(1))
-	shapes := [][3]int{{16, 27, 1024}, {33, 300, 65}, {64, 576, 256}, {1, 512, 10}}
+	// Both sides of every split threshold: n below 2·gemmNR with m < n (a
+	// short column chunk) and m ≥ n (a row split), n off the gemmNR grid,
+	// m ≥ n with n below one tile.
+	shapes := [][3]int{{16, 27, 1024}, {33, 300, 65}, {64, 576, 256}, {1, 512, 10},
+		{12, 400, 28}, {40, 300, 24}, {97, 200, 50}, {64, 300, 12}}
 	for _, sh := range shapes {
 		m, k, n := sh[0], sh[1], sh[2]
 		a := make([]float32, m*k)
@@ -139,7 +175,7 @@ func TestGEMMWorkerCountBitIdentical(t *testing.T) {
 		for _, w := range []int{1, 4, 8} {
 			SetWorkers(w)
 			dst := make([]float32, m*n)
-			gemmParallel(dst, n, a, k, false, b, n, false, m, k, n, false)
+			gemmParallel(f32Kernels, dst, n, a, k, false, b, n, false, m, k, n, false)
 			if ref == nil {
 				ref = dst
 				continue

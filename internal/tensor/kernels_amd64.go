@@ -1,0 +1,40 @@
+//go:build amd64 && !noasm
+
+package tensor
+
+// The assembly tier (the *_amd64.s files): every AVX2 kernel symbol and
+// the gate that selects them. The Go dispatchers next to each scalar twin
+// (kern4x16, kern1x16, kernI8, scaleShiftVec, clampVec, quantizeI8Vec,
+// requantI8Vec) call these only while gemmAVX2 holds, and each kernel
+// computes its twin's bits: the same operations in the same order, never
+// FMA. Vector kernels over elements take n a multiple of their width (8
+// float32 lanes, 16 int8 codes).
+
+func cpuidAVX2() bool
+
+// gemmAVX2 selects the assembly kernels; KernelBackend reports it.
+var gemmAVX2 = cpuidAVX2()
+
+//go:noescape
+func gemmKern4x16AVX(c *float32, ldc int, ap, bp *float32, kb int, first bool)
+
+//go:noescape
+func gemmKern1x16AVX(c *float32, ap *float32, astride int, bp *float32, kb int, first bool)
+
+// gemmKernI8AVX is the VPMADDWD micro-kernel: a 4×16 int32 tile
+// accumulated kp k-pairs deep over the panels of gemm_i8.go.
+//
+//go:noescape
+func gemmKernI8AVX(c *int32, ldc int, ap *int16, bp *int8, kp int, first bool)
+
+//go:noescape
+func scaleShiftAVX(dst, src *float32, n int, scale, shift float32)
+
+//go:noescape
+func clampAVX(dst, src *float32, n int, hi float32)
+
+//go:noescape
+func quantizeI8AVX(dst *int8, src *float32, n int, scale float32, zp int32)
+
+//go:noescape
+func requantI8AVX(dst *float32, acc *int32, n int, corr int32, scale, bias, outScale float32)

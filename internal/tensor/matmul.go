@@ -15,7 +15,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v × %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	gemmParallel(out.data, n, a.data, k, false, b.data, n, false, m, k, n, false)
+	gemmParallel(f32Kernels, out.data, n, a.data, k, false, b.data, n, false, m, k, n, false)
 	return out
 }
 
@@ -26,7 +26,7 @@ func MatMulAcc(dst, a, b *Tensor) {
 	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulAcc shapes %v += %v × %v", dst.shape, a.shape, b.shape))
 	}
-	gemmParallel(dst.data, n, a.data, k, false, b.data, n, false, m, k, n, true)
+	gemmParallel(f32Kernels, dst.data, n, a.data, k, false, b.data, n, false, m, k, n, true)
 }
 
 // MatMulTransB computes dst = a×bᵀ for a [m,k], b [n,k], dst [m,n],
@@ -37,7 +37,7 @@ func MatMulTransB(dst, a, b *Tensor) {
 	if b.shape[1] != k || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransB shapes %v = %v × %vᵀ", dst.shape, a.shape, b.shape))
 	}
-	gemmParallel(dst.data, n, a.data, k, false, b.data, k, true, m, k, n, false)
+	gemmParallel(f32Kernels, dst.data, n, a.data, k, false, b.data, k, true, m, k, n, false)
 }
 
 // MatMulTransAAcc computes dst += aᵀ×b for a [k,m], b [k,n], dst [m,n].
@@ -47,79 +47,5 @@ func MatMulTransAAcc(dst, a, b *Tensor) {
 	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransAAcc shapes %v += %vᵀ × %v", dst.shape, a.shape, b.shape))
 	}
-	gemmParallel(dst.data, n, a.data, m, true, b.data, n, false, m, k, n, true)
-}
-
-// gemmParallel computes dst = A×B (or dst += A×B when acc) with the
-// blocked kernel, splitting the output across Workers(). The split only
-// selects which goroutine computes which output element — every element's
-// accumulation chain is fixed by the determinism contract in gemm.go — so
-// results are bit-identical for any worker count, and identical to
-// gemmNaive. Tall outputs split by rows; short-and-wide outputs (the conv
-// im2col shape: few output channels, many pixels) split by columns so all
-// workers stay busy.
-func gemmParallel(dst []float32, ldc int, a []float32, lda int, transA bool, b []float32, ldb int, transB bool, m, k, n int, acc bool) {
-	if m == 0 || n == 0 {
-		return
-	}
-	if Workers() <= 1 || m*k*n < 32768 {
-		ar := getArena()
-		gemmReserve(ar, m, k, n)
-		gemmSerial(dst, ldc, a, lda, transA, b, ldb, transB, m, k, n, acc, ar)
-		ar.release()
-		return
-	}
-	if m >= n {
-		parallelForChunks(m, func(lo, hi int) {
-			// A stored [k,m] under transA: advancing by output row means
-			// advancing by stored column, and lo*lda could exceed len(a).
-			as := a[lo:]
-			if !transA {
-				as = a[lo*lda:]
-			}
-			ar := getArena()
-			gemmReserve(ar, hi-lo, k, n)
-			gemmSerial(dst[lo*ldc:], ldc, as, lda, transA, b, ldb, transB, hi-lo, k, n, acc, ar)
-			ar.release()
-		})
-		return
-	}
-	parallelForChunks(n, func(jlo, jhi int) {
-		bs := b[jlo:]
-		if transB {
-			bs = b[jlo*ldb:]
-		}
-		ar := getArena()
-		gemmReserve(ar, m, k, jhi-jlo)
-		gemmSerial(dst[jlo:], ldc, a, lda, transA, bs, ldb, transB, m, k, jhi-jlo, acc, ar)
-		ar.release()
-	})
-}
-
-// The matMul*Into helpers below keep the historical entry points (and
-// their accumulate-into-dst semantics) used by tests and older callers;
-// they are thin shims over gemmParallel.
-
-// matMulInto computes dst = A×B for row-major A [m,k], B [k,n], dst [m,n].
-func matMulInto(dst, a, b []float32, m, k, n int) {
-	gemmParallel(dst, n, a, k, false, b, n, false, m, k, n, false)
-}
-
-// matMulAccInto computes dst += A×B, same layout as matMulInto.
-func matMulAccInto(dst, a, b []float32, m, k, n int) {
-	gemmParallel(dst, n, a, k, false, b, n, false, m, k, n, true)
-}
-
-// matMulTransAInto computes dst += Aᵀ×B for A [k,m], B [k,n], dst [m,n].
-// Used for weight gradients. The transposed operand is packed into
-// contiguous panels before the inner loop (gemm.go packA), replacing the
-// strided column walk the old kernel paid per k step.
-func matMulTransAInto(dst, a, b []float32, k, m, n int) {
-	gemmParallel(dst, n, a, m, true, b, n, false, m, k, n, true)
-}
-
-// matMulTransBInto computes dst += A×Bᵀ for A [m,k], B [n,k], dst [m,n].
-// Used for input gradients of linear layers.
-func matMulTransBInto(dst, a, b []float32, m, k, n int) {
-	gemmParallel(dst, n, a, k, false, b, k, true, m, k, n, true)
+	gemmParallel(f32Kernels, dst.data, n, a.data, m, true, b.data, n, false, m, k, n, true)
 }

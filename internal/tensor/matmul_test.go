@@ -84,7 +84,7 @@ func TestMatMulTransHelpers(t *testing.T) {
 	a := RandUniform(rng, -1, 1, k, m)
 	b := RandUniform(rng, -1, 1, k, n)
 	dst := New(m, n)
-	matMulTransAInto(dst.Data(), a.Data(), b.Data(), k, m, n)
+	gemmParallel(f32Kernels, dst.Data(), n, a.Data(), m, true, b.Data(), n, false, m, k, n, true)
 	at := New(m, k)
 	for i := 0; i < m; i++ {
 		for j := 0; j < k; j++ {
@@ -92,14 +92,14 @@ func TestMatMulTransHelpers(t *testing.T) {
 		}
 	}
 	if !dst.AllClose(naiveMatMul(at, b), 1e-4) {
-		t.Fatal("matMulTransAInto mismatch")
+		t.Fatal("transposed-A GEMM mismatch")
 	}
 
 	// dst = A×Bᵀ with A [m,k], B [n,k].
 	a2 := RandUniform(rng, -1, 1, m, k)
 	b2 := RandUniform(rng, -1, 1, n, k)
 	dst2 := New(m, n)
-	matMulTransBInto(dst2.Data(), a2.Data(), b2.Data(), m, k, n)
+	gemmParallel(f32Kernels, dst2.Data(), n, a2.Data(), k, false, b2.Data(), k, true, m, k, n, true)
 	bt := New(k, n)
 	for i := 0; i < k; i++ {
 		for j := 0; j < n; j++ {
@@ -107,7 +107,7 @@ func TestMatMulTransHelpers(t *testing.T) {
 		}
 	}
 	if !dst2.AllClose(naiveMatMul(a2, bt), 1e-4) {
-		t.Fatal("matMulTransBInto mismatch")
+		t.Fatal("transposed-B GEMM mismatch")
 	}
 }
 

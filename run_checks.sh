@@ -22,7 +22,8 @@ count_go_lines() {
 }
 echo "non-test Go lines: internal/ + cmd/ $(count_go_lines internal cmd)" \
 	"(internal/experiments $(count_go_lines internal/experiments)," \
-	"internal/serve $(count_go_lines internal/serve), cmd/ $(count_go_lines cmd))"
+	"internal/serve $(count_go_lines internal/serve)," \
+	"internal/tensor $(count_go_lines internal/tensor), cmd/ $(count_go_lines cmd))"
 
 go vet ./...
 go build ./...
@@ -183,8 +184,13 @@ check_int8
 # and the campaign goldens on the scalar kernels this box would otherwise
 # only reach through gate flips. asmdecl over the new kernels runs in the
 # `go vet ./...` pass at the top; the arm64 lines cover the twins' build.
+# Both backends run one blocked-GEMM driver, one parallel partitioner and
+# one conv lowering on pooled per-type arenas, so the four worker-count
+# identity walls (GEMM and conv, float32 and int8) run under the race
+# detector at both GOMAXPROCS settings too.
 check_kernels() {
 	check_selected -race -cpu 1,4 -run 'TestScaleShiftMatchesScalar|TestClampMatchesBranchingLoop|TestAvgPool2dIntoMatchesGeneric' ./internal/tensor
+	check_selected -race -cpu 1,4 -run 'TestGEMMWorkerCountBitIdentical|TestGemmI8WorkerCountIdentity|TestConvWorkerCountBitIdentical|TestConv2dInt8WorkerCountIdentity' ./internal/tensor
 	check_selected -race -cpu 1,4 -run 'TestEvalForwardMatchesScalarKernels' ./internal/nn
 	check_selected -run='^$' -fuzz='^FuzzClamp$' -fuzztime=10s ./internal/tensor
 	go test -tags noasm ./internal/tensor ./internal/nn
