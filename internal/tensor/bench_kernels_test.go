@@ -107,6 +107,14 @@ func BenchmarkConvForward_Unpadded(b *testing.B) { benchConvForward(b, 1, 16, 32
 // Stride-2 downsampling conv: im2col's strided per-tap fallback.
 func BenchmarkConvForward_Strided(b *testing.B) { benchConvForward(b, 1, 32, 64, 16, 3, 2, 1, 1) }
 
+// DenseNet dense-layer conv: 40→8 channels, 3×3/pad 1 over 32×32, a
+// [8, 360] × [360, 1024] GEMM per sample — the direct lowering's shape.
+func BenchmarkConvForward_DenseLayer(b *testing.B) { benchConvForward(b, 1, 40, 8, 32, 3, 1, 1, 1) }
+
+// 3×3/pad 1 over a 4×4 map (ResNet-18 stage 4): the virtual columns would
+// double the GEMM, so it stays on im2col + the packed GEMM.
+func BenchmarkConvForward_Tiny4x4(b *testing.B) { benchConvForward(b, 1, 128, 128, 4, 3, 1, 1, 1) }
+
 func BenchmarkConvBackward_AlexLate(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	x := RandUniform(rng, -1, 1, 1, 48, 8, 8)

@@ -164,10 +164,17 @@ type convJob[In, AP, BP, Out elem] struct {
 	st            convStages[In, Out]
 }
 
-// run is the one conv lowering: the unit fan-out, the pointwise slab vs
-// im2col choice, the scratch reservation, and per unit load → im2col →
-// GEMM → finish.
-func (j *convJob[In, AP, BP, Out]) run() { convUnits(j.cv.n*j.cv.g, j.units) }
+// run is the one conv lowering: the unit fan-out, the choice between the
+// direct lowering (conv_direct.go; stride-1 convs on a backend with an
+// ind kernel), the pointwise slab and im2col, the scratch reservation,
+// and per unit load → im2col → GEMM → finish.
+func (j *convJob[In, AP, BP, Out]) run() {
+	if j.gemm.ind != nil && j.cv.direct() {
+		convUnits(j.cv.n*j.cv.g, j.directUnits)
+		return
+	}
+	convUnits(j.cv.n*j.cv.g, j.units)
+}
 
 func (j *convJob[In, AP, BP, Out]) units(lo, hi int, fanned bool) {
 	cv := j.cv
@@ -355,9 +362,15 @@ func conv2dInto(out, x, w, bias *Tensor, cv *convGeom) {
 	if bias != nil && (bias.Rank() != 1 || bias.shape[0] != cv.cout) {
 		panic(fmt.Sprintf("tensor: Conv2d bias shape %v does not match Cout=%d", bias.shape, cv.cout))
 	}
+	newF32Conv(out, x, w, bias, cv).job.run()
+}
+
+// newF32Conv returns the float32 forward out = conv(x, w) + bias as a
+// job on the shared lowering.
+func newF32Conv(out, x, w, bias *Tensor, cv *convGeom) *f32Conv {
 	f := &f32Conv{cv: *cv, x: x, out: out, bias: bias}
 	f.job = convJob[float32, float32, float32, float32]{cv: &f.cv, gemm: f32Kernels, w: w.data, st: f}
-	f.job.run()
+	return f
 }
 
 // f32Conv is the float32 forward's stages: units read the input and

@@ -1,0 +1,286 @@
+package tensor
+
+// Direct conv lowering: a stride-1 conv computed without a column matrix.
+//
+// A unit's [Cg, H, W] input slab is copied once into a plane with a border
+// of pad values, [Cg, Hp, Wp] with Hp = H + 2·PadH and Wp = W + 2·PadW.
+// Output pixel (oy, ox) is computed at virtual column v = oy·Wp + ox, and
+// the column matrix element for tap k = (c, ky, kx) at that pixel is then
+//
+//	plane[off[k] + v],  off[k] = c·Hp·Wp + ky·Wp + kx
+//
+// — the image element im2col would copy there, or the border's pad where
+// im2col writes pad. So B row k is the plane shifted by off[k], and the
+// micro-kernel reads it in place (gemmKern4x16IndAVX: one offset load per
+// k step) instead of from an im2col matrix repacked into panels. The Wp −
+// OW virtual columns past each output row's end are computed and
+// discarded: the GEMM runs over roundUp((OH−1)·Wp + OW, gemmNR) columns
+// into scratch, and compaction copies the valid ones to the output.
+//
+// Bits: every output element is the ascending-k chain over the same
+// products as on the im2col path, pad products w·pad included (w·0 is NaN
+// for an Inf or NaN weight on both), in the same micro-kernel arithmetic,
+// k-blocked at the same gemmKC multiples — so the determinism contract of
+// gemm.go holds and the result equals the im2col lowering's bit for bit.
+
+// direct reports whether the conv runs on the direct lowering: stride 1,
+// not pointwise (that one reads its slab in place already), virtual
+// columns at most 1.25× the output pixels (on a 4×4 map with pad 1 they
+// would double them), and plane offsets that fit the kernels' int32.
+func (cv *convGeom) direct() bool {
+	hp, wp := cv.planeDims()
+	return cv.spec.StrideH == 1 && cv.spec.StrideW == 1 && !cv.spec.pointwise(cv.kh, cv.kw) &&
+		4*cv.virtualCols() <= 5*cv.l && cv.cg*hp*wp <= 1<<30
+}
+
+// planeDims returns the bordered plane's height and width.
+func (cv *convGeom) planeDims() (hp, wp int) {
+	return cv.h + 2*cv.spec.PadH, cv.wd + 2*cv.spec.PadW
+}
+
+// virtualCols is the number of virtual columns a unit's GEMM computes:
+// through the last output pixel, in whole micro-tiles.
+func (cv *convGeom) virtualCols() int {
+	_, wp := cv.planeDims()
+	return roundUp((cv.oh-1)*wp+cv.ow, gemmNR)
+}
+
+// planeLen is the plane's length: the bordered channels plus the tail the
+// last tile's discarded columns read past them.
+func (cv *convGeom) planeLen() int {
+	hp, wp := cv.planeDims()
+	return cv.cg*hp*wp + gemmNR
+}
+
+// tapOffsets writes off[k] for every tap k = (c, ky, kx) in the GEMM's k
+// order; they ascend.
+func (cv *convGeom) tapOffsets(offs []int32) {
+	hp, wp := cv.planeDims()
+	k := 0
+	for c := 0; c < cv.cg; c++ {
+		for ky := 0; ky < cv.kh; ky++ {
+			for kx := 0; kx < cv.kw; kx++ {
+				offs[k] = int32(c*hp*wp + ky*wp + kx)
+				k++
+			}
+		}
+	}
+}
+
+// fillPlane copies a unit's [Cg, H, W] slab img into the interior of
+// plane, whose border (and tail) already hold the pad value.
+func fillPlane[T elem](cv *convGeom, plane, img []T) {
+	hp, wp := cv.planeDims()
+	h, w := cv.h, cv.wd
+	for c := 0; c < cv.cg; c++ {
+		dst := plane[(c*hp+cv.spec.PadH)*wp+cv.spec.PadW:]
+		src := img[c*h*w : (c+1)*h*w]
+		if wp == w {
+			copy(dst, src)
+			continue
+		}
+		for y := 0; y < h; y++ {
+			copy(dst[y*wp:y*wp+w], src[y*w:(y+1)*w])
+		}
+	}
+}
+
+// compactCols copies a unit's [coutG, OH·OW] output res out of its
+// virtual-column result vres [coutG, virtualCols], dropping the Wp − OW
+// discarded columns after every output row.
+func compactCols[T elem](cv *convGeom, res, vres []T) {
+	_, wp := cv.planeDims()
+	oh, ow, nv := cv.oh, cv.ow, cv.virtualCols()
+	for r := 0; r < cv.coutG; r++ {
+		out, in := res[r*cv.l:(r+1)*cv.l], vres[r*nv:]
+		for oy := 0; oy < oh; oy++ {
+			copy(out[oy*ow:(oy+1)*ow], in[oy*wp:oy*wp+ow])
+		}
+	}
+}
+
+// directUnits is convJob.units on the direct lowering: per unit load →
+// plane → GEMM over virtual columns → compaction → finish. The border is
+// written once per chunk; every unit overwrites only the interior.
+func (j *convJob[In, AP, BP, Out]) directUnits(lo, hi int, fanned bool) {
+	cv := j.cv
+	nv, planeLen := cv.virtualCols(), cv.planeLen()
+	var sc scratch
+	arenaOf[In](&sc).reserve(j.inLen + planeLen)
+	arenaOf[Out](&sc).reserve(j.accLen + cv.coutG*nv)
+	arenaOf[int32](&sc).reserve(cv.kdim)
+	if fanned {
+		directReserve(j.gemm, &sc, cv.coutG, cv.kdim, nv)
+	}
+	buf, plane := arenaOf[In](&sc).take(j.inLen), arenaOf[In](&sc).take(planeLen)
+	acc, vres := arenaOf[Out](&sc).take(j.accLen), arenaOf[Out](&sc).take(cv.coutG*nv)
+	offs := arenaOf[int32](&sc).take(cv.kdim)
+	cv.tapOffsets(offs)
+	var zero In
+	if j.pad == zero {
+		clear(plane)
+	} else {
+		fillPad(plane, j.pad)
+	}
+	for u := lo; u < hi; u++ {
+		s, gi := u/cv.g, u%cv.g
+		fillPlane(cv, plane, j.st.load(buf, s, gi))
+		wg := j.w[gi*cv.coutG*cv.kdim : (gi+1)*cv.coutG*cv.kdim]
+		if fanned {
+			directSerial(j.gemm, vres, nv, wg, cv.kdim, plane, offs, cv.coutG, cv.kdim, nv, &sc)
+		} else {
+			directParallel(j.gemm, vres, nv, wg, cv.kdim, plane, offs, cv.coutG, cv.kdim, nv)
+		}
+		res := j.st.result(acc, s, gi)
+		compactCols(cv, res, vres)
+		j.st.finish(res, s, gi)
+	}
+	sc.release()
+}
+
+// directReserve adds the A pack panel of one directSerial call of the
+// given shape to sc's reservations; there is no B panel.
+func directReserve[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], sc *scratch, m, k, n int) {
+	la, _ := g.panelLens(m, k, n)
+	arenaOf[AP](sc).reserve(la)
+}
+
+// directSerial computes dst = A×B on the calling goroutine, A [m, k] row
+// major (rows lda apart) and B [k, n] read in place as B[p, j] =
+// plane[offs[p]+j], n a multiple of gemmNR. The pc/ic loop nest and the
+// A panels are gemmSerial's; B needs no panel and no jc blocking. k > 0.
+func directSerial[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out, ldc int, a []In, lda int, plane []In, offs []int32, m, k, n int, sc *scratch) {
+	// The assembly kernels read B without bounds checks: every row must
+	// fit in the plane, and the offsets ascend, so the last decides.
+	if n%gemmNR != 0 || int(offs[k-1])+n > len(plane) {
+		panic("tensor: direct conv reads past its plane")
+	}
+	arA := arenaOf[AP](sc)
+	mark := arA.mark()
+	la, _ := g.panelLens(m, k, n)
+	apack := arA.take(la)
+	for pc := 0; pc < k; pc += gemmKC {
+		kb := min(k-pc, gemmKC)
+		for ic := 0; ic < m; ic += gemmMC {
+			mb := min(m-ic, gemmMC)
+			g.packA(apack, a, lda, false, ic, pc, mb, kb)
+			g.ind(dst, ldc, ic, apack, plane, offs[pc:pc+kb], mb, n, kb, pc == 0)
+		}
+	}
+	arA.restore(mark)
+}
+
+// directParallel is directSerial split across Workers() as gemmSplit
+// splits gemmParallel's outputs; each worker packs into its own scratch.
+func directParallel[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out, ldc int, a []In, lda int, plane []In, offs []int32, m, k, n int) {
+	rows, dim, chunk := gemmSplit(m, k, n)
+	if chunk == 0 {
+		var sc scratch
+		directReserve(g, &sc, m, k, n)
+		directSerial(g, dst, ldc, a, lda, plane, offs, m, k, n, &sc)
+		sc.release()
+		return
+	}
+	runParallel(dim, chunk, (dim+chunk-1)/chunk, func(lo, hi int) {
+		var sc scratch
+		if rows {
+			directReserve(g, &sc, hi-lo, k, n)
+			directSerial(g, dst[lo*ldc:], ldc, a[lo*lda:], lda, plane, offs, hi-lo, k, n, &sc)
+		} else {
+			directReserve(g, &sc, m, k, hi-lo)
+			directSerial(g, dst[lo:], ldc, a, lda, plane[lo:], offs, m, k, hi-lo, &sc)
+		}
+		sc.release()
+	})
+}
+
+// gemmMacroInd is gemmMacro over B read in place: the float32 backend's
+// ind. Every tile is full width; row remainders run one 1×16 pass a row.
+func gemmMacroInd(dst []float32, ldc, ic int, apack, plane []float32, offs []int32, mb, nb, kb int, first bool) {
+	for jr := 0; jr < nb; jr += gemmNR {
+		base := plane[jr:]
+		for ir := 0; ir < mb; ir += gemmMR {
+			rows := min(mb-ir, gemmMR)
+			ap := apack[ir*kb : ir*kb+rows*kb]
+			c := dst[(ic+ir)*ldc+jr:]
+			if rows == gemmMR {
+				kern4x16Ind(c, ldc, ap, base, offs, kb, first)
+				continue
+			}
+			for r := 0; r < rows; r++ {
+				kern1x16Ind(c[r*ldc:], ap[r:], rows, base, offs, kb, first)
+			}
+		}
+	}
+}
+
+// kern4x16Ind and kern1x16Ind run the AVX2 in-place-B micro-kernels
+// under the gemmAVX2 gate, else their scalar twins: the same per-element
+// chains, so the choice never changes a bit.
+func kern4x16Ind(c []float32, ldc int, ap, base []float32, offs []int32, kb int, first bool) {
+	if gemmAVX2 && kb > 0 {
+		gemmKern4x16IndAVX(&c[0], ldc, &ap[0], &base[0], &offs[0], kb, first)
+		return
+	}
+	kern4x16IndScalar(c, ldc, ap, base, offs, kb, first)
+}
+
+func kern1x16Ind(c []float32, ap []float32, astride int, base []float32, offs []int32, kb int, first bool) {
+	if gemmAVX2 && kb > 0 {
+		gemmKern1x16IndAVX(&c[0], &ap[0], astride, &base[0], &offs[0], kb, first)
+		return
+	}
+	kern1x16IndScalar(c, ap, astride, base, offs, kb, first)
+}
+
+// kern4x16IndScalar is kern4x16scalar with B row p at base[offs[p]:].
+func kern4x16IndScalar(c []float32, ldc int, ap, base []float32, offs []int32, kb int, first bool) {
+	for r0 := 0; r0 < gemmMR; r0 += 2 {
+		for j0 := 0; j0 < gemmNR; j0 += 4 {
+			var c00, c01, c02, c03, c10, c11, c12, c13 float32
+			if !first {
+				d0 := c[r0*ldc+j0 : r0*ldc+j0+4]
+				d1 := c[(r0+1)*ldc+j0 : (r0+1)*ldc+j0+4]
+				c00, c01, c02, c03 = d0[0], d0[1], d0[2], d0[3]
+				c10, c11, c12, c13 = d1[0], d1[1], d1[2], d1[3]
+			}
+			for p, off := range offs[:kb] {
+				a0, a1 := ap[p*gemmMR+r0], ap[p*gemmMR+r0+1]
+				b := base[int(off)+j0 : int(off)+j0+4]
+				c00 += a0 * b[0]
+				c01 += a0 * b[1]
+				c02 += a0 * b[2]
+				c03 += a0 * b[3]
+				c10 += a1 * b[0]
+				c11 += a1 * b[1]
+				c12 += a1 * b[2]
+				c13 += a1 * b[3]
+			}
+			d0 := c[r0*ldc+j0 : r0*ldc+j0+4]
+			d1 := c[(r0+1)*ldc+j0 : (r0+1)*ldc+j0+4]
+			d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
+			d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
+		}
+	}
+}
+
+// kern1x16IndScalar is kern1x16scalar with B row p at base[offs[p]:].
+func kern1x16IndScalar(c []float32, ap []float32, astride int, base []float32, offs []int32, kb int, first bool) {
+	for j0 := 0; j0 < gemmNR; j0 += 4 {
+		var c0, c1, c2, c3 float32
+		if !first {
+			d := c[j0 : j0+4]
+			c0, c1, c2, c3 = d[0], d[1], d[2], d[3]
+		}
+		for p, off := range offs[:kb] {
+			a0 := ap[p*astride]
+			b := base[int(off)+j0 : int(off)+j0+4]
+			c0 += a0 * b[0]
+			c1 += a0 * b[1]
+			c2 += a0 * b[2]
+			c3 += a0 * b[3]
+		}
+		d := c[j0 : j0+4]
+		d[0], d[1], d[2], d[3] = c0, c1, c2, c3
+	}
+}

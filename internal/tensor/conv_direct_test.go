@@ -1,0 +1,184 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// specialWeights fills w with the values a float32 chain treats
+// specially — ±0, denormals, ±Inf, NaN — among ordinary ones. Unless
+// mixed, each output channel draws from the infinities or from NaN, not
+// both, as a single weight fault does: the kernels pin such a chain's
+// bits, but not which payload survives when a chain adds a NaN weight's
+// product to the default NaN of an Inf·0 or Inf−Inf — the AVX2 kernels
+// keep the accumulator's, Go's scalar loops either (DESIGN §10).
+func specialWeights(rng *rand.Rand, w *Tensor, mixed bool) {
+	finite := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(1), math.Float32frombits(0x807fffff)}
+	row := len(w.data) / w.shape[0]
+	for oc := 0; oc < w.shape[0]; oc++ {
+		vals := append(finite, inf32, -inf32)
+		switch {
+		case mixed:
+			vals = append(vals, nan32)
+		case rng.Intn(2) == 0:
+			vals = append(finite, nan32)
+		}
+		for i := oc * row; i < (oc+1)*row; i++ {
+			if rng.Intn(3) == 0 {
+				w.data[i] = vals[rng.Intn(len(vals))]
+			}
+		}
+	}
+}
+
+// convBothLowerings runs one float32 forward on the im2col + packed GEMM
+// lowering and one on the direct lowering, whatever run would pick.
+func convBothLowerings(x, w, bias *Tensor, spec ConvSpec) (im2col, direct *Tensor) {
+	cv := checkConvShapes(x, w.shape, spec)
+	im2col, direct = New(cv.n, cv.cout, cv.oh, cv.ow), New(cv.n, cv.cout, cv.oh, cv.ow)
+	f := newF32Conv(im2col, x, w, bias, &cv)
+	convUnits(cv.n*cv.g, f.job.units)
+	d := newF32Conv(direct, x, w, bias, &cv)
+	convUnits(cv.n*cv.g, d.job.directUnits)
+	return im2col, direct
+}
+
+// requireSameBits requires got and want to be equal by Float32bits; with
+// anyNaN, two NaNs match whatever their payloads.
+func requireSameBits(t *testing.T, what string, got, want *Tensor, anyNaN bool) {
+	t.Helper()
+	for i, v := range got.data {
+		if anyNaN && v != v && want.data[i] != want.data[i] {
+			continue
+		}
+		if math.Float32bits(v) != math.Float32bits(want.data[i]) {
+			t.Fatalf("%s: element %d = %g (%#08x), want %g (%#08x)", what, i, v, math.Float32bits(v), want.data[i], math.Float32bits(want.data[i]))
+		}
+	}
+}
+
+// checkDirect requires the direct lowering to reproduce the im2col
+// lowering bit for bit at one and four workers, and its scalar twins
+// (the gemmAVX2 gate off) to reproduce its AVX2 kernels; with anyNaN,
+// up to NaN payloads.
+func checkDirect(t *testing.T, x, w, bias *Tensor, spec ConvSpec, anyNaN bool) {
+	t.Helper()
+	prev := SetWorkers(1)
+	defer SetWorkers(prev)
+	ref, got := convBothLowerings(x, w, bias, spec)
+	requireSameBits(t, "direct vs im2col, 1 worker", got, ref, anyNaN)
+	SetWorkers(4)
+	ref4, got4 := convBothLowerings(x, w, bias, spec)
+	requireSameBits(t, "im2col, 4 workers vs 1", ref4, ref, anyNaN)
+	requireSameBits(t, "direct, 4 workers vs 1", got4, ref, anyNaN)
+	saved := gemmAVX2
+	gemmAVX2 = false
+	_, scalar := convBothLowerings(x, w, bias, spec)
+	gemmAVX2 = saved
+	requireSameBits(t, "direct, scalar kernels", scalar, ref, anyNaN)
+}
+
+// TestConvDirectMatchesIm2col is the direct lowering's parity wall: over
+// the geometries it serves and the edges of its virtual columns and
+// blocking, and under weights a fault can produce, every output bit
+// equals the im2col lowering's.
+func TestConvDirectMatchesIm2col(t *testing.T) {
+	type tc struct {
+		name         string
+		n, c, h, w   int
+		cout, kh, kw int
+		spec         ConvSpec
+	}
+	cases := []tc{
+		{"3x3-pad1", 1, 4, 8, 8, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
+		{"5x5-pad2", 1, 3, 12, 12, 3, 5, 5, ConvSpec{PadH: 2, PadW: 2}},
+		{"asym-pad-3x5", 1, 3, 9, 11, 4, 3, 5, ConvSpec{PadH: 1, PadW: 2}},
+		{"asym-pad-5x3", 1, 3, 10, 7, 4, 5, 3, ConvSpec{PadH: 2, PadW: 0}},
+		{"unpadded-5x5", 1, 4, 16, 16, 8, 5, 5, ConvSpec{}},
+		{"grouped", 1, 8, 10, 10, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1, Groups: 2}},
+		{"depthwise", 1, 6, 9, 9, 6, 3, 3, ConvSpec{PadH: 1, PadW: 1, Groups: 6}},
+		{"batch8", 8, 5, 12, 12, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
+		// k past one gemmKC chunk (the DenseNet dense layer), and rows
+		// past one gemmMC block with a 4-row remainder split.
+		{"dense-k360", 1, 40, 32, 32, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
+		{"tall-m102", 1, 30, 10, 10, 102, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
+		// 4×4 maps are never routed here; the lowering is still exact.
+		{"4x4", 1, 16, 4, 4, 16, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
+	}
+	for _, ow := range []int{7, 8, 9, 16, 32, 33} {
+		cases = append(cases, tc{fmt.Sprintf("ow%d", ow), 1, 3, 6, ow, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1}})
+	}
+	for _, cout := range []int{1, 3, 8, 28} {
+		cases = append(cases, tc{fmt.Sprintf("cout%d", cout), 1, 5, 16, 16, cout, 3, 3, ConvSpec{PadH: 1, PadW: 1}})
+	}
+	rng := rand.New(rand.NewSource(61))
+	// "special" weights keep one NaN family per channel and must match
+	// bit for bit; "mixed-nan" channels mix them and match up to the
+	// surviving NaN's payload.
+	for _, c := range cases {
+		for _, weights := range []string{"random", "special", "mixed-nan"} {
+			t.Run(c.name+"/"+weights, func(t *testing.T) {
+				spec := c.spec.Canon()
+				x := RandUniform(rng, -1, 1, c.n, c.c, c.h, c.w)
+				w := RandUniform(rng, -1, 1, c.cout, c.c/spec.Groups, c.kh, c.kw)
+				b := RandUniform(rng, -1, 1, c.cout)
+				if weights != "random" {
+					specialWeights(rng, w, weights == "mixed-nan")
+					x.data[0], x.data[len(x.data)-1] = float32(math.Copysign(0, -1)), math.Float32frombits(3)
+				}
+				checkDirect(t, x, w, b, spec, weights == "mixed-nan")
+			})
+		}
+	}
+}
+
+// TestConvDirectRouting pins the eligibility rule: stride-1 convs whose
+// virtual columns stay within 1.25× the output take the direct lowering;
+// strided, pointwise and 4×4-map convs do not.
+func TestConvDirectRouting(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		h, w, kh, kw int
+		spec         ConvSpec
+		direct       bool
+	}{
+		{"dense-32x32", 32, 32, 3, 3, ConvSpec{PadH: 1, PadW: 1}, true},
+		{"dense-8x8", 8, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1}, true},
+		{"5x5-pad2", 16, 16, 5, 5, ConvSpec{PadH: 2, PadW: 2}, true},
+		{"resnet-4x4", 4, 4, 3, 3, ConvSpec{PadH: 1, PadW: 1}, false},
+		{"strided", 32, 32, 3, 3, ConvSpec{StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, false},
+		{"pointwise", 32, 32, 1, 1, ConvSpec{}, false},
+	} {
+		x := New(1, 2, c.h, c.w)
+		cv := checkConvShapes(x, []int{2, 2, c.kh, c.kw}, c.spec)
+		if got := cv.direct(); got != c.direct {
+			t.Errorf("%s: direct() = %v, want %v", c.name, got, c.direct)
+		}
+	}
+}
+
+// FuzzConvDirect: for any stride-1 geometry the direct lowering equals
+// the im2col lowering bit for bit, special weights included.
+func FuzzConvDirect(f *testing.F) {
+	f.Add(uint8(1), uint8(4), uint8(8), uint8(8), uint8(8), uint8(3), uint8(3), uint8(1), uint8(1), uint8(1), false, int64(1))
+	f.Add(uint8(2), uint8(6), uint8(5), uint8(9), uint8(3), uint8(5), uint8(3), uint8(2), uint8(1), uint8(3), true, int64(2))
+	f.Add(uint8(1), uint8(40), uint8(12), uint8(12), uint8(8), uint8(3), uint8(3), uint8(1), uint8(1), uint8(1), true, int64(3))
+	f.Add(uint8(1), uint8(3), uint8(4), uint8(17), uint8(5), uint8(1), uint8(7), uint8(0), uint8(4), uint8(1), false, int64(4))
+	f.Fuzz(func(t *testing.T, n, c, h, w, cout, kh, kw, ph, pw, groups uint8, special bool, seed int64) {
+		spec := ConvSpec{PadH: int(ph % 4), PadW: int(pw % 4), Groups: int(groups%4) + 1}
+		N, C, Cout := int(n%3)+1, int(c%48)+1, int(cout%20)+1
+		H, W, KH, KW := int(h%20)+1, int(w%40)+1, int(kh%6)+1, int(kw%6)+1
+		if C%spec.Groups != 0 || Cout%spec.Groups != 0 || H+2*spec.PadH < KH || W+2*spec.PadW < KW {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		x := RandUniform(rng, -1, 1, N, C, H, W)
+		wt := RandUniform(rng, -1, 1, Cout, C/spec.Groups, KH, KW)
+		if special {
+			specialWeights(rng, wt, false)
+		}
+		checkDirect(t, x, wt, RandUniform(rng, -1, 1, Cout), spec, false)
+	})
+}

@@ -8,7 +8,10 @@ import (
 )
 
 // naiveConv2d is a direct-loop reference convolution used to validate the
-// im2col+GEMM kernel.
+// conv lowerings. Each output sums its taps in the GEMM's k order
+// (channel, ky, kx), padded taps included as w·0 products: those are +0
+// or −0 for a finite weight but NaN for an Inf or NaN one, which a
+// weight fault can produce.
 func naiveConv2d(x, w, bias *Tensor, spec ConvSpec) *Tensor {
 	spec = spec.Canon()
 	n, c, h, wd := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
@@ -29,10 +32,11 @@ func naiveConv2d(x, w, bias *Tensor, spec ConvSpec) *Tensor {
 							for kx := 0; kx < kw; kx++ {
 								iy := oy*spec.StrideH - spec.PadH + ky
 								ix := ox*spec.StrideW - spec.PadW + kx
-								if iy < 0 || iy >= h || ix < 0 || ix >= wd {
-									continue
+								var xv float32
+								if iy >= 0 && iy < h && ix >= 0 && ix < wd {
+									xv = x.At(s, gi*cg+ic, iy, ix)
 								}
-								acc += x.At(s, gi*cg+ic, iy, ix) * w.At(oc, ic, ky, kx)
+								acc += w.At(oc, ic, ky, kx) * xv
 							}
 						}
 					}
@@ -113,24 +117,44 @@ func TestConv2dStride(t *testing.T) {
 	}
 }
 
+var (
+	inf32 = float32(math.Inf(1))
+	nan32 = float32(math.NaN())
+)
+
+// plantWeights overwrites two random elements of w with each of vals.
+func plantWeights(rng *rand.Rand, w *Tensor, vals []float32) {
+	for _, v := range vals {
+		for i := 0; i < 2; i++ {
+			w.data[rng.Intn(len(w.data))] = v
+		}
+	}
+}
+
 func TestConv2dMatchesNaive(t *testing.T) {
 	tests := []struct {
 		name         string
 		n, c, h, w   int
 		cout, kh, kw int
 		spec         ConvSpec
+		faults       []float32 // planted into the weights, see plantWeights
 	}{
-		{"basic", 2, 3, 8, 8, 4, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
-		{"stride2", 1, 3, 9, 9, 5, 3, 3, ConvSpec{StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}},
-		{"asymmetric-kernel", 1, 2, 7, 9, 3, 1, 5, ConvSpec{PadW: 2}},
-		{"grouped", 1, 4, 6, 6, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1, Groups: 2}},
-		{"depthwise", 2, 6, 5, 5, 6, 3, 3, ConvSpec{PadH: 1, PadW: 1, Groups: 6}},
-		{"1x1", 2, 8, 4, 4, 16, 1, 1, ConvSpec{}},
+		{"basic", 2, 3, 8, 8, 4, 3, 3, ConvSpec{PadH: 1, PadW: 1}, nil},
+		{"stride2", 1, 3, 9, 9, 5, 3, 3, ConvSpec{StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, nil},
+		{"asymmetric-kernel", 1, 2, 7, 9, 3, 1, 5, ConvSpec{PadW: 2}, nil},
+		{"grouped", 1, 4, 6, 6, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1, Groups: 2}, nil},
+		{"depthwise", 2, 6, 5, 5, 6, 3, 3, ConvSpec{PadH: 1, PadW: 1, Groups: 6}, nil},
+		{"1x1", 2, 8, 4, 4, 16, 1, 1, ConvSpec{}, nil},
 		// The in-place pointwise path (wide enough for the blocked GEMM,
 		// and grouped) and its strided neighbour, which must im2col.
-		{"1x1-wide", 1, 24, 8, 8, 12, 1, 1, ConvSpec{}},
-		{"1x1-grouped", 2, 8, 6, 6, 8, 1, 1, ConvSpec{Groups: 2}},
-		{"1x1-stride2", 1, 24, 8, 8, 12, 1, 1, ConvSpec{StrideH: 2, StrideW: 2}},
+		{"1x1-wide", 1, 24, 8, 8, 12, 1, 1, ConvSpec{}, nil},
+		{"1x1-grouped", 2, 8, 6, 6, 8, 1, 1, ConvSpec{Groups: 2}, nil},
+		{"1x1-stride2", 1, 24, 8, 8, 12, 1, 1, ConvSpec{StrideH: 2, StrideW: 2}, nil},
+		// Weights a fault campaign reaches: Inf or NaN times a pad tap is
+		// NaN, so the reference must form the pad products too.
+		{"inf-weights", 2, 3, 8, 8, 4, 3, 3, ConvSpec{PadH: 1, PadW: 1}, []float32{inf32, -inf32}},
+		{"nan-weights", 1, 4, 9, 9, 5, 3, 3, ConvSpec{PadH: 1, PadW: 1}, []float32{nan32}},
+		{"inf-weights-strided", 1, 3, 9, 9, 5, 3, 3, ConvSpec{StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, []float32{inf32}},
 	}
 	rng := rand.New(rand.NewSource(42))
 	for _, tc := range tests {
@@ -138,12 +162,12 @@ func TestConv2dMatchesNaive(t *testing.T) {
 			spec := tc.spec.Canon()
 			x := RandUniform(rng, -1, 1, tc.n, tc.c, tc.h, tc.w)
 			w := RandUniform(rng, -1, 1, tc.cout, tc.c/spec.Groups, tc.kh, tc.kw)
+			plantWeights(rng, w, tc.faults)
 			b := RandUniform(rng, -1, 1, tc.cout)
 			got := Conv2d(x, w, b, spec)
 			want := naiveConv2d(x, w, b, spec)
-			// The reference sums each output's taps in the GEMM's k order
-			// (channel, ky, kx) and skips padded taps, whose +0 products
-			// cannot change a sum: equality is exact, not approximate.
+			// Same chains, same products: equality is exact, not
+			// approximate.
 			for i, v := range got.Data() {
 				if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
 					t.Fatalf("conv[%d] = %g, naive reference %g", i, v, want.Data()[i])
@@ -318,6 +342,9 @@ func TestConvWorkerCountBitIdentical(t *testing.T) {
 		{"batch-heavy", 8, 2, 7, 7, 4, 3, ConvSpec{PadH: 1, PadW: 1}},
 		{"pointwise", 8, 24, 8, 8, 12, 1, ConvSpec{}},
 		{"pointwise-stride2", 2, 24, 8, 8, 12, 1, ConvSpec{StrideH: 2, StrideW: 2}},
+		// DenseNet dense-layer convs, on the direct lowering.
+		{"dense-32x32", 1, 40, 32, 32, 8, 3, ConvSpec{PadH: 1, PadW: 1}},
+		{"dense-8x8", 1, 52, 8, 8, 8, 3, ConvSpec{PadH: 1, PadW: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

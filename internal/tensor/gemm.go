@@ -40,13 +40,18 @@ type gemmKernels[In, AP, BP, Out elem] struct {
 	packA func(apack []AP, a []In, lda int, transA bool, ic, pc, mb, kb int)
 	packB func(bpack []BP, b []In, ldb int, transB bool, pc, jc, kb, nb int)
 	macro func(dst []Out, ldc, ic, jc int, apack []AP, bpack []BP, mb, nb, kb int, first bool)
+	// ind is the macro kernel of the direct conv lowering (conv_direct.go):
+	// B row p of the block is read in place at plane[offs[p]:], nb a
+	// multiple of gemmNR. nil on a backend without one, whose convs all
+	// take im2col.
+	ind func(dst []Out, ldc, ic int, apack []AP, plane []In, offs []int32, mb, nb, kb int, first bool)
 	// kStep is the multiple panels round a k-block up to: 1 for float32,
 	// 2 for the int8 k-pair layout.
 	kStep int
 }
 
 // f32Kernels is the float32 backend.
-var f32Kernels = &gemmKernels[float32, float32, float32, float32]{packA: packA, packB: packB, macro: gemmMacro, kStep: 1}
+var f32Kernels = &gemmKernels[float32, float32, float32, float32]{packA: packA, packB: packB, macro: gemmMacro, ind: gemmMacroInd, kStep: 1}
 
 // roundUp rounds n up to a multiple of m.
 func roundUp(n, m int) int { return (n + m - 1) / m * m }
@@ -165,24 +170,34 @@ func gemmSerial[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out
 	arA.restore(markA)
 }
 
-// gemmParallel is gemmSerial with the output split across Workers(). The
-// split only selects which goroutine computes which output element —
+// gemmSplit is how gemmParallel splits an m×k×n output across Workers().
+// The split only selects which goroutine computes which output element —
 // every element's accumulation chain is fixed by the determinism
 // contract — so results are bit-identical for any worker count. Tall
 // outputs split by rows; short-and-wide outputs (the conv im2col shape:
 // few output channels, many pixels) split by columns so all workers stay
-// busy. Chunks are whole micro-tiles, so no split adds an edge tile;
-// small problems, and those a split would leave in one chunk, run on the
-// caller. Each worker packs into its own scratch.
-func gemmParallel[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out, ldc int, a []In, lda int, transA bool, b []In, ldb int, transB bool, m, k, n int, acc bool) {
+// busy. Chunks of dim (m or n) are whole micro-tiles, so no split adds an
+// edge tile. chunk is 0 for small problems, and those a split would leave
+// in one chunk: they run on the caller.
+func gemmSplit(m, k, n int) (rows bool, dim, chunk int) {
 	w := Workers()
-	rows := m >= n
+	rows = m >= n
 	dim, tile := n, gemmNR
 	if rows {
 		dim, tile = m, gemmMR
 	}
-	chunk := roundUp((dim+w-1)/w, tile)
+	chunk = roundUp((dim+w-1)/w, tile)
 	if w <= 1 || m*k*n < 1<<15 || chunk >= dim {
+		return rows, dim, 0
+	}
+	return rows, dim, chunk
+}
+
+// gemmParallel is gemmSerial with the output split across Workers() by
+// gemmSplit. Each worker packs into its own scratch.
+func gemmParallel[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out, ldc int, a []In, lda int, transA bool, b []In, ldb int, transB bool, m, k, n int, acc bool) {
+	rows, dim, chunk := gemmSplit(m, k, n)
+	if chunk == 0 {
 		var sc scratch
 		gemmReserve(g, &sc, m, k, n)
 		gemmSerial(g, dst, ldc, a, lda, transA, b, ldb, transB, m, k, n, acc, &sc)

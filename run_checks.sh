@@ -45,8 +45,10 @@ GOARCH=arm64 go build ./...
 # multi-threaded (the container may default to 1 CPU), and the bench
 # smoke compiles + executes every benchmark once so kernel-path rot
 # can't hide behind "benchmarks aren't tests" — BenchmarkConvForward_*
-# has a case on each conv lowering: the shifted-plane im2col copy (the
-# padded 3x3 cases), the per-row copy (_Unpadded), the strided fallback
+# has a case on each conv lowering: the direct lowering over a bordered
+# plane (_DenseLayer and the other padded stride-1 3x3 cases), the
+# shifted-plane im2col copy (_Tiny4x4, whose 4x4 map the direct lowering
+# declines), the per-row copy (_Unpadded), the strided fallback
 # (_Strided) and the in-place 1x1 (_Pointwise).
 go test -cpu 1,4 ./internal/tensor ./internal/nn ./internal/campaign
 go test -run='^$' -bench . -benchtime 1x ./internal/tensor
@@ -187,12 +189,16 @@ check_int8
 # Both backends run one blocked-GEMM driver, one parallel partitioner and
 # one conv lowering on pooled per-type arenas, so the four worker-count
 # identity walls (GEMM and conv, float32 and int8) run under the race
-# detector at both GOMAXPROCS settings too.
+# detector at both GOMAXPROCS settings too, as does the direct conv
+# lowering's parity wall (direct vs im2col vs scalar twins, bit for bit,
+# Inf and NaN weights included) with a fuzz smoke over its geometries.
 check_kernels() {
 	check_selected -race -cpu 1,4 -run 'TestScaleShiftMatchesScalar|TestClampMatchesBranchingLoop|TestAvgPool2dIntoMatchesGeneric' ./internal/tensor
 	check_selected -race -cpu 1,4 -run 'TestGEMMWorkerCountBitIdentical|TestGemmI8WorkerCountIdentity|TestConvWorkerCountBitIdentical|TestConv2dInt8WorkerCountIdentity' ./internal/tensor
+	check_selected -race -cpu 1,4 -run 'TestConvDirectMatchesIm2col|TestConvDirectRouting|TestConv2dMatchesNaive' ./internal/tensor
 	check_selected -race -cpu 1,4 -run 'TestEvalForwardMatchesScalarKernels' ./internal/nn
 	check_selected -run='^$' -fuzz='^FuzzClamp$' -fuzztime=10s ./internal/tensor
+	check_selected -run='^$' -fuzz='^FuzzConvDirect$' -fuzztime=10s ./internal/tensor
 	go test -tags noasm ./internal/tensor ./internal/nn
 	check_selected -tags noasm -run 'TestGoldenCampaignAggregates' ./internal/campaign
 }
