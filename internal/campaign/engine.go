@@ -112,12 +112,14 @@ const (
 // is a pure function of (Seed, t), never of the worker that executes it.
 // Exported so observers and scenario replays can re-derive a trial's
 // draws without re-running it; consume the draws in engine order (sample
-// first, then arming) to stay aligned.
+// first, then arming) to stay aligned. The stream is
+// rand.New(rand.NewSource(…)) over the derived seed, draw for draw, on a
+// source that seeds only the state its draws read (trialrng.go).
 func TrialStream(seed int64, t int) *rand.Rand {
 	z := uint64(seed) + 0x9E3779B97F4A7C15*uint64(t+1)
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return rand.New(rand.NewSource(int64(z ^ (z >> 31))))
+	return rand.New(newTrialSource(int64(z ^ (z >> 31))))
 }
 
 // Run executes the campaign and returns the aggregated outcomes.

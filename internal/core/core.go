@@ -182,10 +182,9 @@ type weightUndo struct {
 	value  float32
 
 	// Quantized-domain entries (qs != nil) restore an int8 weight code
-	// and its channel's row sum instead of a float32 tensor element.
+	// (with its row sum and panel) instead of a float32 tensor element.
 	qs      *nn.QuantState
 	oldCode int8
-	oc      int
 }
 
 type hookable struct {

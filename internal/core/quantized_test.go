@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gofi/internal/fpbits"
@@ -139,6 +140,52 @@ func TestQuantizedWeightFaultMutatesCodesAndRestores(t *testing.T) {
 			t.Fatalf("row sum %d not restored", i)
 		}
 	}
+	if !clean.Equal(nn.Run(model, calib)) {
+		t.Fatal("forward pass differs after Reset")
+	}
+}
+
+// TestQuantizedWeightFaultPanelsLockstep: every conv's packed panels
+// equal a fresh pack of its codes after weight faults are applied —
+// stacked on one code, on an odd-kdim layer's last tap, on a Linear that
+// has no panels — and again after they are restored.
+func TestQuantizedWeightFaultPanelsLockstep(t *testing.T) {
+	inj, model, calib := quantizedInjector(t, true)
+	clean := nn.Run(model, calib).Clone()
+	requireFresh := func(when string) {
+		t.Helper()
+		for i, h := range inj.hookables() {
+			conv, ok := h.layer.(*nn.Conv2d)
+			if !ok {
+				continue
+			}
+			qs := h.quant()
+			fresh := tensor.PackConvPanelsI8(qs.WCodes, len(qs.WScales), conv.Spec.Canon().Groups)
+			if !reflect.DeepEqual(qs.Panels, fresh) {
+				t.Fatalf("%s: layer %d's panels differ from a fresh pack of its codes", when, i)
+			}
+		}
+	}
+	requireFresh("after quantization")
+	sites := []WeightSite{
+		{Layer: 0, Idx: []int{1, 0, 0, 0}},
+		{Layer: 0, Idx: []int{3, 2, 2, 2}}, // conv1's kdim is 27: the last tap
+		{Layer: 1, Idx: []int{5, 3, 1, 1}},
+		{Layer: 2, Idx: []int{7, 7, 2, 2}},
+		{Layer: 3, Idx: []int{4, 7}},
+	}
+	if err := inj.DeclareWeightFI(BitFlip{Bit: 7}, sites...); err != nil {
+		t.Fatal(err)
+	}
+	if err := inj.DeclareWeightFI(BitFlip{Bit: 6}, sites[2]); err != nil {
+		t.Fatal(err)
+	}
+	requireFresh("after apply")
+	if clean.Equal(nn.Run(model, calib)) {
+		t.Fatal("weight faults did not affect inference")
+	}
+	inj.Reset()
+	requireFresh("after restore")
 	if !clean.Equal(nn.Run(model, calib)) {
 		t.Fatal("forward pass differs after Reset")
 	}

@@ -188,8 +188,9 @@ func (inj *Injector) DeclareWeightFI(model ErrorModel, sites ...WeightSite) erro
 		if r.qs != nil {
 			// Quantized domain: the fault lives in the stored int8 code.
 			// Perturb the code's real value under the channel's weight
-			// scale, requantize, and patch code + row sum; the float32
-			// master weights stay untouched.
+			// scale, requantize, and set the code (SetCode keeps its row
+			// sum and panel in step); the float32 master weights stay
+			// untouched.
 			oc := r.offset / (len(r.qs.WCodes) / len(r.qs.WScales))
 			ws := r.qs.WScales[oc]
 			oldCode := r.qs.WCodes[r.offset]
@@ -201,9 +202,8 @@ func (inj *Injector) DeclareWeightFI(model ErrorModel, sites ...WeightSite) erro
 				Rand:  inj.rng,
 			})
 			newCode := ws.Quantize(nv)
-			inj.weightUndo = append(inj.weightUndo, weightUndo{reader: r.reader, qs: r.qs, offset: r.offset, oldCode: oldCode, oc: oc})
-			r.qs.WCodes[r.offset] = newCode
-			r.qs.RowSums[oc] += int32(newCode) - int32(oldCode)
+			inj.weightUndo = append(inj.weightUndo, weightUndo{reader: r.reader, qs: r.qs, offset: r.offset, oldCode: oldCode})
+			r.qs.SetCode(r.offset, newCode)
 		} else {
 			old = r.t.AtFlat(r.offset)
 			inj.weightUndo = append(inj.weightUndo, weightUndo{reader: r.reader, tensor: r.t, offset: r.offset, value: old})
@@ -241,7 +241,7 @@ func (inj *Injector) hookables() []hookable {
 }
 
 // weightStorage identifies the memory a weight fault in h mutates, as a
-// comparable value: the int8 plan (codes and row sums) on a quantized
+// comparable value: the int8 plan (codes, row sums, panels) on a quantized
 // injector, else the float32 weight buffer. Equal values mean a fault
 // declared on one layer is read by the other — tied layers within a
 // model, replicas of a layer across workers.
@@ -284,14 +284,13 @@ func (inj *Injector) checkDType(model ErrorModel) error {
 }
 
 // RestoreWeights undoes all weight perturbations in reverse order —
-// float32 tensor elements and quantized weight codes (with their row-sum
-// contributions) alike.
+// float32 tensor elements and quantized weight codes (with their row sums
+// and panels) alike.
 func (inj *Injector) RestoreWeights() {
 	for i := len(inj.weightUndo) - 1; i >= 0; i-- {
 		u := inj.weightUndo[i]
 		if u.qs != nil {
-			u.qs.RowSums[u.oc] += int32(u.oldCode) - int32(u.qs.WCodes[u.offset])
-			u.qs.WCodes[u.offset] = u.oldCode
+			u.qs.SetCode(u.offset, u.oldCode)
 			continue
 		}
 		u.tensor.SetFlat(u.offset, u.value)

@@ -16,7 +16,8 @@ import (
 // observe exactly the values an int8 accelerator would hold.
 //
 // The float32 master weights are left untouched: QuantState carries its
-// own code array, which is what quantized weight-fault campaigns mutate.
+// own code array, which is what quantized weight-fault campaigns mutate
+// — through SetCode, which keeps the derived row sums and panels in step.
 
 // QuantState is the per-layer int8 execution plan produced by
 // QuantizeModel.
@@ -31,6 +32,9 @@ type QuantState struct {
 	// maintained in lockstep with WCodes (the zero-point correction term
 	// in the dequantization fold depends on it).
 	RowSums []int32
+	// Panels are a Conv2d's WCodes packed once for the int8 direct conv
+	// lowering, also in lockstep with WCodes; nil on a Linear.
+	Panels *tensor.ConvPanelsI8
 	// In is the affine quantizer for the layer's input activations.
 	In quant.Affine
 	// Out is the symmetric grid the layer's float32 output is snapped
@@ -51,19 +55,20 @@ func (qs *QuantState) params(bias []float32) tensor.QuantParams {
 		RowSums:  qs.RowSums,
 		Bias:     bias,
 		OutScale: float32(qs.Out),
+		Panels:   qs.Panels,
 	}
 }
 
-// RecomputeRowSum refreshes RowSums[oc] from the current codes of output
-// channel oc. Weight-fault injectors that patch codes directly can
-// instead apply the delta; this is the from-scratch fallback.
-func (qs *QuantState) RecomputeRowSum(oc int) {
-	per := len(qs.WCodes) / len(qs.WScales)
-	var s int32
-	for _, c := range qs.WCodes[oc*per : (oc+1)*per] {
-		s += int32(c)
+// SetCode sets weight code offset (an index into WCodes) to code and
+// updates its channel's row sum and its panel element with it: the one
+// writer of a quantized layer's weights after QuantizeModel.
+func (qs *QuantState) SetCode(offset int, code int8) {
+	oc := offset / (len(qs.WCodes) / len(qs.WScales))
+	qs.RowSums[oc] += int32(code) - int32(qs.WCodes[offset])
+	qs.WCodes[offset] = code
+	if qs.Panels != nil {
+		qs.Panels.Set(offset, code)
 	}
-	qs.RowSums[oc] = s
 }
 
 // QuantizeOptions controls calibration policy.
@@ -75,12 +80,14 @@ type QuantizeOptions struct {
 }
 
 // quantTargets collects the quantizable layers (Conv2d, Linear) in walk
-// order with their paths.
+// order with their paths; groups is a Conv2d's group count, 0 on a
+// Linear.
 type quantTarget struct {
 	path   string
 	base   *Base
 	weight *tensor.Tensor
 	bias   *Param
+	groups int
 	attach func(*QuantState)
 	get    func() *QuantState
 }
@@ -91,7 +98,7 @@ func quantTargets(root Layer) []*quantTarget {
 		switch v := l.(type) {
 		case *Conv2d:
 			ts = append(ts, &quantTarget{
-				path: path, base: &v.Base, weight: v.weight.Data, bias: v.bias,
+				path: path, base: &v.Base, weight: v.weight.Data, bias: v.bias, groups: v.Spec.Canon().Groups,
 				attach: func(qs *QuantState) { v.qstate = qs },
 				get:    func() *QuantState { return v.qstate },
 			})
@@ -189,6 +196,9 @@ func QuantizeModel(root Layer, calib *tensor.Tensor, opts QuantizeOptions) error
 				sum += int32(c)
 			}
 			qs.RowSums[oc] = sum
+		}
+		if tg.groups > 0 {
+			qs.Panels = tensor.PackConvPanelsI8(qs.WCodes, len(ws), tg.groups)
 		}
 		tg.attach(qs)
 	}

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -231,7 +232,7 @@ func TestDequantizeModelRestoresFloat(t *testing.T) {
 	}
 }
 
-func TestRecomputeRowSum(t *testing.T) {
+func TestSetCodeKeepsRowSumAndPanels(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	m := quantTestModel(rng)
 	calib := tensor.RandUniform(rng, -1, 1, 2, 2, 6, 6)
@@ -246,9 +247,11 @@ func TestRecomputeRowSum(t *testing.T) {
 	})
 	qs := conv.Quant()
 	want := append([]int32{}, qs.RowSums...)
-	qs.WCodes[3] += 5
-	qs.RecomputeRowSum(0)
+	qs.SetCode(3, qs.WCodes[3]+5)
 	if qs.RowSums[0] != want[0]+5 {
 		t.Fatalf("RowSums[0] = %d, want %d", qs.RowSums[0], want[0]+5)
+	}
+	if fresh := tensor.PackConvPanelsI8(qs.WCodes, len(qs.WScales), conv.Spec.Canon().Groups); !reflect.DeepEqual(qs.Panels, fresh) {
+		t.Fatal("panels after SetCode differ from a fresh pack of the codes")
 	}
 }

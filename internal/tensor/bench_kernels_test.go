@@ -115,6 +115,42 @@ func BenchmarkConvForward_DenseLayer(b *testing.B) { benchConvForward(b, 1, 40, 
 // double the GEMM, so it stays on im2col + the packed GEMM.
 func BenchmarkConvForward_Tiny4x4(b *testing.B) { benchConvForward(b, 1, 128, 128, 4, 3, 1, 1, 1) }
 
+// benchConvInt8Forward times Conv2dInt8Into as a quantized model runs
+// it: per-channel weight codes with their row sums and their panels
+// packed once, an asymmetric input quantizer, the output snap on.
+func benchConvInt8Forward(b *testing.B, cin, cout, size, kernel, pad int) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(6))
+	x := RandUniform(rng, 0, 1, 1, cin, size, size)
+	wShape := []int{cout, cin, kernel, kernel}
+	wq := make([]int8, cout*cin*kernel*kernel)
+	QuantizeI8Into(wq, RandUniform(rng, -1, 1, wShape...).Data(), 1.0/127, 0)
+	qp := QuantParams{InScale: 1.0 / 255, InZP: -128, WScales: make([]float32, cout), RowSums: make([]int32, cout), OutScale: 1.0 / 32}
+	per := len(wq) / cout
+	for oc := range qp.WScales {
+		qp.WScales[oc] = 1.0 / 127
+		for _, c := range wq[oc*per : (oc+1)*per] {
+			qp.RowSums[oc] += int32(c)
+		}
+	}
+	qp.Panels = PackConvPanelsI8(wq, cout, 1)
+	spec := ConvSpec{PadH: pad, PadW: pad}
+	dst := New(ConvOutShape(x.Shape(), wShape, spec)...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Conv2dInt8Into(dst, x, wq, wShape, qp, spec)
+	}
+}
+
+// The DenseNet shapes of the int8 forward: a dense layer's 3×3 conv at
+// 32×32 (40→8, kdim 360 past one gemmKC chunk) and at 8×8 (52→8), both
+// on the direct lowering, and a transition's 1×1 conv at 32×32 (48→24),
+// which stays on the packed GEMM over its in-place slab.
+func BenchmarkConvInt8Forward_DenseLayer(b *testing.B) { benchConvInt8Forward(b, 40, 8, 32, 3, 1) }
+func BenchmarkConvInt8Forward_Dense8x8(b *testing.B)   { benchConvInt8Forward(b, 52, 8, 8, 3, 1) }
+func BenchmarkConvInt8Forward_Transition(b *testing.B) { benchConvInt8Forward(b, 48, 24, 32, 1, 0) }
+
 func BenchmarkConvBackward_AlexLate(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	x := RandUniform(rng, -1, 1, 1, 48, 8, 8)

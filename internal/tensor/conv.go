@@ -154,11 +154,14 @@ type convStages[In, Out elem] interface {
 // Cg·KH·KW] and im2col pad value in the GEMM's operand type, its stages,
 // and the per-unit scratch its load and result stages use (the float32
 // backend reads its input and writes its output in place and needs none;
-// the int8 backend quantizes each slab and accumulates int32).
+// the int8 backend quantizes each slab and accumulates int32). panels,
+// when set, are the weights packed once as the direct lowering's A panels
+// (ConvPanelsI8); nil packs A per call.
 type convJob[In, AP, BP, Out elem] struct {
 	cv            *convGeom
 	gemm          *gemmKernels[In, AP, BP, Out]
 	w             []In
+	panels        []AP
 	pad           In
 	inLen, accLen int
 	st            convStages[In, Out]

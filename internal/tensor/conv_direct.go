@@ -1,27 +1,34 @@
 package tensor
 
-// Direct conv lowering: a stride-1 conv computed without a column matrix.
+// Direct conv lowering: a stride-1 conv computed without a column matrix,
+// on both backends.
 //
 // A unit's [Cg, H, W] input slab is copied once into a plane with a border
 // of pad values, [Cg, Hp, Wp] with Hp = H + 2·PadH and Wp = W + 2·PadW.
-// Output pixel (oy, ox) is computed at virtual column v = oy·Wp + ox, and
-// the column matrix element for tap k = (c, ky, kx) at that pixel is then
+// The pad is the one im2col writes: +0.0 on float32, the input zero-point
+// code (the code of real 0.0) on int8. Output pixel (oy, ox) is computed
+// at virtual column v = oy·Wp + ox, and the column matrix element for tap
+// k = (c, ky, kx) at that pixel is then
 //
 //	plane[off[k] + v],  off[k] = c·Hp·Wp + ky·Wp + kx
 //
 // — the image element im2col would copy there, or the border's pad where
 // im2col writes pad. So B row k is the plane shifted by off[k], and the
 // micro-kernel reads it in place (gemmKern4x16IndAVX: one offset load per
-// k step) instead of from an im2col matrix repacked into panels. The Wp −
-// OW virtual columns past each output row's end are computed and
-// discarded: the GEMM runs over roundUp((OH−1)·Wp + OW, gemmNR) columns
-// into scratch, and compaction copies the valid ones to the output.
+// k step; gemmKernI8IndAVX: two per k-pair) instead of from an im2col
+// matrix repacked into panels. The Wp − OW virtual columns past each
+// output row's end are computed and discarded: the GEMM runs over
+// roundUp((OH−1)·Wp + OW, gemmNR) columns into scratch, and compaction
+// copies the valid ones to the output. A is packed per call, or on int8
+// read in place from panels packed once at quantization (ConvPanelsI8).
 //
-// Bits: every output element is the ascending-k chain over the same
-// products as on the im2col path, pad products w·pad included (w·0 is NaN
-// for an Inf or NaN weight on both), in the same micro-kernel arithmetic,
-// k-blocked at the same gemmKC multiples — so the determinism contract of
-// gemm.go holds and the result equals the im2col lowering's bit for bit.
+// Bits: on float32 every output element is the ascending-k chain over the
+// same products as on the im2col path, pad products w·pad included (w·0
+// is NaN for an Inf or NaN weight on both), in the same micro-kernel
+// arithmetic, k-blocked at the same gemmKC multiples — so the determinism
+// contract of gemm.go holds and the result equals the im2col lowering's
+// bit for bit. On int8 the sums are int32 and exact, so they equal the
+// im2col lowering's whatever the order.
 
 // direct reports whether the conv runs on the direct lowering: stride 1,
 // not pointwise (that one reads its slab in place already), virtual
@@ -53,7 +60,8 @@ func (cv *convGeom) planeLen() int {
 }
 
 // tapOffsets writes off[k] for every tap k = (c, ky, kx) in the GEMM's k
-// order; they ascend.
+// order; they ascend. Slots past kdim (the int8 k-pair pad) repeat the
+// last tap: a kernel may read them, and their A elements are zero.
 func (cv *convGeom) tapOffsets(offs []int32) {
 	hp, wp := cv.planeDims()
 	k := 0
@@ -64,6 +72,9 @@ func (cv *convGeom) tapOffsets(offs []int32) {
 				k++
 			}
 		}
+	}
+	for ; k < len(offs); k++ {
+		offs[k] = offs[k-1]
 	}
 }
 
@@ -82,6 +93,22 @@ func fillPlane[T elem](cv *convGeom, plane, img []T) {
 		for y := 0; y < h; y++ {
 			copy(dst[y*wp:y*wp+w], src[y*w:(y+1)*w])
 		}
+	}
+}
+
+// fillPlanePad sets every element of plane to pad: clear for a zero pad,
+// else one store and doubling copies — a few memmoves for a whole plane
+// (an int8 plane bordered with a non-zero zero-point code), where
+// fillPad's store loop would pay per element.
+func fillPlanePad[T elem](plane []T, pad T) {
+	var zero T
+	if pad == zero || len(plane) == 0 {
+		clear(plane)
+		return
+	}
+	plane[0] = pad
+	for n := 1; n < len(plane); n *= 2 {
+		copy(plane[n:], plane[:n])
 	}
 }
 
@@ -104,32 +131,32 @@ func compactCols[T elem](cv *convGeom, res, vres []T) {
 // written once per chunk; every unit overwrites only the interior.
 func (j *convJob[In, AP, BP, Out]) directUnits(lo, hi int, fanned bool) {
 	cv := j.cv
-	nv, planeLen := cv.virtualCols(), cv.planeLen()
+	nv, planeLen, nk := cv.virtualCols(), cv.planeLen(), roundUp(cv.kdim, j.gemm.kStep)
 	var sc scratch
 	arenaOf[In](&sc).reserve(j.inLen + planeLen)
 	arenaOf[Out](&sc).reserve(j.accLen + cv.coutG*nv)
-	arenaOf[int32](&sc).reserve(cv.kdim)
-	if fanned {
+	arenaOf[int32](&sc).reserve(nk)
+	if fanned && j.panels == nil {
 		directReserve(j.gemm, &sc, cv.coutG, cv.kdim, nv)
 	}
 	buf, plane := arenaOf[In](&sc).take(j.inLen), arenaOf[In](&sc).take(planeLen)
 	acc, vres := arenaOf[Out](&sc).take(j.accLen), arenaOf[Out](&sc).take(cv.coutG*nv)
-	offs := arenaOf[int32](&sc).take(cv.kdim)
+	offs := arenaOf[int32](&sc).take(nk)
 	cv.tapOffsets(offs)
-	var zero In
-	if j.pad == zero {
-		clear(plane)
-	} else {
-		fillPad(plane, j.pad)
-	}
+	fillPlanePad(plane, j.pad)
 	for u := lo; u < hi; u++ {
 		s, gi := u/cv.g, u%cv.g
 		fillPlane(cv, plane, j.st.load(buf, s, gi))
 		wg := j.w[gi*cv.coutG*cv.kdim : (gi+1)*cv.coutG*cv.kdim]
+		var pg []AP
+		if j.panels != nil {
+			n := len(j.panels) / cv.g
+			pg = j.panels[gi*n : (gi+1)*n]
+		}
 		if fanned {
-			directSerial(j.gemm, vres, nv, wg, cv.kdim, plane, offs, cv.coutG, cv.kdim, nv, &sc)
+			directSerial(j.gemm, vres, nv, wg, cv.kdim, pg, plane, offs, cv.coutG, cv.kdim, nv, &sc)
 		} else {
-			directParallel(j.gemm, vres, nv, wg, cv.kdim, plane, offs, cv.coutG, cv.kdim, nv)
+			directParallel(j.gemm, vres, nv, wg, cv.kdim, pg, plane, offs, cv.coutG, cv.kdim, nv)
 		}
 		res := j.st.result(acc, s, gi)
 		compactCols(cv, res, vres)
@@ -147,61 +174,79 @@ func directReserve[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], sc *sc
 
 // directSerial computes dst = A×B on the calling goroutine, A [m, k] row
 // major (rows lda apart) and B [k, n] read in place as B[p, j] =
-// plane[offs[p]+j], n a multiple of gemmNR. The pc/ic loop nest and the
-// A panels are gemmSerial's; B needs no panel and no jc blocking. k > 0.
-func directSerial[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out, ldc int, a []In, lda int, plane []In, offs []int32, m, k, n int, sc *scratch) {
+// plane[offs[p]+j], n a multiple of gemmNR; offs holds roundUp(k, kStep)
+// offsets, any past k duplicating offs[k-1]. The pc/ic loop nest is
+// gemmSerial's; B needs no panel and no jc blocking. A's panels are
+// packed per block from a, or read in place from panels when A was
+// packed once over all of k (ConvPanelsI8's layout: block (ic, pc) at
+// ic·roundUp(k, kStep) + pc·gemmMR), which takes no scratch. k > 0.
+func directSerial[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out, ldc int, a []In, lda int, panels []AP, plane []In, offs []int32, m, k, n int, sc *scratch) {
 	// The assembly kernels read B without bounds checks: every row must
 	// fit in the plane, and the offsets ascend, so the last decides.
 	if n%gemmNR != 0 || int(offs[k-1])+n > len(plane) {
 		panic("tensor: direct conv reads past its plane")
 	}
-	arA := arenaOf[AP](sc)
-	mark := arA.mark()
-	la, _ := g.panelLens(m, k, n)
-	apack := arA.take(la)
+	var apack []AP
+	if panels == nil {
+		arA := arenaOf[AP](sc)
+		defer arA.restore(arA.mark())
+		la, _ := g.panelLens(m, k, n)
+		apack = arA.take(la)
+	}
+	nk := roundUp(k, g.kStep)
 	for pc := 0; pc < k; pc += gemmKC {
 		kb := min(k-pc, gemmKC)
+		bo := offs[pc : pc+roundUp(kb, g.kStep)]
 		for ic := 0; ic < m; ic += gemmMC {
 			mb := min(m-ic, gemmMC)
+			if panels != nil {
+				g.ind(dst, ldc, ic, panels[ic*nk+pc*gemmMR:], nk, plane, bo, mb, n, kb, pc == 0)
+				continue
+			}
 			g.packA(apack, a, lda, false, ic, pc, mb, kb)
-			g.ind(dst, ldc, ic, apack, plane, offs[pc:pc+kb], mb, n, kb, pc == 0)
+			g.ind(dst, ldc, ic, apack, roundUp(kb, g.kStep), plane, bo, mb, n, kb, pc == 0)
 		}
 	}
-	arA.restore(mark)
 }
 
 // directParallel is directSerial split across Workers() as gemmSplit
-// splits gemmParallel's outputs; each worker packs into its own scratch.
-func directParallel[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out, ldc int, a []In, lda int, plane []In, offs []int32, m, k, n int) {
+// splits gemmParallel's outputs; each worker packs into its own scratch,
+// or all read the shared panels.
+func directParallel[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out, ldc int, a []In, lda int, panels []AP, plane []In, offs []int32, m, k, n int) {
 	rows, dim, chunk := gemmSplit(m, k, n)
-	if chunk == 0 {
+	run := func(dst []Out, a []In, panels []AP, plane []In, m, n int) {
 		var sc scratch
-		directReserve(g, &sc, m, k, n)
-		directSerial(g, dst, ldc, a, lda, plane, offs, m, k, n, &sc)
+		if panels == nil {
+			directReserve(g, &sc, m, k, n)
+		}
+		directSerial(g, dst, ldc, a, lda, panels, plane, offs, m, k, n, &sc)
 		sc.release()
+	}
+	if chunk == 0 {
+		run(dst, a, panels, plane, m, n)
 		return
 	}
 	runParallel(dim, chunk, (dim+chunk-1)/chunk, func(lo, hi int) {
-		var sc scratch
-		if rows {
-			directReserve(g, &sc, hi-lo, k, n)
-			directSerial(g, dst[lo*ldc:], ldc, a[lo*lda:], lda, plane, offs, hi-lo, k, n, &sc)
-		} else {
-			directReserve(g, &sc, m, k, hi-lo)
-			directSerial(g, dst[lo:], ldc, a, lda, plane[lo:], offs, m, k, hi-lo, &sc)
+		if !rows {
+			run(dst[lo:], a, panels, plane[lo:], m, hi-lo)
+			return
 		}
-		sc.release()
+		pl := panels
+		if pl != nil {
+			pl = pl[lo*roundUp(k, g.kStep):]
+		}
+		run(dst[lo*ldc:], a[lo*lda:], pl, plane, hi-lo, n)
 	})
 }
 
 // gemmMacroInd is gemmMacro over B read in place: the float32 backend's
 // ind. Every tile is full width; row remainders run one 1×16 pass a row.
-func gemmMacroInd(dst []float32, ldc, ic int, apack, plane []float32, offs []int32, mb, nb, kb int, first bool) {
+func gemmMacroInd(dst []float32, ldc, ic int, apack []float32, astride int, plane []float32, offs []int32, mb, nb, kb int, first bool) {
 	for jr := 0; jr < nb; jr += gemmNR {
 		base := plane[jr:]
 		for ir := 0; ir < mb; ir += gemmMR {
 			rows := min(mb-ir, gemmMR)
-			ap := apack[ir*kb : ir*kb+rows*kb]
+			ap := apack[ir*astride : ir*astride+rows*kb]
 			c := dst[(ic+ir)*ldc+jr:]
 			if rows == gemmMR {
 				kern4x16Ind(c, ldc, ap, base, offs, kb, first)

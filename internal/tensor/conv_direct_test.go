@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -83,7 +84,8 @@ func checkDirect(t *testing.T, x, w, bias *Tensor, spec ConvSpec, anyNaN bool) {
 // TestConvDirectMatchesIm2col is the direct lowering's parity wall: over
 // the geometries it serves and the edges of its virtual columns and
 // blocking, and under weights a fault can produce, every output bit
-// equals the im2col lowering's.
+// equals the im2col lowering's, on the float32 backend and (int8/…) on
+// the int8 one.
 func TestConvDirectMatchesIm2col(t *testing.T) {
 	type tc struct {
 		name         string
@@ -132,6 +134,133 @@ func TestConvDirectMatchesIm2col(t *testing.T) {
 			})
 		}
 	}
+	t.Run("int8", testConvDirectI8)
+}
+
+// convI8Lowering runs one int8 forward on the direct lowering (direct)
+// or the im2col + packed GEMM lowering, whatever run would pick.
+func convI8Lowering(x *Tensor, wq []int8, wShape []int, qp QuantParams, spec ConvSpec, direct bool) *Tensor {
+	cv := checkConvShapes(x, wShape, spec)
+	dst := New(cv.n, cv.cout, cv.oh, cv.ow)
+	c := newI8Conv(dst, x, wq, qp, &cv)
+	units := c.job.units
+	if direct {
+		units = c.job.directUnits
+	}
+	convUnits(cv.n*cv.g, units)
+	return dst
+}
+
+// checkDirectI8 requires the int8 direct lowering — A packed per call,
+// and A read in place from panels packed once — to reproduce the im2col
+// lowering exactly at one and four workers, and its scalar twins (the
+// gemmAVX2 gate off) to reproduce it too. Power-of-two scales and no bias
+// make every output the exact image of its int32 accumulator.
+func checkDirectI8(t *testing.T, x *Tensor, wq []int8, wShape []int, zp int8, spec ConvSpec) {
+	t.Helper()
+	cout := wShape[0]
+	qp := QuantParams{InScale: 1.0 / 64, InZP: zp, WScales: make([]float32, cout), RowSums: make([]int32, cout)}
+	per := len(wq) / cout
+	for oc := range qp.WScales {
+		qp.WScales[oc] = 1.0 / 64
+		for _, c := range wq[oc*per : (oc+1)*per] {
+			qp.RowSums[oc] += int32(c)
+		}
+	}
+	withPanels := qp
+	withPanels.Panels = PackConvPanelsI8(wq, cout, spec.Canon().Groups)
+
+	prev := SetWorkers(1)
+	defer SetWorkers(prev)
+	ref := convI8Lowering(x, wq, wShape, qp, spec, false)
+	saved := gemmAVX2
+	defer func() { gemmAVX2 = saved }()
+	for _, run := range []struct {
+		what    string
+		workers int
+		scalar  bool
+	}{{"1 worker", 1, false}, {"4 workers", 4, false}, {"scalar kernels", 1, true}, {"scalar kernels, 4 workers", 4, true}} {
+		SetWorkers(run.workers)
+		gemmAVX2 = saved && !run.scalar
+		requireSameBits(t, "int8 im2col, "+run.what, convI8Lowering(x, wq, wShape, qp, spec, false), ref, false)
+		requireSameBits(t, "int8 direct, packed A, "+run.what, convI8Lowering(x, wq, wShape, qp, spec, true), ref, false)
+		requireSameBits(t, "int8 direct, panels, "+run.what, convI8Lowering(x, wq, wShape, withPanels, spec, true), ref, false)
+	}
+}
+
+// randCodes returns n int8 weight codes over the full range, -128 (a
+// flipped sign bit's code) included.
+func randCodes(rng *rand.Rand, n int) []int8 {
+	wq := make([]int8, n)
+	for i := range wq {
+		wq[i] = int8(rng.Intn(256) - 128)
+	}
+	return wq
+}
+
+// testConvDirectI8 is the int8 half of the parity wall: the direct
+// lowering's int32 sums, with A packed per call or read from panels
+// packed once, equal the im2col lowering's at every geometry edge — odd
+// kdim (the pair pad tap), kdim past gemmKC, coutG off whole panels, rows
+// past gemmMC and split by rows across workers — under a zero and a
+// non-zero zero-point border.
+func testConvDirectI8(t *testing.T) {
+	type tc struct {
+		name         string
+		n, c, h, w   int
+		cout, kh, kw int
+		spec         ConvSpec
+	}
+	cases := []tc{
+		{"stem-k27", 1, 3, 32, 32, 16, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
+		{"dense-k360", 1, 40, 32, 32, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
+		{"dense-8x8-k468", 1, 52, 8, 8, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
+		{"odd-k261", 1, 29, 10, 10, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
+		{"5x5-pad2", 1, 3, 12, 12, 3, 5, 5, ConvSpec{PadH: 2, PadW: 2}},
+		{"asym-pad-3x5", 1, 3, 9, 11, 4, 3, 5, ConvSpec{PadH: 1, PadW: 2}},
+		{"unpadded-5x5", 1, 4, 16, 16, 8, 5, 5, ConvSpec{}},
+		{"grouped", 1, 8, 10, 10, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1, Groups: 2}},
+		{"grouped-coutG3", 1, 4, 10, 10, 6, 3, 3, ConvSpec{PadH: 1, PadW: 1, Groups: 2}},
+		{"depthwise", 1, 6, 9, 9, 6, 3, 3, ConvSpec{PadH: 1, PadW: 1, Groups: 6}},
+		{"batch8", 8, 5, 12, 12, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
+		{"tall-m102", 1, 30, 10, 10, 102, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
+		{"rows-split-m130", 1, 4, 6, 6, 130, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
+		{"4x4", 1, 16, 4, 4, 16, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
+	}
+	for _, ow := range []int{7, 8, 9, 33} {
+		cases = append(cases, tc{fmt.Sprintf("ow%d", ow), 1, 3, 6, ow, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1}})
+	}
+	for _, cout := range []int{1, 3, 5, 28} {
+		cases = append(cases, tc{fmt.Sprintf("cout%d", cout), 1, 5, 16, 16, cout, 3, 3, ConvSpec{PadH: 1, PadW: 1}})
+	}
+	rng := rand.New(rand.NewSource(67))
+	for _, c := range cases {
+		for _, zp := range []int8{0, -128, 37} {
+			t.Run(fmt.Sprintf("%s/zp%d", c.name, zp), func(t *testing.T) {
+				spec := c.spec.Canon()
+				x := RandUniform(rng, -2.5, 2.5, c.n, c.c, c.h, c.w)
+				wShape := []int{c.cout, c.c / spec.Groups, c.kh, c.kw}
+				checkDirectI8(t, x, randCodes(rng, c.cout*c.c/spec.Groups*c.kh*c.kw), wShape, zp, spec)
+			})
+		}
+	}
+}
+
+// TestConvPanelsI8Set pins Set to the pack: rewriting every code through
+// Set, on panels packed from other codes, gives the panels of the new
+// codes — padding rows and the odd-k pad tap untouched.
+func TestConvPanelsI8Set(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for _, c := range []struct{ cout, groups, kdim int }{{16, 1, 27}, {8, 1, 360}, {6, 2, 36}, {6, 6, 9}, {5, 1, 7}} {
+		wq, next := randCodes(rng, c.cout*c.kdim), randCodes(rng, c.cout*c.kdim)
+		p := PackConvPanelsI8(wq, c.cout, c.groups)
+		for off, code := range next {
+			p.Set(off, code)
+		}
+		if want := PackConvPanelsI8(next, c.cout, c.groups); !slices.Equal(p.data, want.data) {
+			t.Fatalf("%+v: panels after Set differ from a fresh pack", c)
+		}
+	}
 }
 
 // TestConvDirectRouting pins the eligibility rule: stride-1 convs whose
@@ -160,7 +289,8 @@ func TestConvDirectRouting(t *testing.T) {
 }
 
 // FuzzConvDirect: for any stride-1 geometry the direct lowering equals
-// the im2col lowering bit for bit, special weights included.
+// the im2col lowering bit for bit on both backends, special float32
+// weights included.
 func FuzzConvDirect(f *testing.F) {
 	f.Add(uint8(1), uint8(4), uint8(8), uint8(8), uint8(8), uint8(3), uint8(3), uint8(1), uint8(1), uint8(1), false, int64(1))
 	f.Add(uint8(2), uint8(6), uint8(5), uint8(9), uint8(3), uint8(5), uint8(3), uint8(2), uint8(1), uint8(3), true, int64(2))
@@ -180,5 +310,6 @@ func FuzzConvDirect(f *testing.F) {
 			specialWeights(rng, wt, false)
 		}
 		checkDirect(t, x, wt, RandUniform(rng, -1, 1, Cout), spec, false)
+		checkDirectI8(t, x, randCodes(rng, wt.Len()), wt.Shape(), int8(seed), spec)
 	})
 }

@@ -36,6 +36,48 @@ type QuantParams struct {
 	// OutScale > 0 snaps every output onto the symmetric int8 grid of
 	// that scale inside the epilogue; zero leaves the fold unsnapped.
 	OutScale float32
+	// Panels, optional, are a conv's weight codes packed once
+	// (PackConvPanelsI8); the direct lowering reads them in place instead
+	// of packing A on every call. LinearInt8Into ignores them.
+	Panels *ConvPanelsI8
+}
+
+// ConvPanelsI8 is an int8 conv layer's weight codes packed once, at
+// quantization, as the A panels the direct lowering reads in place
+// (conv_direct.go): per group, packAI8's layout over all of kdim, rows
+// padded to whole panels. The block of rows ic… and k-chunk pc… of any
+// GEMM over a group therefore sits at ic·roundUp(kdim, 2) + pc·gemmMR of
+// the group's panels, whatever gemmKC, gemmMC or the worker split.
+// Set keeps it in step with the codes it was packed from.
+type ConvPanelsI8 struct {
+	data        []int16
+	coutG, kdim int
+}
+
+// PackConvPanelsI8 packs the weight codes wq [Cout, Cg·KH·KW] of a conv
+// with cout output channels in groups groups.
+func PackConvPanelsI8(wq []int8, cout, groups int) *ConvPanelsI8 {
+	if cout <= 0 || groups <= 0 || cout%groups != 0 || len(wq)%cout != 0 {
+		panic(fmt.Sprintf("tensor: PackConvPanelsI8 of %d codes, %d channels in %d groups", len(wq), cout, groups))
+	}
+	p := &ConvPanelsI8{coutG: cout / groups, kdim: len(wq) / cout}
+	p.data = make([]int16, groups*p.groupLen())
+	for gi := 0; gi < groups; gi++ {
+		wg := wq[gi*p.coutG*p.kdim : (gi+1)*p.coutG*p.kdim]
+		packAI8(p.data[gi*p.groupLen():], wg, p.kdim, false, 0, 0, p.coutG, p.kdim)
+	}
+	return p
+}
+
+// groupLen is one group's panel length.
+func (p *ConvPanelsI8) groupLen() int { return roundUp(p.coutG, gemmMR) * roundUp(p.kdim, 2) }
+
+// Set rewrites the panel element of weight code off (an index into the
+// packed codes) to code.
+func (p *ConvPanelsI8) Set(off int, code int8) {
+	oc, k := off/p.kdim, off%p.kdim
+	gi, r := oc/p.coutG, oc%p.coutG
+	p.data[gi*p.groupLen()+(r/gemmMR)*gemmMR*roundUp(p.kdim, 2)+(k/2)*2*gemmMR+2*(r%gemmMR)+k%2] = int16(code)
 }
 
 // fold returns output channel oc's requant constants: the zero-point
@@ -60,11 +102,22 @@ func Conv2dInt8Into(dst, x *Tensor, wq []int8, wShape []int, qp QuantParams, spe
 		panic(fmt.Sprintf("tensor: Conv2dInt8 needs %d per-channel scales and row sums, got %d/%d", cv.cout, len(qp.WScales), len(qp.RowSums)))
 	}
 	cv.checkDst(dst, "Conv2dInt8Into")
+	if p := qp.Panels; p != nil && (p.coutG != cv.coutG || p.kdim != cv.kdim || len(p.data) != cv.g*p.groupLen()) {
+		panic(fmt.Sprintf("tensor: Conv2dInt8 panels of %d×%d per group do not fit weight %v in %d groups", p.coutG, p.kdim, wShape, cv.g))
+	}
+	newI8Conv(dst, x, wq, qp, &cv).job.run()
+}
 
-	c := &i8Conv{cv: cv, x: x, dst: dst, qp: qp}
+// newI8Conv returns the int8 forward of dst = conv(x, wq) under qp as a
+// job on the shared lowering.
+func newI8Conv(dst, x *Tensor, wq []int8, qp QuantParams, cv *convGeom) *i8Conv {
+	c := &i8Conv{cv: *cv, x: x, dst: dst, qp: qp}
 	c.job = convJob[int8, int16, int8, int32]{cv: &c.cv, gemm: i8Kernels, w: wq, pad: qp.InZP,
 		inLen: cv.cg * cv.h * cv.wd, accLen: cv.coutG * cv.l, st: c}
-	c.job.run()
+	if qp.Panels != nil {
+		c.job.panels = qp.Panels.data
+	}
+	return c
 }
 
 // i8Conv is the int8 forward's stages: each unit quantizes its input

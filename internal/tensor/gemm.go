@@ -42,9 +42,11 @@ type gemmKernels[In, AP, BP, Out elem] struct {
 	macro func(dst []Out, ldc, ic, jc int, apack []AP, bpack []BP, mb, nb, kb int, first bool)
 	// ind is the macro kernel of the direct conv lowering (conv_direct.go):
 	// B row p of the block is read in place at plane[offs[p]:], nb a
-	// multiple of gemmNR. nil on a backend without one, whose convs all
-	// take im2col.
-	ind func(dst []Out, ldc, ic int, apack []AP, plane []In, offs []int32, mb, nb, kb int, first bool)
+	// multiple of gemmNR, and the A panel of rows ir… starts at
+	// apack[ir·astride:] — a packA block's, or a block inside panels
+	// packed once over all of k. nil on a backend without one, whose
+	// convs all take im2col.
+	ind func(dst []Out, ldc, ic int, apack []AP, astride int, plane []In, offs []int32, mb, nb, kb int, first bool)
 	// kStep is the multiple panels round a k-block up to: 1 for float32,
 	// 2 for the int8 k-pair layout.
 	kStep int

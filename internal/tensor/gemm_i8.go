@@ -25,6 +25,11 @@ package tensor
 //     kernel choice produces bit-identical sums; the conv and linear
 //     drivers (conv_i8.go) fold them back to float32 in the requant
 //     epilogue.
+//   - The direct conv lowering (conv_direct.go) has no B panel: its ind
+//     kernel reads each B row pair in place from the image plane, whose
+//     border is the pad value — the input zero-point code — and its A
+//     panels are a conv's codes packed once over all of k
+//     (ConvPanelsI8). Its sums are exact like every other path's.
 //
 // The scalar kernels compute the same sums in plain loops; the parity
 // tests (gemm_i8_test.go and the amd64-tagged kernel test) pin the asm
@@ -32,7 +37,7 @@ package tensor
 // randomized shapes.
 
 // i8Kernels is the int8 backend.
-var i8Kernels = &gemmKernels[int8, int16, int8, int32]{packA: packAI8, packB: packBI8, macro: gemmI8Macro, kStep: 2}
+var i8Kernels = &gemmKernels[int8, int16, int8, int32]{packA: packAI8, packB: packBI8, macro: gemmI8Macro, ind: gemmI8MacroInd, kStep: 2}
 
 // packAI8 copies the mb×kb block of A at (ic, pc) into mr-row panels with
 // the pair-interleaved layout described atop this file. Panels have a
@@ -143,6 +148,22 @@ func gemmI8Macro(dst []int32, ldc, ic, jc int, apack []int16, bpack []int8, mb, 
 	}
 }
 
+// gemmI8MacroInd is gemmI8Macro over B read in place: the int8 backend's
+// ind. Every tile is full width; row remainders run the scalar twin over
+// the zero-padded panel's live rows. offs holds roundUp(kb, 2) entries:
+// with kb odd, the last pair's second row is a duplicate tap whose A
+// element is the panel's zero pad, so it adds nothing.
+func gemmI8MacroInd(dst []int32, ldc, ic int, apack []int16, astride int, plane []int8, offs []int32, mb, nb, kb int, first bool) {
+	kp := (kb + 1) / 2
+	for jr := 0; jr < nb; jr += gemmNR {
+		base := plane[jr:]
+		for ir := 0; ir < mb; ir += gemmMR {
+			ap := apack[ir*astride : ir*astride+kp*2*gemmMR]
+			kernI8Ind(dst[(ic+ir)*ldc+jr:], ldc, ap, base, offs, min(mb-ir, gemmMR), kp, first)
+		}
+	}
+}
+
 // kernI8 runs the full 4×16 tile on the AVX2 kernel when the CPU has it
 // (the gemmAVX2 gate), else on the scalar reference: identical bits
 // either way, integer accumulation being exact.
@@ -152,6 +173,44 @@ func kernI8(c []int32, ldc int, ap []int16, bp []int8, kp int, first bool) {
 		return
 	}
 	kernI8x16scalar(c, ldc, ap, bp, kp, first)
+}
+
+// kernI8Ind runs a full 4-row in-place-B tile on the AVX2 kernel when the
+// gemmAVX2 gate holds, else — and for row remainders — on the scalar
+// twin: identical sums either way.
+func kernI8Ind(c []int32, ldc int, ap []int16, base []int8, offs []int32, rows, kp int, first bool) {
+	if gemmAVX2 && rows == gemmMR {
+		gemmKernI8IndAVX(&c[0], ldc, &ap[0], &base[0], &offs[0], kp, first)
+		return
+	}
+	kernI8IndScalar(c, ldc, ap, base, offs, rows, kp, first)
+}
+
+// kernI8IndScalar is kernI8x16scalar over the tile's first rows rows with
+// B rows 2p and 2p+1 at base[offs[2p]:] and base[offs[2p+1]:].
+func kernI8IndScalar(c []int32, ldc int, ap []int16, base []int8, offs []int32, rows, kp int, first bool) {
+	var acc [gemmMR * gemmNR]int32
+	if !first {
+		for r := 0; r < rows; r++ {
+			copy(acc[r*gemmNR:(r+1)*gemmNR], c[r*ldc:r*ldc+gemmNR])
+		}
+	}
+	for p2 := 0; p2 < kp; p2++ {
+		av := ap[p2*2*gemmMR : p2*2*gemmMR+2*gemmMR]
+		b0 := base[offs[2*p2]:][:gemmNR]
+		b1 := base[offs[2*p2+1]:][:gemmNR]
+		for r := 0; r < rows; r++ {
+			a0 := int32(av[2*r])
+			a1 := int32(av[2*r+1])
+			arow := acc[r*gemmNR : (r+1)*gemmNR]
+			for j := range arow {
+				arow[j] += a0*int32(b0[j]) + a1*int32(b1[j])
+			}
+		}
+	}
+	for r := 0; r < rows; r++ {
+		copy(c[r*ldc:r*ldc+gemmNR], acc[r*gemmNR:(r+1)*gemmNR])
+	}
 }
 
 // kernI8Edge handles tiles narrower than the full 4×16 kernel, walking

@@ -4,11 +4,12 @@ package tensor
 
 // The assembly tier (the *_amd64.s files): every AVX2 kernel symbol and
 // the gate that selects them. The Go dispatchers next to each scalar twin
-// (kern4x16, kern1x16, kern4x16Ind, kern1x16Ind, kernI8, scaleShiftVec,
-// clampVec, quantizeI8Vec, requantI8Vec) call these only while gemmAVX2
-// holds, and each kernel computes its twin's bits: the same operations in
-// the same order, never FMA. Vector kernels over elements take n a
-// multiple of their width (8 float32 lanes, 16 int8 codes).
+// (kern4x16, kern1x16, kern4x16Ind, kern1x16Ind, kernI8, kernI8Ind,
+// scaleShiftVec, clampVec, quantizeI8Vec, requantI8Vec) call these only
+// while gemmAVX2 holds, and each kernel computes its twin's bits: the
+// same operations in the same order, never FMA. Vector kernels over
+// elements take n a multiple of their width (8 float32 lanes, 16 int8
+// codes).
 
 func cpuidAVX2() bool
 
@@ -36,6 +37,13 @@ func gemmKern1x16IndAVX(c *float32, ap *float32, astride int, base *float32, off
 //
 //go:noescape
 func gemmKernI8AVX(c *int32, ldc int, ap *int16, bp *int8, kp int, first bool)
+
+// gemmKernI8IndAVX is gemmKernI8AVX with B rows k and k+1 read at
+// base+offs[k] and base+offs[k+1]: the direct conv lowering's tap offsets
+// into its zero-point-bordered image plane.
+//
+//go:noescape
+func gemmKernI8IndAVX(c *int32, ldc int, ap *int16, base *int8, offs *int32, kp int, first bool)
 
 //go:noescape
 func scaleShiftAVX(dst, src *float32, n int, scale, shift float32)

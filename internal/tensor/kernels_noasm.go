@@ -20,9 +20,12 @@ func gemmKern1x16IndAVX(c *float32, ap *float32, astride int, base *float32, off
 	noAsm()
 }
 func gemmKernI8AVX(c *int32, ldc int, ap *int16, bp *int8, kp int, first bool) { noAsm() }
-func scaleShiftAVX(dst, src *float32, n int, scale, shift float32)             { noAsm() }
-func clampAVX(dst, src *float32, n int, hi float32)                            { noAsm() }
-func quantizeI8AVX(dst *int8, src *float32, n int, scale float32, zp int32)    { noAsm() }
+func gemmKernI8IndAVX(c *int32, ldc int, ap *int16, base *int8, offs *int32, kp int, first bool) {
+	noAsm()
+}
+func scaleShiftAVX(dst, src *float32, n int, scale, shift float32)          { noAsm() }
+func clampAVX(dst, src *float32, n int, hi float32)                         { noAsm() }
+func quantizeI8AVX(dst *int8, src *float32, n int, scale float32, zp int32) { noAsm() }
 func requantI8AVX(dst *float32, acc *int32, n int, corr int32, scale, bias, outScale float32) {
 	noAsm()
 }

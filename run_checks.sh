@@ -50,6 +50,9 @@ GOARCH=arm64 go build ./...
 # shifted-plane im2col copy (_Tiny4x4, whose 4x4 map the direct lowering
 # declines), the per-row copy (_Unpadded), the strided fallback
 # (_Strided) and the in-place 1x1 (_Pointwise).
+# BenchmarkConvInt8Forward_* runs the int8 direct lowering over a
+# zero-point-bordered plane with A panels packed once (_DenseLayer,
+# _Dense8x8) and the int8 1x1 it declines (_Transition).
 go test -cpu 1,4 ./internal/tensor ./internal/nn ./internal/campaign
 go test -run='^$' -bench . -benchtime 1x ./internal/tensor
 
@@ -196,6 +199,15 @@ check_kernels() {
 	check_selected -race -cpu 1,4 -run 'TestScaleShiftMatchesScalar|TestClampMatchesBranchingLoop|TestAvgPool2dIntoMatchesGeneric' ./internal/tensor
 	check_selected -race -cpu 1,4 -run 'TestGEMMWorkerCountBitIdentical|TestGemmI8WorkerCountIdentity|TestConvWorkerCountBitIdentical|TestConv2dInt8WorkerCountIdentity' ./internal/tensor
 	check_selected -race -cpu 1,4 -run 'TestConvDirectMatchesIm2col|TestConvDirectRouting|TestConv2dMatchesNaive' ./internal/tensor
+	# The int8 direct lowering's wall, its panels' Set, and weight faults
+	# keeping code, row sum and panel in lockstep through SetCode.
+	check_selected -race -cpu 1,4 -run 'TestConvDirectMatchesIm2col/int8|TestConvPanelsI8Set' ./internal/tensor
+	check_selected -race -cpu 1,4 -run 'TestQuantizedWeightFaultPanelsLockstep' ./internal/core
+	check_selected -race -cpu 1,4 -run 'TestSetCodeKeepsRowSumAndPanels' ./internal/nn
+	check_selected -tags noasm -run 'TestConvDirectMatchesIm2col/int8|TestConvPanelsI8Set' ./internal/tensor
+	check_selected -tags noasm -run 'TestQuantizedWeightFaultPanelsLockstep' ./internal/core
+	# The lazy trial RNG is math/rand's stream, draw for draw.
+	check_selected -run 'TestTrialSourceMatchesMathRand' ./internal/campaign
 	check_selected -race -cpu 1,4 -run 'TestEvalForwardMatchesScalarKernels' ./internal/nn
 	check_selected -run='^$' -fuzz='^FuzzClamp$' -fuzztime=10s ./internal/tensor
 	check_selected -run='^$' -fuzz='^FuzzConvDirect$' -fuzztime=10s ./internal/tensor
