@@ -10,6 +10,7 @@ import (
 	"gofi/internal/core"
 	"gofi/internal/data"
 	"gofi/internal/nn"
+	"gofi/internal/tensor"
 	"gofi/internal/train"
 )
 
@@ -307,5 +308,26 @@ func TestRunMoreWorkersThanTrials(t *testing.T) {
 	}
 	if agg.Trials != 3 {
 		t.Fatalf("trials = %d, want 3", agg.Trials)
+	}
+}
+
+// TestClassifyIgnoresNaNPayload: the tensor level pins every bit but a
+// NaN's payload (DESIGN §10), so classify must give logits that differ
+// only there one Outcome — ArgMaxRows and TopK only compare, and
+// ConfidenceDrop is computed on finite logits only.
+func TestClassifyIgnoresNaNPayload(t *testing.T) {
+	cp := cleanPrediction{top1: 2, top5: []int{2, 4, 0, 5, 1}, conf: 0.6}
+	for _, nanAt := range [][]int{{0}, {2}, {1, 4}, {0, 1, 2, 3, 4, 5}} {
+		var got []Outcome
+		for _, payload := range []uint32{0x7fc00000, 0xffc0beef} {
+			v := []float32{0.5, -1, 2, 0.25, 1.5, -3}
+			for _, i := range nanAt {
+				v[i] = math.Float32frombits(payload)
+			}
+			got = append(got, classify(tensor.FromSlice(v, 1, len(v)), cp))
+		}
+		if got[0] != got[1] {
+			t.Fatalf("NaN at %v: outcomes %+v and %+v differ by NaN payload alone", nanAt, got[0], got[1])
+		}
 	}
 }

@@ -91,8 +91,7 @@ func RunFig3(ctx context.Context, cfg Fig3Config) ([]Fig3Row, error) {
 			{"parallel", cfg.ParallelWorkers},
 		} {
 			prev := tensor.SetWorkers(backend.workers)
-			base, baseAlloc := timeInference(model, inj, e, cfg, false)
-			fi, fiAlloc := timeInference(model, inj, e, cfg, true)
+			base, fi, baseAlloc, fiAlloc := timeInference(model, inj, e, cfg)
 			tensor.SetWorkers(prev)
 			rows = append(rows, Fig3Row{
 				Label:     e.Label,
@@ -112,32 +111,48 @@ func RunFig3(ctx context.Context, cfg Fig3Config) ([]Fig3Row, error) {
 	return rows, nil
 }
 
-// timeInference times cfg.Trials inferences on random inputs, with one
-// random-neuron fault armed when fi is true, folding the per-run samples
-// into a DurStat and the heap-traffic delta into an AllocStat.
-func timeInference(model nn.Layer, inj *core.Injector, e models.Fig3Entry, cfg Fig3Config, fi bool) (DurStat, AllocStat) {
+// timeInference times cfg.Trials rounds on one random input, each round
+// one bare inference and one with a random-neuron fault armed, flipping
+// which goes first every round (as RunLayerOverhead alternates its
+// variants), so warm-up and frequency drift land on both modes alike
+// instead of on whichever ran second. It returns the per-mode samples
+// folded into DurStats and each mode's heap traffic, measured in a
+// pre-pass of cfg.Trials inferences per mode.
+func timeInference(model nn.Layer, inj *core.Injector, e models.Fig3Entry, cfg Fig3Config) (base, fi DurStat, baseAlloc, fiAlloc AllocStat) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	// Warm-up inference excluded from timing.
 	x := tensor.RandUniform(rng, -1, 1, cfg.Batch, 3, e.InSize, e.InSize)
-	nn.Run(model, x)
-
-	samples := make([]time.Duration, cfg.Trials)
-	alloc := measureAllocs(cfg.Trials, func() {
-		for t := range samples {
-			inj.Reset()
-			if fi {
-				// Re-armed per trial, as a campaign would.
-				if _, err := inj.InjectRandomNeuron(rng, core.DefaultRandomValue()); err != nil {
-					panic(fmt.Sprintf("fig3: arming validated site failed: %v", err))
-				}
+	run := func(armed bool) time.Duration {
+		inj.Reset()
+		if armed {
+			// Re-armed per inference, as a campaign would.
+			if _, err := inj.InjectRandomNeuron(rng, core.DefaultRandomValue()); err != nil {
+				panic(fmt.Sprintf("fig3: arming validated site failed: %v", err))
 			}
-			start := time.Now()
-			nn.Run(model, x)
-			samples[t] = time.Since(start)
 		}
-	})
+		start := time.Now()
+		nn.Run(model, x)
+		return time.Since(start)
+	}
+	nn.Run(model, x) // warm-up, excluded from timing
+	allocs := func(armed bool) AllocStat {
+		return measureAllocs(cfg.Trials, func() {
+			for range cfg.Trials {
+				run(armed)
+			}
+		})
+	}
+	baseAlloc, fiAlloc = allocs(false), allocs(true)
+
+	bs, fs := make([]time.Duration, cfg.Trials), make([]time.Duration, cfg.Trials)
+	for t := range bs {
+		if t%2 == 0 {
+			bs[t], fs[t] = run(false), run(true)
+		} else {
+			fs[t], bs[t] = run(true), run(false)
+		}
+	}
 	inj.Reset()
-	return durStat(samples), alloc
+	return durStat(bs), durStat(fs), baseAlloc, fiAlloc
 }
 
 // BatchSweepRow is one batch-size point of the §III-C sweep.
@@ -180,8 +195,7 @@ func RunBatchSweep(ctx context.Context, model string, inSize int, batches []int,
 		}
 		e := models.Fig3Entry{Model: model, Label: model, InSize: inSize}
 		cfg := Fig3Config{Trials: trials, Batch: b, Seed: seed}
-		base, baseAlloc := timeInference(m, inj, e, cfg, false)
-		fi, fiAlloc := timeInference(m, inj, e, cfg, true)
+		base, fi, baseAlloc, fiAlloc := timeInference(m, inj, e, cfg)
 		inj.Detach()
 		rows = append(rows, BatchSweepRow{
 			Batch: b, BaseSec: base.MeanSec, FISec: fi.MeanSec,

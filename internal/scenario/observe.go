@@ -302,6 +302,12 @@ func (f *mseFold) report(c *Compiled) []LayerMSE {
 		if r.Trials > 0 {
 			r.MSE = f.sumSq[li] / float64(r.Trials)
 		}
+		// A NaN's payload is whichever NaN the kernels and this fold's
+		// float64 chain kept, which the tensor level does not pin
+		// (DESIGN §10); the persisted bits carry one canonical NaN.
+		if math.IsNaN(r.MSE) {
+			r.MSE = math.NaN()
+		}
 		r.MSEBits = math.Float64bits(r.MSE)
 		out = append(out, r)
 	}

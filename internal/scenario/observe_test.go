@@ -271,3 +271,19 @@ func TestMSEReplicaErrorPropagates(t *testing.T) {
 		t.Error("a failing replica factory must surface through Record")
 	}
 }
+
+// TestMSEReportCanonicalNaN: two folds whose sums went NaN through
+// different payloads report the same MSEBits, so no persisted bit pattern
+// depends on which NaN a kernel kept.
+func TestMSEReportCanonicalNaN(t *testing.T) {
+	c := &Compiled{layers: []core.LayerInfo{{Path: "conv1"}}, enabled: []int{0}}
+	var bits []uint64
+	for _, payload := range []uint64{0x7ff8000000000001, 0xfff8000000dead00} {
+		f := newMSEFold(c, 0)
+		f.sumSq[0], f.trials[0] = math.Float64frombits(payload), 3
+		bits = append(bits, f.report(c)[0].MSEBits)
+	}
+	if bits[0] != bits[1] || bits[0] != math.Float64bits(math.NaN()) {
+		t.Fatalf("NaN MSE bits %#x and %#x, want both %#x", bits[0], bits[1], math.Float64bits(math.NaN()))
+	}
+}

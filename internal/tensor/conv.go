@@ -129,7 +129,7 @@ func convUnits(units int, chunk func(lo, hi int, fanned bool)) {
 
 // convGEMM runs one unit's GEMM: serially with pack panels from sc when
 // the units fan out, else split across the workers.
-func convGEMM[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], fanned bool, sc *scratch, dst []Out, ldc int, a []In, lda int, transA bool, b []In, ldb int, transB bool, m, k, n int, acc bool) {
+func convGEMM[In, AP, Out elem](g *gemmKernels[In, AP, Out], fanned bool, sc *scratch, dst []Out, ldc int, a []In, lda int, transA bool, b []In, ldb int, transB bool, m, k, n int, acc bool) {
 	if fanned {
 		gemmSerial(g, dst, ldc, a, lda, transA, b, ldb, transB, m, k, n, acc, sc)
 		return
@@ -157,9 +157,9 @@ type convStages[In, Out elem] interface {
 // the int8 backend quantizes each slab and accumulates int32). panels,
 // when set, are the weights packed once as the direct lowering's A panels
 // (ConvPanelsI8); nil packs A per call.
-type convJob[In, AP, BP, Out elem] struct {
+type convJob[In, AP, Out elem] struct {
 	cv            *convGeom
-	gemm          *gemmKernels[In, AP, BP, Out]
+	gemm          *gemmKernels[In, AP, Out]
 	w             []In
 	panels        []AP
 	pad           In
@@ -168,18 +168,18 @@ type convJob[In, AP, BP, Out elem] struct {
 }
 
 // run is the one conv lowering: the unit fan-out, the choice between the
-// direct lowering (conv_direct.go; stride-1 convs on a backend with an
-// ind kernel), the pointwise slab and im2col, the scratch reservation,
-// and per unit load → im2col → GEMM → finish.
-func (j *convJob[In, AP, BP, Out]) run() {
-	if j.gemm.ind != nil && j.cv.direct() {
+// direct lowering (conv_direct.go; the stride-1 convs direct() admits),
+// the pointwise slab and im2col, the scratch reservation, and per unit
+// load → im2col → GEMM → finish.
+func (j *convJob[In, AP, Out]) run() {
+	if j.cv.direct() {
 		convUnits(j.cv.n*j.cv.g, j.directUnits)
 		return
 	}
 	convUnits(j.cv.n*j.cv.g, j.units)
 }
 
-func (j *convJob[In, AP, BP, Out]) units(lo, hi int, fanned bool) {
+func (j *convJob[In, AP, Out]) units(lo, hi int, fanned bool) {
 	cv := j.cv
 	colLen := cv.colLen()
 	var sc scratch
@@ -372,7 +372,7 @@ func conv2dInto(out, x, w, bias *Tensor, cv *convGeom) {
 // job on the shared lowering.
 func newF32Conv(out, x, w, bias *Tensor, cv *convGeom) *f32Conv {
 	f := &f32Conv{cv: *cv, x: x, out: out, bias: bias}
-	f.job = convJob[float32, float32, float32, float32]{cv: &f.cv, gemm: f32Kernels, w: w.data, st: f}
+	f.job = convJob[float32, float32, float32]{cv: &f.cv, gemm: f32Kernels, w: w.data, st: f}
 	return f
 }
 
@@ -380,7 +380,7 @@ func newF32Conv(out, x, w, bias *Tensor, cv *convGeom) *f32Conv {
 // write the output in place, and the epilogue adds the bias rows. It
 // holds its job, so one allocation carries a call.
 type f32Conv struct {
-	job          convJob[float32, float32, float32, float32]
+	job          convJob[float32, float32, float32]
 	cv           convGeom
 	x, out, bias *Tensor
 }

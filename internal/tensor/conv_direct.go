@@ -14,13 +14,15 @@ package tensor
 //
 // — the image element im2col would copy there, or the border's pad where
 // im2col writes pad. So B row k is the plane shifted by off[k], and the
-// micro-kernel reads it in place (gemmKern4x16IndAVX: one offset load per
-// k step; gemmKernI8IndAVX: two per k-pair) instead of from an im2col
-// matrix repacked into panels. The Wp − OW virtual columns past each
-// output row's end are computed and discarded: the GEMM runs over
-// roundUp((OH−1)·Wp + OW, gemmNR) columns into scratch, and compaction
-// copies the valid ones to the output. A is packed per call, or on int8
-// read in place from panels packed once at quantization (ConvPanelsI8).
+// backend's macro kernel reads it in place through that table (bstride 1)
+// instead of from an im2col matrix repacked into panels: the same
+// micro-kernels the packed path runs through panelOffs
+// (gemmKern4x16IndAVX: one offset load per k step; gemmKernI8IndAVX: two
+// per k-pair). The Wp − OW virtual columns past each output row's end are
+// computed and discarded: the GEMM runs over roundUp((OH−1)·Wp + OW,
+// gemmNR) columns into scratch, and compaction copies the valid ones to
+// the output. A is packed per call, or on int8 read in place from panels
+// packed once at quantization (ConvPanelsI8).
 //
 // Bits: on float32 every output element is the ascending-k chain over the
 // same products as on the im2col path, pad products w·pad included (w·0
@@ -129,7 +131,7 @@ func compactCols[T elem](cv *convGeom, res, vres []T) {
 // directUnits is convJob.units on the direct lowering: per unit load →
 // plane → GEMM over virtual columns → compaction → finish. The border is
 // written once per chunk; every unit overwrites only the interior.
-func (j *convJob[In, AP, BP, Out]) directUnits(lo, hi int, fanned bool) {
+func (j *convJob[In, AP, Out]) directUnits(lo, hi int, fanned bool) {
 	cv := j.cv
 	nv, planeLen, nk := cv.virtualCols(), cv.planeLen(), roundUp(cv.kdim, j.gemm.kStep)
 	var sc scratch
@@ -167,7 +169,7 @@ func (j *convJob[In, AP, BP, Out]) directUnits(lo, hi int, fanned bool) {
 
 // directReserve adds the A pack panel of one directSerial call of the
 // given shape to sc's reservations; there is no B panel.
-func directReserve[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], sc *scratch, m, k, n int) {
+func directReserve[In, AP, Out elem](g *gemmKernels[In, AP, Out], sc *scratch, m, k, n int) {
 	la, _ := g.panelLens(m, k, n)
 	arenaOf[AP](sc).reserve(la)
 }
@@ -180,7 +182,7 @@ func directReserve[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], sc *sc
 // packed per block from a, or read in place from panels when A was
 // packed once over all of k (ConvPanelsI8's layout: block (ic, pc) at
 // ic·roundUp(k, kStep) + pc·gemmMR), which takes no scratch. k > 0.
-func directSerial[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out, ldc int, a []In, lda int, panels []AP, plane []In, offs []int32, m, k, n int, sc *scratch) {
+func directSerial[In, AP, Out elem](g *gemmKernels[In, AP, Out], dst []Out, ldc int, a []In, lda int, panels []AP, plane []In, offs []int32, m, k, n int, sc *scratch) {
 	// The assembly kernels read B without bounds checks: every row must
 	// fit in the plane, and the offsets ascend, so the last decides.
 	if n%gemmNR != 0 || int(offs[k-1])+n > len(plane) {
@@ -196,15 +198,15 @@ func directSerial[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []O
 	nk := roundUp(k, g.kStep)
 	for pc := 0; pc < k; pc += gemmKC {
 		kb := min(k-pc, gemmKC)
-		bo := offs[pc : pc+roundUp(kb, g.kStep)]
+		ps := roundUp(kb, g.kStep)
 		for ic := 0; ic < m; ic += gemmMC {
 			mb := min(m-ic, gemmMC)
 			if panels != nil {
-				g.ind(dst, ldc, ic, panels[ic*nk+pc*gemmMR:], nk, plane, bo, mb, n, kb, pc == 0)
+				g.macro(dst[ic*ldc:], ldc, panels[ic*nk+pc*gemmMR:], nk, plane, 1, offs[pc:pc+ps], mb, n, kb, pc == 0)
 				continue
 			}
 			g.packA(apack, a, lda, false, ic, pc, mb, kb)
-			g.ind(dst, ldc, ic, apack, roundUp(kb, g.kStep), plane, bo, mb, n, kb, pc == 0)
+			g.macro(dst[ic*ldc:], ldc, apack, ps, plane, 1, offs[pc:pc+ps], mb, n, kb, pc == 0)
 		}
 	}
 }
@@ -212,7 +214,7 @@ func directSerial[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []O
 // directParallel is directSerial split across Workers() as gemmSplit
 // splits gemmParallel's outputs; each worker packs into its own scratch,
 // or all read the shared panels.
-func directParallel[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out, ldc int, a []In, lda int, panels []AP, plane []In, offs []int32, m, k, n int) {
+func directParallel[In, AP, Out elem](g *gemmKernels[In, AP, Out], dst []Out, ldc int, a []In, lda int, panels []AP, plane []In, offs []int32, m, k, n int) {
 	rows, dim, chunk := gemmSplit(m, k, n)
 	run := func(dst []Out, a []In, panels []AP, plane []In, m, n int) {
 		var sc scratch
@@ -237,95 +239,4 @@ func directParallel[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst [
 		}
 		run(dst[lo*ldc:], a[lo*lda:], pl, plane, hi-lo, n)
 	})
-}
-
-// gemmMacroInd is gemmMacro over B read in place: the float32 backend's
-// ind. Every tile is full width; row remainders run one 1×16 pass a row.
-func gemmMacroInd(dst []float32, ldc, ic int, apack []float32, astride int, plane []float32, offs []int32, mb, nb, kb int, first bool) {
-	for jr := 0; jr < nb; jr += gemmNR {
-		base := plane[jr:]
-		for ir := 0; ir < mb; ir += gemmMR {
-			rows := min(mb-ir, gemmMR)
-			ap := apack[ir*astride : ir*astride+rows*kb]
-			c := dst[(ic+ir)*ldc+jr:]
-			if rows == gemmMR {
-				kern4x16Ind(c, ldc, ap, base, offs, kb, first)
-				continue
-			}
-			for r := 0; r < rows; r++ {
-				kern1x16Ind(c[r*ldc:], ap[r:], rows, base, offs, kb, first)
-			}
-		}
-	}
-}
-
-// kern4x16Ind and kern1x16Ind run the AVX2 in-place-B micro-kernels
-// under the gemmAVX2 gate, else their scalar twins: the same per-element
-// chains, so the choice never changes a bit.
-func kern4x16Ind(c []float32, ldc int, ap, base []float32, offs []int32, kb int, first bool) {
-	if gemmAVX2 && kb > 0 {
-		gemmKern4x16IndAVX(&c[0], ldc, &ap[0], &base[0], &offs[0], kb, first)
-		return
-	}
-	kern4x16IndScalar(c, ldc, ap, base, offs, kb, first)
-}
-
-func kern1x16Ind(c []float32, ap []float32, astride int, base []float32, offs []int32, kb int, first bool) {
-	if gemmAVX2 && kb > 0 {
-		gemmKern1x16IndAVX(&c[0], &ap[0], astride, &base[0], &offs[0], kb, first)
-		return
-	}
-	kern1x16IndScalar(c, ap, astride, base, offs, kb, first)
-}
-
-// kern4x16IndScalar is kern4x16scalar with B row p at base[offs[p]:].
-func kern4x16IndScalar(c []float32, ldc int, ap, base []float32, offs []int32, kb int, first bool) {
-	for r0 := 0; r0 < gemmMR; r0 += 2 {
-		for j0 := 0; j0 < gemmNR; j0 += 4 {
-			var c00, c01, c02, c03, c10, c11, c12, c13 float32
-			if !first {
-				d0 := c[r0*ldc+j0 : r0*ldc+j0+4]
-				d1 := c[(r0+1)*ldc+j0 : (r0+1)*ldc+j0+4]
-				c00, c01, c02, c03 = d0[0], d0[1], d0[2], d0[3]
-				c10, c11, c12, c13 = d1[0], d1[1], d1[2], d1[3]
-			}
-			for p, off := range offs[:kb] {
-				a0, a1 := ap[p*gemmMR+r0], ap[p*gemmMR+r0+1]
-				b := base[int(off)+j0 : int(off)+j0+4]
-				c00 += a0 * b[0]
-				c01 += a0 * b[1]
-				c02 += a0 * b[2]
-				c03 += a0 * b[3]
-				c10 += a1 * b[0]
-				c11 += a1 * b[1]
-				c12 += a1 * b[2]
-				c13 += a1 * b[3]
-			}
-			d0 := c[r0*ldc+j0 : r0*ldc+j0+4]
-			d1 := c[(r0+1)*ldc+j0 : (r0+1)*ldc+j0+4]
-			d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
-			d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
-		}
-	}
-}
-
-// kern1x16IndScalar is kern1x16scalar with B row p at base[offs[p]:].
-func kern1x16IndScalar(c []float32, ap []float32, astride int, base []float32, offs []int32, kb int, first bool) {
-	for j0 := 0; j0 < gemmNR; j0 += 4 {
-		var c0, c1, c2, c3 float32
-		if !first {
-			d := c[j0 : j0+4]
-			c0, c1, c2, c3 = d[0], d[1], d[2], d[3]
-		}
-		for p, off := range offs[:kb] {
-			a0 := ap[p*astride]
-			b := base[int(off)+j0 : int(off)+j0+4]
-			c0 += a0 * b[0]
-			c1 += a0 * b[1]
-			c2 += a0 * b[2]
-			c3 += a0 * b[3]
-		}
-		d := c[j0 : j0+4]
-		d[0], d[1], d[2], d[3] = c0, c1, c2, c3
-	}
 }

@@ -159,14 +159,7 @@ func convI8Lowering(x *Tensor, wq []int8, wShape []int, qp QuantParams, spec Con
 func checkDirectI8(t *testing.T, x *Tensor, wq []int8, wShape []int, zp int8, spec ConvSpec) {
 	t.Helper()
 	cout := wShape[0]
-	qp := QuantParams{InScale: 1.0 / 64, InZP: zp, WScales: make([]float32, cout), RowSums: make([]int32, cout)}
-	per := len(wq) / cout
-	for oc := range qp.WScales {
-		qp.WScales[oc] = 1.0 / 64
-		for _, c := range wq[oc*per : (oc+1)*per] {
-			qp.RowSums[oc] += int32(c)
-		}
-	}
+	qp := powerOfTwoQuant(wq, cout, zp)
 	withPanels := qp
 	withPanels.Panels = PackConvPanelsI8(wq, cout, spec.Canon().Groups)
 

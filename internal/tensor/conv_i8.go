@@ -112,7 +112,7 @@ func Conv2dInt8Into(dst, x *Tensor, wq []int8, wShape []int, qp QuantParams, spe
 // job on the shared lowering.
 func newI8Conv(dst, x *Tensor, wq []int8, qp QuantParams, cv *convGeom) *i8Conv {
 	c := &i8Conv{cv: *cv, x: x, dst: dst, qp: qp}
-	c.job = convJob[int8, int16, int8, int32]{cv: &c.cv, gemm: i8Kernels, w: wq, pad: qp.InZP,
+	c.job = convJob[int8, int16, int32]{cv: &c.cv, gemm: i8Kernels, w: wq, pad: qp.InZP,
 		inLen: cv.cg * cv.h * cv.wd, accLen: cv.coutG * cv.l, st: c}
 	if qp.Panels != nil {
 		c.job.panels = qp.Panels.data
@@ -124,7 +124,7 @@ func newI8Conv(dst, x *Tensor, wq []int8, qp QuantParams, cv *convGeom) *i8Conv 
 // slab, accumulates int32, and the requant epilogue writes dst. Like
 // f32Conv it holds its job.
 type i8Conv struct {
-	job    convJob[int8, int16, int8, int32]
+	job    convJob[int8, int16, int32]
 	cv     convGeom
 	x, dst *Tensor
 	qp     QuantParams

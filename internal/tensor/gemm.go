@@ -6,6 +6,12 @@ package tensor
 // parameterizing the pack routines with leading dimensions and transpose
 // flags.
 //
+// Each backend has one micro-kernel family and one macro kernel, shared
+// with the direct conv lowering (conv_direct.go). The micro-kernels read
+// B row p of a 16-column tile at base+offs[p]: this driver's packed
+// panels keep row p at p·gemmNR and pass the constant table panelOffs,
+// the direct lowering passes its tap offsets into an image plane.
+//
 // Determinism contract (DESIGN.md §10): for every output element dst[i,j]
 // the k-loop is a single left-to-right float32 accumulation chain
 //
@@ -32,45 +38,57 @@ const (
 
 // gemmKernels is one backend's half of the blocked GEMM: its pack
 // routines and its macro kernel, which owns the micro and edge kernels.
-// In is the operand element, Out the accumulator, AP and BP the A and B
-// panel elements. Everything else — the small-problem loop, the
-// jc/pc/ic loop nest, the pack-scratch sizing and the parallel split —
-// is the shared driver below, which never asks which backend it runs.
-type gemmKernels[In, AP, BP, Out elem] struct {
+// In is the operand element (and the B panel element: B panels are
+// operand rows), Out the accumulator, AP the A panel element. Everything
+// else — the small-problem loop, the jc/pc/ic loop nest, the pack-scratch
+// sizing and the parallel split — is the shared driver below, which never
+// asks which backend it runs.
+type gemmKernels[In, AP, Out elem] struct {
 	packA func(apack []AP, a []In, lda int, transA bool, ic, pc, mb, kb int)
-	packB func(bpack []BP, b []In, ldb int, transB bool, pc, jc, kb, nb int)
-	macro func(dst []Out, ldc, ic, jc int, apack []AP, bpack []BP, mb, nb, kb int, first bool)
-	// ind is the macro kernel of the direct conv lowering (conv_direct.go):
-	// B row p of the block is read in place at plane[offs[p]:], nb a
-	// multiple of gemmNR, and the A panel of rows ir… starts at
-	// apack[ir·astride:] — a packA block's, or a block inside panels
-	// packed once over all of k. nil on a backend without one, whose
-	// convs all take im2col.
-	ind func(dst []Out, ldc, ic int, apack []AP, astride int, plane []In, offs []int32, mb, nb, kb int, first bool)
+	packB func(bpack []In, b []In, ldb int, transB bool, pc, jc, kb, nb int)
+	// macro runs the micro-kernels over one mb×nb block kb deep, writing
+	// dst from its start. The A panel of rows ir… starts at
+	// apack[ir·astride:]; the B tile of columns jr… starts at
+	// b[jr·bstride:], with its row p at offs[p]. gemmSerial passes packed
+	// panels (astride = bstride = roundUp(kb, kStep), offs = panelOffs);
+	// the direct conv lowering passes its image plane (bstride 1, offs its
+	// tap offsets, nb a multiple of gemmNR).
+	macro func(dst []Out, ldc int, apack []AP, astride int, b []In, bstride int, offs []int32, mb, nb, kb int, first bool)
 	// kStep is the multiple panels round a k-block up to: 1 for float32,
 	// 2 for the int8 k-pair layout.
 	kStep int
 }
 
 // f32Kernels is the float32 backend.
-var f32Kernels = &gemmKernels[float32, float32, float32, float32]{packA: packA, packB: packB, macro: gemmMacro, ind: gemmMacroInd, kStep: 1}
+var f32Kernels = &gemmKernels[float32, float32, float32]{packA: packA, packB: packB, macro: gemmMacro, kStep: 1}
+
+// panelOffs is the offset table of a full-width packed B panel: row p
+// sits at p·gemmNR on both backends. Its gemmKC entries cover every
+// k-chunk's rows, kb ≤ gemmKC on float32 and roundUp(kb, 2) ≤ gemmKC on
+// int8 (gemmKC is even).
+var panelOffs = func() (t [gemmKC]int32) {
+	for p := range t {
+		t[p] = int32(p * gemmNR)
+	}
+	return t
+}()
 
 // roundUp rounds n up to a multiple of m.
 func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
 // panelLens returns the A and B panel elements one gemmSerial call of
 // the given shape takes: one macro block each, in whole micro-tiles.
-func (g *gemmKernels[In, AP, BP, Out]) panelLens(m, k, n int) (int, int) {
+func (g *gemmKernels[In, AP, Out]) panelLens(m, k, n int) (int, int) {
 	kb := roundUp(min(k, gemmKC), g.kStep)
 	return roundUp(min(m, gemmMC), gemmMR) * kb, roundUp(min(n, gemmNC), gemmNR) * kb
 }
 
 // gemmReserve adds the pack panels of one gemmSerial call of the given
-// shape to sc's reservations: A panels in AP's arena, B panels in BP's.
-func gemmReserve[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], sc *scratch, m, k, n int) {
+// shape to sc's reservations: A panels in AP's arena, B panels in In's.
+func gemmReserve[In, AP, Out elem](g *gemmKernels[In, AP, Out], sc *scratch, m, k, n int) {
 	la, lb := g.panelLens(m, k, n)
 	arenaOf[AP](sc).reserve(la)
-	arenaOf[BP](sc).reserve(lb)
+	arenaOf[In](sc).reserve(lb)
 }
 
 // gemmSmall computes problems below the blocking thresholds on either
@@ -131,7 +149,7 @@ func gemmSmall[In, Out elem](dst []Out, ldc int, a []In, lda int, transA bool, b
 // Pack panels come from sc (restored on return). b may itself live in
 // sc's arena (the conv path's column buffer): takes hand out disjoint
 // ranges, so the panels never alias it.
-func gemmSerial[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out, ldc int, a []In, lda int, transA bool, b []In, ldb int, transB bool, m, k, n int, acc bool, sc *scratch) {
+func gemmSerial[In, AP, Out elem](g *gemmKernels[In, AP, Out], dst []Out, ldc int, a []In, lda int, transA bool, b []In, ldb int, transB bool, m, k, n int, acc bool, sc *scratch) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -151,7 +169,7 @@ func gemmSerial[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out
 		return
 	}
 
-	arA, arB := arenaOf[AP](sc), arenaOf[BP](sc)
+	arA, arB := arenaOf[AP](sc), arenaOf[In](sc)
 	markA, markB := arA.mark(), arB.mark()
 	la, lb := g.panelLens(m, k, n)
 	apack, bpack := arA.take(la), arB.take(lb)
@@ -159,12 +177,13 @@ func gemmSerial[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out
 		nb := min(n-jc, gemmNC)
 		for pc := 0; pc < k; pc += gemmKC {
 			kb := min(k-pc, gemmKC)
+			ps := roundUp(kb, g.kStep)
 			first := pc == 0 && !acc
 			g.packB(bpack, b, ldb, transB, pc, jc, kb, nb)
 			for ic := 0; ic < m; ic += gemmMC {
 				mb := min(m-ic, gemmMC)
 				g.packA(apack, a, lda, transA, ic, pc, mb, kb)
-				g.macro(dst, ldc, ic, jc, apack, bpack, mb, nb, kb, first)
+				g.macro(dst[ic*ldc+jc:], ldc, apack, ps, bpack, ps, panelOffs[:], mb, nb, kb, first)
 			}
 		}
 	}
@@ -197,7 +216,7 @@ func gemmSplit(m, k, n int) (rows bool, dim, chunk int) {
 
 // gemmParallel is gemmSerial with the output split across Workers() by
 // gemmSplit. Each worker packs into its own scratch.
-func gemmParallel[In, AP, BP, Out elem](g *gemmKernels[In, AP, BP, Out], dst []Out, ldc int, a []In, lda int, transA bool, b []In, ldb int, transB bool, m, k, n int, acc bool) {
+func gemmParallel[In, AP, Out elem](g *gemmKernels[In, AP, Out], dst []Out, ldc int, a []In, lda int, transA bool, b []In, ldb int, transB bool, m, k, n int, acc bool) {
 	rows, dim, chunk := gemmSplit(m, k, n)
 	if chunk == 0 {
 		var sc scratch
@@ -310,36 +329,28 @@ func packBRows(dst, src []float32, ldb, kb int) {
 	}
 }
 
-// gemmMacro drives the micro-kernel over one packed (mb×kb)·(kb×nb)
-// block, writing dst starting at (ic, jc).
-func gemmMacro(dst []float32, ldc, ic, jc int, apack, bpack []float32, mb, nb, kb int, first bool) {
+// gemmMacro is the float32 macro kernel (gemmKernels.macro): full 4×16
+// tiles run kern4x16Ind, row remainders one kern1x16Ind pass per row
+// (each row's chains are independent), and tiles narrower than gemmNR —
+// which only packed panels have — kernEdge over the dense edge panel.
+func gemmMacro(dst []float32, ldc int, apack []float32, astride int, b []float32, bstride int, offs []int32, mb, nb, kb int, first bool) {
 	for jr := 0; jr < nb; jr += gemmNR {
-		cols := nb - jr
-		if cols > gemmNR {
-			cols = gemmNR
-		}
-		bp := bpack[jr*kb : jr*kb+cols*kb]
+		cols := min(nb-jr, gemmNR)
+		bt := b[jr*bstride:]
 		for ir := 0; ir < mb; ir += gemmMR {
-			rows := mb - ir
-			if rows > gemmMR {
-				rows = gemmMR
-			}
-			ap := apack[ir*kb : ir*kb+rows*kb]
-			c := dst[(ic+ir)*ldc+jc+jr:]
-			if cols == gemmNR {
-				if rows == gemmMR {
-					kern4x16(c, ldc, ap, bp, kb, first)
-					continue
-				}
-				// Row remainder at full width: one 1×16 pass per row
-				// keeps the wide kernel (and its exact per-element
-				// chains — each row is independent).
+			rows := min(mb-ir, gemmMR)
+			ap := apack[ir*astride : ir*astride+rows*kb]
+			c := dst[ir*ldc+jr:]
+			switch {
+			case cols < gemmNR:
+				kernEdge(c, ldc, ap, bt[:cols*kb], rows, cols, kb, first)
+			case rows == gemmMR:
+				kern4x16Ind(c, ldc, ap, bt, offs, kb, first)
+			default:
 				for r := 0; r < rows; r++ {
-					kern1x16(c[r*ldc:], ap[r:], rows, bp, kb, first)
+					kern1x16Ind(c[r*ldc:], ap[r:], rows, bt, offs, kb, first)
 				}
-				continue
 			}
-			kernEdge(c, ldc, ap, bp, rows, cols, kb, first)
 		}
 	}
 }
@@ -362,30 +373,35 @@ func kernEdge(c []float32, ldc int, ap, bp []float32, rows, cols, kb int, first 
 	}
 }
 
-// kern4x16 and kern1x16 run the AVX2 micro-kernels when the CPU has them
-// (the gemmAVX2 gate), else their scalar twins: the same per-element
-// chains, so the choice never changes a bit.
-func kern4x16(c []float32, ldc int, ap, bp []float32, kb int, first bool) {
+// kern4x16Ind and kern1x16Ind run the AVX2 micro-kernels when the CPU has
+// them (the gemmAVX2 gate), else their scalar twins: the same per-element
+// chains, so the choice never changes a bit. B row p is the gemmNR
+// elements at base[offs[p]:]; slicing offs to kb entries keeps the
+// assembly from reading past a short table.
+func kern4x16Ind(c []float32, ldc int, ap, base []float32, offs []int32, kb int, first bool) {
+	offs = offs[:kb]
 	if gemmAVX2 && kb > 0 {
-		gemmKern4x16AVX(&c[0], ldc, &ap[0], &bp[0], kb, first)
+		gemmKern4x16IndAVX(&c[0], ldc, &ap[0], &base[0], &offs[0], kb, first)
 		return
 	}
-	kern4x16scalar(c, ldc, ap, bp, kb, first)
+	kern4x16IndScalar(c, ldc, ap, base, offs, kb, first)
 }
 
-func kern1x16(c []float32, ap []float32, astride int, bp []float32, kb int, first bool) {
+func kern1x16Ind(c []float32, ap []float32, astride int, base []float32, offs []int32, kb int, first bool) {
+	offs = offs[:kb]
 	if gemmAVX2 && kb > 0 {
-		gemmKern1x16AVX(&c[0], &ap[0], astride, &bp[0], kb, first)
+		gemmKern1x16IndAVX(&c[0], &ap[0], astride, &base[0], &offs[0], kb, first)
 		return
 	}
-	kern1x16scalar(c, ap, astride, bp, kb, first)
+	kern1x16IndScalar(c, ap, astride, base, offs, kb, first)
 }
 
-// kern4x16scalar is the portable micro-kernel: the 4×16 tile is computed
-// as eight 2×4 register sub-tiles (small enough that the compiler keeps
-// every accumulator in a register), each a straight p-loop — the same
+// kern4x16IndScalar is the portable 4×16 micro-kernel: the tile is
+// computed as eight 2×4 register sub-tiles (small enough that the
+// compiler keeps every accumulator in a register), each a straight
+// p-loop over A's mr-panel and B row p at base[offs[p]:] — the same
 // per-element chains as the assembly kernel.
-func kern4x16scalar(c []float32, ldc int, ap, bp []float32, kb int, first bool) {
+func kern4x16IndScalar(c []float32, ldc int, ap, base []float32, offs []int32, kb int, first bool) {
 	for r0 := 0; r0 < gemmMR; r0 += 2 {
 		for j0 := 0; j0 < gemmNR; j0 += 4 {
 			var c00, c01, c02, c03, c10, c11, c12, c13 float32
@@ -395,25 +411,17 @@ func kern4x16scalar(c []float32, ldc int, ap, bp []float32, kb int, first bool) 
 				c00, c01, c02, c03 = d0[0], d0[1], d0[2], d0[3]
 				c10, c11, c12, c13 = d1[0], d1[1], d1[2], d1[3]
 			}
-			// Advance the panel bases and index with the sub-tile
-			// offsets: the final advance lands exactly on the empty
-			// tail, whereas advancing a pre-offset slice would
-			// over-slice it on the last iteration.
-			api := ap
-			bpi := bp
-			for p := 0; p < kb; p++ {
-				a0, a1 := api[r0], api[r0+1]
-				b0, b1, b2, b3 := bpi[j0], bpi[j0+1], bpi[j0+2], bpi[j0+3]
-				c00 += a0 * b0
-				c01 += a0 * b1
-				c02 += a0 * b2
-				c03 += a0 * b3
-				c10 += a1 * b0
-				c11 += a1 * b1
-				c12 += a1 * b2
-				c13 += a1 * b3
-				api = api[gemmMR:]
-				bpi = bpi[gemmNR:]
+			for p, off := range offs[:kb] {
+				a0, a1 := ap[p*gemmMR+r0], ap[p*gemmMR+r0+1]
+				b := base[int(off)+j0 : int(off)+j0+4]
+				c00 += a0 * b[0]
+				c01 += a0 * b[1]
+				c02 += a0 * b[2]
+				c03 += a0 * b[3]
+				c10 += a1 * b[0]
+				c11 += a1 * b[1]
+				c12 += a1 * b[2]
+				c13 += a1 * b[3]
 			}
 			d0 := c[r0*ldc+j0 : r0*ldc+j0+4]
 			d1 := c[(r0+1)*ldc+j0 : (r0+1)*ldc+j0+4]
@@ -423,25 +431,22 @@ func kern4x16scalar(c []float32, ldc int, ap, bp []float32, kb int, first bool) 
 	}
 }
 
-// kern1x16scalar computes one row against a full-width B panel; astride
+// kern1x16IndScalar computes one row against a full-width B tile; astride
 // is the packed row stride of ap (the panel height).
-func kern1x16scalar(c []float32, ap []float32, astride int, bp []float32, kb int, first bool) {
+func kern1x16IndScalar(c []float32, ap []float32, astride int, base []float32, offs []int32, kb int, first bool) {
 	for j0 := 0; j0 < gemmNR; j0 += 4 {
 		var c0, c1, c2, c3 float32
 		if !first {
 			d := c[j0 : j0+4]
 			c0, c1, c2, c3 = d[0], d[1], d[2], d[3]
 		}
-		bpi := bp
-		ai := 0
-		for p := 0; p < kb; p++ {
-			a0 := ap[ai]
-			c0 += a0 * bpi[j0]
-			c1 += a0 * bpi[j0+1]
-			c2 += a0 * bpi[j0+2]
-			c3 += a0 * bpi[j0+3]
-			ai += astride
-			bpi = bpi[gemmNR:]
+		for p, off := range offs[:kb] {
+			a0 := ap[p*astride]
+			b := base[int(off)+j0 : int(off)+j0+4]
+			c0 += a0 * b[0]
+			c1 += a0 * b[1]
+			c2 += a0 * b[2]
+			c3 += a0 * b[3]
 		}
 		d := c[j0 : j0+4]
 		d[0], d[1], d[2], d[3] = c0, c1, c2, c3

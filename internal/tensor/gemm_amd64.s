@@ -2,128 +2,17 @@
 
 #include "textflag.h"
 
-// func gemmKern4x16AVX(c *float32, ldc int, ap, bp *float32, kb int, first bool)
-//
-// 4×16 micro-kernel: the dst tile lives in Y0–Y7 (row r in Y(2r),
-// Y(2r+1)), A elements are broadcast from the packed mr-panel, B comes
-// as two vectors per k step from the packed nr-panel. Every element is
-// updated with a separate VMULPS+VADDPS pair — never FMA — so each
-// lane's accumulation chain rounds exactly like the scalar reference
-// kernel, keeping results bit-identical across backends.
-TEXT ·gemmKern4x16AVX(SB), NOSPLIT, $0-41
-	MOVQ c+0(FP), DI
-	MOVQ ldc+8(FP), SI
-	MOVQ ap+16(FP), R8
-	MOVQ bp+24(FP), R9
-	MOVQ kb+32(FP), CX
-	SHLQ $2, SI              // ldc in bytes
-	MOVQ DI, R11             // row 0
-	LEAQ (DI)(SI*1), R12     // row 1
-	LEAQ (DI)(SI*2), R13     // row 2
-	LEAQ (R12)(SI*2), BX     // row 3
-	MOVBLZX first+40(FP), AX
-	TESTL AX, AX
-	JZ   loadc
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	JMP  kloop
-loadc:
-	VMOVUPS (R11), Y0
-	VMOVUPS 32(R11), Y1
-	VMOVUPS (R12), Y2
-	VMOVUPS 32(R12), Y3
-	VMOVUPS (R13), Y4
-	VMOVUPS 32(R13), Y5
-	VMOVUPS (BX), Y6
-	VMOVUPS 32(BX), Y7
-kloop:
-	VMOVUPS (R9), Y8
-	VMOVUPS 32(R9), Y9
-	VBROADCASTSS (R8), Y10
-	VMULPS Y8, Y10, Y11
-	VADDPS Y11, Y0, Y0
-	VMULPS Y9, Y10, Y11
-	VADDPS Y11, Y1, Y1
-	VBROADCASTSS 4(R8), Y10
-	VMULPS Y8, Y10, Y11
-	VADDPS Y11, Y2, Y2
-	VMULPS Y9, Y10, Y11
-	VADDPS Y11, Y3, Y3
-	VBROADCASTSS 8(R8), Y10
-	VMULPS Y8, Y10, Y11
-	VADDPS Y11, Y4, Y4
-	VMULPS Y9, Y10, Y11
-	VADDPS Y11, Y5, Y5
-	VBROADCASTSS 12(R8), Y10
-	VMULPS Y8, Y10, Y11
-	VADDPS Y11, Y6, Y6
-	VMULPS Y9, Y10, Y11
-	VADDPS Y11, Y7, Y7
-	ADDQ $16, R8
-	ADDQ $64, R9
-	DECQ CX
-	JNZ  kloop
-	VMOVUPS Y0, (R11)
-	VMOVUPS Y1, 32(R11)
-	VMOVUPS Y2, (R12)
-	VMOVUPS Y3, 32(R12)
-	VMOVUPS Y4, (R13)
-	VMOVUPS Y5, 32(R13)
-	VMOVUPS Y6, (BX)
-	VMOVUPS Y7, 32(BX)
-	VZEROUPPER
-	RET
-
-// func gemmKern1x16AVX(c *float32, ap *float32, astride int, bp *float32, kb int, first bool)
-//
-// Single-row variant for mr remainders and depthwise (m=1) GEMMs; ap
-// advances by astride floats per k step.
-TEXT ·gemmKern1x16AVX(SB), NOSPLIT, $0-41
-	MOVQ c+0(FP), DI
-	MOVQ ap+8(FP), R8
-	MOVQ astride+16(FP), SI
-	MOVQ bp+24(FP), R9
-	MOVQ kb+32(FP), CX
-	SHLQ $2, SI              // stride in bytes
-	MOVBLZX first+40(FP), AX
-	TESTL AX, AX
-	JZ   loadc1
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	JMP  kloop1
-loadc1:
-	VMOVUPS (DI), Y0
-	VMOVUPS 32(DI), Y1
-kloop1:
-	VMOVUPS (R9), Y8
-	VMOVUPS 32(R9), Y9
-	VBROADCASTSS (R8), Y10
-	VMULPS Y8, Y10, Y11
-	VADDPS Y11, Y0, Y0
-	VMULPS Y9, Y10, Y11
-	VADDPS Y11, Y1, Y1
-	ADDQ SI, R8
-	ADDQ $64, R9
-	DECQ CX
-	JNZ  kloop1
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VZEROUPPER
-	RET
-
 // func gemmKern4x16IndAVX(c *float32, ldc int, ap, base *float32, offs *int32, kb int, first bool)
 //
-// gemmKern4x16AVX with B read in place instead of from a packed panel:
-// B row p is the 16 floats at base+offs[p] (one sign-extended 32-bit
-// offset load per k step — the direct conv lowering's tap offsets into
-// its zero-bordered image plane). The multiply/add sequence is the
-// packed kernel's, so every element keeps the same chain.
+// 4×16 micro-kernel, the one float32 GEMM kernel: the dst tile lives in
+// Y0–Y7 (row r in Y(2r), Y(2r+1)), A elements are broadcast from the
+// packed mr-panel, and B row p is the 16 floats at base+offs[p] — one
+// sign-extended 32-bit offset load per k step: a packed nr-panel's rows
+// (offs = panelOffs) or the direct conv lowering's tap offsets into its
+// zero-bordered image plane. Every element is updated with a separate
+// VMULPS+VADDPS pair — never FMA — so each lane's accumulation chain
+// rounds exactly like the scalar twin, keeping results bit-identical
+// across backends.
 TEXT ·gemmKern4x16IndAVX(SB), NOSPLIT, $0-49
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), SI
@@ -198,8 +87,8 @@ kloopi:
 
 // func gemmKern1x16IndAVX(c *float32, ap *float32, astride int, base *float32, offs *int32, kb int, first bool)
 //
-// Single-row twin of gemmKern4x16IndAVX for row remainders; ap advances
-// by astride floats per k step.
+// Single-row twin of gemmKern4x16IndAVX for row remainders and
+// single-row (m=1) GEMMs; ap advances by astride floats per k step.
 TEXT ·gemmKern1x16IndAVX(SB), NOSPLIT, $0-49
 	MOVQ c+0(FP), DI
 	MOVQ ap+8(FP), R8

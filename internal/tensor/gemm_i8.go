@@ -17,19 +17,19 @@ package tensor
 //     128-bit lanes, so the kernel's accumulators hold columns in the
 //     permuted order {0–3, 8–11}/{4–7, 12–15}; VPERM2I128 restores
 //     natural order at tile load/store, once per tile instead of per k.
+//   - The one micro-kernel, gemmKernI8IndAVX, reads B row k at
+//     base+offs[k]: a packed panel passes panelOffs (row k at k·16), the
+//     direct conv lowering (conv_direct.go) its tap offsets into an image
+//     plane bordered with the input zero-point code, with A read in place
+//     from a conv's codes packed once over all of k (ConvPanelsI8).
 //   - Panels are zero-padded to whole tiles and an even k (kStep 2): in
 //     integer arithmetic a 0·x term is exactly neutral, so padding never
 //     changes results (unlike float32, where panels stay dense to keep
 //     chains exact).
-//   - Accumulators are int32 and exact, so ANY blocking, worker split or
-//     kernel choice produces bit-identical sums; the conv and linear
-//     drivers (conv_i8.go) fold them back to float32 in the requant
-//     epilogue.
-//   - The direct conv lowering (conv_direct.go) has no B panel: its ind
-//     kernel reads each B row pair in place from the image plane, whose
-//     border is the pad value — the input zero-point code — and its A
-//     panels are a conv's codes packed once over all of k
-//     (ConvPanelsI8). Its sums are exact like every other path's.
+//   - Accumulators are int32 and exact, so ANY blocking, worker split,
+//     lowering or kernel choice produces bit-identical sums; the conv and
+//     linear drivers (conv_i8.go) fold them back to float32 in the
+//     requant epilogue.
 //
 // The scalar kernels compute the same sums in plain loops; the parity
 // tests (gemm_i8_test.go and the amd64-tagged kernel test) pin the asm
@@ -37,7 +37,7 @@ package tensor
 // randomized shapes.
 
 // i8Kernels is the int8 backend.
-var i8Kernels = &gemmKernels[int8, int16, int8, int32]{packA: packAI8, packB: packBI8, macro: gemmI8Macro, ind: gemmI8MacroInd, kStep: 2}
+var i8Kernels = &gemmKernels[int8, int16, int32]{packA: packAI8, packB: packBI8, macro: gemmI8Macro, kStep: 2}
 
 // packAI8 copies the mb×kb block of A at (ic, pc) into mr-row panels with
 // the pair-interleaved layout described atop this file. Panels have a
@@ -121,64 +121,40 @@ func packBI8(bpack []int8, b []int8, ldb int, transB bool, pc, jc, kb, nb int) {
 	}
 }
 
-// gemmI8Macro drives the micro-kernel over one packed block, writing dst
-// starting at (ic, jc). first selects overwrite vs accumulate (k-chunks
-// after the first add onto the stored partial sums — exact for int32).
-func gemmI8Macro(dst []int32, ldc, ic, jc int, apack []int16, bpack []int8, mb, nb, kb int, first bool) {
+// gemmI8Macro is the int8 macro kernel (gemmKernels.macro): full-width
+// tiles run kernI8Ind — the AVX2 kernel on 4-row tiles, its scalar twin
+// on row remainders — and tiles narrower than gemmNR, which only packed
+// panels have, kernI8Edge. offs holds roundUp(kb, 2) entries: with kb
+// odd, the last pair's second row is the panel's zero pad row or, on the
+// plane, a duplicate tap; either way its A element is zero, so it adds
+// nothing. first selects overwrite vs accumulate (k-chunks after the
+// first add onto the stored partial sums — exact for int32).
+func gemmI8Macro(dst []int32, ldc int, apack []int16, astride int, b []int8, bstride int, offs []int32, mb, nb, kb int, first bool) {
 	kp := (kb + 1) / 2
 	for jr := 0; jr < nb; jr += gemmNR {
-		cols := nb - jr
-		if cols > gemmNR {
-			cols = gemmNR
-		}
-		bp := bpack[(jr/gemmNR)*kp*2*gemmNR:][:kp*2*gemmNR]
+		cols := min(nb-jr, gemmNR)
+		bt := b[jr*bstride:]
 		for ir := 0; ir < mb; ir += gemmMR {
-			rows := mb - ir
-			if rows > gemmMR {
-				rows = gemmMR
-			}
-			ap := apack[(ir/gemmMR)*kp*2*gemmMR:][:kp*2*gemmMR]
-			c := dst[(ic+ir)*ldc+jc+jr:]
-			if rows == gemmMR && cols == gemmNR {
-				kernI8(c, ldc, ap, bp, kp, first)
-			} else {
-				kernI8Edge(c, ldc, ap, bp, rows, cols, kp, first)
-			}
-		}
-	}
-}
-
-// gemmI8MacroInd is gemmI8Macro over B read in place: the int8 backend's
-// ind. Every tile is full width; row remainders run the scalar twin over
-// the zero-padded panel's live rows. offs holds roundUp(kb, 2) entries:
-// with kb odd, the last pair's second row is a duplicate tap whose A
-// element is the panel's zero pad, so it adds nothing.
-func gemmI8MacroInd(dst []int32, ldc, ic int, apack []int16, astride int, plane []int8, offs []int32, mb, nb, kb int, first bool) {
-	kp := (kb + 1) / 2
-	for jr := 0; jr < nb; jr += gemmNR {
-		base := plane[jr:]
-		for ir := 0; ir < mb; ir += gemmMR {
+			rows := min(mb-ir, gemmMR)
 			ap := apack[ir*astride : ir*astride+kp*2*gemmMR]
-			kernI8Ind(dst[(ic+ir)*ldc+jr:], ldc, ap, base, offs, min(mb-ir, gemmMR), kp, first)
+			c := dst[ir*ldc+jr:]
+			if cols < gemmNR {
+				kernI8Edge(c, ldc, ap, bt, rows, cols, kp, first)
+				continue
+			}
+			kernI8Ind(c, ldc, ap, bt, offs, rows, kp, first)
 		}
 	}
 }
 
-// kernI8 runs the full 4×16 tile on the AVX2 kernel when the CPU has it
-// (the gemmAVX2 gate), else on the scalar reference: identical bits
-// either way, integer accumulation being exact.
-func kernI8(c []int32, ldc int, ap []int16, bp []int8, kp int, first bool) {
-	if gemmAVX2 && kp > 0 {
-		gemmKernI8AVX(&c[0], ldc, &ap[0], &bp[0], kp, first)
-		return
-	}
-	kernI8x16scalar(c, ldc, ap, bp, kp, first)
-}
-
-// kernI8Ind runs a full 4-row in-place-B tile on the AVX2 kernel when the
-// gemmAVX2 gate holds, else — and for row remainders — on the scalar
-// twin: identical sums either way.
+// kernI8Ind runs a full 4-row tile on the AVX2 kernel when the gemmAVX2
+// gate holds, else — and for row remainders — on the scalar twin:
+// identical sums either way, integer accumulation being exact. B rows k
+// and k+1 of each k-pair are the gemmNR codes at base[offs[k]:] and
+// base[offs[k+1]:]; slicing offs to 2·kp entries keeps the assembly from
+// reading past a short table.
 func kernI8Ind(c []int32, ldc int, ap []int16, base []int8, offs []int32, rows, kp int, first bool) {
+	offs = offs[:2*kp]
 	if gemmAVX2 && rows == gemmMR {
 		gemmKernI8IndAVX(&c[0], ldc, &ap[0], &base[0], &offs[0], kp, first)
 		return
@@ -186,8 +162,9 @@ func kernI8Ind(c []int32, ldc int, ap []int16, base []int8, offs []int32, rows, 
 	kernI8IndScalar(c, ldc, ap, base, offs, rows, kp, first)
 }
 
-// kernI8IndScalar is kernI8x16scalar over the tile's first rows rows with
-// B rows 2p and 2p+1 at base[offs[2p]:] and base[offs[2p+1]:].
+// kernI8IndScalar is the portable micro-kernel over the tile's first rows
+// rows: per k-pair it forms the same two-term products VPMADDWD computes
+// and accumulates them in int32.
 func kernI8IndScalar(c []int32, ldc int, ap []int16, base []int8, offs []int32, rows, kp int, first bool) {
 	var acc [gemmMR * gemmNR]int32
 	if !first {
@@ -213,8 +190,8 @@ func kernI8IndScalar(c []int32, ldc int, ap []int16, base []int8, offs []int32, 
 	}
 }
 
-// kernI8Edge handles tiles narrower than the full 4×16 kernel, walking
-// the same padded panels (A pair-interleaved, B row-major).
+// kernI8Edge handles tiles narrower than gemmNR columns, walking the same
+// padded panels (A pair-interleaved, B row-major).
 func kernI8Edge(c []int32, ldc int, ap []int16, bp []int8, rows, cols, kp int, first bool) {
 	for r := 0; r < rows; r++ {
 		crow := c[r*ldc : r*ldc+cols]
@@ -229,33 +206,5 @@ func kernI8Edge(c []int32, ldc int, ap []int16, bp []int8, rows, cols, kp int, f
 			}
 			crow[j] = s
 		}
-	}
-}
-
-// kernI8x16scalar is the portable 4×16 micro-kernel: per k-pair it forms
-// the same two-term products VPMADDWD computes and accumulates them in
-// int32 — bit-identical to the assembly kernel by integer exactness.
-func kernI8x16scalar(c []int32, ldc int, ap []int16, bp []int8, kp int, first bool) {
-	var acc [gemmMR * gemmNR]int32
-	if !first {
-		for r := 0; r < gemmMR; r++ {
-			copy(acc[r*gemmNR:(r+1)*gemmNR], c[r*ldc:r*ldc+gemmNR])
-		}
-	}
-	for p2 := 0; p2 < kp; p2++ {
-		av := ap[p2*2*gemmMR : p2*2*gemmMR+2*gemmMR]
-		b0 := bp[(2*p2)*gemmNR : (2*p2)*gemmNR+gemmNR]
-		b1 := bp[(2*p2+1)*gemmNR : (2*p2+1)*gemmNR+gemmNR]
-		for r := 0; r < gemmMR; r++ {
-			a0 := int32(av[2*r])
-			a1 := int32(av[2*r+1])
-			arow := acc[r*gemmNR : (r+1)*gemmNR]
-			for j := 0; j < gemmNR; j++ {
-				arow[j] += a0*int32(b0[j]) + a1*int32(b1[j])
-			}
-		}
-	}
-	for r := 0; r < gemmMR; r++ {
-		copy(c[r*ldc:r*ldc+gemmNR], acc[r*gemmNR:(r+1)*gemmNR])
 	}
 }

@@ -8,25 +8,34 @@ import (
 )
 
 // TestKernI8AVXMatchesScalar pins the asm/noasm contract directly at the
-// micro-kernel boundary: the AVX2 VPMADDWD kernel and the scalar
-// reference must produce identical int32 tiles on randomized
-// pair-interleaved panels, for both first=true (overwrite) and
-// first=false (accumulate onto prior partials).
+// micro-kernel boundary: gemmKernI8IndAVX and its scalar twin
+// kernI8IndScalar must produce identical int32 tiles on randomized
+// pair-interleaved A panels, with B read through panelOffs (a packed
+// panel) and through random ascending offsets into a plane (the direct
+// conv lowering), for both first=true (overwrite) and first=false
+// (accumulate onto prior partials).
 func TestKernI8AVXMatchesScalar(t *testing.T) {
 	if !gemmAVX2 {
 		t.Skip("no AVX2 on this CPU; scalar path is the only kernel")
 	}
 	rng := rand.New(rand.NewSource(29))
-	for iter := 0; iter < 100; iter++ {
-		kp := rng.Intn(200) + 1
+	for iter := 0; iter < 200; iter++ {
+		kp := rng.Intn(gemmKC/2) + 1
 		ap := make([]int16, kp*2*gemmMR)
-		bp := make([]int8, kp*2*gemmNR)
 		for i := range ap {
-			ap[i] = int16(rng.Intn(255) - 127)
+			ap[i] = int16(rng.Intn(256) - 128)
 		}
-		for i := range bp {
-			bp[i] = int8(rng.Intn(255) - 127)
+		offs := panelOffs[:2*kp]
+		if iter%2 == 1 {
+			offs = make([]int32, 2*kp)
+			for k := range offs {
+				offs[k] = int32(rng.Intn(40))
+				if k > 0 {
+					offs[k] += offs[k-1]
+				}
+			}
 		}
+		base := randI8(rng, int(offs[2*kp-1])+gemmNR)
 		ldc := gemmNR + rng.Intn(8)
 		first := rng.Intn(2) == 0
 		cAsm := make([]int32, gemmMR*ldc)
@@ -38,8 +47,8 @@ func TestKernI8AVXMatchesScalar(t *testing.T) {
 				cRef[i] = v
 			}
 		}
-		gemmKernI8AVX(&cAsm[0], ldc, &ap[0], &bp[0], kp, first)
-		kernI8x16scalar(cRef, ldc, ap, bp, kp, first)
+		gemmKernI8IndAVX(&cAsm[0], ldc, &ap[0], &base[0], &offs[0], kp, first)
+		kernI8IndScalar(cRef, ldc, ap, base, offs, gemmMR, kp, first)
 		for i := range cRef {
 			if cAsm[i] != cRef[i] {
 				t.Fatalf("iter %d kp=%d ldc=%d first=%v: element %d asm=%d scalar=%d", iter, kp, ldc, first, i, cAsm[i], cRef[i])

@@ -4,44 +4,30 @@ package tensor
 
 // The assembly tier (the *_amd64.s files): every AVX2 kernel symbol and
 // the gate that selects them. The Go dispatchers next to each scalar twin
-// (kern4x16, kern1x16, kern4x16Ind, kern1x16Ind, kernI8, kernI8Ind,
-// scaleShiftVec, clampVec, quantizeI8Vec, requantI8Vec) call these only
-// while gemmAVX2 holds, and each kernel computes its twin's bits: the
-// same operations in the same order, never FMA. Vector kernels over
-// elements take n a multiple of their width (8 float32 lanes, 16 int8
-// codes).
+// (kern4x16Ind, kern1x16Ind, kernI8Ind, scaleShiftVec, clampVec,
+// quantizeI8Vec, requantI8Vec) call these only while gemmAVX2 holds, and
+// each kernel computes its twin's bits: the same operations in the same
+// order, never FMA. Vector kernels over elements take n a multiple of
+// their width (8 float32 lanes, 16 int8 codes).
 
 func cpuidAVX2() bool
 
 // gemmAVX2 selects the assembly kernels; KernelBackend reports it.
 var gemmAVX2 = cpuidAVX2()
 
-//go:noescape
-func gemmKern4x16AVX(c *float32, ldc int, ap, bp *float32, kb int, first bool)
+// The GEMM micro-kernels, one family per backend: B row p of the tile is
+// read at base+offs[p] — a packed panel's rows through panelOffs, or the
+// direct conv lowering's tap offsets into its bordered image plane.
+// gemmKern4x16IndAVX and gemmKern1x16IndAVX accumulate float32 tiles of
+// 4 and 1 rows; gemmKernI8IndAVX accumulates a 4×16 int32 tile kp
+// k-pairs deep with VPMADDWD.
 
-//go:noescape
-func gemmKern1x16AVX(c *float32, ap *float32, astride int, bp *float32, kb int, first bool)
-
-// gemmKern4x16IndAVX and gemmKern1x16IndAVX are the micro-kernels above
-// with B row p read at base+offs[p] instead of from a packed panel: the
-// direct conv lowering's tap offsets into its zero-bordered image plane.
-//
 //go:noescape
 func gemmKern4x16IndAVX(c *float32, ldc int, ap, base *float32, offs *int32, kb int, first bool)
 
 //go:noescape
 func gemmKern1x16IndAVX(c *float32, ap *float32, astride int, base *float32, offs *int32, kb int, first bool)
 
-// gemmKernI8AVX is the VPMADDWD micro-kernel: a 4×16 int32 tile
-// accumulated kp k-pairs deep over the panels of gemm_i8.go.
-//
-//go:noescape
-func gemmKernI8AVX(c *int32, ldc int, ap *int16, bp *int8, kp int, first bool)
-
-// gemmKernI8IndAVX is gemmKernI8AVX with B rows k and k+1 read at
-// base+offs[k] and base+offs[k+1]: the direct conv lowering's tap offsets
-// into its zero-point-bordered image plane.
-//
 //go:noescape
 func gemmKernI8IndAVX(c *int32, ldc int, ap *int16, base *int8, offs *int32, kp int, first bool)
 

@@ -11,15 +11,12 @@ var gemmAVX2 = false
 
 func noAsm() { panic("tensor: no assembly tier in this build") }
 
-func gemmKern4x16AVX(c *float32, ldc int, ap, bp *float32, kb int, first bool)              { noAsm() }
-func gemmKern1x16AVX(c *float32, ap *float32, astride int, bp *float32, kb int, first bool) { noAsm() }
 func gemmKern4x16IndAVX(c *float32, ldc int, ap, base *float32, offs *int32, kb int, first bool) {
 	noAsm()
 }
 func gemmKern1x16IndAVX(c *float32, ap *float32, astride int, base *float32, offs *int32, kb int, first bool) {
 	noAsm()
 }
-func gemmKernI8AVX(c *int32, ldc int, ap *int16, bp *int8, kp int, first bool) { noAsm() }
 func gemmKernI8IndAVX(c *int32, ldc int, ap *int16, base *int8, offs *int32, kp int, first bool) {
 	noAsm()
 }

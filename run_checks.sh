@@ -199,6 +199,15 @@ check_kernels() {
 	check_selected -race -cpu 1,4 -run 'TestScaleShiftMatchesScalar|TestClampMatchesBranchingLoop|TestAvgPool2dIntoMatchesGeneric' ./internal/tensor
 	check_selected -race -cpu 1,4 -run 'TestGEMMWorkerCountBitIdentical|TestGemmI8WorkerCountIdentity|TestConvWorkerCountBitIdentical|TestConv2dInt8WorkerCountIdentity' ./internal/tensor
 	check_selected -race -cpu 1,4 -run 'TestConvDirectMatchesIm2col|TestConvDirectRouting|TestConv2dMatchesNaive' ./internal/tensor
+	# The packed-panel path runs the offset-table micro-kernels through
+	# panelOffs: the kernel twins' parity, and every k-chunk, row and
+	# column edge against the naive reference on both kernel tiers.
+	check_selected -race -cpu 1,4 -run 'TestPackedPathMatchesNaive|TestKernI8AVXMatchesScalar' ./internal/tensor
+	check_selected -tags noasm -run 'TestPackedPathMatchesNaive' ./internal/tensor
+	# The tensor level is bit-identical up to NaN payload; nothing a
+	# campaign persists may depend on the payload.
+	check_selected -run 'TestClassifyIgnoresNaNPayload' ./internal/campaign
+	check_selected -run 'TestMSEReportCanonicalNaN' ./internal/scenario
 	# The int8 direct lowering's wall, its panels' Set, and weight faults
 	# keeping code, row sum and panel in lockstep through SetCode.
 	check_selected -race -cpu 1,4 -run 'TestConvDirectMatchesIm2col/int8|TestConvPanelsI8Set' ./internal/tensor
