@@ -166,10 +166,10 @@ func TestSaveLoadCampaignCheckpoint(t *testing.T) {
 func TestAggregateStateIdentity(t *testing.T) {
 	for _, bits := range []uint64{
 		0, 0x8000000000000000, // ±0
-		0x3ff0000000000000,    // 1.0
-		0x7ff0000000000000,    // +Inf
-		0x7ff8000000000001,    // NaN with payload
-		0x0000000000000001,    // smallest subnormal
+		0x3ff0000000000000, // 1.0
+		0x7ff0000000000000, // +Inf
+		0x7ff8000000000001, // NaN with payload
+		0x0000000000000001, // smallest subnormal
 		math.Float64bits(0.30000000000000004),
 	} {
 		a := campaign.Aggregate{Trials: 9, ConfDropSum: math.Float64frombits(bits)}

@@ -140,7 +140,7 @@ func FuzzCampaignCheckpointLoad(f *testing.F) {
 func FuzzCampaignCheckpointRoundTrip(f *testing.F) {
 	f.Add("c1", "running", 10, -1, uint64(0x3ff0000000000000), true)
 	f.Add("", "paused", 0, 0, uint64(0x7ff8000000000001), false)
-	f.Add("x\x00y", "done", 1 << 20, 42, uint64(0x8000000000000000), true)
+	f.Add("x\x00y", "done", 1<<20, 42, uint64(0x8000000000000000), true)
 	f.Fuzz(func(t *testing.T, id, state string, next, stop int, sumBits uint64, withWatcher bool) {
 		// encoding/json coerces invalid UTF-8 to U+FFFD (documented, not a
 		// format property under test); compare in the coerced domain.

@@ -208,6 +208,14 @@ func (c *Campaign) truncateLog() error {
 	return os.Truncate(c.logPath(), off)
 }
 
+// maxLegTrials bounds one engine leg. campaign.Run allocates its
+// per-trial state (about 120 B a trial by its element types) for the
+// whole leg, so each shard range runs as consecutive legs of at most
+// this many trials, holding its slot across them. A record is a
+// function of its global trial index alone, so the legs change no
+// record and no fold.
+var maxLegTrials = 1 << 16
+
 // run executes (or resumes) the campaign to completion, pause or
 // failure. It is the only goroutine that mutates the fold state while
 // the campaign runs.
@@ -276,20 +284,24 @@ func (c *Campaign) run(ctx context.Context) {
 				return
 			}
 			c.srv.reg.Counter(MetricShardsLaunched).Inc()
-			_, err := env.Run(shardCtx, experiments.ShardRun{
-				Offset:  r.Lo,
-				Trials:  r.Len(),
-				Workers: sp.Workers,
-				Metrics: c.reg,
-				Sinks: []campaign.TrialSink{campaign.SinkFunc(func(rec campaign.TrialRecord) error {
-					select {
-					case records <- rec:
-						return nil
-					case <-shardCtx.Done():
-						return shardCtx.Err()
-					}
-				})},
+			sink := campaign.SinkFunc(func(rec campaign.TrialRecord) error {
+				select {
+				case records <- rec:
+					return nil
+				case <-shardCtx.Done():
+					return shardCtx.Err()
+				}
 			})
+			var err error
+			for lo := r.Lo; lo < r.Hi && err == nil; lo += maxLegTrials {
+				_, err = env.Run(shardCtx, experiments.ShardRun{
+					Offset:  lo,
+					Trials:  min(r.Hi-lo, maxLegTrials),
+					Workers: sp.Workers,
+					Metrics: c.reg,
+					Sinks:   []campaign.TrialSink{sink},
+				})
+			}
 			shardErrs <- err
 		}(r)
 	}

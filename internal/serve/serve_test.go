@@ -390,6 +390,79 @@ func TestServeKillResumeDeterminism(t *testing.T) {
 	}
 }
 
+// TestServeLegsMatchUncapped pins the leg cap: with maxLegTrials lowered
+// so every shard range runs as several engine legs, a campaign streams
+// exactly the uncapped local run's records and settles on its aggregate,
+// and a stop-rule campaign paused mid-run, its server discarded and
+// resumed by a fresh one stops on the uncapped run's trial with its
+// records and aggregate.
+func TestServeLegsMatchUncapped(t *testing.T) {
+	skipIfShort(t)
+	defer func(prev int) { maxLegTrials = prev }(maxLegTrials)
+	maxLegTrials = 7
+	dir := t.TempDir()
+	srvA, err := New(Config{Dir: dir, CheckpointEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hsA := httptest.NewServer(srvA.Handler())
+	clA := &Client{Base: hsA.URL}
+	ctx := context.Background()
+
+	base, err := srvA.Submit(baseSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, done := collectStream(t, clA, base.ID, 0)
+	wantRecs, wantRes := refBase.run(t, baseSpec())
+	sameRecords(t, "capped legs vs uncapped local run", got, wantRecs)
+	if want := viewOf(wantRes.Aggregate, len(wantRecs), -1); done.State != StateDone || *done.Agg != want {
+		t.Fatalf("capped campaign settled %q on %+v, want done on %+v", done.State, done.Agg, want)
+	}
+	// Every leg plans its lanes once: 60 trials in legs of 7 are 9 legs.
+	if legs := base.Metrics().Histogram(campaign.MetricBatchPackTime).Count(); legs != 9 {
+		t.Fatalf("%d engine legs planned, want 9", legs)
+	}
+
+	c, err := srvA.Submit(stopSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	for c.next < 2 && !terminalState(c.state) {
+		c.cond.Wait()
+	}
+	c.mu.Unlock()
+	if st := c.Pause(); st.State != StatePaused {
+		t.Fatalf("campaign settled %q before the pause landed", st.State)
+	}
+	hsA.Close()
+	srvA.Close()
+
+	srvB, err := New(Config{Dir: dir, CheckpointEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvB.Close()
+	hsB := httptest.NewServer(srvB.Handler())
+	defer hsB.Close()
+	clB := &Client{Base: hsB.URL}
+	if _, err := clB.Resume(ctx, c.ID); err != nil {
+		t.Fatal(err)
+	}
+	fin, err := clB.Wait(ctx, c.ID, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopRecs, stopRes := refStop.run(t, stopSpec())
+	stopAt := stopRes.Stop.Trial
+	if want := viewOf(stopRes.Aggregate, stopAt+1, stopAt); fin.State != StateDone || fin.Agg != want {
+		t.Fatalf("resumed capped campaign settled %q on %+v, want done on %+v", fin.State, fin.Agg, want)
+	}
+	gotStop, _ := collectStream(t, clB, c.ID, 0)
+	sameRecords(t, "resumed capped stream vs uncapped run", gotStop, stopRecs)
+}
+
 // TestServeHTTPSurface covers the cheap API paths that need no trained
 // fixture: health, metrics, validation failures, 404s and the
 // cancel-while-training transition.

@@ -53,7 +53,8 @@ var ErrUnsupportedEstimator = errors.New("serve: estimator not supported on the 
 // submitted with only {"v":1} runs exactly what a bare CLI invocation
 // runs. A few things a spec can say only run locally; offWire lists them.
 // Validation bounds what one spec can cost: at most maxTrials (10⁸)
-// trials, maxWorkers (256) workers per leg and maxShards (256) legs.
+// trials, maxWorkers (256) workers per leg and maxShards (256) shards,
+// each run in legs of at most maxLegTrials (2¹⁶) trials.
 type Spec struct {
 	// V is the wire version; must equal WireVersion.
 	V int `json:"v"`

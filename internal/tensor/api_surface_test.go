@@ -62,13 +62,13 @@ func TestMatMulWrapperFamily(t *testing.T) {
 	near("MatMulTransAAcc", ta)
 
 	into := make([]float32, m*n)
-	gemmParallel(f32Kernels, into, n, a.Data(), k, false, b.Data(), n, false, m, k, n, false)
+	gemmParallel(f32Kernels, f32Op{dst: into, ldc: n, a: a.Data(), lda: k, b: b.Data(), ldb: n, m: m, k: k, n: n})
 	for i, w := range want.Data() {
 		if into[i] != w {
 			t.Fatalf("gemmParallel element %d = %g, want %g", i, into[i], w)
 		}
 	}
-	gemmParallel(f32Kernels, into, n, a.Data(), k, false, b.Data(), n, false, m, k, n, true)
+	gemmParallel(f32Kernels, f32Op{dst: into, ldc: n, a: a.Data(), lda: k, b: b.Data(), ldb: n, m: m, k: k, n: n, acc: true})
 	for i, w := range want.Data() {
 		if d := into[i] - 2*w; d > 1e-5 || d < -1e-5 {
 			t.Fatalf("gemmParallel acc element %d = %g, want ≈%g", i, into[i], 2*w)
@@ -141,7 +141,11 @@ func TestParallelForCoversEveryIndex(t *testing.T) {
 	defer SetWorkers(old)
 	n := 101
 	hits := make([]int32, n)
-	parallelFor(n, func(i int) { hits[i]++ })
+	parallelForChunks(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			hits[i]++
+		}
+	})
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("index %d hit %d times", i, h)
@@ -219,9 +223,9 @@ func TestConv2dInt8StridedMatchesNaive(t *testing.T) {
 func TestGemmI8SerialDegenerate(t *testing.T) {
 	var sc scratch
 	defer sc.release()
-	gemmSerial(i8Kernels, nil, 0, nil, 0, false, nil, 0, false, 0, 3, 0, false, &sc)
+	gemmSerial(i8Kernels, &i8Op{k: 3}, &sc)
 	dst := []int32{1, 2, 3, 4}
-	gemmSerial(i8Kernels, dst, 2, nil, 0, false, nil, 0, false, 2, 0, 2, false, &sc)
+	gemmSerial(i8Kernels, &i8Op{dst: dst, ldc: 2, m: 2, n: 2}, &sc)
 	for i, v := range dst {
 		if v != 0 {
 			t.Fatalf("k=0 must zero dst, element %d = %d", i, v)

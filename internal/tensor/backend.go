@@ -41,7 +41,7 @@ func KernelBackend() string {
 
 // --- persistent worker pool ---------------------------------------------
 //
-// Kernels used to spawn fresh goroutines on every parallelFor call, so a
+// Kernels used to spawn fresh goroutines on every parallel call, so a
 // small conv layer paid goroutine spawn+join per layer per trial. The
 // pool below keeps long-lived workers parked on a channel; a parallel
 // region enqueues one job and the submitter plus any woken workers claim
@@ -58,7 +58,7 @@ func KernelBackend() string {
 // parJob is one parallel region: fn over [0,n) in nchunk chunks of size
 // chunk (the last one short).
 type parJob struct {
-	fn     func(lo, hi int)
+	fn     chunker
 	n      int
 	chunk  int
 	nchunk int64
@@ -78,7 +78,7 @@ func (j *parJob) claimChunks() {
 		if hi > j.n {
 			hi = j.n
 		}
-		j.fn(lo, hi)
+		j.fn.run(lo, hi)
 		j.wg.Done()
 	}
 }
@@ -118,9 +118,18 @@ func ensurePoolWorkers(n int) {
 	}
 }
 
+// chunker is a parallel region's body, run once per chunk [lo, hi). A
+// region with state of its own (gemmChunks) implements it on a pointer,
+// so state and body are one allocation; chunkFunc adapts a closure.
+type chunker interface{ run(lo, hi int) }
+
+type chunkFunc func(lo, hi int)
+
+func (f chunkFunc) run(lo, hi int) { f(lo, hi) }
+
 // runParallel splits [0, n) into chunks of the given size and executes
-// fn(lo, hi) across the submitter plus up to w-1 pool workers.
-func runParallel(n, chunk, w int, fn func(lo, hi int)) {
+// fn.run(lo, hi) across the submitter plus up to w-1 pool workers.
+func runParallel(n, chunk, w int, fn chunker) {
 	j := &parJob{fn: fn, n: n, chunk: chunk}
 	j.nchunk = int64((n + chunk - 1) / chunk)
 	j.wg.Add(int(j.nchunk))
@@ -139,28 +148,6 @@ func runParallel(n, chunk, w int, fn func(lo, hi int)) {
 	j.wg.Wait()
 }
 
-// parallelFor runs fn(i) for i in [0, n) using up to Workers() goroutines
-// with per-index (work-stealing) dispatch. With Workers()==1 (or n<=1) it
-// degrades to a plain loop, keeping the serial backend free of dispatch
-// overhead.
-func parallelFor(n int, fn func(i int)) {
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	runParallel(n, 1, w, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
 // parallelForChunks splits [0, n) into contiguous chunks and runs
 // fn(lo, hi) per chunk. Preferred for kernels whose per-index work is tiny,
 // where per-index dispatch overhead would dominate.
@@ -173,5 +160,5 @@ func parallelForChunks(n int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
-	runParallel(n, (n+w-1)/w, w, fn)
+	runParallel(n, (n+w-1)/w, w, chunkFunc(fn))
 }

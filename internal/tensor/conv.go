@@ -1,5 +1,10 @@
 package tensor
 
+// Convolution on both backends. convJob.units is the one unit loop of
+// both forwards: load, stage B (conv_direct.go's bordered plane, or the
+// pointwise slab or im2col matrix), the one GEMM driver, finish. The
+// float32 backward passes share its fan-out and im2col.
+
 import "fmt"
 
 // ConvSpec describes the geometry of a 2-D convolution.
@@ -129,12 +134,12 @@ func convUnits(units int, chunk func(lo, hi int, fanned bool)) {
 
 // convGEMM runs one unit's GEMM: serially with pack panels from sc when
 // the units fan out, else split across the workers.
-func convGEMM[In, AP, Out elem](g *gemmKernels[In, AP, Out], fanned bool, sc *scratch, dst []Out, ldc int, a []In, lda int, transA bool, b []In, ldb int, transB bool, m, k, n int, acc bool) {
+func convGEMM[In, AP, Out elem](g *gemmKernels[In, AP, Out], fanned bool, sc *scratch, op *gemmOp[In, AP, Out]) {
 	if fanned {
-		gemmSerial(g, dst, ldc, a, lda, transA, b, ldb, transB, m, k, n, acc, sc)
+		gemmSerial(g, op, sc)
 		return
 	}
-	gemmParallel(g, dst, ldc, a, lda, transA, b, ldb, transB, m, k, n, acc)
+	gemmParallel(g, *op)
 }
 
 // convStages is what a backend writes itself of a conv forward.
@@ -155,8 +160,10 @@ type convStages[In, Out elem] interface {
 // and the per-unit scratch its load and result stages use (the float32
 // backend reads its input and writes its output in place and needs none;
 // the int8 backend quantizes each slab and accumulates int32). panels,
-// when set, are the weights packed once as the direct lowering's A panels
-// (ConvPanelsI8); nil packs A per call.
+// when set, are the weights packed once as A panels (ConvPanelsI8) that
+// every staging reads in place; nil packs A per call. direct picks B's
+// staging: the bordered plane (conv_direct.go), or the pointwise slab or
+// im2col matrix; run sets it from convGeom.direct.
 type convJob[In, AP, Out elem] struct {
 	cv            *convGeom
 	gemm          *gemmKernels[In, AP, Out]
@@ -165,37 +172,66 @@ type convJob[In, AP, Out elem] struct {
 	pad           In
 	inLen, accLen int
 	st            convStages[In, Out]
+	direct        bool
 }
 
-// run is the one conv lowering: the unit fan-out, the choice between the
-// direct lowering (conv_direct.go; the stride-1 convs direct() admits),
-// the pointwise slab and im2col, the scratch reservation, and per unit
-// load → im2col → GEMM → finish.
+// run is the one conv lowering: B's staging for the geometry, then the
+// unit fan-out.
 func (j *convJob[In, AP, Out]) run() {
-	if j.cv.direct() {
-		convUnits(j.cv.n*j.cv.g, j.directUnits)
-		return
-	}
+	j.direct = j.cv.direct()
 	convUnits(j.cv.n*j.cv.g, j.units)
 }
 
+// units runs units [lo, hi): per unit load → B staging → GEMM → finish.
+// On the direct staging the plane's border is written once per chunk,
+// every unit overwrites only its interior, and compaction moves the
+// GEMM's virtual columns to the result.
 func (j *convJob[In, AP, Out]) units(lo, hi int, fanned bool) {
 	cv := j.cv
-	colLen := cv.colLen()
+	op := gemmOp[In, AP, Out]{ldc: cv.l, lda: cv.kdim, panels: j.panels, ldb: cv.l, m: cv.coutG, k: cv.kdim, n: cv.l}
+	stageLen, vresLen := cv.colLen(), 0
 	var sc scratch
-	arenaOf[In](&sc).reserve(j.inLen + colLen)
-	arenaOf[Out](&sc).reserve(j.accLen)
-	if fanned {
-		gemmReserve(j.gemm, &sc, cv.coutG, cv.kdim, cv.l)
+	if j.direct {
+		op.n, op.ldc = cv.virtualCols(), cv.virtualCols()
+		stageLen, vresLen = cv.planeLen(), cv.coutG*op.n
 	}
-	buf, col := arenaOf[In](&sc).take(j.inLen), arenaOf[In](&sc).take(colLen)
-	acc := arenaOf[Out](&sc).take(j.accLen)
+	arenaOf[In](&sc).reserve(j.inLen + stageLen)
+	arenaOf[Out](&sc).reserve(j.accLen + vresLen)
+	if j.direct {
+		// The GEMM takes no int32 scratch, so the tap offsets can be
+		// taken before its reservation, which reads that B is in place.
+		nk := roundUp(cv.kdim, j.gemm.kStep)
+		arenaOf[int32](&sc).reserve(nk)
+		op.offs = arenaOf[int32](&sc).take(nk)
+		cv.tapOffsets(op.offs)
+	}
+	if fanned {
+		gemmReserve(j.gemm, &sc, &op)
+	}
+	buf, stage := arenaOf[In](&sc).take(j.inLen), arenaOf[In](&sc).take(stageLen)
+	acc, vres := arenaOf[Out](&sc).take(j.accLen), arenaOf[Out](&sc).take(vresLen)
+	if j.direct {
+		fillPlanePad(stage, j.pad)
+	}
 	for u := lo; u < hi; u++ {
 		s, gi := u/cv.g, u%cv.g
-		cols := convCols(cv, col, j.st.load(buf, s, gi), j.pad)
+		img := j.st.load(buf, s, gi)
 		res := j.st.result(acc, s, gi)
-		wg := j.w[gi*cv.coutG*cv.kdim : (gi+1)*cv.coutG*cv.kdim]
-		convGEMM(j.gemm, fanned, &sc, res, cv.l, wg, cv.kdim, false, cols, cv.l, false, cv.coutG, cv.kdim, cv.l, false)
+		op.a = j.w[gi*cv.coutG*cv.kdim : (gi+1)*cv.coutG*cv.kdim]
+		if j.panels != nil {
+			n := len(j.panels) / cv.g
+			op.panels = j.panels[gi*n : (gi+1)*n]
+		}
+		if j.direct {
+			fillPlane(cv, stage, img)
+			op.dst, op.b = vres, stage
+		} else {
+			op.dst, op.b = res, convCols(cv, stage, img, j.pad)
+		}
+		convGEMM(j.gemm, fanned, &sc, &op)
+		if j.direct {
+			compactCols(cv, res, vres)
+		}
 		j.st.finish(res, s, gi)
 	}
 	sc.release()
@@ -453,18 +489,19 @@ func Conv2dBackward(x, w *Tensor, hasBias bool, gradOut *Tensor, spec ConvSpec, 
 	convUnits(g, func(lo, hi int, fanned bool) {
 		var sc scratch
 		defer sc.release()
+		op := f32Op{ldc: kdim, lda: l, ldb: l, transB: true, m: coutG, k: l, n: kdim, acc: true}
 		ar := arenaOf[float32](&sc)
 		ar.reserve(colLen)
 		if fanned {
-			gemmReserve(f32Kernels, &sc, coutG, l, kdim)
+			gemmReserve(f32Kernels, &sc, &op)
 		}
 		col := ar.take(colLen)
 		for gi := lo; gi < hi; gi++ {
-			gwg := grads.Weight.data[gi*coutG*kdim : (gi+1)*coutG*kdim]
+			op.dst = grads.Weight.data[gi*coutG*kdim : (gi+1)*coutG*kdim]
 			for s := 0; s < n; s++ {
-				gog := gradOut.data[(s*cout+gi*coutG)*l : (s*cout+(gi+1)*coutG)*l]
-				cols := convCols(&cv, col, slab(&cv, x.data, s, gi), 0)
-				convGEMM(f32Kernels, fanned, &sc, gwg, kdim, gog, l, false, cols, l, true, coutG, l, kdim, true)
+				op.a = gradOut.data[(s*cout+gi*coutG)*l : (s*cout+(gi+1)*coutG)*l]
+				op.b = convCols(&cv, col, slab(&cv, x.data, s, gi), 0)
+				convGEMM(f32Kernels, fanned, &sc, &op)
 			}
 		}
 	})
@@ -480,17 +517,19 @@ func Conv2dBackward(x, w *Tensor, hasBias bool, gradOut *Tensor, spec ConvSpec, 
 	convUnits(n*g, func(lo, hi int, fanned bool) {
 		var sc scratch
 		defer sc.release()
+		op := f32Op{ldc: l, lda: kdim, transA: true, ldb: l, m: kdim, k: coutG, n: l}
 		ar := arenaOf[float32](&sc)
 		ar.reserve(kdim * l)
 		if fanned {
-			gemmReserve(f32Kernels, &sc, kdim, coutG, l)
+			gemmReserve(f32Kernels, &sc, &op)
 		}
 		colGrad := ar.take(kdim * l)
+		op.dst = colGrad
 		for u := lo; u < hi; u++ {
 			s, gi := u/g, u%g
-			wg := w.data[gi*coutG*kdim : (gi+1)*coutG*kdim]
-			gog := gradOut.data[(s*cout+gi*coutG)*l : (s*cout+(gi+1)*coutG)*l]
-			convGEMM(f32Kernels, fanned, &sc, colGrad, l, wg, kdim, true, gog, l, false, kdim, coutG, l, false)
+			op.a = w.data[gi*coutG*kdim : (gi+1)*coutG*kdim]
+			op.b = gradOut.data[(s*cout+gi*coutG)*l : (s*cout+(gi+1)*coutG)*l]
+			convGEMM(f32Kernels, fanned, &sc, &op)
 			imgGrad := grads.Input.data[s*c*h*wd : (s+1)*c*h*wd]
 			col2imAccInto(imgGrad, colGrad, gi*cv.cg, cv.cg, h, wd, cv.kh, cv.kw, cv.oh, cv.ow, cv.spec)
 		}

@@ -1,7 +1,7 @@
 package tensor
 
-// Direct conv lowering: a stride-1 conv computed without a column matrix,
-// on both backends.
+// Direct conv lowering: the B staging convJob.units picks for a stride-1
+// conv, computed without a column matrix, on both backends.
 //
 // A unit's [Cg, H, W] input slab is copied once into a plane with a border
 // of pad values, [Cg, Hp, Wp] with Hp = H + 2·PadH and Wp = W + 2·PadW.
@@ -14,15 +14,13 @@ package tensor
 //
 // — the image element im2col would copy there, or the border's pad where
 // im2col writes pad. So B row k is the plane shifted by off[k], and the
-// backend's macro kernel reads it in place through that table (bstride 1)
-// instead of from an im2col matrix repacked into panels: the same
-// micro-kernels the packed path runs through panelOffs
-// (gemmKern4x16IndAVX: one offset load per k step; gemmKernI8IndAVX: two
-// per k-pair). The Wp − OW virtual columns past each output row's end are
-// computed and discarded: the GEMM runs over roundUp((OH−1)·Wp + OW,
+// one GEMM driver reads it in place through that table (gemmOp.offs)
+// instead of packing an im2col matrix into panels: same loop nest, same
+// micro-kernels. The Wp − OW virtual columns past each output row's end
+// are computed and discarded: the GEMM runs over roundUp((OH−1)·Wp + OW,
 // gemmNR) columns into scratch, and compaction copies the valid ones to
-// the output. A is packed per call, or on int8 read in place from panels
-// packed once at quantization (ConvPanelsI8).
+// the output. A comes as on the other stagings: packed per call, or on
+// int8 read in place from panels packed once (ConvPanelsI8).
 //
 // Bits: on float32 every output element is the ascending-k chain over the
 // same products as on the im2col path, pad products w·pad included (w·0
@@ -126,117 +124,4 @@ func compactCols[T elem](cv *convGeom, res, vres []T) {
 			copy(out[oy*ow:(oy+1)*ow], in[oy*wp:oy*wp+ow])
 		}
 	}
-}
-
-// directUnits is convJob.units on the direct lowering: per unit load →
-// plane → GEMM over virtual columns → compaction → finish. The border is
-// written once per chunk; every unit overwrites only the interior.
-func (j *convJob[In, AP, Out]) directUnits(lo, hi int, fanned bool) {
-	cv := j.cv
-	nv, planeLen, nk := cv.virtualCols(), cv.planeLen(), roundUp(cv.kdim, j.gemm.kStep)
-	var sc scratch
-	arenaOf[In](&sc).reserve(j.inLen + planeLen)
-	arenaOf[Out](&sc).reserve(j.accLen + cv.coutG*nv)
-	arenaOf[int32](&sc).reserve(nk)
-	if fanned && j.panels == nil {
-		directReserve(j.gemm, &sc, cv.coutG, cv.kdim, nv)
-	}
-	buf, plane := arenaOf[In](&sc).take(j.inLen), arenaOf[In](&sc).take(planeLen)
-	acc, vres := arenaOf[Out](&sc).take(j.accLen), arenaOf[Out](&sc).take(cv.coutG*nv)
-	offs := arenaOf[int32](&sc).take(nk)
-	cv.tapOffsets(offs)
-	fillPlanePad(plane, j.pad)
-	for u := lo; u < hi; u++ {
-		s, gi := u/cv.g, u%cv.g
-		fillPlane(cv, plane, j.st.load(buf, s, gi))
-		wg := j.w[gi*cv.coutG*cv.kdim : (gi+1)*cv.coutG*cv.kdim]
-		var pg []AP
-		if j.panels != nil {
-			n := len(j.panels) / cv.g
-			pg = j.panels[gi*n : (gi+1)*n]
-		}
-		if fanned {
-			directSerial(j.gemm, vres, nv, wg, cv.kdim, pg, plane, offs, cv.coutG, cv.kdim, nv, &sc)
-		} else {
-			directParallel(j.gemm, vres, nv, wg, cv.kdim, pg, plane, offs, cv.coutG, cv.kdim, nv)
-		}
-		res := j.st.result(acc, s, gi)
-		compactCols(cv, res, vres)
-		j.st.finish(res, s, gi)
-	}
-	sc.release()
-}
-
-// directReserve adds the A pack panel of one directSerial call of the
-// given shape to sc's reservations; there is no B panel.
-func directReserve[In, AP, Out elem](g *gemmKernels[In, AP, Out], sc *scratch, m, k, n int) {
-	la, _ := g.panelLens(m, k, n)
-	arenaOf[AP](sc).reserve(la)
-}
-
-// directSerial computes dst = A×B on the calling goroutine, A [m, k] row
-// major (rows lda apart) and B [k, n] read in place as B[p, j] =
-// plane[offs[p]+j], n a multiple of gemmNR; offs holds roundUp(k, kStep)
-// offsets, any past k duplicating offs[k-1]. The pc/ic loop nest is
-// gemmSerial's; B needs no panel and no jc blocking. A's panels are
-// packed per block from a, or read in place from panels when A was
-// packed once over all of k (ConvPanelsI8's layout: block (ic, pc) at
-// ic·roundUp(k, kStep) + pc·gemmMR), which takes no scratch. k > 0.
-func directSerial[In, AP, Out elem](g *gemmKernels[In, AP, Out], dst []Out, ldc int, a []In, lda int, panels []AP, plane []In, offs []int32, m, k, n int, sc *scratch) {
-	// The assembly kernels read B without bounds checks: every row must
-	// fit in the plane, and the offsets ascend, so the last decides.
-	if n%gemmNR != 0 || int(offs[k-1])+n > len(plane) {
-		panic("tensor: direct conv reads past its plane")
-	}
-	var apack []AP
-	if panels == nil {
-		arA := arenaOf[AP](sc)
-		defer arA.restore(arA.mark())
-		la, _ := g.panelLens(m, k, n)
-		apack = arA.take(la)
-	}
-	nk := roundUp(k, g.kStep)
-	for pc := 0; pc < k; pc += gemmKC {
-		kb := min(k-pc, gemmKC)
-		ps := roundUp(kb, g.kStep)
-		for ic := 0; ic < m; ic += gemmMC {
-			mb := min(m-ic, gemmMC)
-			if panels != nil {
-				g.macro(dst[ic*ldc:], ldc, panels[ic*nk+pc*gemmMR:], nk, plane, 1, offs[pc:pc+ps], mb, n, kb, pc == 0)
-				continue
-			}
-			g.packA(apack, a, lda, false, ic, pc, mb, kb)
-			g.macro(dst[ic*ldc:], ldc, apack, ps, plane, 1, offs[pc:pc+ps], mb, n, kb, pc == 0)
-		}
-	}
-}
-
-// directParallel is directSerial split across Workers() as gemmSplit
-// splits gemmParallel's outputs; each worker packs into its own scratch,
-// or all read the shared panels.
-func directParallel[In, AP, Out elem](g *gemmKernels[In, AP, Out], dst []Out, ldc int, a []In, lda int, panels []AP, plane []In, offs []int32, m, k, n int) {
-	rows, dim, chunk := gemmSplit(m, k, n)
-	run := func(dst []Out, a []In, panels []AP, plane []In, m, n int) {
-		var sc scratch
-		if panels == nil {
-			directReserve(g, &sc, m, k, n)
-		}
-		directSerial(g, dst, ldc, a, lda, panels, plane, offs, m, k, n, &sc)
-		sc.release()
-	}
-	if chunk == 0 {
-		run(dst, a, panels, plane, m, n)
-		return
-	}
-	runParallel(dim, chunk, (dim+chunk-1)/chunk, func(lo, hi int) {
-		if !rows {
-			run(dst[lo:], a, panels, plane[lo:], m, hi-lo)
-			return
-		}
-		pl := panels
-		if pl != nil {
-			pl = pl[lo*roundUp(k, g.kStep):]
-		}
-		run(dst[lo*ldc:], a[lo*lda:], pl, plane, hi-lo, n)
-	})
 }

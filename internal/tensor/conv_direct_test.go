@@ -34,15 +34,21 @@ func specialWeights(rng *rand.Rand, w *Tensor, mixed bool) {
 	}
 }
 
-// convBothLowerings runs one float32 forward on the im2col + packed GEMM
-// lowering and one on the direct lowering, whatever run would pick.
+// runStaging runs a conv job through the one unit loop with B's staging
+// forced: the bordered plane (direct), or the pointwise slab or im2col
+// matrix, whatever run would pick.
+func runStaging[In, AP, Out elem](j *convJob[In, AP, Out], direct bool) {
+	j.direct = direct
+	convUnits(j.cv.n*j.cv.g, j.units)
+}
+
+// convBothLowerings runs one float32 forward on the im2col staging and
+// one on the direct staging.
 func convBothLowerings(x, w, bias *Tensor, spec ConvSpec) (im2col, direct *Tensor) {
 	cv := checkConvShapes(x, w.shape, spec)
 	im2col, direct = New(cv.n, cv.cout, cv.oh, cv.ow), New(cv.n, cv.cout, cv.oh, cv.ow)
-	f := newF32Conv(im2col, x, w, bias, &cv)
-	convUnits(cv.n*cv.g, f.job.units)
-	d := newF32Conv(direct, x, w, bias, &cv)
-	convUnits(cv.n*cv.g, d.job.directUnits)
+	runStaging(&newF32Conv(im2col, x, w, bias, &cv).job, false)
+	runStaging(&newF32Conv(direct, x, w, bias, &cv).job, true)
 	return im2col, direct
 }
 
@@ -137,35 +143,70 @@ func TestConvDirectMatchesIm2col(t *testing.T) {
 	t.Run("int8", testConvDirectI8)
 }
 
-// convI8Lowering runs one int8 forward on the direct lowering (direct)
-// or the im2col + packed GEMM lowering, whatever run would pick.
+// convI8Lowering runs one int8 forward on the direct staging (direct)
+// or the pointwise slab or im2col staging.
 func convI8Lowering(x *Tensor, wq []int8, wShape []int, qp QuantParams, spec ConvSpec, direct bool) *Tensor {
 	cv := checkConvShapes(x, wShape, spec)
 	dst := New(cv.n, cv.cout, cv.oh, cv.ow)
-	c := newI8Conv(dst, x, wq, qp, &cv)
-	units := c.job.units
-	if direct {
-		units = c.job.directUnits
-	}
-	convUnits(cv.n*cv.g, units)
+	runStaging(&newI8Conv(dst, x, wq, qp, &cv).job, direct)
 	return dst
 }
 
-// checkDirectI8 requires the int8 direct lowering — A packed per call,
-// and A read in place from panels packed once — to reproduce the im2col
-// lowering exactly at one and four workers, and its scalar twins (the
-// gemmAVX2 gate off) to reproduce it too. Power-of-two scales and no bias
-// make every output the exact image of its int32 accumulator.
-func checkDirectI8(t *testing.T, x *Tensor, wq []int8, wShape []int, zp int8, spec ConvSpec) {
+// naiveConvI8 is the int8 forward as a direct loop over the input codes,
+// out-of-image taps reading the zero-point code, folded as the epilogue
+// folds: the reference every staging must equal exactly.
+func naiveConvI8(x *Tensor, wq []int8, wShape []int, qp QuantParams, spec ConvSpec) *Tensor {
+	cv := checkConvShapes(x, wShape, spec)
+	xq := make([]int8, len(x.data))
+	QuantizeI8Into(xq, x.data, qp.InScale, qp.InZP)
+	out, sp := New(cv.n, cv.cout, cv.oh, cv.ow), cv.spec
+	for s := 0; s < cv.n; s++ {
+		for oc := 0; oc < cv.cout; oc++ {
+			c0 := oc / cv.coutG * cv.cg
+			corr, scale, bias := qp.fold(oc)
+			for oy := 0; oy < cv.oh; oy++ {
+				for ox := 0; ox < cv.ow; ox++ {
+					var acc int32
+					for c := 0; c < cv.cg; c++ {
+						for ky := 0; ky < cv.kh; ky++ {
+							for kx := 0; kx < cv.kw; kx++ {
+								code := qp.InZP
+								iy, ix := oy*sp.StrideH-sp.PadH+ky, ox*sp.StrideW-sp.PadW+kx
+								if iy >= 0 && iy < cv.h && ix >= 0 && ix < cv.wd {
+									code = xq[((s*cv.c+c0+c)*cv.h+iy)*cv.wd+ix]
+								}
+								acc += int32(wq[((oc*cv.cg+c)*cv.kh+ky)*cv.kw+kx]) * int32(code)
+							}
+						}
+					}
+					out.data[((s*cv.cout+oc)*cv.oh+oy)*cv.ow+ox] = requantI8(acc, corr, scale, bias, 0)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkConvI8Stagings requires every int8 staging — the pointwise slab or
+// im2col matrix, and on stride-1 convs the direct plane, each with A
+// packed per call and with A read in place from panels packed once — to
+// reproduce the naive reference exactly at one and four workers and on
+// the scalar twins (the gemmAVX2 gate off). Power-of-two scales and no
+// bias make every output the exact image of its int32 accumulator.
+func checkConvI8Stagings(t *testing.T, x *Tensor, wq []int8, wShape []int, zp int8, spec ConvSpec) {
 	t.Helper()
 	cout := wShape[0]
 	qp := powerOfTwoQuant(wq, cout, zp)
 	withPanels := qp
 	withPanels.Panels = PackConvPanelsI8(wq, cout, spec.Canon().Groups)
+	stagings := []bool{false}
+	if spec = spec.Canon(); spec.StrideH == 1 && spec.StrideW == 1 {
+		stagings = append(stagings, true)
+	}
 
 	prev := SetWorkers(1)
 	defer SetWorkers(prev)
-	ref := convI8Lowering(x, wq, wShape, qp, spec, false)
+	ref := naiveConvI8(x, wq, wShape, qp, spec)
 	saved := gemmAVX2
 	defer func() { gemmAVX2 = saved }()
 	for _, run := range []struct {
@@ -175,9 +216,11 @@ func checkDirectI8(t *testing.T, x *Tensor, wq []int8, wShape []int, zp int8, sp
 	}{{"1 worker", 1, false}, {"4 workers", 4, false}, {"scalar kernels", 1, true}, {"scalar kernels, 4 workers", 4, true}} {
 		SetWorkers(run.workers)
 		gemmAVX2 = saved && !run.scalar
-		requireSameBits(t, "int8 im2col, "+run.what, convI8Lowering(x, wq, wShape, qp, spec, false), ref, false)
-		requireSameBits(t, "int8 direct, packed A, "+run.what, convI8Lowering(x, wq, wShape, qp, spec, true), ref, false)
-		requireSameBits(t, "int8 direct, panels, "+run.what, convI8Lowering(x, wq, wShape, withPanels, spec, true), ref, false)
+		for _, direct := range stagings {
+			what := map[bool]string{false: "int8 im2col", true: "int8 direct"}[direct]
+			requireSameBits(t, what+", packed A, "+run.what, convI8Lowering(x, wq, wShape, qp, spec, direct), ref, false)
+			requireSameBits(t, what+", panels, "+run.what, convI8Lowering(x, wq, wShape, withPanels, spec, direct), ref, false)
+		}
 	}
 }
 
@@ -191,12 +234,13 @@ func randCodes(rng *rand.Rand, n int) []int8 {
 	return wq
 }
 
-// testConvDirectI8 is the int8 half of the parity wall: the direct
-// lowering's int32 sums, with A packed per call or read from panels
-// packed once, equal the im2col lowering's at every geometry edge — odd
-// kdim (the pair pad tap), kdim past gemmKC, coutG off whole panels, rows
-// past gemmMC and split by rows across workers — under a zero and a
-// non-zero zero-point border.
+// testConvDirectI8 is the int8 half of the parity wall: every staging's
+// int32 sums, with A packed per call or read from panels packed once,
+// equal the naive reference at every geometry edge — odd kdim (the pair
+// pad tap), kdim past gemmKC, coutG off whole panels, rows past gemmMC
+// and split by rows across workers, and the pointwise and strided convs
+// only the packed B staging serves — under a zero and a non-zero
+// zero-point border.
 func testConvDirectI8(t *testing.T) {
 	type tc struct {
 		name         string
@@ -218,7 +262,14 @@ func testConvDirectI8(t *testing.T) {
 		{"batch8", 8, 5, 12, 12, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
 		{"tall-m102", 1, 30, 10, 10, 102, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
 		{"rows-split-m130", 1, 4, 6, 6, 130, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
+		{"rows-split-m130-odd-k27", 1, 3, 6, 6, 130, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
 		{"4x4", 1, 16, 4, 4, 16, 3, 3, ConvSpec{PadH: 1, PadW: 1}},
+		{"pointwise", 1, 48, 8, 8, 24, 1, 1, ConvSpec{}},
+		{"pointwise-grouped-coutG5", 1, 12, 6, 6, 10, 1, 1, ConvSpec{Groups: 2}},
+		{"stride2", 1, 32, 16, 16, 64, 3, 3, ConvSpec{StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}},
+		{"stride2-grouped-coutG3", 2, 6, 9, 11, 6, 3, 3, ConvSpec{StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 2}},
+		{"stride2-odd-k261", 1, 29, 10, 10, 8, 3, 3, ConvSpec{StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}},
+		{"stride2-rows-split-m130", 1, 4, 12, 12, 130, 3, 3, ConvSpec{StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}},
 	}
 	for _, ow := range []int{7, 8, 9, 33} {
 		cases = append(cases, tc{fmt.Sprintf("ow%d", ow), 1, 3, 6, ow, 8, 3, 3, ConvSpec{PadH: 1, PadW: 1}})
@@ -233,7 +284,7 @@ func testConvDirectI8(t *testing.T) {
 				spec := c.spec.Canon()
 				x := RandUniform(rng, -2.5, 2.5, c.n, c.c, c.h, c.w)
 				wShape := []int{c.cout, c.c / spec.Groups, c.kh, c.kw}
-				checkDirectI8(t, x, randCodes(rng, c.cout*c.c/spec.Groups*c.kh*c.kw), wShape, zp, spec)
+				checkConvI8Stagings(t, x, randCodes(rng, c.cout*c.c/spec.Groups*c.kh*c.kw), wShape, zp, spec)
 			})
 		}
 	}
@@ -303,6 +354,23 @@ func FuzzConvDirect(f *testing.F) {
 			specialWeights(rng, wt, false)
 		}
 		checkDirect(t, x, wt, RandUniform(rng, -1, 1, Cout), spec, false)
-		checkDirectI8(t, x, randCodes(rng, wt.Len()), wt.Shape(), int8(seed), spec)
+		checkConvI8Stagings(t, x, randCodes(rng, wt.Len()), wt.Shape(), int8(seed), spec)
 	})
+}
+
+// TestInPlaceBReadPastEndPanics pins the guard in front of the unchecked
+// assembly reads: an in-place B whose last row would run past b panics
+// before any kernel reads it.
+func TestInPlaceBReadPastEndPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("gemmSerial read past in-place B without panicking")
+		}
+	}()
+	var sc scratch
+	defer sc.release()
+	k, n := 3, 2*gemmNR
+	op := f32Op{dst: make([]float32, n), ldc: n, a: make([]float32, k), lda: k,
+		b: make([]float32, 2+n-1), offs: []int32{0, 1, 2}, m: 1, k: k, n: n}
+	gemmSerial(f32Kernels, &op, &sc)
 }

@@ -37,14 +37,14 @@ type QuantParams struct {
 	// that scale inside the epilogue; zero leaves the fold unsnapped.
 	OutScale float32
 	// Panels, optional, are a conv's weight codes packed once
-	// (PackConvPanelsI8); the direct lowering reads them in place instead
+	// (PackConvPanelsI8); every conv staging reads them in place instead
 	// of packing A on every call. LinearInt8Into ignores them.
 	Panels *ConvPanelsI8
 }
 
 // ConvPanelsI8 is an int8 conv layer's weight codes packed once, at
-// quantization, as the A panels the direct lowering reads in place
-// (conv_direct.go): per group, packAI8's layout over all of kdim, rows
+// quantization, as the A panels its GEMMs read in place (gemmOp.panels):
+// per group, packAI8's layout over all of kdim, rows
 // padded to whole panels. The block of rows ic… and k-chunk pc… of any
 // GEMM over a group therefore sits at ic·roundUp(kdim, 2) + pc·gemmMR of
 // the group's panels, whatever gemmKC, gemmMC or the worker split.
@@ -165,7 +165,7 @@ func LinearInt8Into(dst, x *Tensor, wq []int8, qp QuantParams) {
 	xq := arenaOf[int8](&sc).take(rows * in)
 	acc := arenaOf[int32](&sc).take(rows * out)
 	QuantizeI8Into(xq, x.data, qp.InScale, qp.InZP)
-	gemmParallel(i8Kernels, acc, out, xq, in, false, wq, in, true, rows, in, out, false)
+	gemmParallel(i8Kernels, i8Op{dst: acc, ldc: out, a: xq, lda: in, b: wq, ldb: in, transB: true, m: rows, k: in, n: out})
 	for i := 0; i < rows; i++ {
 		arow := acc[i*out : (i+1)*out]
 		orow := dst.data[i*out : (i+1)*out]

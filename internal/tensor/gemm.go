@@ -1,16 +1,16 @@
 package tensor
 
-// Blocked GEMM. One driver serves both backends — float32 here, int8 in
-// gemm_i8.go, each contributing only its packers and kernels — and all
-// four matmul variants (plain, accumulating, Aᵀ×B, A×Bᵀ) by
-// parameterizing the pack routines with leading dimensions and transpose
-// flags.
+// Blocked GEMM. One driver — gemmSerial's loop nest, gemmParallel's
+// split — serves both backends (float32 here, int8 in gemm_i8.go, each
+// contributing only its packers and kernels), all four matmul variants
+// through the packers' leading dimensions and transpose flags, and every
+// conv GEMM; a gemmOp says where each operand's rows come from.
 //
-// Each backend has one micro-kernel family and one macro kernel, shared
-// with the direct conv lowering (conv_direct.go). The micro-kernels read
-// B row p of a 16-column tile at base+offs[p]: this driver's packed
+// Each backend has one micro-kernel family and one macro kernel. The
+// micro-kernels read B row p of a 16-column tile at base+offs[p]: packed
 // panels keep row p at p·gemmNR and pass the constant table panelOffs,
-// the direct lowering passes its tap offsets into an image plane.
+// B read in place passes its own offsets (the direct conv lowering's
+// taps into an image plane, conv_direct.go).
 //
 // Determinism contract (DESIGN.md §10): for every output element dst[i,j]
 // the k-loop is a single left-to-right float32 accumulation chain
@@ -49,10 +49,9 @@ type gemmKernels[In, AP, Out elem] struct {
 	// macro runs the micro-kernels over one mb×nb block kb deep, writing
 	// dst from its start. The A panel of rows ir… starts at
 	// apack[ir·astride:]; the B tile of columns jr… starts at
-	// b[jr·bstride:], with its row p at offs[p]. gemmSerial passes packed
-	// panels (astride = bstride = roundUp(kb, kStep), offs = panelOffs);
-	// the direct conv lowering passes its image plane (bstride 1, offs its
-	// tap offsets, nb a multiple of gemmNR).
+	// b[jr·bstride:], with its row p at offs[p]: packed B panels have
+	// bstride roundUp(kb, kStep) and offs panelOffs, B read in place has
+	// bstride 1, its own offsets and nb a multiple of gemmNR.
 	macro func(dst []Out, ldc int, apack []AP, astride int, b []In, bstride int, offs []int32, mb, nb, kb int, first bool)
 	// kStep is the multiple panels round a k-block up to: 1 for float32,
 	// 2 for the int8 k-pair layout.
@@ -61,6 +60,39 @@ type gemmKernels[In, AP, Out elem] struct {
 
 // f32Kernels is the float32 backend.
 var f32Kernels = &gemmKernels[float32, float32, float32]{packA: packA, packB: packB, macro: gemmMacro, kStep: 1}
+
+// gemmOp is one GEMM, dst = A×B (or dst += A×B with acc) for A [m, k],
+// B [k, n] and dst rows ldc apart. Each operand has two forms:
+//
+//   - A[i,p] is a[i*lda+p], or a[p*lda+i] with transA, packed per block;
+//     or, with panels set, read in place from panels packed once over all
+//     of k, every panel gemmMR rows high (ConvPanelsI8), so block (ic, pc)
+//     sits at ic·roundUp(k, kStep) + pc·gemmMR whatever the blocking or
+//     split. a is then read only by the small-problem loop.
+//   - B[p,j] is b[p*ldb+j], or b[j*ldb+p] with transB, packed per (pc, jc)
+//     block; or, with offs set, read in place at b[offs[p]+j]. offs then
+//     holds roundUp(k, kStep) ascending offsets, any past k repeating
+//     offs[k-1], n is a multiple of gemmNR, and there is one jc block.
+type gemmOp[In, AP, Out elem] struct {
+	dst     []Out
+	ldc     int
+	a       []In
+	lda     int
+	transA  bool
+	panels  []AP
+	b       []In
+	ldb     int
+	transB  bool
+	offs    []int32
+	m, k, n int
+	acc     bool
+}
+
+// The float32 and int8 instances.
+type (
+	f32Op = gemmOp[float32, float32, float32]
+	i8Op  = gemmOp[int8, int16, int32]
+)
 
 // panelOffs is the offset table of a full-width packed B panel: row p
 // sits at p·gemmNR on both backends. Its gemmKC entries cover every
@@ -76,17 +108,25 @@ var panelOffs = func() (t [gemmKC]int32) {
 // roundUp rounds n up to a multiple of m.
 func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
-// panelLens returns the A and B panel elements one gemmSerial call of
-// the given shape takes: one macro block each, in whole micro-tiles.
-func (g *gemmKernels[In, AP, Out]) panelLens(m, k, n int) (int, int) {
-	kb := roundUp(min(k, gemmKC), g.kStep)
-	return roundUp(min(m, gemmMC), gemmMR) * kb, roundUp(min(n, gemmNC), gemmNR) * kb
+// panelLens returns the A and B panel elements one gemmSerial call of op
+// takes: one macro block of each operand it packs, in whole micro-tiles,
+// and none for an operand read in place.
+func (g *gemmKernels[In, AP, Out]) panelLens(op *gemmOp[In, AP, Out]) (la, lb int) {
+	kb := roundUp(min(op.k, gemmKC), g.kStep)
+	if op.panels == nil {
+		la = roundUp(min(op.m, gemmMC), gemmMR) * kb
+	}
+	if op.offs == nil {
+		lb = roundUp(min(op.n, gemmNC), gemmNR) * kb
+	}
+	return la, lb
 }
 
-// gemmReserve adds the pack panels of one gemmSerial call of the given
-// shape to sc's reservations: A panels in AP's arena, B panels in In's.
-func gemmReserve[In, AP, Out elem](g *gemmKernels[In, AP, Out], sc *scratch, m, k, n int) {
-	la, lb := g.panelLens(m, k, n)
+// gemmReserve adds the pack panels of one gemmSerial call of op to sc's
+// reservations: A panels in AP's arena, B panels in In's. Only op's
+// shape and operand forms are read.
+func gemmReserve[In, AP, Out elem](g *gemmKernels[In, AP, Out], sc *scratch, op *gemmOp[In, AP, Out]) {
+	la, lb := g.panelLens(op)
 	arenaOf[AP](sc).reserve(la)
 	arenaOf[In](sc).reserve(lb)
 }
@@ -143,47 +183,65 @@ func gemmSmall[In, Out elem](dst []Out, ldc int, a []In, lda int, transA bool, b
 	}
 }
 
-// gemmSerial computes dst = A×B (acc=false) or dst += A×B (acc=true) on
-// the calling goroutine with g's blocked, packed kernels. dst rows are
-// ldc apart; transpose flags and leading dimensions are as in gemmSmall.
-// Pack panels come from sc (restored on return). b may itself live in
-// sc's arena (the conv path's column buffer): takes hand out disjoint
-// ranges, so the panels never alias it.
-func gemmSerial[In, AP, Out elem](g *gemmKernels[In, AP, Out], dst []Out, ldc int, a []In, lda int, transA bool, b []In, ldb int, transB bool, m, k, n int, acc bool, sc *scratch) {
+// gemmSerial computes op on the calling goroutine with g's blocked
+// kernels: the jc/pc/ic loop nest, each operand packed per block or read
+// in place. Pack panels come from sc (restored on return). b may itself
+// live in sc's arena (the conv path's column buffer or plane): takes
+// hand out disjoint ranges, so the panels never alias it.
+func gemmSerial[In, AP, Out elem](g *gemmKernels[In, AP, Out], op *gemmOp[In, AP, Out], sc *scratch) {
+	m, k, n, ldc := op.m, op.k, op.n, op.ldc
 	if m == 0 || n == 0 {
 		return
 	}
 	if k == 0 {
-		if !acc {
+		if !op.acc {
 			for i := 0; i < m; i++ {
-				clear(dst[i*ldc : i*ldc+n])
+				clear(op.dst[i*ldc : i*ldc+n])
 			}
 		}
 		return
 	}
-	// Tiny or skinny problems: packing costs more than it saves, and
-	// outputs narrower than one vector tile would run entirely on the
-	// scalar edge kernel anyway.
-	if n < gemmNR || m*n < gemmMR*gemmNR || m*k*n < 8192 {
-		gemmSmall(dst, ldc, a, lda, transA, b, ldb, transB, m, k, n, acc)
+	nc := gemmNC
+	if op.offs != nil {
+		// The assembly kernels read B without bounds checks: every row
+		// must fit in b, and the offsets ascend, so the last decides.
+		if n%gemmNR != 0 || int(op.offs[k-1])+n > len(op.b) {
+			panic("tensor: in-place GEMM operand B reads past its end")
+		}
+		nc = n
+	} else if n < gemmNR || m*n < gemmMR*gemmNR || m*k*n < 8192 {
+		// Tiny or skinny problems: packing costs more than it saves, and
+		// outputs narrower than one vector tile would run entirely on
+		// the scalar edge kernel anyway.
+		gemmSmall(op.dst, ldc, op.a, op.lda, op.transA, op.b, op.ldb, op.transB, m, k, n, op.acc)
 		return
 	}
 
 	arA, arB := arenaOf[AP](sc), arenaOf[In](sc)
 	markA, markB := arA.mark(), arB.mark()
-	la, lb := g.panelLens(m, k, n)
+	la, lb := g.panelLens(op)
 	apack, bpack := arA.take(la), arB.take(lb)
-	for jc := 0; jc < n; jc += gemmNC {
-		nb := min(n-jc, gemmNC)
+	nk := roundUp(k, g.kStep)
+	for jc := 0; jc < n; jc += nc {
+		nb := min(n-jc, nc)
 		for pc := 0; pc < k; pc += gemmKC {
 			kb := min(k-pc, gemmKC)
 			ps := roundUp(kb, g.kStep)
-			first := pc == 0 && !acc
-			g.packB(bpack, b, ldb, transB, pc, jc, kb, nb)
+			b, bstride, offs := bpack, ps, panelOffs[:]
+			if op.offs != nil {
+				b, bstride, offs = op.b, 1, op.offs[pc:pc+ps]
+			} else {
+				g.packB(bpack, op.b, op.ldb, op.transB, pc, jc, kb, nb)
+			}
 			for ic := 0; ic < m; ic += gemmMC {
 				mb := min(m-ic, gemmMC)
-				g.packA(apack, a, lda, transA, ic, pc, mb, kb)
-				g.macro(dst[ic*ldc+jc:], ldc, apack, ps, bpack, ps, panelOffs[:], mb, nb, kb, first)
+				a, astride := apack, ps
+				if op.panels != nil {
+					a, astride = op.panels[ic*nk+pc*gemmMR:], nk
+				} else {
+					g.packA(apack, op.a, op.lda, op.transA, ic, pc, mb, kb)
+				}
+				g.macro(op.dst[ic*ldc+jc:], ldc, a, astride, b, bstride, offs, mb, nb, kb, pc == 0 && !op.acc)
 			}
 		}
 	}
@@ -215,37 +273,61 @@ func gemmSplit(m, k, n int) (rows bool, dim, chunk int) {
 }
 
 // gemmParallel is gemmSerial with the output split across Workers() by
-// gemmSplit. Each worker packs into its own scratch.
-func gemmParallel[In, AP, Out elem](g *gemmKernels[In, AP, Out], dst []Out, ldc int, a []In, lda int, transA bool, b []In, ldb int, transB bool, m, k, n int, acc bool) {
-	rows, dim, chunk := gemmSplit(m, k, n)
+// gemmSplit. Each chunk is an op of its own, on its own scratch.
+func gemmParallel[In, AP, Out elem](g *gemmKernels[In, AP, Out], op gemmOp[In, AP, Out]) {
+	rows, dim, chunk := gemmSplit(op.m, op.k, op.n)
 	if chunk == 0 {
 		var sc scratch
-		gemmReserve(g, &sc, m, k, n)
-		gemmSerial(g, dst, ldc, a, lda, transA, b, ldb, transB, m, k, n, acc, &sc)
+		gemmReserve(g, &sc, &op)
+		gemmSerial(g, &op, &sc)
 		sc.release()
 		return
 	}
-	runParallel(dim, chunk, (dim+chunk-1)/chunk, func(lo, hi int) {
-		var sc scratch
-		if rows {
-			// A stored [k,m] under transA: advancing by output row means
-			// advancing by stored column, and lo*lda could exceed len(a).
-			as := a[lo:]
-			if !transA {
-				as = a[lo*lda:]
-			}
-			gemmReserve(g, &sc, hi-lo, k, n)
-			gemmSerial(g, dst[lo*ldc:], ldc, as, lda, transA, b, ldb, transB, hi-lo, k, n, acc, &sc)
+	runParallel(dim, chunk, (dim+chunk-1)/chunk, &gemmChunks[In, AP, Out]{g, op, rows})
+}
+
+// gemmChunks is gemmParallel's region, one allocation for the split:
+// each chunk an op of its own, on its own scratch.
+type gemmChunks[In, AP, Out elem] struct {
+	g    *gemmKernels[In, AP, Out]
+	op   gemmOp[In, AP, Out]
+	rows bool
+}
+
+func (c *gemmChunks[In, AP, Out]) run(lo, hi int) {
+	part := c.op.part(c.rows, lo, hi, c.g.kStep)
+	var sc scratch
+	gemmReserve(c.g, &sc, &part)
+	gemmSerial(c.g, &part, &sc)
+	sc.release()
+}
+
+// part returns output rows (rows) or columns [lo, hi) of op as an op of
+// their own. The receiver is a copy, so no chunk re-slices a shared op.
+func (op gemmOp[In, AP, Out]) part(rows bool, lo, hi, kStep int) gemmOp[In, AP, Out] {
+	if !rows {
+		op.dst = op.dst[lo:]
+		if op.transB {
+			op.b = op.b[lo*op.ldb:]
 		} else {
-			bs := b[lo:]
-			if transB {
-				bs = b[lo*ldb:]
-			}
-			gemmReserve(g, &sc, m, k, hi-lo)
-			gemmSerial(g, dst[lo:], ldc, a, lda, transA, bs, ldb, transB, m, k, hi-lo, acc, &sc)
+			op.b = op.b[lo:]
 		}
-		sc.release()
-	})
+		op.n = hi - lo
+		return op
+	}
+	op.dst = op.dst[lo*op.ldc:]
+	// A stored [k,m] under transA: advancing by output row means
+	// advancing by stored column, and lo*lda could exceed len(a).
+	if op.transA {
+		op.a = op.a[lo:]
+	} else {
+		op.a = op.a[lo*op.lda:]
+	}
+	if op.panels != nil {
+		op.panels = op.panels[lo*roundUp(op.k, kStep):]
+	}
+	op.m = hi - lo
+	return op
 }
 
 // packA copies the mb×kb block of A at (ic, pc) into mr-row panels laid

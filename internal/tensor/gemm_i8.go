@@ -18,10 +18,13 @@ package tensor
 //     permuted order {0–3, 8–11}/{4–7, 12–15}; VPERM2I128 restores
 //     natural order at tile load/store, once per tile instead of per k.
 //   - The one micro-kernel, gemmKernI8IndAVX, reads B row k at
-//     base+offs[k]: a packed panel passes panelOffs (row k at k·16), the
-//     direct conv lowering (conv_direct.go) its tap offsets into an image
-//     plane bordered with the input zero-point code, with A read in place
-//     from a conv's codes packed once over all of k (ConvPanelsI8).
+//     base+offs[k]: a packed panel passes panelOffs (row k at k·16), B
+//     read in place its own offsets (the direct conv lowering's taps into
+//     a plane bordered with the input zero-point code, conv_direct.go).
+//   - A conv's weight codes are packed once over all of k (ConvPanelsI8)
+//     and every staging of the conv reads them in place, so packAI8 runs
+//     per call only for LinearInt8Into's activations (and a conv handed
+//     no panels).
 //   - Panels are zero-padded to whole tiles and an even k (kStep 2): in
 //     integer arithmetic a 0·x term is exactly neutral, so padding never
 //     changes results (unlike float32, where panels stay dense to keep
@@ -43,9 +46,10 @@ var i8Kernels = &gemmKernels[int8, int16, int32]{packA: packAI8, packB: packBI8,
 // the pair-interleaved layout described atop this file. Panels have a
 // fixed 2·gemmMR stride per k-pair; missing rows (edge panels) and the
 // odd-k tail are zero-padded, which integer accumulation treats as
-// exactly neutral. A is row-major — every int8 caller's A is a layer's
-// weight codes — and transA is rejected: a transposed-A branch in the
-// row loop costs the int8 forward ≈ 3 % (paired runs).
+// exactly neutral. A is row-major — every int8 caller's A is a conv's
+// weight codes or a linear layer's input codes — and transA is rejected:
+// a transposed-A branch in the row loop costs the int8 forward ≈ 3 %
+// (paired runs).
 func packAI8(apack []int16, a []int8, lda int, transA bool, ic, pc, mb, kb int) {
 	if transA {
 		panic("tensor: the int8 GEMM packs row-major A only")

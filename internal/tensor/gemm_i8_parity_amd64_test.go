@@ -72,8 +72,9 @@ func TestGemmI8ForcedScalarMatchesDefault(t *testing.T) {
 	run := func() []int32 {
 		out := make([]int32, m*n)
 		var sc scratch
-		gemmReserve(i8Kernels, &sc, m, k, n)
-		gemmSerial(i8Kernels, out, n, a, k, false, b, n, false, m, k, n, false, &sc)
+		op := i8Op{dst: out, ldc: n, a: a, lda: k, b: b, ldb: n, m: m, k: k, n: n}
+		gemmReserve(i8Kernels, &sc, &op)
+		gemmSerial(i8Kernels, &op, &sc)
 		sc.release()
 		return out
 	}

@@ -67,8 +67,9 @@ func TestGemmI8BlockedMatchesNaive(t *testing.T) {
 
 			got := make([]int32, m*n)
 			var sc scratch
-			gemmReserve(i8Kernels, &sc, m, k, n)
-			gemmSerial(i8Kernels, got, n, a, k, false, b, ldb, transB, m, k, n, false, &sc)
+			op := i8Op{dst: got, ldc: n, a: a, lda: k, b: b, ldb: ldb, transB: transB, m: m, k: k, n: n}
+			gemmReserve(i8Kernels, &sc, &op)
+			gemmSerial(i8Kernels, &op, &sc)
 			sc.release()
 			for i := range want {
 				if got[i] != want[i] {
@@ -79,7 +80,7 @@ func TestGemmI8BlockedMatchesNaive(t *testing.T) {
 			// Parallel column split must be identical too.
 			old := SetWorkers(4)
 			gotPar := make([]int32, m*n)
-			gemmParallel(i8Kernels, gotPar, n, a, k, false, b, ldb, transB, m, k, n, false)
+			gemmParallel(i8Kernels, i8Op{dst: gotPar, ldc: n, a: a, lda: k, b: b, ldb: ldb, transB: transB, m: m, k: k, n: n})
 			SetWorkers(old)
 			for i := range want {
 				if gotPar[i] != want[i] {
@@ -112,8 +113,9 @@ func TestGemmI8RandomizedShapes_Property(t *testing.T) {
 		gemmI8Naive(want, n, a, k, b, ldb, transB, m, k, n)
 		got := make([]int32, m*n)
 		var sc scratch
-		gemmReserve(i8Kernels, &sc, m, k, n)
-		gemmSerial(i8Kernels, got, n, a, k, false, b, ldb, transB, m, k, n, false, &sc)
+		op := i8Op{dst: got, ldc: n, a: a, lda: k, b: b, ldb: ldb, transB: transB, m: m, k: k, n: n}
+		gemmReserve(i8Kernels, &sc, &op)
+		gemmSerial(i8Kernels, &op, &sc)
 		sc.release()
 		for i := range want {
 			if got[i] != want[i] {
@@ -137,11 +139,11 @@ func TestGemmI8WorkerCountIdentity(t *testing.T) {
 		b := randI8(rng, k*n)
 		ref := make([]int32, m*n)
 		SetWorkers(1)
-		gemmParallel(i8Kernels, ref, n, a, k, false, b, n, false, m, k, n, false)
+		gemmParallel(i8Kernels, i8Op{dst: ref, ldc: n, a: a, lda: k, b: b, ldb: n, m: m, k: k, n: n})
 		for _, w := range []int{2, 4, 8} {
 			SetWorkers(w)
 			got := make([]int32, m*n)
-			gemmParallel(i8Kernels, got, n, a, k, false, b, n, false, m, k, n, false)
+			gemmParallel(i8Kernels, i8Op{dst: got, ldc: n, a: a, lda: k, b: b, ldb: n, m: m, k: k, n: n})
 			for i := range ref {
 				if got[i] != ref[i] {
 					t.Fatalf("m=%d k=%d n=%d workers=%d: element %d = %d, want %d", m, k, n, w, i, got[i], ref[i])
@@ -173,7 +175,7 @@ func TestGemmI8Accumulating(t *testing.T) {
 				got[i] = int32(rng.Intn(201) - 100)
 				want[i] = float32(got[i])
 			}
-			gemmParallel(i8Kernels, got, n, a, k, false, b, ldb, transB, m, k, n, true)
+			gemmParallel(i8Kernels, i8Op{dst: got, ldc: n, a: a, lda: k, b: b, ldb: ldb, transB: transB, m: m, k: k, n: n, acc: true})
 			af, bf := make([]float32, len(a)), make([]float32, len(b))
 			for i, v := range a {
 				af[i] = float32(v)
@@ -197,7 +199,7 @@ func TestGemmI8Accumulating(t *testing.T) {
 	m, k, n := 37, 261, 70
 	var sc scratch
 	defer sc.release()
-	gemmSerial(i8Kernels, make([]int32, m*n), n, randI8(rng, m*k), m, true, randI8(rng, k*n), n, false, m, k, n, false, &sc)
+	gemmSerial(i8Kernels, &i8Op{dst: make([]int32, m*n), ldc: n, a: randI8(rng, m*k), lda: m, transA: true, b: randI8(rng, k*n), ldb: n, m: m, k: k, n: n}, &sc)
 }
 
 // TestKernI8EdgeMatchesFullTilePath checks the padded edge kernel

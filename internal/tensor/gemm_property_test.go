@@ -96,7 +96,7 @@ func gemmCase(t *testing.T, rng *rand.Rand, m, k, n int, transA, transB, acc boo
 	copy(got, init)
 	copy(want, init)
 
-	gemmParallel(f32Kernels, got, n, a, lda, transA, b, ldb, transB, m, k, n, acc)
+	gemmParallel(f32Kernels, f32Op{dst: got, ldc: n, a: a, lda: lda, transA: transA, b: b, ldb: ldb, transB: transB, m: m, k: k, n: n, acc: acc})
 	gemmNaive(want, n, a, lda, transA, b, ldb, transB, m, k, n, acc)
 
 	for i := range want {
@@ -175,7 +175,7 @@ func TestGEMMWorkerCountBitIdentical(t *testing.T) {
 		for _, w := range []int{1, 4, 8} {
 			SetWorkers(w)
 			dst := make([]float32, m*n)
-			gemmParallel(f32Kernels, dst, n, a, k, false, b, n, false, m, k, n, false)
+			gemmParallel(f32Kernels, f32Op{dst: dst, ldc: n, a: a, lda: k, b: b, ldb: n, m: m, k: k, n: n})
 			if ref == nil {
 				ref = dst
 				continue

@@ -15,7 +15,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v × %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	gemmParallel(f32Kernels, out.data, n, a.data, k, false, b.data, n, false, m, k, n, false)
+	gemmParallel(f32Kernels, f32Op{dst: out.data, ldc: n, a: a.data, lda: k, b: b.data, ldb: n, m: m, k: k, n: n})
 	return out
 }
 
@@ -26,7 +26,7 @@ func MatMulAcc(dst, a, b *Tensor) {
 	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulAcc shapes %v += %v × %v", dst.shape, a.shape, b.shape))
 	}
-	gemmParallel(f32Kernels, dst.data, n, a.data, k, false, b.data, n, false, m, k, n, true)
+	gemmParallel(f32Kernels, f32Op{dst: dst.data, ldc: n, a: a.data, lda: k, b: b.data, ldb: n, m: m, k: k, n: n, acc: true})
 }
 
 // MatMulTransB computes dst = a×bᵀ for a [m,k], b [n,k], dst [m,n],
@@ -37,7 +37,7 @@ func MatMulTransB(dst, a, b *Tensor) {
 	if b.shape[1] != k || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransB shapes %v = %v × %vᵀ", dst.shape, a.shape, b.shape))
 	}
-	gemmParallel(f32Kernels, dst.data, n, a.data, k, false, b.data, k, true, m, k, n, false)
+	gemmParallel(f32Kernels, f32Op{dst: dst.data, ldc: n, a: a.data, lda: k, b: b.data, ldb: k, transB: true, m: m, k: k, n: n})
 }
 
 // MatMulTransAAcc computes dst += aᵀ×b for a [k,m], b [k,n], dst [m,n].
@@ -47,5 +47,5 @@ func MatMulTransAAcc(dst, a, b *Tensor) {
 	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransAAcc shapes %v += %vᵀ × %v", dst.shape, a.shape, b.shape))
 	}
-	gemmParallel(f32Kernels, dst.data, n, a.data, m, true, b.data, n, false, m, k, n, true)
+	gemmParallel(f32Kernels, f32Op{dst: dst.data, ldc: n, a: a.data, lda: m, transA: true, b: b.data, ldb: n, m: m, k: k, n: n, acc: true})
 }

@@ -84,7 +84,7 @@ func TestMatMulTransHelpers(t *testing.T) {
 	a := RandUniform(rng, -1, 1, k, m)
 	b := RandUniform(rng, -1, 1, k, n)
 	dst := New(m, n)
-	gemmParallel(f32Kernels, dst.Data(), n, a.Data(), m, true, b.Data(), n, false, m, k, n, true)
+	gemmParallel(f32Kernels, f32Op{dst: dst.Data(), ldc: n, a: a.Data(), lda: m, transA: true, b: b.Data(), ldb: n, m: m, k: k, n: n, acc: true})
 	at := New(m, k)
 	for i := 0; i < m; i++ {
 		for j := 0; j < k; j++ {
@@ -99,7 +99,7 @@ func TestMatMulTransHelpers(t *testing.T) {
 	a2 := RandUniform(rng, -1, 1, m, k)
 	b2 := RandUniform(rng, -1, 1, n, k)
 	dst2 := New(m, n)
-	gemmParallel(f32Kernels, dst2.Data(), n, a2.Data(), k, false, b2.Data(), k, true, m, k, n, true)
+	gemmParallel(f32Kernels, f32Op{dst: dst2.Data(), ldc: n, a: a2.Data(), lda: k, b: b2.Data(), ldb: k, transB: true, m: m, k: k, n: n, acc: true})
 	bt := New(k, n)
 	for i := 0; i < k; i++ {
 		for j := 0; j < n; j++ {

@@ -25,6 +25,8 @@ echo "non-test Go lines: internal/ + cmd/ $(count_go_lines internal cmd)" \
 	"internal/serve $(count_go_lines internal/serve)," \
 	"internal/tensor $(count_go_lines internal/tensor), cmd/ $(count_go_lines cmd))"
 
+# Every Go file is gofmt-formatted.
+test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
@@ -215,6 +217,11 @@ check_kernels() {
 	check_selected -race -cpu 1,4 -run 'TestSetCodeKeepsRowSumAndPanels' ./internal/nn
 	check_selected -tags noasm -run 'TestConvDirectMatchesIm2col/int8|TestConvPanelsI8Set' ./internal/tensor
 	check_selected -tags noasm -run 'TestQuantizedWeightFaultPanelsLockstep' ./internal/core
+	# The int8 pointwise slab and im2col stagings read the panels too:
+	# those rows of the wall, against the per-call pack and the naive
+	# reference.
+	check_selected -race -cpu 1,4 -run 'TestConvDirectMatchesIm2col/int8/(pointwise|stride2)' ./internal/tensor
+	check_selected -tags noasm -run 'TestConvDirectMatchesIm2col/int8/(pointwise|stride2)' ./internal/tensor
 	# The lazy trial RNG is math/rand's stream, draw for draw.
 	check_selected -run 'TestTrialSourceMatchesMathRand' ./internal/campaign
 	check_selected -race -cpu 1,4 -run 'TestEvalForwardMatchesScalarKernels' ./internal/nn
@@ -269,6 +276,9 @@ serve_smoke() {
 check_serve() {
 	go test -race -timeout 20m ./internal/serve
 	check_selected -race -run 'TestServeLiveStream|TestServeEnvCacheBounded' ./internal/serve
+	# A shard range runs in engine legs of bounded size, and the legs
+	# change no record, fold or stop index, across a kill and resume.
+	check_selected -race -run 'TestServeLegsMatchUncapped' ./internal/serve
 	check_selected -race -cpu 1,4 -run 'TestSplitTrials|TestShardMergeMatchesGolden' ./internal/campaign
 	check_cover ./internal/serve 85
 	go test ./cmd/gofi-serve ./cmd/gofi-campaign

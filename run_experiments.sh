@@ -4,8 +4,8 @@ set -x
 cd "$(dirname "$0")"
 mkdir -p bin results
 go build -o bin/ ./cmd/...
-./bin/gofi-overhead -trials 5 > results/fig3.txt 2>&1
-./bin/gofi-overhead -batches -trials 3 > results/batchsweep.txt 2>&1
+./bin/gofi-overhead -trials 40 > results/fig3.txt 2>&1
+./bin/gofi-overhead -batches -trials 40 > results/batchsweep.txt 2>&1
 ./bin/gofi-detect -scenes 20 -injections 3 > results/fig5.txt 2>&1
 ./bin/gofi-interpret > results/fig7.txt 2>&1
 ./bin/gofi-classify -trials 1000 > results/fig4.txt 2>&1
