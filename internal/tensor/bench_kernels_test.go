@@ -115,6 +115,18 @@ func BenchmarkConvForward_DenseLayer(b *testing.B) { benchConvForward(b, 1, 40, 
 // double the GEMM, so it stays on im2col + the packed GEMM.
 func BenchmarkConvForward_Tiny4x4(b *testing.B) { benchConvForward(b, 1, 128, 128, 4, 3, 1, 1, 1) }
 
+// The ResNet-18 stage-4 and stage-3 convs of the Fig. 3 overhead
+// workload at its batch of 8: one unit per sample, each reading the same
+// 128×1152 (64×576) weights as its A. Stage 4's 4×4 map stays on im2col;
+// stage 3's 8×8 map runs the direct lowering.
+func BenchmarkConvForward_Batch8Tiny4x4(b *testing.B) {
+	benchConvForward(b, 8, 128, 128, 4, 3, 1, 1, 1)
+}
+
+func BenchmarkConvForward_Batch8Stage3(b *testing.B) {
+	benchConvForward(b, 8, 64, 64, 8, 3, 1, 1, 1)
+}
+
 // benchConvInt8Forward times Conv2dInt8Into as a quantized model runs
 // it: per-channel weight codes with their row sums and their panels
 // packed once, an asymmetric input quantizer, the output snap on.

@@ -161,14 +161,17 @@ type convStages[In, Out elem] interface {
 // backend reads its input and writes its output in place and needs none;
 // the int8 backend quantizes each slab and accumulates int32). panels,
 // when set, are the weights packed once as A panels (ConvPanelsI8) that
-// every staging reads in place; nil packs A per call. direct picks B's
-// staging: the bordered plane (conv_direct.go), or the pointwise slab or
-// im2col matrix; run sets it from convGeom.direct.
+// every staging reads in place; nil packs A per call (int8) or reads
+// the weights in place (float32). bias, float32 only, is [Cout]: on the
+// direct staging compaction adds it, on the others finish does. direct
+// picks B's staging: the bordered plane (conv_direct.go), or the
+// pointwise slab or im2col matrix; run sets it from convGeom.direct.
 type convJob[In, AP, Out elem] struct {
 	cv            *convGeom
 	gemm          *gemmKernels[In, AP, Out]
 	w             []In
 	panels        []AP
+	bias          []Out
 	pad           In
 	inLen, accLen int
 	st            convStages[In, Out]
@@ -230,7 +233,11 @@ func (j *convJob[In, AP, Out]) units(lo, hi int, fanned bool) {
 		}
 		convGEMM(j.gemm, fanned, &sc, &op)
 		if j.direct {
-			compactCols(cv, res, vres)
+			var bias []Out
+			if j.bias != nil {
+				bias = j.bias[gi*cv.coutG : (gi+1)*cv.coutG]
+			}
+			compactCols(cv, res, vres, bias)
 		}
 		j.st.finish(res, s, gi)
 	}
@@ -407,18 +414,22 @@ func conv2dInto(out, x, w, bias *Tensor, cv *convGeom) {
 // newF32Conv returns the float32 forward out = conv(x, w) + bias as a
 // job on the shared lowering.
 func newF32Conv(out, x, w, bias *Tensor, cv *convGeom) *f32Conv {
-	f := &f32Conv{cv: *cv, x: x, out: out, bias: bias}
+	f := &f32Conv{cv: *cv, x: x, out: out}
 	f.job = convJob[float32, float32, float32]{cv: &f.cv, gemm: f32Kernels, w: w.data, st: f}
+	if bias != nil {
+		f.job.bias = bias.data
+	}
 	return f
 }
 
 // f32Conv is the float32 forward's stages: units read the input and
-// write the output in place, and the epilogue adds the bias rows. It
-// holds its job, so one allocation carries a call.
+// write the output in place, and the epilogue adds the bias rows unless
+// the direct staging's compaction did. It holds its job, so one
+// allocation carries a call.
 type f32Conv struct {
-	job          convJob[float32, float32, float32]
-	cv           convGeom
-	x, out, bias *Tensor
+	job    convJob[float32, float32, float32]
+	cv     convGeom
+	x, out *Tensor
 }
 
 func (f *f32Conv) load(_ []float32, s, gi int) []float32 { return slab(&f.cv, f.x.data, s, gi) }
@@ -429,12 +440,12 @@ func (f *f32Conv) result(_ []float32, s, gi int) []float32 {
 }
 
 func (f *f32Conv) finish(res []float32, _, gi int) {
-	if f.bias == nil {
+	if f.job.bias == nil || f.job.direct {
 		return
 	}
 	cv := &f.cv
 	for ocg := 0; ocg < cv.coutG; ocg++ {
-		bv := f.bias.data[gi*cv.coutG+ocg]
+		bv := f.job.bias[gi*cv.coutG+ocg]
 		row := res[ocg*cv.l : (ocg+1)*cv.l]
 		for i := range row {
 			row[i] += bv

@@ -19,8 +19,10 @@ package tensor
 // micro-kernels. The Wp − OW virtual columns past each output row's end
 // are computed and discarded: the GEMM runs over roundUp((OH−1)·Wp + OW,
 // gemmNR) columns into scratch, and compaction copies the valid ones to
-// the output. A comes as on the other stagings: packed per call, or on
-// int8 read in place from panels packed once (ConvPanelsI8).
+// the output, adding the bias on float32 as it goes. A comes as on the
+// other stagings: the float32 weights read in place, the int8 codes
+// packed per call or read in place from panels packed once
+// (ConvPanelsI8).
 //
 // Bits: on float32 every output element is the ascending-k chain over the
 // same products as on the im2col path, pad products w·pad included (w·0
@@ -114,14 +116,25 @@ func fillPlanePad[T elem](plane []T, pad T) {
 
 // compactCols copies a unit's [coutG, OH·OW] output res out of its
 // virtual-column result vres [coutG, virtualCols], dropping the Wp − OW
-// discarded columns after every output row.
-func compactCols[T elem](cv *convGeom, res, vres []T) {
+// discarded columns after every output row. With bias set (the group's
+// coutG biases, float32 only) it adds bias[r] to row r as it copies: the
+// one add after the full chain that a separate bias pass makes, so the
+// bits are the same and the output is written once.
+func compactCols[T elem](cv *convGeom, res, vres, bias []T) {
 	_, wp := cv.planeDims()
 	oh, ow, nv := cv.oh, cv.ow, cv.virtualCols()
 	for r := 0; r < cv.coutG; r++ {
 		out, in := res[r*cv.l:(r+1)*cv.l], vres[r*nv:]
 		for oy := 0; oy < oh; oy++ {
-			copy(out[oy*ow:(oy+1)*ow], in[oy*wp:oy*wp+ow])
+			dst, src := out[oy*ow:(oy+1)*ow], in[oy*wp:oy*wp+ow]
+			if bias == nil {
+				copy(dst, src)
+				continue
+			}
+			bv := bias[r]
+			for i, v := range src {
+				dst[i] = v + bv
+			}
 		}
 	}
 }

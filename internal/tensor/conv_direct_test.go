@@ -358,6 +358,44 @@ func FuzzConvDirect(f *testing.F) {
 	})
 }
 
+// TestConvBiasSameBitsOnEveryStaging: the direct staging adds the bias
+// as compaction copies, the others in finish's separate pass; both are
+// the one add after the full chain naiveConv2d makes, so a biased conv
+// has the same bits on the direct staging, the im2col staging and the
+// naive reference — at one and four workers, on both kernel tiers, and
+// for the biases a weight fault can leave: ±Inf, NaN with a payload, ±0.
+func TestConvBiasSameBitsOnEveryStaging(t *testing.T) {
+	specials := []float32{inf32, -inf32, math.Float32frombits(0x7fc12345), float32(math.Copysign(0, -1)), 0}
+	rng := rand.New(rand.NewSource(83))
+	for _, c := range []struct {
+		name           string
+		n, c, h, w, co int
+		spec           ConvSpec
+	}{
+		{"3x3-pad1", 2, 3, 12, 12, 16, ConvSpec{PadH: 1, PadW: 1}},
+		{"grouped", 1, 8, 10, 9, 12, ConvSpec{PadH: 1, PadW: 1, Groups: 2}},
+		{"unpadded", 1, 4, 9, 13, 6, ConvSpec{}},
+	} {
+		x := RandUniform(rng, -1, 1, c.n, c.c, c.h, c.w)
+		w := RandUniform(rng, -1, 1, c.co, c.c/c.spec.Canon().Groups, 3, 3)
+		bias := RandUniform(rng, -1, 1, c.co)
+		for i, v := range specials {
+			bias.data[i] = v
+		}
+		want := naiveConv2d(x, w, bias, c.spec)
+		withKernelPaths(t, func(path string) {
+			for _, workers := range []int{1, 4} {
+				prev := SetWorkers(workers)
+				im2col, direct := convBothLowerings(x, w, bias, c.spec)
+				SetWorkers(prev)
+				what := fmt.Sprintf("%s, %s, %d workers", c.name, path, workers)
+				requireSameBits(t, what+": im2col vs naive", im2col, want, false)
+				requireSameBits(t, what+": direct vs naive", direct, want, false)
+			}
+		})
+	}
+}
+
 // TestInPlaceBReadPastEndPanics pins the guard in front of the unchecked
 // assembly reads: an in-place B whose last row would run past b panics
 // before any kernel reads it.

@@ -3,14 +3,18 @@ package tensor
 // Blocked GEMM. One driver — gemmSerial's loop nest, gemmParallel's
 // split — serves both backends (float32 here, int8 in gemm_i8.go, each
 // contributing only its packers and kernels), all four matmul variants
-// through the packers' leading dimensions and transpose flags, and every
+// through the operands' leading dimensions and transpose flags, and every
 // conv GEMM; a gemmOp says where each operand's rows come from.
 //
 // Each backend has one micro-kernel family and one macro kernel. The
 // micro-kernels read B row p of a 16-column tile at base+offs[p]: packed
 // panels keep row p at p·gemmNR and pass the constant table panelOffs,
 // B read in place passes its own offsets (the direct conv lowering's
-// taps into an image plane, conv_direct.go).
+// taps into an image plane, conv_direct.go). The float32 kernels read A
+// in place too, element (r, p) of a tile at a[r·ars + p·aps]: a row-major
+// A has ars = lda and aps = 1, a transposed one ars = 1 and aps = lda, so
+// float32 never packs A. The int8 kernels read A from pair-interleaved
+// int16 panels.
 //
 // Determinism contract (DESIGN.md §10): for every output element dst[i,j]
 // the k-loop is a single left-to-right float32 accumulation chain
@@ -39,36 +43,39 @@ const (
 // gemmKernels is one backend's half of the blocked GEMM: its pack
 // routines and its macro kernel, which owns the micro and edge kernels.
 // In is the operand element (and the B panel element: B panels are
-// operand rows), Out the accumulator, AP the A panel element. Everything
-// else — the small-problem loop, the jc/pc/ic loop nest, the pack-scratch
-// sizing and the parallel split — is the shared driver below, which never
-// asks which backend it runs.
+// operand rows), Out the accumulator, AP the element the kernels read A
+// in. Everything else — the small-problem loop, the jc/pc/ic loop nest,
+// the pack-scratch sizing and the parallel split — is the shared driver
+// below, which never asks which backend it runs.
 type gemmKernels[In, AP, Out elem] struct {
+	// packA packs A per block; nil reads A in place (AP is In).
 	packA func(apack []AP, a []In, lda int, transA bool, ic, pc, mb, kb int)
 	packB func(bpack []In, b []In, ldb int, transB bool, pc, jc, kb, nb int)
 	// macro runs the micro-kernels over one mb×nb block kb deep, writing
-	// dst from its start. The A panel of rows ir… starts at
-	// apack[ir·astride:]; the B tile of columns jr… starts at
-	// b[jr·bstride:], with its row p at offs[p]: packed B panels have
-	// bstride roundUp(kb, kStep) and offs panelOffs, B read in place has
-	// bstride 1, its own offsets and nb a multiple of gemmNR.
-	macro func(dst []Out, ldc int, apack []AP, astride int, b []In, bstride int, offs []int32, mb, nb, kb int, first bool)
+	// dst from its start. Row r of the block's A starts at a[r·ars:]; on
+	// float32 its element p is p·aps further on, int8 panels (4 rows from
+	// each multiple of gemmMR) ignore aps. The B tile of columns jr…
+	// starts at b[jr·bstride:], with its row p at offs[p]: packed B panels
+	// have bstride roundUp(kb, kStep) and offs panelOffs, B read in place
+	// has bstride 1, its own offsets and nb a multiple of gemmNR.
+	macro func(dst []Out, ldc int, a []AP, ars, aps int, b []In, bstride int, offs []int32, mb, nb, kb int, first bool)
 	// kStep is the multiple panels round a k-block up to: 1 for float32,
 	// 2 for the int8 k-pair layout.
 	kStep int
 }
 
-// f32Kernels is the float32 backend.
-var f32Kernels = &gemmKernels[float32, float32, float32]{packA: packA, packB: packB, macro: gemmMacro, kStep: 1}
+// f32Kernels is the float32 backend: A is read in place.
+var f32Kernels = &gemmKernels[float32, float32, float32]{packB: packB, macro: gemmMacro, kStep: 1}
 
 // gemmOp is one GEMM, dst = A×B (or dst += A×B with acc) for A [m, k],
 // B [k, n] and dst rows ldc apart. Each operand has two forms:
 //
-//   - A[i,p] is a[i*lda+p], or a[p*lda+i] with transA, packed per block;
-//     or, with panels set, read in place from panels packed once over all
-//     of k, every panel gemmMR rows high (ConvPanelsI8), so block (ic, pc)
-//     sits at ic·roundUp(k, kStep) + pc·gemmMR whatever the blocking or
-//     split. a is then read only by the small-problem loop.
+//   - A[i,p] is a[i*lda+p], or a[p*lda+i] with transA: read in place on
+//     float32, packed per block on int8; or, with panels set (int8),
+//     read in place from panels packed once over all of k, every panel
+//     gemmMR rows high (ConvPanelsI8), so block (ic, pc) sits at
+//     ic·roundUp(k, kStep) + pc·gemmMR whatever the blocking or split. a
+//     is then read only by the small-problem loop.
 //   - B[p,j] is b[p*ldb+j], or b[j*ldb+p] with transB, packed per (pc, jc)
 //     block; or, with offs set, read in place at b[offs[p]+j]. offs then
 //     holds roundUp(k, kStep) ascending offsets, any past k repeating
@@ -113,7 +120,7 @@ func roundUp(n, m int) int { return (n + m - 1) / m * m }
 // and none for an operand read in place.
 func (g *gemmKernels[In, AP, Out]) panelLens(op *gemmOp[In, AP, Out]) (la, lb int) {
 	kb := roundUp(min(op.k, gemmKC), g.kStep)
-	if op.panels == nil {
+	if op.panels == nil && g.packA != nil {
 		la = roundUp(min(op.m, gemmMC), gemmMR) * kb
 	}
 	if op.offs == nil {
@@ -217,6 +224,13 @@ func gemmSerial[In, AP, Out elem](g *gemmKernels[In, AP, Out], op *gemmOp[In, AP
 		return
 	}
 
+	// A read in place (float32, where AP is In) has element (i, p) at
+	// ain[i·rs + p·ks].
+	ain, _ := any(op.a).([]AP)
+	rs, ks := op.lda, 1
+	if op.transA {
+		rs, ks = 1, op.lda
+	}
 	arA, arB := arenaOf[AP](sc), arenaOf[In](sc)
 	markA, markB := arA.mark(), arB.mark()
 	la, lb := g.panelLens(op)
@@ -235,13 +249,16 @@ func gemmSerial[In, AP, Out elem](g *gemmKernels[In, AP, Out], op *gemmOp[In, AP
 			}
 			for ic := 0; ic < m; ic += gemmMC {
 				mb := min(m-ic, gemmMC)
-				a, astride := apack, ps
-				if op.panels != nil {
-					a, astride = op.panels[ic*nk+pc*gemmMR:], nk
-				} else {
+				a, ars, aps := apack, ps, 0
+				switch {
+				case g.packA == nil:
+					a, ars, aps = ain[ic*rs+pc*ks:], rs, ks
+				case op.panels != nil:
+					a, ars = op.panels[ic*nk+pc*gemmMR:], nk
+				default:
 					g.packA(apack, op.a, op.lda, op.transA, ic, pc, mb, kb)
 				}
-				g.macro(op.dst[ic*ldc+jc:], ldc, a, astride, b, bstride, offs, mb, nb, kb, pc == 0 && !op.acc)
+				g.macro(op.dst[ic*ldc+jc:], ldc, a, ars, aps, b, bstride, offs, mb, nb, kb, pc == 0 && !op.acc)
 			}
 		}
 	}
@@ -330,40 +347,6 @@ func (op gemmOp[In, AP, Out]) part(rows bool, lo, hi, kStep int) gemmOp[In, AP, 
 	return op
 }
 
-// packA copies the mb×kb block of A at (ic, pc) into mr-row panels laid
-// out p-major: panel q (rows ic+q·mr …) occupies apack[q·mr·kb …] with
-// element (r, p) at offset p·rows+r, rows being the panel height (mr, or
-// the remainder for the last panel — edge panels are packed dense, not
-// zero-padded, so no phantom +0.0 terms enter any accumulation chain).
-func packA(apack []float32, a []float32, lda int, transA bool, ic, pc, mb, kb int) {
-	idx := 0
-	for ir := 0; ir < mb; ir += gemmMR {
-		rows := mb - ir
-		if rows > gemmMR {
-			rows = gemmMR
-		}
-		if transA {
-			// A stored [k, m]: row p of storage holds column p of the
-			// logical matrix — both source and destination walk
-			// contiguously (this replaces the strided column walk the
-			// old matMulTransAInto kernel paid per inner-loop step).
-			for p := 0; p < kb; p++ {
-				src := a[(pc+p)*lda+ic+ir : (pc+p)*lda+ic+ir+rows]
-				copy(apack[idx:idx+rows], src)
-				idx += rows
-			}
-		} else {
-			for r := 0; r < rows; r++ {
-				src := a[(ic+ir+r)*lda+pc : (ic+ir+r)*lda+pc+kb]
-				for p, v := range src {
-					apack[idx+p*rows+r] = v
-				}
-			}
-			idx += rows * kb
-		}
-	}
-}
-
 // packB copies the kb×nb block of B at (pc, jc) into nr-column panels
 // laid out p-major: element (p, c) of a panel of width cols sits at
 // offset p·cols+c.
@@ -411,26 +394,26 @@ func packBRows(dst, src []float32, ldb, kb int) {
 	}
 }
 
-// gemmMacro is the float32 macro kernel (gemmKernels.macro): full 4×16
-// tiles run kern4x16Ind, row remainders one kern1x16Ind pass per row
-// (each row's chains are independent), and tiles narrower than gemmNR —
-// which only packed panels have — kernEdge over the dense edge panel.
-func gemmMacro(dst []float32, ldc int, apack []float32, astride int, b []float32, bstride int, offs []int32, mb, nb, kb int, first bool) {
+// gemmMacro is the float32 macro kernel (gemmKernels.macro), A read in
+// place: full 4×16 tiles run kern4x16Ind, row remainders one kern1x16Ind
+// pass per row (each row's chains are independent), and tiles narrower
+// than gemmNR — which only packed panels have — kernEdge.
+func gemmMacro(dst []float32, ldc int, a []float32, ars, aps int, b []float32, bstride int, offs []int32, mb, nb, kb int, first bool) {
 	for jr := 0; jr < nb; jr += gemmNR {
 		cols := min(nb-jr, gemmNR)
 		bt := b[jr*bstride:]
 		for ir := 0; ir < mb; ir += gemmMR {
 			rows := min(mb-ir, gemmMR)
-			ap := apack[ir*astride : ir*astride+rows*kb]
+			ap := a[ir*ars:]
 			c := dst[ir*ldc+jr:]
 			switch {
 			case cols < gemmNR:
-				kernEdge(c, ldc, ap, bt[:cols*kb], rows, cols, kb, first)
+				kernEdge(c, ldc, ap, ars, aps, bt[:cols*kb], rows, cols, kb, first)
 			case rows == gemmMR:
-				kern4x16Ind(c, ldc, ap, bt, offs, kb, first)
+				kern4x16Ind(c, ldc, ap, ars, aps, bt, offs, kb, first)
 			default:
 				for r := 0; r < rows; r++ {
-					kern1x16Ind(c[r*ldc:], ap[r:], rows, bt, offs, kb, first)
+					kern1x16Ind(c[r*ldc:], ap[r*ars:], aps, bt, offs, kb, first)
 				}
 			}
 		}
@@ -439,7 +422,7 @@ func gemmMacro(dst []float32, ldc int, apack []float32, astride int, b []float32
 
 // kernEdge handles tiles narrower than the vector kernels: one
 // accumulator per element, sequential over the packed k chunk.
-func kernEdge(c []float32, ldc int, ap, bp []float32, rows, cols, kb int, first bool) {
+func kernEdge(c []float32, ldc int, ap []float32, ars, aps int, bp []float32, rows, cols, kb int, first bool) {
 	for r := 0; r < rows; r++ {
 		crow := c[r*ldc : r*ldc+cols]
 		for j := 0; j < cols; j++ {
@@ -448,7 +431,7 @@ func kernEdge(c []float32, ldc int, ap, bp []float32, rows, cols, kb int, first 
 				s = crow[j]
 			}
 			for p := 0; p < kb; p++ {
-				s += ap[p*rows+r] * bp[p*cols+j]
+				s += ap[r*ars+p*aps] * bp[p*cols+j]
 			}
 			crow[j] = s
 		}
@@ -457,33 +440,42 @@ func kernEdge(c []float32, ldc int, ap, bp []float32, rows, cols, kb int, first 
 
 // kern4x16Ind and kern1x16Ind run the AVX2 micro-kernels when the CPU has
 // them (the gemmAVX2 gate), else their scalar twins: the same per-element
-// chains, so the choice never changes a bit. B row p is the gemmNR
-// elements at base[offs[p]:]; slicing offs to kb entries keeps the
-// assembly from reading past a short table.
-func kern4x16Ind(c []float32, ldc int, ap, base []float32, offs []int32, kb int, first bool) {
+// chains, so the choice never changes a bit. A element (r, p) is
+// ap[r·ars + p·aps] (kern1x16Ind's single row: ap[p·aps]); B row p is the
+// gemmNR elements at base[offs[p]:]. The assembly reads neither operand
+// with bounds checks: slicing offs to kb entries keeps it from reading
+// past a short table, and the tile's last A element — the largest index,
+// both strides being positive — must lie in ap.
+func kern4x16Ind(c []float32, ldc int, ap []float32, ars, aps int, base []float32, offs []int32, kb int, first bool) {
 	offs = offs[:kb]
+	if (gemmMR-1)*ars+(kb-1)*aps >= len(ap) {
+		panic("tensor: in-place GEMM operand A reads past its end")
+	}
 	if gemmAVX2 && kb > 0 {
-		gemmKern4x16IndAVX(&c[0], ldc, &ap[0], &base[0], &offs[0], kb, first)
+		gemmKern4x16IndAVX(&c[0], ldc, &ap[0], ars, aps, &base[0], &offs[0], kb, first)
 		return
 	}
-	kern4x16IndScalar(c, ldc, ap, base, offs, kb, first)
+	kern4x16IndScalar(c, ldc, ap, ars, aps, base, offs, kb, first)
 }
 
-func kern1x16Ind(c []float32, ap []float32, astride int, base []float32, offs []int32, kb int, first bool) {
+func kern1x16Ind(c []float32, ap []float32, aps int, base []float32, offs []int32, kb int, first bool) {
 	offs = offs[:kb]
+	if (kb-1)*aps >= len(ap) {
+		panic("tensor: in-place GEMM operand A reads past its end")
+	}
 	if gemmAVX2 && kb > 0 {
-		gemmKern1x16IndAVX(&c[0], &ap[0], astride, &base[0], &offs[0], kb, first)
+		gemmKern1x16IndAVX(&c[0], &ap[0], aps, &base[0], &offs[0], kb, first)
 		return
 	}
-	kern1x16IndScalar(c, ap, astride, base, offs, kb, first)
+	kern1x16IndScalar(c, ap, aps, base, offs, kb, first)
 }
 
 // kern4x16IndScalar is the portable 4×16 micro-kernel: the tile is
 // computed as eight 2×4 register sub-tiles (small enough that the
 // compiler keeps every accumulator in a register), each a straight
-// p-loop over A's mr-panel and B row p at base[offs[p]:] — the same
+// p-loop over A's rows in place and B row p at base[offs[p]:] — the same
 // per-element chains as the assembly kernel.
-func kern4x16IndScalar(c []float32, ldc int, ap, base []float32, offs []int32, kb int, first bool) {
+func kern4x16IndScalar(c []float32, ldc int, ap []float32, ars, aps int, base []float32, offs []int32, kb int, first bool) {
 	for r0 := 0; r0 < gemmMR; r0 += 2 {
 		for j0 := 0; j0 < gemmNR; j0 += 4 {
 			var c00, c01, c02, c03, c10, c11, c12, c13 float32
@@ -493,8 +485,9 @@ func kern4x16IndScalar(c []float32, ldc int, ap, base []float32, offs []int32, k
 				c00, c01, c02, c03 = d0[0], d0[1], d0[2], d0[3]
 				c10, c11, c12, c13 = d1[0], d1[1], d1[2], d1[3]
 			}
+			a0s, a1s := ap[r0*ars:], ap[(r0+1)*ars:]
 			for p, off := range offs[:kb] {
-				a0, a1 := ap[p*gemmMR+r0], ap[p*gemmMR+r0+1]
+				a0, a1 := a0s[p*aps], a1s[p*aps]
 				b := base[int(off)+j0 : int(off)+j0+4]
 				c00 += a0 * b[0]
 				c01 += a0 * b[1]
@@ -513,9 +506,9 @@ func kern4x16IndScalar(c []float32, ldc int, ap, base []float32, offs []int32, k
 	}
 }
 
-// kern1x16IndScalar computes one row against a full-width B tile; astride
-// is the packed row stride of ap (the panel height).
-func kern1x16IndScalar(c []float32, ap []float32, astride int, base []float32, offs []int32, kb int, first bool) {
+// kern1x16IndScalar computes one row against a full-width B tile; aps is
+// the row's k-stride in ap.
+func kern1x16IndScalar(c []float32, ap []float32, aps int, base []float32, offs []int32, kb int, first bool) {
 	for j0 := 0; j0 < gemmNR; j0 += 4 {
 		var c0, c1, c2, c3 float32
 		if !first {
@@ -523,7 +516,7 @@ func kern1x16IndScalar(c []float32, ap []float32, astride int, base []float32, o
 			c0, c1, c2, c3 = d[0], d[1], d[2], d[3]
 		}
 		for p, off := range offs[:kb] {
-			a0 := ap[p*astride]
+			a0 := ap[p*aps]
 			b := base[int(off)+j0 : int(off)+j0+4]
 			c0 += a0 * b[0]
 			c1 += a0 * b[1]

@@ -2,30 +2,36 @@
 
 #include "textflag.h"
 
-// func gemmKern4x16IndAVX(c *float32, ldc int, ap, base *float32, offs *int32, kb int, first bool)
+// func gemmKern4x16IndAVX(c *float32, ldc int, ap *float32, ars, aps int, base *float32, offs *int32, kb int, first bool)
 //
 // 4×16 micro-kernel, the one float32 GEMM kernel: the dst tile lives in
-// Y0–Y7 (row r in Y(2r), Y(2r+1)), A elements are broadcast from the
-// packed mr-panel, and B row p is the 16 floats at base+offs[p] — one
-// sign-extended 32-bit offset load per k step: a packed nr-panel's rows
-// (offs = panelOffs) or the direct conv lowering's tap offsets into its
-// zero-bordered image plane. Every element is updated with a separate
-// VMULPS+VADDPS pair — never FMA — so each lane's accumulation chain
-// rounds exactly like the scalar twin, keeping results bit-identical
-// across backends.
-TEXT ·gemmKern4x16IndAVX(SB), NOSPLIT, $0-49
+// Y0–Y7 (row r in Y(2r), Y(2r+1)), A is read in place — element (r, p)
+// broadcast from ap + 4·(r·ars + p·aps), so row-major and transposed A
+// alike need no pack — and B row p is the 16 floats at base+offs[p] —
+// one sign-extended 32-bit offset load per k step: a packed nr-panel's
+// rows (offs = panelOffs) or the direct conv lowering's tap offsets into
+// its zero-bordered image plane. Every element is updated with a
+// separate VMULPS+VADDPS pair — never FMA — so each lane's accumulation
+// chain rounds exactly like the scalar twin, keeping results
+// bit-identical across backends.
+TEXT ·gemmKern4x16IndAVX(SB), NOSPLIT, $0-65
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), SI
 	MOVQ ap+16(FP), R8
-	MOVQ base+24(FP), R9
-	MOVQ offs+32(FP), DX
-	MOVQ kb+40(FP), CX
+	MOVQ base+40(FP), R9
+	MOVQ offs+48(FP), DX
+	MOVQ kb+56(FP), CX
 	SHLQ $2, SI              // ldc in bytes
 	MOVQ DI, R11             // row 0
 	LEAQ (DI)(SI*1), R12     // row 1
 	LEAQ (DI)(SI*2), R13     // row 2
 	LEAQ (R12)(SI*2), BX     // row 3
-	MOVBLZX first+48(FP), AX
+	MOVQ ars+24(FP), SI
+	SHLQ $2, SI              // A row stride in bytes
+	LEAQ (SI)(SI*2), R14     // three A rows in bytes
+	MOVQ aps+32(FP), DI
+	SHLQ $2, DI              // A k-stride in bytes
+	MOVBLZX first+64(FP), AX
 	TESTL AX, AX
 	JZ   loadci
 	VXORPS Y0, Y0, Y0
@@ -55,22 +61,22 @@ kloopi:
 	VADDPS Y11, Y0, Y0
 	VMULPS Y9, Y10, Y11
 	VADDPS Y11, Y1, Y1
-	VBROADCASTSS 4(R8), Y10
+	VBROADCASTSS (R8)(SI*1), Y10
 	VMULPS Y8, Y10, Y11
 	VADDPS Y11, Y2, Y2
 	VMULPS Y9, Y10, Y11
 	VADDPS Y11, Y3, Y3
-	VBROADCASTSS 8(R8), Y10
+	VBROADCASTSS (R8)(SI*2), Y10
 	VMULPS Y8, Y10, Y11
 	VADDPS Y11, Y4, Y4
 	VMULPS Y9, Y10, Y11
 	VADDPS Y11, Y5, Y5
-	VBROADCASTSS 12(R8), Y10
+	VBROADCASTSS (R8)(R14*1), Y10
 	VMULPS Y8, Y10, Y11
 	VADDPS Y11, Y6, Y6
 	VMULPS Y9, Y10, Y11
 	VADDPS Y11, Y7, Y7
-	ADDQ $16, R8
+	ADDQ DI, R8
 	ADDQ $4, DX
 	DECQ CX
 	JNZ  kloopi
@@ -85,14 +91,14 @@ kloopi:
 	VZEROUPPER
 	RET
 
-// func gemmKern1x16IndAVX(c *float32, ap *float32, astride int, base *float32, offs *int32, kb int, first bool)
+// func gemmKern1x16IndAVX(c *float32, ap *float32, aps int, base *float32, offs *int32, kb int, first bool)
 //
 // Single-row twin of gemmKern4x16IndAVX for row remainders and
-// single-row (m=1) GEMMs; ap advances by astride floats per k step.
+// single-row (m=1) GEMMs; ap advances by aps floats per k step.
 TEXT ·gemmKern1x16IndAVX(SB), NOSPLIT, $0-49
 	MOVQ c+0(FP), DI
 	MOVQ ap+8(FP), R8
-	MOVQ astride+16(FP), SI
+	MOVQ aps+16(FP), SI
 	MOVQ base+24(FP), R9
 	MOVQ offs+32(FP), DX
 	MOVQ kb+40(FP), CX

@@ -125,15 +125,17 @@ func packBI8(bpack []int8, b []int8, ldb int, transB bool, pc, jc, kb, nb int) {
 	}
 }
 
-// gemmI8Macro is the int8 macro kernel (gemmKernels.macro): full-width
-// tiles run kernI8Ind — the AVX2 kernel on 4-row tiles, its scalar twin
-// on row remainders — and tiles narrower than gemmNR, which only packed
-// panels have, kernI8Edge. offs holds roundUp(kb, 2) entries: with kb
-// odd, the last pair's second row is the panel's zero pad row or, on the
-// plane, a duplicate tap; either way its A element is zero, so it adds
-// nothing. first selects overwrite vs accumulate (k-chunks after the
-// first add onto the stored partial sums — exact for int32).
-func gemmI8Macro(dst []int32, ldc int, apack []int16, astride int, b []int8, bstride int, offs []int32, mb, nb, kb int, first bool) {
+// gemmI8Macro is the int8 macro kernel (gemmKernels.macro): the panel of
+// rows ir… starts at apack[ir·astride:] and the k-stride is unused, the
+// panel layout fixing it. Full-width tiles run kernI8Ind — the AVX2
+// kernel on 4-row tiles, its scalar twin on row remainders — and tiles
+// narrower than gemmNR, which only packed panels have, kernI8Edge. offs
+// holds roundUp(kb, 2) entries: with kb odd, the last pair's second row
+// is the panel's zero pad row or, on the plane, a duplicate tap; either
+// way its A element is zero, so it adds nothing. first selects overwrite
+// vs accumulate (k-chunks after the first add onto the stored partial
+// sums — exact for int32).
+func gemmI8Macro(dst []int32, ldc int, apack []int16, astride, _ int, b []int8, bstride int, offs []int32, mb, nb, kb int, first bool) {
 	kp := (kb + 1) / 2
 	for jr := 0; jr < nb; jr += gemmNR {
 		cols := min(nb-jr, gemmNR)

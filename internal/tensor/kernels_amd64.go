@@ -19,14 +19,15 @@ var gemmAVX2 = cpuidAVX2()
 // read at base+offs[p] — a packed panel's rows through panelOffs, or the
 // direct conv lowering's tap offsets into its bordered image plane.
 // gemmKern4x16IndAVX and gemmKern1x16IndAVX accumulate float32 tiles of
-// 4 and 1 rows; gemmKernI8IndAVX accumulates a 4×16 int32 tile kp
-// k-pairs deep with VPMADDWD.
+// 4 and 1 rows, reading A in place: element (r, p) at ap[r·ars + p·aps];
+// gemmKernI8IndAVX accumulates a 4×16 int32 tile kp k-pairs deep with
+// VPMADDWD from pair-interleaved A panels.
 
 //go:noescape
-func gemmKern4x16IndAVX(c *float32, ldc int, ap, base *float32, offs *int32, kb int, first bool)
+func gemmKern4x16IndAVX(c *float32, ldc int, ap *float32, ars, aps int, base *float32, offs *int32, kb int, first bool)
 
 //go:noescape
-func gemmKern1x16IndAVX(c *float32, ap *float32, astride int, base *float32, offs *int32, kb int, first bool)
+func gemmKern1x16IndAVX(c *float32, ap *float32, aps int, base *float32, offs *int32, kb int, first bool)
 
 //go:noescape
 func gemmKernI8IndAVX(c *int32, ldc int, ap *int16, base *int8, offs *int32, kp int, first bool)

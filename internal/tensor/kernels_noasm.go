@@ -11,10 +11,10 @@ var gemmAVX2 = false
 
 func noAsm() { panic("tensor: no assembly tier in this build") }
 
-func gemmKern4x16IndAVX(c *float32, ldc int, ap, base *float32, offs *int32, kb int, first bool) {
+func gemmKern4x16IndAVX(c *float32, ldc int, ap *float32, ars, aps int, base *float32, offs *int32, kb int, first bool) {
 	noAsm()
 }
-func gemmKern1x16IndAVX(c *float32, ap *float32, astride int, base *float32, offs *int32, kb int, first bool) {
+func gemmKern1x16IndAVX(c *float32, ap *float32, aps int, base *float32, offs *int32, kb int, first bool) {
 	noAsm()
 }
 func gemmKernI8IndAVX(c *int32, ldc int, ap *int16, base *int8, offs *int32, kp int, first bool) {

@@ -2,7 +2,9 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -46,6 +48,91 @@ func TestPackedPathMatchesNaive(t *testing.T) {
 					checkConvInt8Packed(t, rng, m, k, n, 2)
 				}
 			}
+		}
+	})
+}
+
+// TestInPlaceAMatchesNaive pins the float32 kernels' in-place A — element
+// (r, p) at a[r·ars + p·aps] — to the naive reference, bit for bit, with
+// A a sub-matrix of a wider one: lda > k for row-major A and lda > m
+// under transA, so swapped strides cannot pass, and the columns past the
+// sub-matrix hold NaN, so a read outside it shows. m covers single rows,
+// every row remainder (kern1x16Ind) and row splits past one gemmMC
+// block; k both sides of one and two gemmKC chunks; n = 70 ends on an
+// edge tile (kernEdge).
+func TestInPlaceAMatchesNaive(t *testing.T) {
+	eachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(79))
+		for _, k := range []int{gemmKC - 1, gemmKC, gemmKC + 1, 2*gemmKC + 1} {
+			for _, m := range []int{1, 3, 4, 5, 97, 130} {
+				for _, trans := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+					gemmSubMatrixCase(t, rng, m, k, 70, trans[0], trans[1], rng.Intn(2) == 0)
+				}
+			}
+		}
+	})
+}
+
+// gemmSubMatrixCase runs one GEMM whose A is the leading [m, k] (or, with
+// transA, [k, m]) block of a wider matrix through gemmParallel and
+// requires the naive reference's bits.
+func gemmSubMatrixCase(t *testing.T, rng *rand.Rand, m, k, n int, transA, transB, acc bool) {
+	t.Helper()
+	rows, cols := m, k
+	if transA {
+		rows, cols = k, m
+	}
+	lda := cols + 3
+	a := make([]float32, rows*lda)
+	for i := range a {
+		a[i] = nan32
+	}
+	for r := 0; r < rows; r++ {
+		fillRand(rng, a[r*lda:r*lda+cols])
+	}
+	ldb := n
+	if transB {
+		ldb = k
+	}
+	b := make([]float32, k*n)
+	fillRand(rng, b)
+	got, want := make([]float32, m*n), make([]float32, m*n)
+	fillRand(rng, got)
+	copy(want, got)
+	gemmParallel(f32Kernels, f32Op{dst: got, ldc: n, a: a, lda: lda, transA: transA, b: b, ldb: ldb, transB: transB, m: m, k: k, n: n, acc: acc})
+	gemmNaive(want, n, a, lda, transA, b, ldb, transB, m, k, n, acc)
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("m=%d k=%d n=%d lda=%d transA=%v transB=%v acc=%v: dst[%d] = %v, naive %v",
+				m, k, n, lda, transA, transB, acc, i, got[i], want[i])
+		}
+	}
+}
+
+// TestInPlaceAReadPastEndPanics pins the guard in front of the unchecked
+// assembly reads of A: a tile whose last A element lies past ap panics
+// before any kernel reads it, on either kernel tier.
+func TestInPlaceAReadPastEndPanics(t *testing.T) {
+	const kb = 8
+	c, base := make([]float32, gemmMR*gemmNR), make([]float32, kb*gemmNR)
+	requirePanic := func(t *testing.T, what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "operand A reads past its end") {
+				t.Fatalf("%s: recovered %q, want the in-place A guard", what, msg)
+			}
+		}()
+		fn()
+	}
+	withKernelPaths(t, func(path string) {
+		// Row-major and transposed strides; each A is one element short
+		// of the tile's last.
+		for _, st := range [][2]int{{9, 1}, {1, 9}} {
+			ars, aps := st[0], st[1]
+			short := make([]float32, (gemmMR-1)*ars+(kb-1)*aps)
+			what := fmt.Sprintf("%s ars=%d aps=%d", path, ars, aps)
+			requirePanic(t, what+" kern4x16Ind", func() { kern4x16Ind(c, gemmNR, short, ars, aps, base, panelOffs[:], kb, true) })
+			requirePanic(t, what+" kern1x16Ind", func() { kern1x16Ind(c, short[:(kb-1)*aps], aps, base, panelOffs[:], kb, true) })
 		}
 	})
 }

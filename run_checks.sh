@@ -52,6 +52,9 @@ GOARCH=arm64 go build ./...
 # shifted-plane im2col copy (_Tiny4x4, whose 4x4 map the direct lowering
 # declines), the per-row copy (_Unpadded), the strided fallback
 # (_Strided) and the in-place 1x1 (_Pointwise).
+# _Batch8Tiny4x4 and _Batch8Stage3 are the Fig. 3 workload's ResNet-18
+# stage-4 (im2col) and stage-3 (direct) convs at batch 8, every unit
+# reading the float32 weights in place as A.
 # BenchmarkConvInt8Forward_* runs the int8 direct lowering over a
 # zero-point-bordered plane with A panels packed once (_DenseLayer,
 # _Dense8x8) and the int8 1x1 it declines (_Transition).
@@ -206,6 +209,12 @@ check_kernels() {
 	# column edge against the naive reference on both kernel tiers.
 	check_selected -race -cpu 1,4 -run 'TestPackedPathMatchesNaive|TestKernI8AVXMatchesScalar' ./internal/tensor
 	check_selected -tags noasm -run 'TestPackedPathMatchesNaive' ./internal/tensor
+	# The float32 kernels read A in place through a row and a k stride:
+	# A as a sub-matrix of a wider one under both transposes, the guard
+	# in front of the unchecked assembly reads, and the bias the direct
+	# staging's compaction adds.
+	check_selected -race -cpu 1,4 -run 'TestInPlaceAMatchesNaive|TestInPlaceAReadPastEndPanics|TestConvBiasSameBitsOnEveryStaging' ./internal/tensor
+	check_selected -tags noasm -run 'TestInPlaceAMatchesNaive|TestInPlaceAReadPastEndPanics|TestConvBiasSameBitsOnEveryStaging' ./internal/tensor
 	# The tensor level is bit-identical up to NaN payload; nothing a
 	# campaign persists may depend on the payload.
 	check_selected -run 'TestClassifyIgnoresNaNPayload' ./internal/campaign
