@@ -136,7 +136,7 @@ const (
 	// cost table).
 	MetricSchedModeled = "campaign.sched.modeled"
 	// MetricSchedCostSource reports where the cost table came from:
-	// 0 none, 1 static FLOP estimates, 2 timed clean-pass calibration.
+	// 0 none (no walk could be timed), 2 timed clean-pass calibration.
 	MetricSchedCostSource = "campaign.sched.cost_source"
 	// MetricSchedPacked / MetricSchedSolo / MetricSchedSeq partition
 	// the planned trials: placed in multi-trial packs, packable but
@@ -415,7 +415,7 @@ type Config struct {
 	TrialBatch int
 	// Schedule selects how the TrialBatch lanes are actually used. The
 	// zero value, ScheduleAuto, calibrates a per-chain-node cost table
-	// from the clean pass (or static FLOP estimates) and packs a trial
+	// from the clean pass's timed walks and packs a trial
 	// group only when the model prices the pack below running its
 	// trials alone — under PrefixReuse that usually means NOT packing,
 	// since each trial alone resumes from a warmed checkpoint at its own

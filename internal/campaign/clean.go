@@ -60,12 +60,17 @@ func newCleanCache(store *tensor.CheckpointStore) *CleanCache {
 	return &CleanCache{store: store, samples: make(map[int]*cleanEntry)}
 }
 
+// cleanCompute is one sample's clean pass: its prediction and the
+// per-chain-node nanoseconds of the walk that produced it (nil when the
+// walk was not timed).
+type cleanCompute func() (cp cleanPrediction, nodeNS []int64, err error)
+
 // get returns sample's clean prediction, running compute when the table
 // lacks it; computed reports whether this call did. Callers asking for a
 // sample another is computing wait for that one computation. A compute
 // that fails or panics leaves no entry behind: its waiters, and any later
 // caller, compute the sample themselves.
-func (c *CleanCache) get(ctx context.Context, sample int, compute func() (cleanPrediction, error)) (cp cleanPrediction, computed bool, err error) {
+func (c *CleanCache) get(ctx context.Context, sample int, compute cleanCompute) (cp cleanPrediction, computed bool, err error) {
 	for {
 		c.mu.Lock()
 		e, found := c.samples[sample]
@@ -89,8 +94,11 @@ func (c *CleanCache) get(ctx context.Context, sample int, compute func() (cleanP
 	}
 }
 
-// fill runs compute for the entry this caller just claimed.
-func (c *CleanCache) fill(sample int, e *cleanEntry, compute func() (cleanPrediction, error)) (cleanPrediction, error) {
+// fill runs compute for the entry this caller just claimed. The walk's
+// timings join the cache's cost minimums before the entry is published,
+// so whoever finds a sample here, this Run or a concurrent one, also
+// finds the timed costs of its walk.
+func (c *CleanCache) fill(sample int, e *cleanEntry, compute cleanCompute) (cleanPrediction, error) {
 	defer close(e.done)
 	defer func() {
 		if !e.ok {
@@ -99,20 +107,15 @@ func (c *CleanCache) fill(sample int, e *cleanEntry, compute func() (cleanPredic
 			c.mu.Unlock()
 		}
 	}()
-	cp, err := compute()
+	cp, nodeNS, err := compute()
 	if err != nil {
 		return cp, err
 	}
-	e.cp, e.ok = cp, true
-	return cp, nil
-}
-
-// noteCosts folds one timed walk's per-node nanoseconds into the cache's
-// minimums.
-func (c *CleanCache) noteCosts(nodeNS []int64) {
 	c.mu.Lock()
 	c.costs = mergeNodeCosts(c.costs, nodeNS)
 	c.mu.Unlock()
+	e.cp, e.ok = cp, true
+	return cp, nil
 }
 
 // nodeCosts returns a copy of the per-node minimums (nil: nothing timed).

@@ -3,6 +3,8 @@ package campaign
 import (
 	"context"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -203,6 +205,106 @@ func TestCleanCacheConcurrentRunsComputeOnce(t *testing.T) {
 	computed, reused := reg.Counter(MetricCleanComputed).Value(), reg.Counter(MetricCleanReused).Value()
 	if computed != int64(len(union)) || computed+reused != int64(asked) {
 		t.Fatalf("computed %d reused %d: want each of the %d samples computed once and the other %d requests served from the cache", computed, reused, len(union), asked-len(union))
+	}
+}
+
+// TestCleanCachePublishesTimedCosts: a caller that finds a sample another
+// caller computed also finds that walk's timings among the cache's costs,
+// whether it waited on the computation or came after it.
+func TestCleanCachePublishesTimedCosts(t *testing.T) {
+	cache := NewCleanCache(1 << 20)
+	started, release := make(chan struct{}), make(chan struct{})
+	walk := []int64{30, 10, 20}
+	go func() {
+		cache.get(context.Background(), 7, func() (cleanPrediction, []int64, error) {
+			close(started)
+			<-release
+			return cleanPrediction{top1: 2}, walk, nil
+		})
+	}()
+	<-started
+	waited := make(chan []int64)
+	go func() {
+		cp, computed, err := cache.get(context.Background(), 7, func() (cleanPrediction, []int64, error) {
+			t.Error("the waiter computed a sample another caller holds")
+			return cleanPrediction{}, nil, nil
+		})
+		if err != nil || computed || cp.top1 != 2 {
+			t.Errorf("waiter got %+v computed=%v err=%v, want the holder's prediction", cp, computed, err)
+		}
+		waited <- cache.nodeCosts()
+	}()
+	close(release)
+	if got := <-waited; !slices.Equal(got, walk) {
+		t.Fatalf("waiter found costs %v, want the published walk's %v", got, walk)
+	}
+	if _, computed, _ := cache.get(context.Background(), 7, nil); computed || !slices.Equal(cache.nodeCosts(), walk) {
+		t.Fatalf("a later caller found costs %v (computed %v), want %v", cache.nodeCosts(), computed, walk)
+	}
+}
+
+// gatedSource blocks every sample read until open closes, counting the
+// reads that wait.
+type gatedSource struct {
+	*data.Classification
+	open    chan struct{}
+	waiting atomic.Int32
+}
+
+func (s *gatedSource) Sample(i int) (*tensor.Tensor, int) {
+	select {
+	case <-s.open:
+	default:
+		s.waiting.Add(1)
+		<-s.open
+	}
+	return s.Classification.Sample(i)
+}
+
+// TestCleanCacheBorrowedSamplesPlanTimed: a Run every one of whose
+// samples another Run on the same cache computed plans from timed costs,
+// even when it finds them the moment the other Run publishes them. The
+// first Run's two workers hold both samples' clean passes, blocked on
+// their input, before the second Run starts.
+func TestCleanCacheBorrowedSamplesPlanTimed(t *testing.T) {
+	ds, model, eligible := trainedSetup(t)
+	src := &gatedSource{Classification: ds, open: make(chan struct{})}
+	cache := NewCleanCache(16 << 20)
+	base := Config{
+		Workers: 2, Trials: 24, Seed: 71, NewReplica: replicaFactory(t, model), Source: src,
+		Eligible: eligible[:2], TrialBatch: 8, ArmTrial: neuronBitFlip, PrefixReuse: true, Clean: cache,
+	}
+	var wg sync.WaitGroup
+	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
+	errs := make([]error, 2)
+	start := func(i int) {
+		cfg := base
+		cfg.Metrics = regs[i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = tryRecords(cfg)
+		}()
+	}
+	start(0)
+	for src.waiting.Load() < 2 {
+		runtime.Gosched()
+	}
+	start(1)
+	close(src.open)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	if c := regs[1].Counter(MetricCleanComputed).Value(); c != 0 {
+		t.Fatalf("the second Run computed %d clean passes, want every sample from the first", c)
+	}
+	for i, reg := range regs {
+		if src := reg.Gauge(MetricSchedCostSource).Value(); src != costSourceTimed {
+			t.Fatalf("run %d: cost source %v, want timed (%d)", i, src, costSourceTimed)
+		}
 	}
 }
 

@@ -15,16 +15,14 @@ import (
 	"gofi/internal/tensor"
 )
 
-// Cost-table provenance, recorded in MetricSchedCostSource.
+// Cost-table provenance, recorded in MetricSchedCostSource. The timed
+// source keeps the value 2 that metrics snapshots already carry.
 const (
-	costSourceNone = iota
-	// costSourceStatic: analytic FLOP estimates from the chain geometry
-	// (nn.StaticChainCosts) — no timed walk was available.
-	costSourceStatic
+	costSourceNone = 0
 	// costSourceTimed: per-node nanoseconds calibrated from the clean
 	// prediction pass (checkpoint walks when PrefixReuse is on, timed
 	// chain walks otherwise).
-	costSourceTimed
+	costSourceTimed = 2
 )
 
 // engineMetrics pre-resolves the engine's metric handles so the trial
@@ -281,10 +279,8 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 	cleanVals := make([]cleanPrediction, len(order))
 	var cleanComputed atomic.Int64
 	steal(len(order), func(w *worker, i int) {
-		cp, computed, err := clean.get(runCtx, order[i], func() (cleanPrediction, error) {
-			cp, nodeNS, err := cleanPredict(cfg, w, order[i])
-			clean.noteCosts(nodeNS)
-			return cp, err
+		cp, computed, err := clean.get(runCtx, order[i], func() (cleanPrediction, []int64, error) {
+			return cleanPredict(cfg, w, order[i])
 		})
 		if err != nil {
 			fail(err)
@@ -295,11 +291,6 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 			cleanComputed.Add(1)
 		}
 	})
-	for _, w := range crew {
-		if w.runner != nil {
-			clean.noteCosts(w.runner.NodeCostsNS())
-		}
-	}
 	if failErr != nil {
 		return Aggregate{}, failErr
 	}
@@ -375,7 +366,7 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 				live = append(live, specs[t])
 			}
 		}
-		costs, costSource := buildCostTable(cfg, clean, crew, order[0])
+		costs, costSource := buildCostTable(clean)
 		plan := sched.Build(live, sched.Config{
 			K:     K,
 			Mode:  cfg.Schedule,
@@ -610,13 +601,13 @@ func Run(ctx context.Context, cfg Config) (Aggregate, error) {
 // Top-1/Top-5/confidence reference for a sample. When a prefix runner is
 // attached, the clean pass doubles as the checkpoint walk: it snapshots
 // every chain-node boundary for the sample, so the armed trials that
-// follow resume from direct hits instead of paying a first-miss prefix
-// (the runner also times each node for the scheduler — see
-// core.PrefixRunner.NodeCostsNS, folded into the clean cache). With no
-// runner but a chain plan (batching on, reuse off), the pass walks the
-// chain node by node instead of calling nn.Run — bit-identical output,
-// since Step composition IS the forward pass — and returns the per-node
-// nanoseconds so the scheduler can still calibrate.
+// follow resume from direct hits instead of paying a first-miss prefix.
+// With no runner but a chain plan (batching on, reuse off), the pass
+// walks the chain node by node instead of calling nn.Run — bit-identical
+// output, since Step composition IS the forward pass. Either walk returns
+// per-node nanoseconds (the runner's minimums, core.PrefixRunner.
+// NodeCostsNS), which the clean cache notes before it publishes the
+// sample: they are the scheduler's only cost source.
 func cleanPredict(cfg Config, w *worker, idx int) (cp cleanPrediction, nodeNS []int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -631,6 +622,7 @@ func cleanPredict(cfg Config, w *worker, idx int) (cp cleanPrediction, nodeNS []
 		if logits, err = w.runner.Warm(idx, x); err != nil {
 			return cp, nil, err
 		}
+		nodeNS = w.runner.NodeCostsNS()
 	case w.plan != nil:
 		chain := w.plan.Chain()
 		nodeNS = make([]int64, chain.Len())
@@ -657,24 +649,15 @@ func cleanPredict(cfg Config, w *worker, idx int) (cp cleanPrediction, nodeNS []
 	return cp, nodeNS, nil
 }
 
-// buildCostTable assembles the scheduler's per-chain-node cost table:
-// timed calibration first (the clean cache's per-node minimums across
-// every clean walk it has seen — this Run's or, on a warm fixture, an
-// earlier one's), static FLOP estimates from the chain geometry when no
-// walk was timed, nil when neither is available (the scheduler then
-// falls back to unconditional chunking).
-func buildCostTable(cfg Config, clean *CleanCache, crew []*worker, sampleIdx int) (*sched.CostTable, int) {
+// buildCostTable assembles the scheduler's per-chain-node cost table: the
+// clean cache's per-node minimums across every clean walk it has seen,
+// this Run's or another's. Every entry the cache publishes comes with its
+// walk's timings, so a Run that found all its samples there still finds
+// them timed. nil only when no walk could be timed (a chain that cannot
+// be planned); the scheduler then falls back to unconditional chunking.
+func buildCostTable(clean *CleanCache) (*sched.CostTable, int) {
 	if t := sched.NewCostTableNS(clean.nodeCosts()); t.Usable() {
 		return t, costSourceTimed
-	}
-	for _, w := range crew {
-		if w.plan == nil {
-			continue
-		}
-		if costs, ok := nn.StaticChainCosts(w.plan.Chain(), cfg.input(sampleIdx).Shape()); ok {
-			return sched.NewCostTable(costs), costSourceStatic
-		}
-		break
 	}
 	return nil, costSourceNone
 }

@@ -2,9 +2,8 @@ package sched
 
 // CostTable prices the chain geometry a campaign schedules over: entry i
 // is the forward cost of chain node i, in any consistent unit (the
-// engine calibrates nanoseconds from timed clean walks, or falls back to
-// static FLOP estimates — the scheduler only ever compares sums over the
-// same table, so the unit cancels). The table is immutable after
+// engine calibrates nanoseconds from timed clean walks; the scheduler
+// only ever compares sums over the same table, so the unit cancels). The table is immutable after
 // construction and stores prefix sums, so pricing "resume at cut c" is
 // O(1).
 type CostTable struct {

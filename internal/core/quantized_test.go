@@ -145,23 +145,23 @@ func TestQuantizedWeightFaultMutatesCodesAndRestores(t *testing.T) {
 	}
 }
 
-// TestQuantizedWeightFaultPanelsLockstep: every conv's packed panels
-// equal a fresh pack of its codes after weight faults are applied —
-// stacked on one code, on an odd-kdim layer's last tap, on a Linear that
-// has no panels — and again after they are restored.
+// TestQuantizedWeightFaultPanelsLockstep: every quantized layer's packed
+// panels, each conv's and the Linear's, equal a fresh pack of its codes
+// after weight faults are applied (stacked on one code, on an odd-kdim
+// layer's last tap, on the Linear) and again after they are restored.
 func TestQuantizedWeightFaultPanelsLockstep(t *testing.T) {
 	inj, model, calib := quantizedInjector(t, true)
 	clean := nn.Run(model, calib).Clone()
 	requireFresh := func(when string) {
 		t.Helper()
 		for i, h := range inj.hookables() {
-			conv, ok := h.layer.(*nn.Conv2d)
-			if !ok {
-				continue
+			groups := 1
+			if conv, ok := h.layer.(*nn.Conv2d); ok {
+				groups = conv.Spec.Canon().Groups
 			}
 			qs := h.quant()
-			fresh := tensor.PackConvPanelsI8(qs.WCodes, len(qs.WScales), conv.Spec.Canon().Groups)
-			if !reflect.DeepEqual(qs.Panels, fresh) {
+			fresh := tensor.PackPanelsI8(qs.WCodes, len(qs.WScales), groups)
+			if qs.Panels == nil || !reflect.DeepEqual(qs.Panels, fresh) {
 				t.Fatalf("%s: layer %d's panels differ from a fresh pack of its codes", when, i)
 			}
 		}

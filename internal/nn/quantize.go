@@ -32,9 +32,9 @@ type QuantState struct {
 	// maintained in lockstep with WCodes (the zero-point correction term
 	// in the dequantization fold depends on it).
 	RowSums []int32
-	// Panels are a Conv2d's WCodes packed once for the int8 direct conv
-	// lowering, also in lockstep with WCodes; nil on a Linear.
-	Panels *tensor.ConvPanelsI8
+	// Panels are WCodes packed once as the A operand of every int8 GEMM
+	// the layer runs, also in lockstep with WCodes.
+	Panels *tensor.PanelsI8
 	// In is the affine quantizer for the layer's input activations.
 	In quant.Affine
 	// Out is the symmetric grid the layer's float32 output is snapped
@@ -66,9 +66,7 @@ func (qs *QuantState) SetCode(offset int, code int8) {
 	oc := offset / (len(qs.WCodes) / len(qs.WScales))
 	qs.RowSums[oc] += int32(code) - int32(qs.WCodes[offset])
 	qs.WCodes[offset] = code
-	if qs.Panels != nil {
-		qs.Panels.Set(offset, code)
-	}
+	qs.Panels.Set(offset, code)
 }
 
 // QuantizeOptions controls calibration policy.
@@ -80,7 +78,7 @@ type QuantizeOptions struct {
 }
 
 // quantTargets collects the quantizable layers (Conv2d, Linear) in walk
-// order with their paths; groups is a Conv2d's group count, 0 on a
+// order with their paths; groups is a Conv2d's group count, 1 on a
 // Linear.
 type quantTarget struct {
 	path   string
@@ -104,7 +102,7 @@ func quantTargets(root Layer) []*quantTarget {
 			})
 		case *Linear:
 			ts = append(ts, &quantTarget{
-				path: path, base: &v.Base, weight: v.weight.Data, bias: v.bias,
+				path: path, base: &v.Base, weight: v.weight.Data, bias: v.bias, groups: 1,
 				attach: func(qs *QuantState) { v.qstate = qs },
 				get:    func() *QuantState { return v.qstate },
 			})
@@ -197,9 +195,7 @@ func QuantizeModel(root Layer, calib *tensor.Tensor, opts QuantizeOptions) error
 			}
 			qs.RowSums[oc] = sum
 		}
-		if tg.groups > 0 {
-			qs.Panels = tensor.PackConvPanelsI8(qs.WCodes, len(ws), tg.groups)
-		}
+		qs.Panels = tensor.PackPanelsI8(qs.WCodes, len(ws), tg.groups)
 		tg.attach(qs)
 	}
 	return nil

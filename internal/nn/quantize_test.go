@@ -239,19 +239,27 @@ func TestSetCodeKeepsRowSumAndPanels(t *testing.T) {
 	if err := QuantizeModel(m, calib, QuantizeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	var conv *Conv2d
-	Walk(m, func(_ string, l Layer) {
-		if c, ok := l.(*Conv2d); ok && conv == nil {
-			conv = c
+	// Every quantized layer carries panels, a Linear's one group of them.
+	Walk(m, func(path string, l Layer) {
+		var qs *QuantState
+		groups := 1
+		switch v := l.(type) {
+		case *Conv2d:
+			qs, groups = v.Quant(), v.Spec.Canon().Groups
+		case *Linear:
+			qs = v.Quant()
+		default:
+			return
+		}
+		per := len(qs.WCodes) / len(qs.WScales)
+		want := append([]int32{}, qs.RowSums...)
+		qs.SetCode(3, qs.WCodes[3]+5)
+		qs.SetCode(per+per-1, qs.WCodes[per+per-1]-7) // channel 1's last code
+		if qs.RowSums[0] != want[0]+5 || qs.RowSums[1] != want[1]-7 {
+			t.Fatalf("%s: RowSums[:2] = %v, want [%d %d]", path, qs.RowSums[:2], want[0]+5, want[1]-7)
+		}
+		if fresh := tensor.PackPanelsI8(qs.WCodes, len(qs.WScales), groups); qs.Panels == nil || !reflect.DeepEqual(qs.Panels, fresh) {
+			t.Fatalf("%s: panels after SetCode differ from a fresh pack of the codes", path)
 		}
 	})
-	qs := conv.Quant()
-	want := append([]int32{}, qs.RowSums...)
-	qs.SetCode(3, qs.WCodes[3]+5)
-	if qs.RowSums[0] != want[0]+5 {
-		t.Fatalf("RowSums[0] = %d, want %d", qs.RowSums[0], want[0]+5)
-	}
-	if fresh := tensor.PackConvPanelsI8(qs.WCodes, len(qs.WScales), conv.Spec.Canon().Groups); !reflect.DeepEqual(qs.Panels, fresh) {
-		t.Fatal("panels after SetCode differ from a fresh pack of the codes")
-	}
 }

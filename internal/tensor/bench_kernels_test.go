@@ -145,7 +145,7 @@ func benchConvInt8Forward(b *testing.B, cin, cout, size, kernel, pad int) {
 			qp.RowSums[oc] += int32(c)
 		}
 	}
-	qp.Panels = PackConvPanelsI8(wq, cout, 1)
+	qp.Panels = PackPanelsI8(wq, cout, 1)
 	spec := ConvSpec{PadH: pad, PadW: pad}
 	dst := New(ConvOutShape(x.Shape(), wShape, spec)...)
 	b.ReportAllocs()

@@ -160,12 +160,12 @@ type convStages[In, Out elem] interface {
 // and the per-unit scratch its load and result stages use (the float32
 // backend reads its input and writes its output in place and needs none;
 // the int8 backend quantizes each slab and accumulates int32). panels,
-// when set, are the weights packed once as A panels (ConvPanelsI8) that
-// every staging reads in place; nil packs A per call (int8) or reads
-// the weights in place (float32). bias, float32 only, is [Cout]: on the
-// direct staging compaction adds it, on the others finish does. direct
-// picks B's staging: the bordered plane (conv_direct.go), or the
-// pointwise slab or im2col matrix; run sets it from convGeom.direct.
+// int8 only, are the weights packed once as A panels (PanelsI8) that
+// every staging reads in place; float32 reads w in place. bias, float32
+// only, is [Cout]: on the direct staging compaction adds it, on the
+// others finish does. direct picks B's staging: the bordered plane
+// (conv_direct.go), or the pointwise slab or im2col matrix; run sets it
+// from convGeom.direct.
 type convJob[In, AP, Out elem] struct {
 	cv            *convGeom
 	gemm          *gemmKernels[In, AP, Out]

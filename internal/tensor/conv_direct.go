@@ -21,8 +21,7 @@ package tensor
 // gemmNR) columns into scratch, and compaction copies the valid ones to
 // the output, adding the bias on float32 as it goes. A comes as on the
 // other stagings: the float32 weights read in place, the int8 codes
-// packed per call or read in place from panels packed once
-// (ConvPanelsI8).
+// read in place from panels packed once (PanelsI8).
 //
 // Bits: on float32 every output element is the ascending-k chain over the
 // same products as on the im2col path, pad products w·pad included (w·0

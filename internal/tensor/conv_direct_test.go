@@ -148,6 +148,7 @@ func TestConvDirectMatchesIm2col(t *testing.T) {
 func convI8Lowering(x *Tensor, wq []int8, wShape []int, qp QuantParams, spec ConvSpec, direct bool) *Tensor {
 	cv := checkConvShapes(x, wShape, spec)
 	dst := New(cv.n, cv.cout, cv.oh, cv.ow)
+	qp.check("Conv2dInt8", wq, cv.cout, cv.kdim, cv.g)
 	runStaging(&newI8Conv(dst, x, wq, qp, &cv).job, direct)
 	return dst
 }
@@ -189,7 +190,7 @@ func naiveConvI8(x *Tensor, wq []int8, wShape []int, qp QuantParams, spec ConvSp
 
 // checkConvI8Stagings requires every int8 staging — the pointwise slab or
 // im2col matrix, and on stride-1 convs the direct plane, each with A
-// packed per call and with A read in place from panels packed once — to
+// read in place from panels packed once, handed over or packed per call — to
 // reproduce the naive reference exactly at one and four workers and on
 // the scalar twins (the gemmAVX2 gate off). Power-of-two scales and no
 // bias make every output the exact image of its int32 accumulator.
@@ -198,7 +199,7 @@ func checkConvI8Stagings(t *testing.T, x *Tensor, wq []int8, wShape []int, zp in
 	cout := wShape[0]
 	qp := powerOfTwoQuant(wq, cout, zp)
 	withPanels := qp
-	withPanels.Panels = PackConvPanelsI8(wq, cout, spec.Canon().Groups)
+	withPanels.Panels = PackPanelsI8(wq, cout, spec.Canon().Groups)
 	stagings := []bool{false}
 	if spec = spec.Canon(); spec.StrideH == 1 && spec.StrideW == 1 {
 		stagings = append(stagings, true)
@@ -218,7 +219,7 @@ func checkConvI8Stagings(t *testing.T, x *Tensor, wq []int8, wShape []int, zp in
 		gemmAVX2 = saved && !run.scalar
 		for _, direct := range stagings {
 			what := map[bool]string{false: "int8 im2col", true: "int8 direct"}[direct]
-			requireSameBits(t, what+", packed A, "+run.what, convI8Lowering(x, wq, wShape, qp, spec, direct), ref, false)
+			requireSameBits(t, what+", panels packed per call, "+run.what, convI8Lowering(x, wq, wShape, qp, spec, direct), ref, false)
 			requireSameBits(t, what+", panels, "+run.what, convI8Lowering(x, wq, wShape, withPanels, spec, direct), ref, false)
 		}
 	}
@@ -235,7 +236,7 @@ func randCodes(rng *rand.Rand, n int) []int8 {
 }
 
 // testConvDirectI8 is the int8 half of the parity wall: every staging's
-// int32 sums, with A packed per call or read from panels packed once,
+// int32 sums, with A read from panels handed over or packed per call,
 // equal the naive reference at every geometry edge — odd kdim (the pair
 // pad tap), kdim past gemmKC, coutG off whole panels, rows past gemmMC
 // and split by rows across workers, and the pointwise and strided convs
@@ -297,11 +298,11 @@ func TestConvPanelsI8Set(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, c := range []struct{ cout, groups, kdim int }{{16, 1, 27}, {8, 1, 360}, {6, 2, 36}, {6, 6, 9}, {5, 1, 7}} {
 		wq, next := randCodes(rng, c.cout*c.kdim), randCodes(rng, c.cout*c.kdim)
-		p := PackConvPanelsI8(wq, c.cout, c.groups)
+		p := PackPanelsI8(wq, c.cout, c.groups)
 		for off, code := range next {
 			p.Set(off, code)
 		}
-		if want := PackConvPanelsI8(next, c.cout, c.groups); !slices.Equal(p.data, want.data) {
+		if want := PackPanelsI8(next, c.cout, c.groups); !slices.Equal(p.data, want.data) {
 			t.Fatalf("%+v: panels after Set differ from a fresh pack", c)
 		}
 	}

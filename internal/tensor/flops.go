@@ -1,12 +1,8 @@
 package tensor
 
-// Static FLOP estimates for the compute kernels. The campaign scheduler
-// prices candidate execution plans with per-chain-node forward costs;
-// when no timed calibration is available it falls back to these
-// analytic estimates (multiply and add counted separately, so a MAC is
-// two FLOPs). Estimates only need to be *relatively* accurate — the
-// scheduler compares prefix and suffix sums of the same table, so a
-// constant factor cancels.
+// FLOP counts of the compute kernels (multiply and add counted
+// separately, so a MAC is two FLOPs): the work the kernel throughput
+// probes divide by measured time.
 
 // GEMMFLOPs estimates a dense [m,k]x[k,n] matrix multiply: 2 FLOPs per
 // multiply-accumulate.
@@ -21,35 +17,4 @@ func ConvFLOPs(inShape, wShape []int, spec ConvSpec) float64 {
 	out := ConvOutShape(inShape, wShape, spec)
 	outElems := float64(out[0]) * float64(out[1]) * float64(out[2]) * float64(out[3])
 	return 2 * outElems * float64(wShape[1]) * float64(wShape[2]) * float64(wShape[3])
-}
-
-// PoolOutShape returns the output shape [N,C,OH,OW] of a 2-D pooling
-// operation over an input of shape [N,C,H,W] — the shape MaxPool2d and
-// AvgPool2d produce, computed without running them.
-func PoolOutShape(inShape []int, spec PoolSpec) []int {
-	spec = spec.Canon()
-	return []int{
-		inShape[0], inShape[1],
-		convOutSize(inShape[2], spec.KernelH, spec.StrideH, spec.PadH),
-		convOutSize(inShape[3], spec.KernelW, spec.StrideW, spec.PadW),
-	}
-}
-
-// PoolFLOPs estimates a 2-D pooling pass: each output element reduces a
-// KH*KW window.
-func PoolFLOPs(inShape []int, spec PoolSpec) float64 {
-	spec = spec.Canon()
-	out := PoolOutShape(inShape, spec)
-	outElems := float64(out[0]) * float64(out[1]) * float64(out[2]) * float64(out[3])
-	return outElems * float64(spec.KernelH) * float64(spec.KernelW)
-}
-
-// NumElems returns the element count of a shape (1 for a zero-rank
-// shape), as a float64 for cost arithmetic.
-func NumElems(shape []int) float64 {
-	n := 1.0
-	for _, d := range shape {
-		n *= float64(d)
-	}
-	return n
 }

@@ -25,27 +25,3 @@ func TestConvFLOPs(t *testing.T) {
 		t.Fatalf("grouped ConvFLOPs = %v, want %v", got, wantG)
 	}
 }
-
-func TestPoolOutShapeAndFLOPs(t *testing.T) {
-	in := []int{2, 3, 8, 8}
-	spec := PoolSpec{KernelH: 2, KernelW: 2} // stride defaults to kernel
-	got := PoolOutShape(in, spec)
-	want := []int{2, 3, 4, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("PoolOutShape = %v, want %v", got, want)
-		}
-	}
-	if f := PoolFLOPs(in, spec); f != float64(2*3*4*4*4) {
-		t.Fatalf("PoolFLOPs = %v, want %v", f, 2*3*4*4*4)
-	}
-}
-
-func TestNumElems(t *testing.T) {
-	if got := NumElems([]int{2, 3, 4}); got != 24 {
-		t.Fatalf("NumElems = %v, want 24", got)
-	}
-	if got := NumElems(nil); got != 1 {
-		t.Fatalf("NumElems(nil) = %v, want 1", got)
-	}
-}

@@ -10,11 +10,11 @@ package tensor
 // micro-kernels read B row p of a 16-column tile at base+offs[p]: packed
 // panels keep row p at p·gemmNR and pass the constant table panelOffs,
 // B read in place passes its own offsets (the direct conv lowering's
-// taps into an image plane, conv_direct.go). The float32 kernels read A
-// in place too, element (r, p) of a tile at a[r·ars + p·aps]: a row-major
-// A has ars = lda and aps = 1, a transposed one ars = 1 and aps = lda, so
-// float32 never packs A. The int8 kernels read A from pair-interleaved
-// int16 panels.
+// taps into an image plane, conv_direct.go). Each backend reads A one
+// way and never packs it per call: the float32 kernels in place, element
+// (r, p) of a tile at a[r·ars + p·aps] (a row-major A has ars = lda and
+// aps = 1, a transposed one ars = 1 and aps = lda); the int8 kernels from
+// the layer's weight panels, packed once (PanelsI8).
 //
 // Determinism contract (DESIGN.md §10): for every output element dst[i,j]
 // the k-loop is a single left-to-right float32 accumulation chain
@@ -40,16 +40,15 @@ const (
 	gemmNC = 512 // columns of B packed per macro block
 )
 
-// gemmKernels is one backend's half of the blocked GEMM: its pack
-// routines and its macro kernel, which owns the micro and edge kernels.
-// In is the operand element (and the B panel element: B panels are
-// operand rows), Out the accumulator, AP the element the kernels read A
-// in. Everything else — the small-problem loop, the jc/pc/ic loop nest,
-// the pack-scratch sizing and the parallel split — is the shared driver
+// gemmKernels is one backend's half of the blocked GEMM: its B packer
+// and its macro kernel, which owns the micro and edge kernels. In is the
+// operand element (and the B panel element: B panels are operand rows),
+// Out the accumulator, AP the element the kernels read A in: In itself
+// when A is read in place (float32), the panels' int16 otherwise.
+// Everything else — the small-problem loop, the jc/pc/ic loop nest, the
+// pack-scratch sizing and the parallel split — is the shared driver
 // below, which never asks which backend it runs.
 type gemmKernels[In, AP, Out elem] struct {
-	// packA packs A per block; nil reads A in place (AP is In).
-	packA func(apack []AP, a []In, lda int, transA bool, ic, pc, mb, kb int)
 	packB func(bpack []In, b []In, ldb int, transB bool, pc, jc, kb, nb int)
 	// macro runs the micro-kernels over one mb×nb block kb deep, writing
 	// dst from its start. Row r of the block's A starts at a[r·ars:]; on
@@ -70,12 +69,11 @@ var f32Kernels = &gemmKernels[float32, float32, float32]{packB: packB, macro: ge
 // gemmOp is one GEMM, dst = A×B (or dst += A×B with acc) for A [m, k],
 // B [k, n] and dst rows ldc apart. Each operand has two forms:
 //
-//   - A[i,p] is a[i*lda+p], or a[p*lda+i] with transA: read in place on
-//     float32, packed per block on int8; or, with panels set (int8),
-//     read in place from panels packed once over all of k, every panel
-//     gemmMR rows high (ConvPanelsI8), so block (ic, pc) sits at
-//     ic·roundUp(k, kStep) + pc·gemmMR whatever the blocking or split. a
-//     is then read only by the small-problem loop.
+//   - A[i,p] is a[i*lda+p], or a[p*lda+i] with transA, read in place on
+//     float32. int8 reads it from panels packed once over all of k, every
+//     panel gemmMR rows high (PanelsI8), so block (ic, pc) sits at
+//     ic·roundUp(k, kStep) + pc·gemmMR whatever the blocking or split;
+//     a, row-major, is then read only by the small-problem loop.
 //   - B[p,j] is b[p*ldb+j], or b[j*ldb+p] with transB, packed per (pc, jc)
 //     block; or, with offs set, read in place at b[offs[p]+j]. offs then
 //     holds roundUp(k, kStep) ascending offsets, any past k repeating
@@ -115,27 +113,20 @@ var panelOffs = func() (t [gemmKC]int32) {
 // roundUp rounds n up to a multiple of m.
 func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
-// panelLens returns the A and B panel elements one gemmSerial call of op
-// takes: one macro block of each operand it packs, in whole micro-tiles,
-// and none for an operand read in place.
-func (g *gemmKernels[In, AP, Out]) panelLens(op *gemmOp[In, AP, Out]) (la, lb int) {
-	kb := roundUp(min(op.k, gemmKC), g.kStep)
-	if op.panels == nil && g.packA != nil {
-		la = roundUp(min(op.m, gemmMC), gemmMR) * kb
+// panelLen returns the B panel elements one gemmSerial call of op takes:
+// one macro block in whole micro-tiles, none when B is read in place.
+func (g *gemmKernels[In, AP, Out]) panelLen(op *gemmOp[In, AP, Out]) int {
+	if op.offs != nil {
+		return 0
 	}
-	if op.offs == nil {
-		lb = roundUp(min(op.n, gemmNC), gemmNR) * kb
-	}
-	return la, lb
+	return roundUp(min(op.n, gemmNC), gemmNR) * roundUp(min(op.k, gemmKC), g.kStep)
 }
 
-// gemmReserve adds the pack panels of one gemmSerial call of op to sc's
-// reservations: A panels in AP's arena, B panels in In's. Only op's
-// shape and operand forms are read.
+// gemmReserve adds the B pack panels of one gemmSerial call of op to
+// sc's reservations, in In's arena. Only op's shape and B's form are
+// read.
 func gemmReserve[In, AP, Out elem](g *gemmKernels[In, AP, Out], sc *scratch, op *gemmOp[In, AP, Out]) {
-	la, lb := g.panelLens(op)
-	arenaOf[AP](sc).reserve(la)
-	arenaOf[In](sc).reserve(lb)
+	arenaOf[In](sc).reserve(g.panelLen(op))
 }
 
 // gemmSmall computes problems below the blocking thresholds on either
@@ -191,10 +182,11 @@ func gemmSmall[In, Out elem](dst []Out, ldc int, a []In, lda int, transA bool, b
 }
 
 // gemmSerial computes op on the calling goroutine with g's blocked
-// kernels: the jc/pc/ic loop nest, each operand packed per block or read
-// in place. Pack panels come from sc (restored on return). b may itself
-// live in sc's arena (the conv path's column buffer or plane): takes
-// hand out disjoint ranges, so the panels never alias it.
+// kernels: the jc/pc/ic loop nest, B packed per block or read in place,
+// A read in place or from its panels. B's pack panels come from sc
+// (restored on return). b may itself live in sc's arena (the conv path's
+// column buffer or plane): takes hand out disjoint ranges, so the panels
+// never alias it.
 func gemmSerial[In, AP, Out elem](g *gemmKernels[In, AP, Out], op *gemmOp[In, AP, Out], sc *scratch) {
 	m, k, n, ldc := op.m, op.k, op.n, op.ldc
 	if m == 0 || n == 0 {
@@ -224,46 +216,42 @@ func gemmSerial[In, AP, Out elem](g *gemmKernels[In, AP, Out], op *gemmOp[In, AP
 		return
 	}
 
-	// A read in place (float32, where AP is In) has element (i, p) at
-	// ain[i·rs + p·ks].
-	ain, _ := any(op.a).([]AP)
-	rs, ks := op.lda, 1
+	// A's block (ic, pc) starts at a[ic·ars + pc·aps]. Read in place
+	// (float32, where AP is In), element (i, p) is a[i·ars + p·aps]. From
+	// panels (int8, the only form when AP is not In), a k-pair takes
+	// 2·gemmMR elements, so an even pc sits at pc·gemmMR; the macro walks
+	// the panel layout from there.
+	a, inPlace := any(op.a).([]AP)
+	ars, aps := op.lda, 1
 	if op.transA {
-		rs, ks = 1, op.lda
+		ars, aps = 1, op.lda
 	}
-	arA, arB := arenaOf[AP](sc), arenaOf[In](sc)
-	markA, markB := arA.mark(), arB.mark()
-	la, lb := g.panelLens(op)
-	apack, bpack := arA.take(la), arB.take(lb)
-	nk := roundUp(k, g.kStep)
+	if op.panels != nil {
+		a, ars, aps = op.panels, roundUp(k, g.kStep), gemmMR
+	} else if !inPlace {
+		panic("tensor: the blocked int8 GEMM reads A from panels packed once, and none were given")
+	}
+	arB := arenaOf[In](sc)
+	markB := arB.mark()
+	bpack := arB.take(g.panelLen(op))
 	for jc := 0; jc < n; jc += nc {
 		nb := min(n-jc, nc)
 		for pc := 0; pc < k; pc += gemmKC {
 			kb := min(k-pc, gemmKC)
-			ps := roundUp(kb, g.kStep)
-			b, bstride, offs := bpack, ps, panelOffs[:]
+			kbs := roundUp(kb, g.kStep)
+			b, bstride, offs := bpack, kbs, panelOffs[:]
 			if op.offs != nil {
-				b, bstride, offs = op.b, 1, op.offs[pc:pc+ps]
+				b, bstride, offs = op.b, 1, op.offs[pc:pc+kbs]
 			} else {
 				g.packB(bpack, op.b, op.ldb, op.transB, pc, jc, kb, nb)
 			}
 			for ic := 0; ic < m; ic += gemmMC {
 				mb := min(m-ic, gemmMC)
-				a, ars, aps := apack, ps, 0
-				switch {
-				case g.packA == nil:
-					a, ars, aps = ain[ic*rs+pc*ks:], rs, ks
-				case op.panels != nil:
-					a, ars = op.panels[ic*nk+pc*gemmMR:], nk
-				default:
-					g.packA(apack, op.a, op.lda, op.transA, ic, pc, mb, kb)
-				}
-				g.macro(op.dst[ic*ldc+jc:], ldc, a, ars, aps, b, bstride, offs, mb, nb, kb, pc == 0 && !op.acc)
+				g.macro(op.dst[ic*ldc+jc:], ldc, a[ic*ars+pc*aps:], ars, aps, b, bstride, offs, mb, nb, kb, pc == 0 && !op.acc)
 			}
 		}
 	}
 	arB.restore(markB)
-	arA.restore(markA)
 }
 
 // gemmSplit is how gemmParallel splits an m×k×n output across Workers().

@@ -21,10 +21,10 @@ package tensor
 //     base+offs[k]: a packed panel passes panelOffs (row k at k·16), B
 //     read in place its own offsets (the direct conv lowering's taps into
 //     a plane bordered with the input zero-point code, conv_direct.go).
-//   - A conv's weight codes are packed once over all of k (ConvPanelsI8)
-//     and every staging of the conv reads them in place, so packAI8 runs
-//     per call only for LinearInt8Into's activations (and a conv handed
-//     no panels).
+//   - A is always a layer's weight codes, packed once over all of k
+//     (PanelsI8) by packAI8 when the layer is quantized, and every GEMM
+//     of the layer — each conv staging, the linear layer's — reads those
+//     panels in place. B is the quantized activations.
 //   - Panels are zero-padded to whole tiles and an even k (kStep 2): in
 //     integer arithmetic a 0·x term is exactly neutral, so padding never
 //     changes results (unlike float32, where panels stay dense to keep
@@ -40,42 +40,21 @@ package tensor
 // randomized shapes.
 
 // i8Kernels is the int8 backend.
-var i8Kernels = &gemmKernels[int8, int16, int32]{packA: packAI8, packB: packBI8, macro: gemmI8Macro, kStep: 2}
+var i8Kernels = &gemmKernels[int8, int16, int32]{packB: packBI8, macro: gemmI8Macro, kStep: 2}
 
-// packAI8 copies the mb×kb block of A at (ic, pc) into mr-row panels with
-// the pair-interleaved layout described atop this file. Panels have a
-// fixed 2·gemmMR stride per k-pair; missing rows (edge panels) and the
-// odd-k tail are zero-padded, which integer accumulation treats as
-// exactly neutral. A is row-major — every int8 caller's A is a conv's
-// weight codes or a linear layer's input codes — and transA is rejected:
-// a transposed-A branch in the row loop costs the int8 forward ≈ 3 %
-// (paired runs).
-func packAI8(apack []int16, a []int8, lda int, transA bool, ic, pc, mb, kb int) {
-	if transA {
-		panic("tensor: the int8 GEMM packs row-major A only")
-	}
-	kp := (kb + 1) / 2
+// packAI8 packs the row-major mb×kb matrix a into gemmMR-row panels with
+// the pair-interleaved layout described atop this file, a fixed 2·gemmMR
+// stride per k-pair. apack must be zeroed: the rows missing from an edge
+// panel and the odd-k tail stay zero, which integer accumulation treats
+// as exactly neutral. PackPanelsI8 is its one caller.
+func packAI8(apack []int16, a []int8, mb, kb int) {
 	stride := 2 * gemmMR
-	idx := 0
-	for ir := 0; ir < mb; ir += gemmMR {
-		rows := mb - ir
-		if rows > gemmMR {
-			rows = gemmMR
+	for i := 0; i < mb; i++ {
+		panel := apack[(i/gemmMR)*stride*((kb+1)/2):]
+		o := 2 * (i % gemmMR)
+		for p, v := range a[i*kb : (i+1)*kb] {
+			panel[(p>>1)*stride+o+(p&1)] = int16(v)
 		}
-		panel := apack[idx : idx+kp*stride]
-		if rows < gemmMR || kb&1 == 1 {
-			for i := range panel {
-				panel[i] = 0
-			}
-		}
-		for r := 0; r < rows; r++ {
-			src := a[(ic+ir+r)*lda+pc : (ic+ir+r)*lda+pc+kb]
-			o := 2 * r
-			for p, v := range src {
-				panel[(p>>1)*stride+o+(p&1)] = int16(v)
-			}
-		}
-		idx += kp * stride
 	}
 }
 

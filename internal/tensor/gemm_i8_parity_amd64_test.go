@@ -72,7 +72,7 @@ func TestGemmI8ForcedScalarMatchesDefault(t *testing.T) {
 	run := func() []int32 {
 		out := make([]int32, m*n)
 		var sc scratch
-		op := i8Op{dst: out, ldc: n, a: a, lda: k, b: b, ldb: n, m: m, k: k, n: n}
+		op := i8Op{dst: out, ldc: n, a: a, lda: k, panels: panelsOf(a, m), b: b, ldb: n, m: m, k: k, n: n}
 		gemmReserve(i8Kernels, &sc, &op)
 		gemmSerial(i8Kernels, &op, &sc)
 		sc.release()

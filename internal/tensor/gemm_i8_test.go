@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -12,6 +14,10 @@ func randI8(rng *rand.Rand, n int) []int8 {
 	}
 	return s
 }
+
+// panelsOf returns the A panels of the row-major int8 matrix a with m
+// rows: the only form the blocked int8 GEMM reads A in.
+func panelsOf(a []int8, m int) []int16 { return PackPanelsI8(a, m, 1).data }
 
 // gemmI8Naive is the int8 reference: the obvious triple loop over int8
 // operands with an int32 accumulator per element. A[i,p] = a[i*lda+p];
@@ -67,7 +73,7 @@ func TestGemmI8BlockedMatchesNaive(t *testing.T) {
 
 			got := make([]int32, m*n)
 			var sc scratch
-			op := i8Op{dst: got, ldc: n, a: a, lda: k, b: b, ldb: ldb, transB: transB, m: m, k: k, n: n}
+			op := i8Op{dst: got, ldc: n, a: a, lda: k, panels: panelsOf(a, m), b: b, ldb: ldb, transB: transB, m: m, k: k, n: n}
 			gemmReserve(i8Kernels, &sc, &op)
 			gemmSerial(i8Kernels, &op, &sc)
 			sc.release()
@@ -80,7 +86,7 @@ func TestGemmI8BlockedMatchesNaive(t *testing.T) {
 			// Parallel column split must be identical too.
 			old := SetWorkers(4)
 			gotPar := make([]int32, m*n)
-			gemmParallel(i8Kernels, i8Op{dst: gotPar, ldc: n, a: a, lda: k, b: b, ldb: ldb, transB: transB, m: m, k: k, n: n})
+			gemmParallel(i8Kernels, i8Op{dst: gotPar, ldc: n, a: a, lda: k, panels: panelsOf(a, m), b: b, ldb: ldb, transB: transB, m: m, k: k, n: n})
 			SetWorkers(old)
 			for i := range want {
 				if gotPar[i] != want[i] {
@@ -113,7 +119,7 @@ func TestGemmI8RandomizedShapes_Property(t *testing.T) {
 		gemmI8Naive(want, n, a, k, b, ldb, transB, m, k, n)
 		got := make([]int32, m*n)
 		var sc scratch
-		op := i8Op{dst: got, ldc: n, a: a, lda: k, b: b, ldb: ldb, transB: transB, m: m, k: k, n: n}
+		op := i8Op{dst: got, ldc: n, a: a, lda: k, panels: panelsOf(a, m), b: b, ldb: ldb, transB: transB, m: m, k: k, n: n}
 		gemmReserve(i8Kernels, &sc, &op)
 		gemmSerial(i8Kernels, &op, &sc)
 		sc.release()
@@ -139,11 +145,11 @@ func TestGemmI8WorkerCountIdentity(t *testing.T) {
 		b := randI8(rng, k*n)
 		ref := make([]int32, m*n)
 		SetWorkers(1)
-		gemmParallel(i8Kernels, i8Op{dst: ref, ldc: n, a: a, lda: k, b: b, ldb: n, m: m, k: k, n: n})
+		gemmParallel(i8Kernels, i8Op{dst: ref, ldc: n, a: a, lda: k, panels: panelsOf(a, m), b: b, ldb: n, m: m, k: k, n: n})
 		for _, w := range []int{2, 4, 8} {
 			SetWorkers(w)
 			got := make([]int32, m*n)
-			gemmParallel(i8Kernels, i8Op{dst: got, ldc: n, a: a, lda: k, b: b, ldb: n, m: m, k: k, n: n})
+			gemmParallel(i8Kernels, i8Op{dst: got, ldc: n, a: a, lda: k, panels: panelsOf(a, m), b: b, ldb: n, m: m, k: k, n: n})
 			for i := range ref {
 				if got[i] != ref[i] {
 					t.Fatalf("m=%d k=%d n=%d workers=%d: element %d = %d, want %d", m, k, n, w, i, got[i], ref[i])
@@ -156,8 +162,8 @@ func TestGemmI8WorkerCountIdentity(t *testing.T) {
 // TestGemmI8Accumulating: the int8 kernels take the shared driver's
 // accumulate mode, with B plain or transposed. Small integer products are
 // exact in float32, so the float32 naive reference over the same values
-// is an exact oracle. A transposed A, which no int8 caller has, is
-// rejected on the blocked path.
+// is an exact oracle. An A without panels, which no int8 caller hands
+// over, is rejected on the blocked path with a named message.
 func TestGemmI8Accumulating(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	defer SetWorkers(SetWorkers(4))
@@ -175,7 +181,7 @@ func TestGemmI8Accumulating(t *testing.T) {
 				got[i] = int32(rng.Intn(201) - 100)
 				want[i] = float32(got[i])
 			}
-			gemmParallel(i8Kernels, i8Op{dst: got, ldc: n, a: a, lda: k, b: b, ldb: ldb, transB: transB, m: m, k: k, n: n, acc: true})
+			gemmParallel(i8Kernels, i8Op{dst: got, ldc: n, a: a, lda: k, panels: panelsOf(a, m), b: b, ldb: ldb, transB: transB, m: m, k: k, n: n, acc: true})
 			af, bf := make([]float32, len(a)), make([]float32, len(b))
 			for i, v := range a {
 				af[i] = float32(v)
@@ -192,14 +198,14 @@ func TestGemmI8Accumulating(t *testing.T) {
 		}
 	}
 	defer func() {
-		if recover() == nil {
-			t.Fatal("a transposed A must panic on the int8 blocked path")
+		if r, _ := recover().(string); !strings.Contains(r, "reads A from panels") {
+			t.Fatalf("an A without panels must panic on the int8 blocked path naming the panels, got %q", r)
 		}
 	}()
 	m, k, n := 37, 261, 70
 	var sc scratch
 	defer sc.release()
-	gemmSerial(i8Kernels, &i8Op{dst: make([]int32, m*n), ldc: n, a: randI8(rng, m*k), lda: m, transA: true, b: randI8(rng, k*n), ldb: n, m: m, k: k, n: n}, &sc)
+	gemmSerial(i8Kernels, &i8Op{dst: make([]int32, m*n), ldc: n, a: randI8(rng, m*k), lda: k, b: randI8(rng, k*n), ldb: n, m: m, k: k, n: n}, &sc)
 }
 
 // TestKernI8EdgeMatchesFullTilePath checks the padded edge kernel
@@ -216,9 +222,8 @@ func TestKernI8EdgeMatchesFullTilePath(t *testing.T) {
 				gemmI8Naive(want, n, a, k, b, n, false, m, k, n)
 
 				kp := (kb + 1) / 2
-				apack := make([]int16, kp*2*gemmMR)
 				bpack := make([]int8, kp*2*gemmNR)
-				packAI8(apack, a, k, false, 0, 0, m, kb)
+				apack := panelsOf(a, m)
 				packBI8(bpack, b, n, false, 0, 0, kb, n)
 				got := make([]int32, m*n)
 				kernI8Edge(got, n, apack, bpack, rows, cols, kp, true)
@@ -339,4 +344,81 @@ func TestQuantizeI8IntoDegenerateScale(t *testing.T) {
 			t.Fatalf("element %d = %d, want zero-point -5", i, q)
 		}
 	}
+}
+
+// TestLinearInt8MatchesNaive pins LinearInt8Into — A the weight panels, B
+// the quantized input read transposed — to a naive int32 reference folded
+// by the same epilogue, bit for bit: batch rows on both sides of gemmNR
+// (the small-problem loop and the blocked path), k across gemmKC and odd
+// (the pair pad), units off whole panels and split by rows, with panels
+// handed over and packed per call, at one and four workers on both kernel
+// tiers.
+func TestLinearInt8MatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	prev, saved := SetWorkers(1), gemmAVX2
+	defer func() { SetWorkers(prev); gemmAVX2 = saved }()
+	for _, rows := range []int{1, 3, 17} {
+		for _, in := range []int{255, 256, 257, 513} {
+			for _, out := range []int{1, 4, 128, 130} {
+				x := RandUniform(rng, -2, 2, rows, in)
+				wq := randCodes(rng, out*in)
+				qp := QuantParams{InScale: 1.0 / 60, InZP: -9, WScales: make([]float32, out), RowSums: make([]int32, out),
+					Bias: make([]float32, out), OutScale: 0.05}
+				for oc := range qp.WScales {
+					qp.WScales[oc], qp.Bias[oc] = float32(oc+1)/4096, float32(oc%7)-3
+					for _, c := range wq[oc*in : (oc+1)*in] {
+						qp.RowSums[oc] += int32(c)
+					}
+				}
+				xq := make([]int8, rows*in)
+				QuantizeI8Into(xq, x.Data(), qp.InScale, qp.InZP)
+				want := New(rows, out)
+				for i := 0; i < rows; i++ {
+					for oc := 0; oc < out; oc++ {
+						var acc int32
+						for p := 0; p < in; p++ {
+							acc += int32(wq[oc*in+p]) * int32(xq[i*in+p])
+						}
+						corr, scale, bias := qp.fold(oc)
+						want.Data()[i*out+oc] = requantI8(acc, corr, scale, bias, qp.OutScale)
+					}
+				}
+				withPanels := qp
+				withPanels.Panels = PackPanelsI8(wq, out, 1)
+				for _, workers := range []int{1, 4} {
+					for _, scalar := range []bool{false, true} {
+						SetWorkers(workers)
+						gemmAVX2 = saved && !scalar
+						for what, q := range map[string]QuantParams{"panels packed per call": qp, "panels handed over": withPanels} {
+							got := New(rows, out)
+							LinearInt8Into(got, x, wq, q)
+							requireSameBits(t, fmt.Sprintf("rows=%d in=%d out=%d workers=%d scalar=%v, %s", rows, in, out, workers, scalar, what), got, want, false)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInt8ShortBiasRejected: a bias shorter than the layer's output
+// channels panics on the caller's goroutine, before any pool worker
+// indexes it, with a message naming the mismatch — on both int8 entry
+// points.
+func TestInt8ShortBiasRejected(t *testing.T) {
+	requireBiasPanic := func(name string, call func()) {
+		t.Helper()
+		defer func() {
+			if r, _ := recover().(string); !strings.Contains(r, "bias length 2 does not match Cout=3") {
+				t.Fatalf("%s: short bias panicked with %q", name, r)
+			}
+		}()
+		call()
+	}
+	qp := QuantParams{InScale: 0.1, WScales: []float32{1, 1, 1}, RowSums: make([]int32, 3), Bias: []float32{1, 2}}
+	x := New(2, 4, 5, 5)
+	requireBiasPanic("Conv2dInt8Into", func() {
+		Conv2dInt8Into(New(2, 3, 5, 5), x, make([]int8, 3*4*9), []int{3, 4, 3, 3}, qp, ConvSpec{PadH: 1, PadW: 1})
+	})
+	requireBiasPanic("LinearInt8Into", func() { LinearInt8Into(New(2, 3), New(2, 4), make([]int8, 3*4), qp) })
 }

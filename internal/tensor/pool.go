@@ -24,6 +24,18 @@ func (s PoolSpec) Canon() PoolSpec {
 	return s
 }
 
+// PoolOutShape returns the output shape [N,C,OH,OW] of a 2-D pooling
+// operation over an input of shape [N,C,H,W] — the shape MaxPool2d and
+// AvgPool2d produce, computed without running them.
+func PoolOutShape(inShape []int, spec PoolSpec) []int {
+	spec = spec.Canon()
+	return []int{
+		inShape[0], inShape[1],
+		convOutSize(inShape[2], spec.KernelH, spec.StrideH, spec.PadH),
+		convOutSize(inShape[3], spec.KernelW, spec.StrideW, spec.PadW),
+	}
+}
+
 func checkPool(x *Tensor, spec PoolSpec) (PoolSpec, int, int) {
 	spec = spec.Canon()
 	if x.Rank() != 4 {

@@ -254,3 +254,17 @@ func TestPoolSerialParallelAgree(t *testing.T) {
 		t.Fatal("pool backends disagree")
 	}
 }
+
+// TestPoolOutShapeAndFLOPs pins the pooled shape, stride defaulting to
+// the kernel.
+func TestPoolOutShapeAndFLOPs(t *testing.T) {
+	in := []int{2, 3, 8, 8}
+	spec := PoolSpec{KernelH: 2, KernelW: 2} // stride defaults to kernel
+	got := PoolOutShape(in, spec)
+	want := []int{2, 3, 4, 4}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("PoolOutShape = %v, want %v", got, want)
+		}
+	}
+}

@@ -103,6 +103,10 @@ check_selected -race -count=10 -cpu 1,4 -run 'TestCheckpointStoreConcurrent' ./i
 # CampaignEnv has the same wall. Repeated under the race detector for the
 # same reason as the store's.
 check_selected -race -count=5 -cpu 1,4 -run 'TestCleanCacheConcurrentRunsComputeOnce|TestCleanCacheFailureIsNotCached' ./internal/campaign
+# The clean cache notes a walk's timings before it publishes the sample,
+# so a Run that finds every sample computed by another still plans on
+# timed costs, the scheduler's only cost source.
+check_selected -race -count=5 -cpu 1,4 -run 'TestCleanCachePublishesTimedCosts|TestCleanCacheBorrowedSamplesPlanTimed' ./internal/campaign
 check_selected -race -cpu 1,4 -run 'TestCampaignEnvOwnsTheCleanPass' ./internal/experiments
 
 # Per-package statement-coverage floors for the thin support packages.
@@ -231,6 +235,12 @@ check_kernels() {
 	# reference.
 	check_selected -race -cpu 1,4 -run 'TestConvDirectMatchesIm2col/int8/(pointwise|stride2)' ./internal/tensor
 	check_selected -tags noasm -run 'TestConvDirectMatchesIm2col/int8/(pointwise|stride2)' ./internal/tensor
+	# Every int8 GEMM reads A from the layer's weight panels: the linear
+	# layer (B the input codes read transposed) against a naive int32
+	# reference, a blocked GEMM without panels rejected by name, and a
+	# short bias rejected on the caller's goroutine.
+	check_selected -race -cpu 1,4 -run 'TestLinearInt8MatchesNaive|TestInt8ShortBiasRejected|TestGemmI8Accumulating' ./internal/tensor
+	check_selected -tags noasm -run 'TestLinearInt8MatchesNaive|TestInt8ShortBiasRejected|TestGemmI8Accumulating' ./internal/tensor
 	# The lazy trial RNG is math/rand's stream, draw for draw.
 	check_selected -run 'TestTrialSourceMatchesMathRand' ./internal/campaign
 	check_selected -race -cpu 1,4 -run 'TestEvalForwardMatchesScalarKernels' ./internal/nn
