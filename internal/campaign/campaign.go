@@ -108,6 +108,17 @@ const (
 	// MetricPrefixSaved is a histogram of nanoseconds saved per cache
 	// hit: the recorded cost of the prefix computation the hit avoided.
 	MetricPrefixSaved = "campaign.prefix_reuse_ns_saved"
+	// MetricSuffixRegion counts trials that ran their suffix by region
+	// (solo neuron-fault trials under PrefixReuse, see core.PrefixRunner.
+	// ForwardRegion); MetricSuffixMaskedExits those of them that stopped
+	// early because the fault was masked, and MetricSuffixExitNode is a
+	// histogram of the chain node whose output settled back to clean. On
+	// a store that holds every boundary they are functions of the trials;
+	// under eviction a trial may fall back to the dense suffix before it
+	// could exit.
+	MetricSuffixRegion      = "campaign.suffix.region"
+	MetricSuffixMaskedExits = "campaign.suffix.masked_exits"
+	MetricSuffixExitNode    = "campaign.suffix.exit_node"
 	// MetricBatchK is the effective trial-batch width after clamping to
 	// the replicas' profiled batch (recorded only when batching is on).
 	MetricBatchK = "campaign.batch.k"
@@ -482,6 +493,9 @@ type cleanPrediction struct {
 	top1 int
 	top5 []int
 	conf float64
+	// outcome classifies the clean logits themselves: the outcome of a
+	// trial whose fault is masked before the output.
+	outcome Outcome
 }
 
 func classify(logits *tensor.Tensor, cp cleanPrediction) Outcome {

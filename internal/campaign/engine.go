@@ -64,10 +64,13 @@ func prefixMetrics(reg *obs.Registry) core.PrefixMetrics {
 		return core.PrefixMetrics{}
 	}
 	return core.PrefixMetrics{
-		Hits:      reg.Counter(MetricPrefixHits),
-		Misses:    reg.Counter(MetricPrefixMisses),
-		Fallbacks: reg.Counter(MetricPrefixFallbacks),
-		SavedNS:   reg.Histogram(MetricPrefixSaved),
+		Hits:        reg.Counter(MetricPrefixHits),
+		Misses:      reg.Counter(MetricPrefixMisses),
+		Fallbacks:   reg.Counter(MetricPrefixFallbacks),
+		SavedNS:     reg.Histogram(MetricPrefixSaved),
+		Region:      reg.Counter(MetricSuffixRegion),
+		MaskedExits: reg.Counter(MetricSuffixMaskedExits),
+		ExitNode:    reg.Histogram(MetricSuffixExitNode),
 	}
 }
 
@@ -646,6 +649,7 @@ func cleanPredict(cfg Config, w *worker, idx int) (cp cleanPrediction, nodeNS []
 		top5: tensor.TopK(logits, 5)[0],
 	}
 	cp.conf = float64(probs.At(0, cp.top1))
+	cp.outcome = classify(logits, cp)
 	return cp, nodeNS, nil
 }
 

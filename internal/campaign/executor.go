@@ -245,13 +245,20 @@ func (x *executor) forward(w *worker, en sched.Entry, lanes int, recs []TrialRec
 			cut = w.plan.CutFor(minLayer)
 		}
 	}
+	// A solo neuron-fault trial runs its suffix by region (core.
+	// PrefixRunner.ForwardRegion) whenever the runner finds it legal.
+	region := lanes == 1 && w.runner != nil && w.runner.RegionLegal()
+	if cut == 0 && w.runner != nil && x.prefixFallbacks != nil {
+		x.prefixFallbacks.Inc()
+	}
 	var logits *tensor.Tensor
-	if cut == 0 {
-		if w.runner != nil && x.prefixFallbacks != nil {
-			x.prefixFallbacks.Inc()
-		}
+	masked := false
+	switch {
+	case cut == 0 && region:
+		logits, masked, err = w.runner.ForwardRegion(en.Sample, 0, input())
+	case cut == 0:
 		logits = nn.Run(w.inj.Model(), tile(input()))
-	} else {
+	default:
 		var boundary *tensor.Tensor
 		if w.runner != nil {
 			boundary, err = w.runner.Boundary(en.Sample, cut, input)
@@ -265,9 +272,14 @@ func (x *executor) forward(w *worker, en sched.Entry, lanes int, recs []TrialRec
 		if err != nil {
 			return err
 		}
-		if logits, err = w.plan.Chain().ForwardFrom(cut, tile(boundary)); err != nil {
-			return err
+		if region {
+			logits, masked, err = w.runner.ForwardRegion(en.Sample, cut, boundary)
+		} else {
+			logits, err = w.plan.Chain().ForwardFrom(cut, tile(boundary))
 		}
+	}
+	if err != nil {
+		return err
 	}
 	cp := x.clean[en.Sample]
 	lane := 0
@@ -275,7 +287,12 @@ func (x *executor) forward(w *worker, en sched.Entry, lanes int, recs []TrialRec
 		if errs[i] != nil {
 			continue
 		}
-		recs[i].Outcome = classify(logits.Lane(lane), cp)
+		if masked {
+			// The forward's output is the clean one.
+			recs[i].Outcome = cp.outcome
+		} else {
+			recs[i].Outcome = classify(logits.Lane(lane), cp)
+		}
 		trace := w.inj.Trace()
 		if len(recs) > 1 {
 			trace = w.inj.TraceForTrial(recs[i].Trial)

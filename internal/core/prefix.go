@@ -113,6 +113,12 @@ type PrefixMetrics struct {
 	// SavedNS observes, on every hit, the nanoseconds the checkpointed
 	// prefix originally cost — the recomputation the hit avoided.
 	SavedNS *obs.Histogram
+	// Region counts forwards that ran their suffix by region
+	// (ForwardRegion); MaskedExits those of them that stopped because the
+	// fault was masked, and ExitNode observes the chain node whose output
+	// settled back to clean.
+	Region, MaskedExits *obs.Counter
+	ExitNode            *obs.Histogram
 }
 
 // PrefixRunner executes armed inferences for one injector, resuming from
@@ -132,6 +138,10 @@ type PrefixRunner struct {
 	// minimum is the robust estimate: a node's first execution may pay
 	// allocation and cache warmup that later walks do not.
 	nodeNS []int64
+	// scratch holds the region suffix's patches and crops (region.go);
+	// hooks is its cached census of the model's hooks.
+	scratch nn.RegionScratch
+	hooks   hookCensus
 }
 
 // NewPrefixRunner builds a runner over inj with a checkpoint store of its

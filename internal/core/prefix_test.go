@@ -50,7 +50,7 @@ func allErrorModels() map[string]ErrorModel {
 	}
 }
 
-func requireBitIdentical(t *testing.T, got, want *tensor.Tensor, ctx string) {
+func requireBitIdentical(t testing.TB, got, want *tensor.Tensor, ctx string) {
 	t.Helper()
 	if got == nil || got.Len() != want.Len() {
 		t.Fatalf("%s: got %v, want %d elements", ctx, got, want.Len())

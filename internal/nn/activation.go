@@ -38,12 +38,16 @@ func (l *ReLU) Params() []*Param { return nil }
 func (l *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	l.lastInput = x
 	out := l.output(x.Shape()...)
-	hi := float32(math.Inf(1))
-	if l.Cap > 0 {
-		hi = l.Cap
-	}
-	tensor.ReLUInto(out.Data(), x.Data(), hi)
+	tensor.ReLUInto(out.Data(), x.Data(), l.hi())
 	return out
+}
+
+// hi is the rectifier's upper bound: Cap, or +Inf when uncapped.
+func (l *ReLU) hi() float32 {
+	if l.Cap > 0 {
+		return l.Cap
+	}
+	return float32(math.Inf(1))
 }
 
 // Backward implements Layer.

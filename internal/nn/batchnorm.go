@@ -115,17 +115,22 @@ func (l *BatchNorm2d) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := l.output(x.Shape()...)
 	od := out.Data()
 	for ch := 0; ch < c; ch++ {
-		mean := l.RunningMean.AtFlat(ch)
-		invSD := float32(1 / math.Sqrt(float64(l.RunningVar.AtFlat(ch))+float64(l.Eps)))
-		g, b := l.gamma.Data.AtFlat(ch), l.beta.Data.AtFlat(ch)
-		scale := g * invSD
-		shift := b - mean*scale
+		scale, shift := l.evalAffine(ch)
 		for s := 0; s < n; s++ {
 			base := (s*c + ch) * plane
 			tensor.ScaleShiftInto(od[base:base+plane], xd[base:base+plane], scale, shift)
 		}
 	}
 	return out
+}
+
+// evalAffine returns channel ch's evaluation-mode map x·scale + shift,
+// from the running statistics.
+func (l *BatchNorm2d) evalAffine(ch int) (scale, shift float32) {
+	mean := l.RunningMean.AtFlat(ch)
+	invSD := float32(1 / math.Sqrt(float64(l.RunningVar.AtFlat(ch))+float64(l.Eps)))
+	scale = l.gamma.Data.AtFlat(ch) * invSD
+	return scale, l.beta.Data.AtFlat(ch) - float32(mean*scale)
 }
 
 // Backward implements Layer (training-mode statistics).

@@ -85,7 +85,8 @@ func (r *Residual) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if !body.SameShape(short) {
 		panic(fmt.Sprintf("nn: Residual %q branch shapes differ: body %v vs shortcut %v", r.Name(), body.Shape(), short.Shape()))
 	}
-	sum := tensor.Add(body, short)
+	sum := r.output(body.Shape()...)
+	tensor.AddInto(sum, body, short)
 	if r.PostAct != nil {
 		sum = Run(r.PostAct, sum)
 	}
@@ -109,6 +110,9 @@ type Concat struct {
 	Base
 	Branches []Layer
 
+	// outs holds the branch outputs during a forward; it and lastCounts
+	// keep their backing arrays across forwards.
+	outs       []*tensor.Tensor
 	lastCounts []int
 }
 
@@ -127,8 +131,11 @@ func (c *Concat) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (c *Concat) Forward(x *tensor.Tensor) *tensor.Tensor {
-	outs := make([]*tensor.Tensor, len(c.Branches))
-	c.lastCounts = make([]int, len(c.Branches))
+	if len(c.outs) != len(c.Branches) {
+		c.outs = make([]*tensor.Tensor, len(c.Branches))
+		c.lastCounts = make([]int, len(c.Branches))
+	}
+	outs := c.outs
 	ctot := 0
 	for i, b := range c.Branches {
 		outs[i] = Run(b, x)
@@ -137,6 +144,7 @@ func (c *Concat) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	out := c.output(outs[0].Dim(0), ctot, outs[0].Dim(2), outs[0].Dim(3))
 	tensor.ConcatChannelsInto(out, outs...)
+	clear(outs) // hold no branch output past the forward
 	return out
 }
 

@@ -91,20 +91,26 @@ func (l *Conv2d) Quant() *QuantState { return l.qstate }
 func (l *Conv2d) Forward(x *tensor.Tensor) *tensor.Tensor {
 	l.lastInput = x
 	out := l.output(l.OutShape(x.Shape())...)
+	l.forwardInto(out, x, l.Spec)
+	return out
+}
+
+// forwardInto runs the layer's kernel, int8 or float32, on x under spec
+// into out.
+func (l *Conv2d) forwardInto(out, x *tensor.Tensor, spec tensor.ConvSpec) {
 	if qs := l.qstate; qs != nil {
 		var bias []float32
 		if l.bias != nil {
 			bias = l.bias.Data.Data()
 		}
-		tensor.Conv2dInt8Into(out, x, qs.WCodes, l.weight.Data.Shape(), qs.params(bias), l.Spec)
-		return out
+		tensor.Conv2dInt8Into(out, x, qs.WCodes, l.weight.Data.Shape(), qs.params(bias), spec)
+		return
 	}
 	var b *tensor.Tensor
 	if l.bias != nil {
 		b = l.bias.Data
 	}
-	tensor.Conv2dInto(out, x, l.weight.Data, b, l.Spec)
-	return out
+	tensor.Conv2dInto(out, x, l.weight.Data, b, spec)
 }
 
 // Backward implements Layer.

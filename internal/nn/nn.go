@@ -24,6 +24,7 @@ package nn
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"gofi/internal/tensor"
 )
@@ -159,37 +160,51 @@ func (b *Base) OutputReuse() bool { return b.reuseOutput }
 // BatchNorm2d forwards do). The matched buffer is promoted to slot 0 so
 // the cache keeps the two most recently used shapes.
 func (b *Base) output(shape ...int) *tensor.Tensor {
+	// New is handed a copy, so the caller's shape arguments never leave
+	// its stack: a cached buffer costs no allocation.
+	fresh := func() *tensor.Tensor { return tensor.New(append([]int(nil), shape...)...) }
 	if !b.reuseOutput {
-		return tensor.New(shape...)
+		return fresh()
 	}
-	if t := b.outBufs[0]; t != nil && shapeEq(t.Shape(), shape) {
+	if t := b.outBufs[0]; t != nil && hasShape(t, shape) {
 		return t
 	}
-	if t := b.outBufs[1]; t != nil && shapeEq(t.Shape(), shape) {
+	if t := b.outBufs[1]; t != nil && hasShape(t, shape) {
 		b.outBufs[0], b.outBufs[1] = t, b.outBufs[0]
 		return t
 	}
-	t := tensor.New(shape...)
+	t := fresh()
 	b.outBufs[0], b.outBufs[1] = t, b.outBufs[0]
 	return t
 }
 
-func shapeEq(a, b []int) bool {
-	if len(a) != len(b) {
+// hasShape reports whether t has the given shape, without copying t's.
+func hasShape(t *tensor.Tensor, shape []int) bool {
+	if t.Rank() != len(shape) {
 		return false
 	}
-	for i, v := range a {
-		if v != b[i] {
+	for i, v := range shape {
+		if t.Dim(i) != v {
 			return false
 		}
 	}
 	return true
 }
 
+// hookGen counts hook registrations and removals on every layer in the
+// process (see HookGeneration).
+var hookGen atomic.Uint64
+
+// HookGeneration returns a number that changes whenever a hook is
+// registered on or removed from any layer, so a caller can cache what it
+// derives from the hooks of a model tree until the number moves.
+func HookGeneration() uint64 { return hookGen.Load() }
+
 // RegisterForwardHook attaches fn to this layer and returns a removable
 // handle. Hooks run in registration order after the layer computes its
 // output.
 func (b *Base) RegisterForwardHook(fn ForwardHook) HookHandle {
+	hookGen.Add(1)
 	b.nextID++
 	b.hooks = append(b.hooks, registeredHook{id: b.nextID, fwd: fn})
 	return HookHandle{site: b, id: b.nextID}
@@ -198,6 +213,7 @@ func (b *Base) RegisterForwardHook(fn ForwardHook) HookHandle {
 // RegisterForwardPreHook attaches fn observing (and optionally mutating)
 // the layer's input before the layer computes.
 func (b *Base) RegisterForwardPreHook(fn ForwardPreHook) HookHandle {
+	hookGen.Add(1)
 	b.nextID++
 	b.hooks = append(b.hooks, registeredHook{id: b.nextID, pre: fn})
 	return HookHandle{site: b, id: b.nextID}
@@ -205,6 +221,7 @@ func (b *Base) RegisterForwardPreHook(fn ForwardPreHook) HookHandle {
 
 // RegisterBackwardHook attaches fn observing the layer's output gradient.
 func (b *Base) RegisterBackwardHook(fn BackwardHook) HookHandle {
+	hookGen.Add(1)
 	b.nextID++
 	b.hooks = append(b.hooks, registeredHook{id: b.nextID, bwd: fn})
 	return HookHandle{site: b, id: b.nextID}
@@ -216,6 +233,7 @@ func (b *Base) HookCount() int { return len(b.hooks) }
 func (b *Base) removeHook(id int) {
 	for i, h := range b.hooks {
 		if h.id == id {
+			hookGen.Add(1)
 			b.hooks = append(b.hooks[:i], b.hooks[i+1:]...)
 			return
 		}

@@ -242,11 +242,12 @@ func TestQuantizeI8IntoLengthMismatchPanics(t *testing.T) {
 	QuantizeI8Into(make([]int8, 2), make([]float32, 3), 1, 0)
 }
 
-// TestArenaGrowthAndMarkGuards, for every element type of the generic
-// arena: takes that outgrow the buffer leave previously taken slices
+// TestArenaGrowthAndMarkGuards, for every element type kernels take
+// scratch in: takes that outgrow the buffer leave previously taken slices
 // valid on the old array, a restore whose mark predates a reallocation is
 // a guarded no-op (rolling the offset back onto the fresh buffer would
-// alias live slices), and a same-generation restore rolls back.
+// alias live slices), and a same-generation restore rolls back. slots
+// holds one scratch to all three at once: each type has a slot of its own.
 func TestArenaGrowthAndMarkGuards(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -254,10 +255,28 @@ func TestArenaGrowthAndMarkGuards(t *testing.T) {
 	}{
 		{"float32", arenaGuards[float32]},
 		{"int8", arenaGuards[int8]},
-		{"int16", arenaGuards[int16]},
 		{"int32", arenaGuards[int32]},
+		{"slots", arenaSlots},
 	} {
 		t.Run(tc.name, tc.run)
+	}
+}
+
+func arenaSlots(t *testing.T) {
+	var sc scratch
+	f, b, i := arenaOf[float32](&sc), arenaOf[int8](&sc), arenaOf[int32](&sc)
+	f.reserve(3)
+	b.reserve(5)
+	i.reserve(7)
+	if len(f.take(3)) != 3 || len(b.take(5)) != 5 || len(i.take(7)) != 7 {
+		t.Fatal("an arena served the wrong length")
+	}
+	if arenaOf[float32](&sc) != f || arenaOf[int8](&sc) != b || arenaOf[int32](&sc) != i {
+		t.Fatal("a scratch must keep one arena per element type")
+	}
+	sc.release()
+	if sc != (scratch{}) {
+		t.Fatal("release must return every arena")
 	}
 }
 

@@ -2,9 +2,10 @@ package tensor
 
 import "sync"
 
-// elem is the element types kernel scratch holds: float32 for the
+// elem is the element types the kernels compute in: float32 for the
 // float32 backend; int8 codes, int16 widened A panels and int32
-// accumulators for the int8 backend.
+// accumulators for the int8 backend. Scratch arenas exist for all but
+// int16: the A panels are packed once, at quantization (PanelsI8).
 type elem interface {
 	float32 | int8 | int16 | int32
 }
@@ -83,21 +84,18 @@ func (a *arena[T]) restore(m arenaMark) {
 var arenaPools = [...]sync.Pool{
 	{New: func() any { return new(arena[float32]) }},
 	{New: func() any { return new(arena[int8]) }},
-	{New: func() any { return new(arena[int16]) }},
 	{New: func() any { return new(arena[int32]) }},
 }
 
-// elemIndex is T's slot in arenaPools and in a scratch.
+// elemIndex is T's slot in arenaPools and in a scratch; int16 has none.
 func elemIndex[T elem]() int {
 	switch any(T(0)).(type) {
 	case float32:
 		return 0
 	case int8:
 		return 1
-	case int16:
-		return 2
 	}
-	return 3
+	return 2
 }
 
 // scratch is the arenas one kernel invocation draws from, one per element

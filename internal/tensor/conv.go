@@ -44,6 +44,47 @@ func ConvOutShape(inShape, wShape []int, spec ConvSpec) []int {
 	return []int{inShape[0], wShape[0], oh, ow}
 }
 
+// ConvCropBox returns the output box a cropped forward of a groups-1 conv
+// (cin input channels, weight shape wShape, spec) computes to cover the
+// box [y0, y1) × [x0, x1) of its oh × ow output plane. The cropped forward
+// reads the box's receptive input, its padding written out, under Pad 0.
+// Of the boxes inside the plane that contain the given one, it picks the
+// one with the fewest GEMM columns among those whose crop runs every
+// column on the vector micro-kernel without an im2col copy: the direct
+// lowering for a stride-1 spatial conv, whole column tiles of the packed
+// GEMM for any other. A crop off those paths pays an im2col copy per
+// column or scalar products, several times the cost per column. With no
+// such box it returns the given one.
+func ConvCropBox(y0, y1, x0, x1, oh, ow, cin int, wShape []int, spec ConvSpec) (int, int, int, int) {
+	spec = spec.Canon()
+	crop := spec
+	crop.PadH, crop.PadW = 0, 0
+	cout, kh, kw := wShape[0], wShape[2], wShape[3]
+	spatial := spec.StrideH == 1 && spec.StrideW == 1 && !spec.pointwise(kh, kw)
+	cols := func(h, w int) (int, bool) {
+		cv := convGeom{spec: crop, n: 1, c: cin, h: (h-1)*spec.StrideH + kh, wd: (w-1)*spec.StrideW + kw,
+			cout: cout, cg: cin, kh: kh, kw: kw, oh: h, ow: w, g: 1, coutG: cout, l: h * w, kdim: cin * kh * kw}
+		if spatial {
+			return cv.virtualCols(), cv.direct()
+		}
+		return cv.l, cv.l%gemmNR == 0 && !gemmTiny(cout, cv.kdim, cv.l)
+	}
+	bh, bw := y1-y0, x1-x0
+	best, bestH, bestW := -1, bh, bw
+	for h := bh; h <= oh && (best < 0 || h*bw < best); h++ {
+		for w := bw; w <= ow; w++ {
+			if c, ok := cols(h, w); ok {
+				if best < 0 || c < best {
+					best, bestH, bestW = c, h, w
+				}
+				break // wider boxes of this height only cost more
+			}
+		}
+	}
+	y0, x0 = min(y0, oh-bestH), min(x0, ow-bestW)
+	return y0, y0 + bestH, x0, x0 + bestW
+}
+
 // convGeom is a checked convolution's geometry: input [N,C,H,W], weight
 // [Cout,Cg,KH,KW] in G groups, output [N,Cout,OH,OW]. Each (sample,
 // group) unit is one [coutG, kdim] × [kdim, l] GEMM.

@@ -181,6 +181,12 @@ func gemmSmall[In, Out elem](dst []Out, ldc int, a []In, lda int, transA bool, b
 	}
 }
 
+// gemmTiny reports whether gemmSerial computes a packed m×k×n problem on
+// gemmSmall's scalar loops: tiny or skinny problems, where packing costs
+// more than it saves, and outputs narrower than one vector tile would run
+// entirely on the scalar edge kernel anyway.
+func gemmTiny(m, k, n int) bool { return n < gemmNR || m*n < gemmMR*gemmNR || m*k*n < 8192 }
+
 // gemmSerial computes op on the calling goroutine with g's blocked
 // kernels: the jc/pc/ic loop nest, B packed per block or read in place,
 // A read in place or from its panels. B's pack panels come from sc
@@ -208,10 +214,7 @@ func gemmSerial[In, AP, Out elem](g *gemmKernels[In, AP, Out], op *gemmOp[In, AP
 			panic("tensor: in-place GEMM operand B reads past its end")
 		}
 		nc = n
-	} else if n < gemmNR || m*n < gemmMR*gemmNR || m*k*n < 8192 {
-		// Tiny or skinny problems: packing costs more than it saves, and
-		// outputs narrower than one vector tile would run entirely on
-		// the scalar edge kernel anyway.
+	} else if gemmTiny(m, k, n) {
 		gemmSmall(op.dst, ldc, op.a, op.lda, op.transA, op.b, op.ldb, op.transB, m, k, n, op.acc)
 		return
 	}

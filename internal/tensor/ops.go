@@ -14,12 +14,18 @@ func checkSame(op string, a, b *Tensor) {
 
 // Add returns a + b element-wise.
 func Add(a, b *Tensor) *Tensor {
-	checkSame("Add", a, b)
 	out := New(a.shape...)
-	for i := range out.data {
-		out.data[i] = a.data[i] + b.data[i]
-	}
+	AddInto(out, a, b)
 	return out
+}
+
+// AddInto writes a + b element-wise into dst, which may be either operand.
+func AddInto(dst, a, b *Tensor) {
+	checkSame("Add", a, b)
+	checkSame("AddInto", dst, a)
+	for i := range dst.data {
+		dst.data[i] = a.data[i] + b.data[i]
+	}
 }
 
 // AddInPlace accumulates b into a and returns a.

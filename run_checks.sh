@@ -251,6 +251,35 @@ check_kernels() {
 }
 check_kernels
 
+# The region suffix (a solo neuron-fault trial computes only the crop its
+# fault reaches after the armed node, and stops when it is masked) must
+# equal the dense suffix bit for bit: its differential wall on DenseNet
+# and AlexNet, both backends, the per-rule wall with strided and padded
+# geometries, the fallback rules and the suffix metrics at one worker and
+# eight, under the race detector at both GOMAXPROCS settings and on the
+# scalar kernels, beside the golden aggregates, plus a fuzz smoke. Its
+# scalar code rounds every product that feeds a sum, so the arm64
+# compiler listing of its functions holds no fused multiply-add.
+check_region() {
+	check_selected -race -cpu 1,4 -run 'TestRegionSuffixMatchesDense' ./internal/core
+	check_selected -race -cpu 1,4 -run 'TestRegionSuffixFallsBack|TestRegionSuffixMetrics' ./internal/campaign
+	check_selected -race -cpu 1,4 -run 'TestRegionSettleComparesBits|TestRegionRulesMatchDense|TestContainersReuseOutputBuffers' ./internal/nn
+	check_selected -tags noasm -run 'TestRegionSuffixMatchesDense' ./internal/core
+	check_selected -tags noasm -run 'TestRegionSuffixFallsBack|TestRegionSuffixMetrics|TestGoldenCampaignAggregates' ./internal/campaign
+	check_selected -tags noasm -run 'TestRegionSettleComparesBits|TestRegionRulesMatchDense' ./internal/nn
+	check_selected -run='^$' -fuzz='^FuzzRegionSuffix$' -fuzztime=10s ./internal/core
+	listing=$(mktemp)
+	GOARCH=arm64 go build -a -gcflags='gofi/internal/nn=-S' -o /dev/null ./internal/nn 2>"$listing"
+	fused=$(awk '/^gofi\/internal\/nn\.[^ ]+ STEXT/ { fn = $1 }
+		fn ~ /[Rr]egion|evalAffine|copyBox|reachDim|sameBits/ && /\t(FMADD|FMSUB|FNMADD|FNMSUB)/ { print fn }' "$listing")
+	rm -f "$listing"
+	if [ -n "$fused" ]; then
+		echo "FAIL: fused multiply-add in region-suffix code on arm64: $fused" >&2
+		exit 1
+	fi
+}
+check_region
+
 # The campaign service's gates: the serve test wall under the race
 # detector (sharded byte-identity against the local single-machine run,
 # kill/resume determinism over durable checkpoints and truncated crash
